@@ -6,7 +6,7 @@ the measure/z-score computation — so regressions in any phase are visible
 independently of the full experiments.
 """
 
-import itertools
+import threading
 import time
 
 import numpy as np
@@ -19,13 +19,12 @@ from repro.core.parallel import ParallelBatchTescEngine
 from repro.core.tesc import TescTester
 from repro.datasets.synthetic_dblp import make_dblp_like
 from repro.datasets.synthetic_twitter import make_twitter_like
-from repro.events.attributed_graph import AttributedGraph
 from repro.graph.mutation import rewire_random_edges
 from repro.graph.traversal import BFSEngine
 from repro.graph.vicinity import VicinityIndex
 from repro.sampling.registry import create_sampler
 from repro.stats.kendall import pair_concordance_sum, weighted_pair_concordance
-from repro.streaming import Delta, ContinuousRanker, DeltaBatch, DynamicAttributedGraph
+from repro.streaming import Delta, DeltaBatch, DynamicAttributedGraph
 
 GRAPH = make_twitter_like(num_nodes=20_000, edges_per_node=8, random_state=1)
 EVENT_NODES = np.random.default_rng(2).choice(GRAPH.num_nodes, size=5_000, replace=False)
@@ -388,130 +387,16 @@ def test_rank_pairs_parallel_fifty(benchmark, workers):
     assert len(ranking) == len(PARALLEL_PAIRS)
 
 
-# -- streaming: incremental vs full re-rank under edge churn ------------------
+# -- the 20k-node DBLP-like graph of the durability cold-start cases ----------
 #
-# A 20k-node DBLP-like graph with 10 monitored keyword pairs; every round
-# applies a small churn batch (20 rewires = 40 edge deltas, the shape of a
-# realistic streaming commit, via the mutation helpers' delta reporting) and
-# refreshes the ranking at h=2.  The full path rebuilds the attributed graph
-# and ranks from scratch; the streaming path commits the same batch through
-# ContinuousRanker, which recomputes only the dirtied density columns.  Both
-# produce bit-identical rankings (asserted below).
-#
-# (Until the O(n log n) Kendall kernels landed, this case ran 1% churn at
-# h=1 and measured ~25-35x: the full path was dominated by O(n²) estimate
-# work the streaming path skipped.  With estimates now cheap everywhere, the
-# streaming advantage is what it structurally should be — the density BFS
-# over clean columns — so the workload pins that regime: expensive h=2
-# vicinities, a large shared sample, and a delta that dirties only a few
-# hundred of ~4k columns.)
+# (Incremental re-ranking under edge churn is measured end to end by the
+# performance ledger's ``churn`` workload in benchmarks/ledger, against a
+# live server, rather than here.)
 
 STREAM_DATASET = make_dblp_like(
     num_communities=200, community_size=77, num_positive_pairs=5,
     num_negative_pairs=5, num_background_keywords=0, random_state=13,
 )
-STREAM_PAIRS = STREAM_DATASET.positive_pairs + STREAM_DATASET.negative_pairs
-#: One commit's worth of edge churn: 20 rewires = 20 removals + 20 additions.
-STREAM_CHURN_REWIRES = 20
-# sample_size exceeds the monitored population, so the shared sample is the
-# whole reference population (n ~ 4.2k at h=2) — the regime where the
-# streaming column cache, not the sampler, carries the cost.
-STREAM_CONFIG = TescConfig(vicinity_level=2, sample_size=8000, random_state=17)
-_STREAM_SEEDS = itertools.count(1000)
-
-
-def _churn_batch(mutable_graph, seed):
-    """Apply one churn commit to ``mutable_graph`` in place; return its deltas."""
-    _, deltas = rewire_random_edges(
-        mutable_graph, STREAM_CHURN_REWIRES, random_state=seed,
-        in_place=True, with_deltas=True,
-    )
-    return DeltaBatch.coerce(deltas)
-
-
-def test_rank_full_rerank_after_churn(benchmark):
-    """Baseline: rebuild the attributed graph and rank all pairs from scratch."""
-    mutable = STREAM_DATASET.graph.copy()
-    events = STREAM_DATASET.attributed.events
-
-    def setup():
-        _churn_batch(mutable, next(_STREAM_SEEDS))
-        return (), {}
-
-    def run():
-        attributed = AttributedGraph(mutable, events.copy())
-        return BatchTescEngine(attributed, STREAM_CONFIG).rank_pairs(STREAM_PAIRS)
-
-    benchmark.pedantic(run, setup=setup, rounds=3, iterations=1)
-
-
-def test_rank_incremental_rerank_after_churn(benchmark):
-    """The same churn committed through the streaming ContinuousRanker."""
-    dynamic = DynamicAttributedGraph(
-        STREAM_DATASET.graph.copy(), STREAM_DATASET.attributed.events.copy()
-    )
-    ranker = ContinuousRanker(dynamic, STREAM_PAIRS, STREAM_CONFIG)
-    ranker.commit()  # initial ranking warms the column cache
-    mutable = STREAM_DATASET.graph.copy()
-
-    def setup():
-        return (_churn_batch(mutable, next(_STREAM_SEEDS)),), {}
-
-    benchmark.pedantic(
-        lambda batch: ranker.commit(batch), setup=setup, rounds=3, iterations=1
-    )
-
-
-def test_incremental_rerank_beats_full_rerank():
-    """The streaming acceptance bar, measured directly: after a small
-    edge-churn commit on the 20k-node graph at h=2, the streaming commit
-    must be >= 5x faster than a full ``rank_pairs`` re-rank — while
-    returning the bit-identical ranking (~6-8x measured; three rounds damp
-    scheduler noise and the best round is asserted)."""
-    dynamic = DynamicAttributedGraph(
-        STREAM_DATASET.graph.copy(), STREAM_DATASET.attributed.events.copy()
-    )
-    ranker = ContinuousRanker(dynamic, STREAM_PAIRS, STREAM_CONFIG)
-    ranker.commit()
-    mutable = STREAM_DATASET.graph.copy()
-
-    speedups = []
-    for round_id in range(3):
-        batch = _churn_batch(mutable, 2000 + round_id)
-
-        started = time.perf_counter()
-        attributed = AttributedGraph(
-            mutable, STREAM_DATASET.attributed.events.copy()
-        )
-        full = BatchTescEngine(attributed, STREAM_CONFIG).rank_pairs(STREAM_PAIRS)
-        full_seconds = time.perf_counter() - started
-
-        started = time.perf_counter()
-        delta = ranker.commit(batch)
-        incremental_seconds = time.perf_counter() - started
-
-        assert [pair.events for pair in delta.ranking] == [
-            pair.events for pair in full
-        ]
-        assert [pair.score for pair in delta.ranking] == [
-            pair.score for pair in full
-        ]
-        assert [pair.verdict for pair in delta.ranking] == [
-            pair.verdict for pair in full
-        ]
-        stats = delta.stats
-        speedup = (
-            full_seconds / incremental_seconds
-            if incremental_seconds > 0 else float("inf")
-        )
-        speedups.append(speedup)
-        print(
-            f"\nchurn round {round_id}: full {full_seconds:.3f}s, incremental "
-            f"{incremental_seconds:.3f}s, speedup {speedup:.1f}x "
-            f"(columns {stats.columns_recomputed}/{stats.columns_total} "
-            f"recomputed, {stats.pairs_rescored} pairs re-scored)"
-        )
-    assert max(speedups) >= 5.0
 
 
 # -- progressive top-k: confidence-bound pruning vs full-budget ranking -------
@@ -762,6 +647,47 @@ def test_parallel_engine_matches_serial_on_bench_workload():
 # *outside* the window in both), and every MVCC answer is asserted
 # bit-identical to a serial from-scratch reference at the epoch it reports.
 
+class _ReadWriteLock:
+    """Readers-writer lock: many concurrent ranks, exclusive commits.
+
+    Writer-preferring — a waiting commit blocks new readers — so a steady
+    rank load cannot starve commits.  This is the pre-snapshot-isolation
+    service discipline the lock-serialised HTAP baseline reinstates around
+    an otherwise identical engine.
+    """
+
+    def __init__(self) -> None:
+        self._condition = threading.Condition()
+        self._readers = 0
+        self._writer = False
+        self._writers_waiting = 0
+
+    def acquire_read(self) -> None:
+        with self._condition:
+            while self._writer or self._writers_waiting:
+                self._condition.wait()
+            self._readers += 1
+
+    def release_read(self) -> None:
+        with self._condition:
+            self._readers -= 1
+            if not self._readers:
+                self._condition.notify_all()
+
+    def acquire_write(self) -> None:
+        with self._condition:
+            self._writers_waiting += 1
+            while self._writer or self._readers:
+                self._condition.wait()
+            self._writers_waiting -= 1
+            self._writer = True
+
+    def release_write(self) -> None:
+        with self._condition:
+            self._writer = False
+            self._condition.notify_all()
+
+
 HTAP_DATASET = make_dblp_like(
     num_communities=10, community_size=30, num_positive_pairs=4,
     num_negative_pairs=3, num_background_keywords=10, random_state=11,
@@ -819,9 +745,7 @@ def _run_htap_scenario(lock_serialised):
     ``_ReadWriteLock`` — the pre-snapshot-isolation service discipline —
     on an otherwise identical engine.
     """
-    import threading
-
-    from repro.service.engine import ServiceEngine, _ReadWriteLock
+    from repro.service.engine import ServiceEngine
 
     dynamic = _htap_dynamic()
     schedule = _htap_schedule(dynamic)

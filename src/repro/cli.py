@@ -15,9 +15,10 @@ Subcommands
     pairs whose confidence interval falls below the k-th lower bound, and
     print the surviving top-k (identical to a full ``tesc rank`` top-k).
 ``tesc stream``
-    Replay a JSONL delta file against a dynamic graph, incrementally
-    re-ranking monitored event pairs after every commit and printing the
-    ranking deltas.
+    Replay a JSONL delta file through a session: commit each batch, rank
+    the monitored pairs at the commit's epoch, and print what changed
+    since the previous answer with the density columns computed and
+    carried forward.
 ``tesc serve``
     Start the correlation service: a persistent server answering
     ``rank``/``topk``/``stream`` requests over a local socket, with a
@@ -45,7 +46,7 @@ import argparse
 import os
 import sys
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import __version__
 from repro.core.batch import SORT_KEYS
@@ -542,10 +543,59 @@ def _command_topk(args: argparse.Namespace) -> int:
     return _print_topk(ranking, workers, args)
 
 
+def _render_records(records: List[Dict[str, Any]], markdown: bool) -> str:
+    """A ranking table from service pair records."""
+    table = TextTable(
+        ["rank", "event a", "event b", "score", "z", "p-value", "verdict", "n"]
+    )
+    for pair in records:
+        table.add_row(
+            [
+                pair["rank"],
+                pair["event_a"],
+                pair["event_b"],
+                f"{pair['score']:+.4f}",
+                f"{pair['z_score']:+.2f}",
+                f"{pair['p_value']:.2e}",
+                pair["verdict"],
+                pair["num_reference_nodes"],
+            ]
+        )
+    return table.render(markdown=markdown)
+
+
+def _render_changes(
+    changes: List[Tuple[Optional[Dict[str, Any]], Dict[str, Any]]],
+    markdown: bool,
+) -> str:
+    """The ``(old, new)`` records of the pairs whose statistics moved
+    (``old`` is ``None`` for a pair the previous answer did not have)."""
+    if not changes:
+        return "no ranking changes"
+    table = TextTable(
+        ["event a", "event b", "old score", "new score",
+         "old verdict", "new verdict", "rank"]
+    )
+    for old, new in changes:
+        table.add_row(
+            [
+                new["event_a"],
+                new["event_b"],
+                "-" if old is None else f"{old['score']:+.4f}",
+                f"{new['score']:+.4f}",
+                "-" if old is None else old["verdict"],
+                new["verdict"],
+                new["rank"],
+            ]
+        )
+    return table.render(markdown=markdown)
+
+
 def _command_stream(args: argparse.Namespace) -> int:
     import threading
 
-    from repro.streaming import ContinuousRanker, DeltaLog, DynamicAttributedGraph
+    from repro.api import Session
+    from repro.streaming import DeltaLog, DynamicAttributedGraph
 
     graph, labels = read_edge_list(args.edges)
     label_to_id = {label: index for index, label in enumerate(labels)}
@@ -561,72 +611,89 @@ def _command_stream(args: argparse.Namespace) -> int:
     )
     pairs = [tuple(pair) for pair in args.pair] if args.pair else "all"
     log = DeltaLog.load(args.deltas)
-    workers = resolve_workers(args.workers)
+    session = Session(dynamic, config=config, workers=resolve_workers(args.workers))
+
+    def shown(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+        # Ranks are assigned over every pair, so a prefix is the top-k.
+        return records if args.top_k is None else records[: max(args.top_k, 0)]
+
+    def columns() -> Tuple[int, int]:
+        return tuple(
+            int(session.metrics.value("tesc_density_columns_total", outcome=outcome))
+            for outcome in ("computed", "carried")
+        )
 
     # --concurrent-queries: snapshot-isolated readers racing the replay.
-    # Each thread loops rank() through a Session over the *same* dynamic
-    # graph; every query pins an epoch at admission, so the replay's commits
-    # never block it and never tear its view.
+    # Each thread loops rank() through the same Session; every query pins an
+    # epoch at admission, so the replay's commits never block it and never
+    # tear its view.
     stop = threading.Event()
-    counts: List[int] = []
+    counts: List[int] = [0] * max(args.concurrent_queries, 0)
     epochs: set = set()
     epochs_lock = threading.Lock()
     query_threads: List[threading.Thread] = []
-    session = None
-    if args.concurrent_queries > 0:
-        from repro.api import Session
 
-        session = Session(dynamic, config=config)
+    def _query_loop(slot: int) -> None:
+        done = 0
+        while not stop.is_set():
+            response = session.rank(pairs, top_k=args.top_k)
+            done += 1
+            with epochs_lock:
+                epochs.add(response["epoch"])
+        counts[slot] = done
 
-        def _query_loop(slot: int) -> None:
-            done = 0
-            while not stop.is_set():
-                response = session.rank(pairs, top_k=args.top_k)
-                done += 1
-                with epochs_lock:
-                    epochs.add(response["epoch"])
-            counts[slot] = done
-
-        counts.extend(0 for _ in range(args.concurrent_queries))
-        for slot in range(args.concurrent_queries):
-            thread = threading.Thread(
-                target=_query_loop, args=(slot,),
-                name=f"tesc-stream-query-{slot}", daemon=True,
-            )
-            query_threads.append(thread)
-            thread.start()
+    for slot in range(len(counts)):
+        thread = threading.Thread(
+            target=_query_loop, args=(slot,),
+            name=f"tesc-stream-query-{slot}", daemon=True,
+        )
+        query_threads.append(thread)
+        thread.start()
     commits = 0
     hung_readers: List[str] = []
     try:
-        with ContinuousRanker(
-            dynamic, pairs, config, workers=workers,
-            sort_by=args.sort_by, top_k=args.top_k,
-        ) as ranker:
-            initial = ranker.commit()
-            print("initial ranking:")
-            print(initial.ranking.render(markdown=args.markdown))
-            for number, batch in enumerate(log.replay(), start=1):
-                delta = ranker.commit(batch)
-                commits = number
-                stats = delta.stats
-                print()
-                print(
-                    f"commit {number}: {len(batch)} deltas, "
-                    f"{len(delta.changed)} pairs changed "
-                    f"({len(delta.verdict_flips)} verdict flips), "
-                    f"columns {stats.columns_recomputed} recomputed / "
-                    f"{stats.columns_reused} reused / {stats.columns_patched} patched, "
-                    f"pairs {stats.pairs_rescored} re-scored / "
-                    f"{stats.pairs_reused} reused"
-                )
-                print(delta.render(markdown=args.markdown))
+        ranking = session.rank(pairs, sort_by=args.sort_by)["pairs"]
+        print("initial ranking:")
+        print(_render_records(shown(ranking), args.markdown))
+        for number, batch in enumerate(log.replay(), start=1):
+            before = columns()
+            receipt = session.commit(batch)
+            response = session.rank(
+                pairs, sort_by=args.sort_by, at_epoch=receipt["epoch"]
+            )
+            commits = number
+            after = columns()
+            old = {(pair["event_a"], pair["event_b"]): pair for pair in ranking}
+            changes = []
+            for pair in response["pairs"]:
+                previous = old.get((pair["event_a"], pair["event_b"]))
+                if previous is None or any(
+                    previous[field] != pair[field]
+                    for field in ("score", "z_score", "p_value", "verdict")
+                ):
+                    changes.append((previous, pair))
+            flips = sum(
+                previous is None or previous["verdict"] != pair["verdict"]
+                for previous, pair in changes
+            )
+            ranking = response["pairs"]
+            print()
+            print(
+                f"commit {number}: {len(batch)} deltas -> epoch "
+                f"{receipt['epoch']}, {len(changes)} pairs changed "
+                f"({flips} verdict flips), columns "
+                f"{after[0] - before[0]} computed / {after[1] - before[1]} "
+                f"carried, pairs {response['computed_pairs']} re-scored / "
+                f"{response['cached_pairs']} cached"
+            )
+            print(_render_changes(changes, args.markdown))
     finally:
         stop.set()
         for thread in query_threads:
             thread.join(timeout=60.0)
             if thread.is_alive():
                 hung_readers.append(thread.name)
-        if session is not None and not hung_readers:
+        if not hung_readers:
             session.close()
     if hung_readers:
         # A reader that outlived its join window is wedged (deadlocked or
@@ -643,8 +710,8 @@ def _command_stream(args: argparse.Namespace) -> int:
         return 3
     print()
     print("final ranking:")
-    print(ranker.ranking.render(markdown=args.markdown))
-    if session is not None:
+    print(_render_records(shown(ranking), args.markdown))
+    if query_threads:
         total = sum(counts)
         spread = f"{min(epochs)}..{max(epochs)}" if epochs else "-"
         print()

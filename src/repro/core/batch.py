@@ -271,10 +271,10 @@ def make_config_sampler(attributed: AttributedGraph, cfg: TescConfig):
     The single place that knows how a :class:`~repro.core.config.TescConfig`
     maps to a sampler instance (registry lookup, vicinity-index wiring,
     ``batch_per_vicinity``).  The batch engine wraps the result in a
-    :class:`~repro.sampling.cache.CachingSampler`; the streaming ranker's
+    :class:`~repro.sampling.cache.CachingSampler`; the service engine's
     :class:`~repro.sampling.cache.SampleMemo` calls this on every miss —
-    sharing the factory is what keeps an incremental redraw bit-identical
-    to a from-scratch engine's draw.
+    sharing the factory is what keeps a per-epoch redraw bit-identical to a
+    from-scratch engine's draw.
     """
     vicinity_index = (
         attributed.vicinity_index(levels=(cfg.vicinity_level,))
@@ -293,8 +293,8 @@ def make_config_sampler(attributed: AttributedGraph, cfg: TescConfig):
 def event_universe(attributed: AttributedGraph, events: Sequence[str]) -> np.ndarray:
     """The union node set ``V_U`` of the given events, sorted and distinct.
 
-    Shared by the batch engine and the streaming ranker so both derive the
-    sampling universe with identical ordering.
+    Shared by the batch and service engines so both derive the sampling
+    universe with identical ordering.
     """
     arrays = [attributed.event_nodes(event) for event in events]
     return np.unique(np.concatenate(arrays)) if arrays else np.empty(0, np.int64)
@@ -306,7 +306,7 @@ def resolve_pair_spec(event_names: Sequence[str], pairs: PairSpec) -> List[Tuple
     ``"all"`` expands to every unordered pair of ``event_names``; explicit
     sequences are validated (two distinct events per pair, at least one
     pair).  Shared by :class:`BatchTescEngine`, the parallel engine and the
-    streaming :class:`~repro.streaming.ranker.ContinuousRanker`.
+    service engine.
     """
     if isinstance(pairs, str):
         if pairs != "all":
@@ -350,8 +350,8 @@ def estimate_pair_list(
     """Per-pair estimates over a shared density matrix (unranked).
 
     This is the per-pair half of :meth:`BatchTescEngine.rank_pairs`, exposed
-    at module level so the parallel engine's worker shards and the streaming
-    ranker run exactly the same arithmetic on their slice of the pair
+    at module level so the parallel engine's worker shards and the service
+    engine run exactly the same arithmetic on their slice of the pair
     workload.
 
     ``batcher=None`` computes each pair directly with
@@ -359,8 +359,7 @@ def estimate_pair_list(
     vectors instead of gathering shared rank vectors.  The two paths are
     numerically identical (asserted in the estimator tests); the batcher
     amortises the rank encoding across many pairs sharing events, the plain
-    path wins when only a few pairs are being (re-)scored — the streaming
-    ranker's common case.  Both dispatch the concordance kernel through
+    path wins when only a few pairs are being (re-)scored.  Both dispatch the concordance kernel through
     ``cfg.kendall_kernel`` / ``cfg.kendall_crossover``.
     """
     results: List[RankedPair] = []
@@ -630,7 +629,7 @@ class BatchTescEngine:
         """Per-pair estimates over a shared density matrix (unranked).
 
         Delegates to the module-level :func:`estimate_pair_list`, which the
-        parallel engine's worker shards and the streaming ranker also call so
+        parallel engine's worker shards and the service engine also call so
         every execution mode runs exactly the same arithmetic.
         """
         return estimate_pair_list(

@@ -159,8 +159,9 @@ def estimate_matrix_pairs_sharded(
     are unlinked before returning.  Results come back in deterministic
     (submission) order, so callers get the same multiset of
     :class:`~repro.core.batch.RankedPair` regardless of worker count — the
-    progressive top-k engine's final re-score and the streaming ranker's
-    dirty-pair re-score both rely on this for their bit-identity guarantees.
+    progressive top-k engine's final re-score and the service engine's
+    pooled estimate phase both rely on this for their bit-identity
+    guarantees.
 
     ``pool`` is a :class:`~repro.service.pool.PersistentWorkerPool`
     (typically :func:`~repro.service.pool.global_pool`).

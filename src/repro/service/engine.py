@@ -16,8 +16,12 @@ Three layers of reuse keep the hot path cheap:
   bit-identical to what a freshly constructed in-process engine would draw
   at that graph state;
 * **Density matrices** (with their estimate batchers) are cached per
-  ``(config, universe, events, epoch)`` and computed through the persistent
-  worker pool when the engine runs with ``workers > 1``;
+  ``(config, universe, events, epoch)``.  A miss carries every clean column
+  forward from the newest cached matrix at the same level and event tuple —
+  the commit journal (:class:`~repro.streaming.dirty.DirtyTracker`) says
+  which reference nodes each commit dirtied structurally and which event
+  occurrences it toggled — and BFS-counts only the rest, through the
+  persistent worker pool when the engine runs with ``workers > 1``;
 * **Per-pair results** are cached per ``(pair, config, universe, epoch)`` —
   the pair's estimate depends only on the shared sample (a function of the
   request universe, config and epoch) and the pair's two density rows, so
@@ -28,9 +32,7 @@ For a dynamic graph the epoch *is* the graph's commit epoch
 (:attr:`~repro.streaming.dynamic_graph.DynamicAttributedGraph.epoch` — one
 bump per effective commit); static graphs keep an internal version-watching
 counter and serve reads from the live object (nothing can move under them).
-Commits serialise on a plain mutex — the old readers-writer lock is gone
-from the request path (:class:`_ReadWriteLock` remains exported for the
-lock-serialised baseline the HTAP benchmark compares against).
+Commits serialise on a plain mutex and journal what they dirtied under it.
 
 Every answer is bit-identical to the serial in-process engines
 (:class:`~repro.core.batch.BatchTescEngine`,
@@ -48,6 +50,8 @@ from collections import OrderedDict
 from dataclasses import asdict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.batch import (
     SORT_KEYS,
     BatchTescEngine,
@@ -61,7 +65,7 @@ from repro.core.batch import (
     resolve_pair_spec,
 )
 from repro.core.config import TescConfig
-from repro.core.density import DensityComputer, DensityMatrix
+from repro.core.density import DensityComputer, DensityMatrix, densities_from_counts
 from repro.core.estimators import PairEstimateBatcher
 from repro.core.parallel import estimate_matrix_pairs_sharded, resolve_workers
 from repro.events.attributed_graph import AttributedGraph
@@ -73,6 +77,7 @@ from repro.exceptions import (
     NodeNotFoundError,
     SnapshotExpiredError,
 )
+from repro.graph.traversal import BFSEngine
 from repro.obs import (
     MetricsRegistry,
     SlowRequestLog,
@@ -93,70 +98,12 @@ from repro.service.shm import unpublish_dataset
 from repro.storage.checkpoint import CheckpointStore, digest_string
 from repro.storage.recovery import RecoveryReport
 from repro.streaming.delta import DeltaBatch, WriteAheadLog
+from repro.streaming.dirty import DirtyTracker
 from repro.streaming.dynamic_graph import DynamicAttributedGraph
 from repro.streaming.snapshots import SnapshotLease
 from repro.utils import deadlines
 
 logger = logging.getLogger(__name__)
-
-
-class _ReadWriteLock:
-    """Readers-writer lock: many concurrent ranks, exclusive commits.
-
-    Writer-preferring — a waiting commit blocks new readers — so a steady
-    rank load cannot starve stream updates.
-
-    No longer on the service request path (snapshot isolation replaced it);
-    kept as the reference lock for the HTAP benchmark's lock-serialised
-    baseline and for callers that want coarse coordination.
-    """
-
-    def __init__(self) -> None:
-        self._condition = threading.Condition()
-        self._readers = 0
-        self._writer = False
-        self._writers_waiting = 0
-
-    def acquire_read(self) -> None:
-        with self._condition:
-            while self._writer or self._writers_waiting:
-                self._condition.wait()
-            self._readers += 1
-
-    def release_read(self) -> None:
-        with self._condition:
-            self._readers -= 1
-            if not self._readers:
-                self._condition.notify_all()
-
-    def acquire_write(self) -> None:
-        with self._condition:
-            self._writers_waiting += 1
-            while self._writer or self._readers:
-                self._condition.wait()
-            self._writers_waiting -= 1
-            self._writer = True
-
-    def release_write(self) -> None:
-        with self._condition:
-            self._writer = False
-            self._condition.notify_all()
-
-    class _Guard:
-        def __init__(self, acquire, release):
-            self._acquire, self._release = acquire, release
-
-        def __enter__(self):
-            self._acquire()
-
-        def __exit__(self, *_exc):
-            self._release()
-
-    def read(self) -> "_ReadWriteLock._Guard":
-        return self._Guard(self.acquire_read, self.release_read)
-
-    def write(self) -> "_ReadWriteLock._Guard":
-        return self._Guard(self.acquire_write, self.release_write)
 
 
 def pair_record(pair: RankedPair) -> Dict[str, Any]:
@@ -308,6 +255,9 @@ class ServiceEngine:
         )
         self._results: "OrderedDict[tuple, RankedPair]" = OrderedDict()
         self._topk_cache: "OrderedDict[tuple, Dict[str, Any]]" = OrderedDict()
+        # What each commit dirtied at the default level, per epoch: lets a
+        # matrix miss carry clean columns forward from a cached epoch.
+        self._journal = DirtyTracker(self.config.vicinity_level)
         # epoch -> snapshot whose shared-memory publication this engine may
         # have triggered; swept once the lease table no longer retains it.
         self._published: Dict[int, AttributedGraph] = {}
@@ -356,6 +306,12 @@ class ServiceEngine:
         self._m_matrices = m.counter(
             "tesc_matrices_computed_total",
             "Shared density matrices computed (cache misses).",
+        )
+        self._m_columns = m.counter(
+            "tesc_density_columns_total",
+            "Density columns of computed matrices, by outcome: BFS-counted "
+            "(computed) or carried forward from a cached epoch (carried).",
+            labels=("outcome",),
         )
         self._m_pins = m.counter(
             "tesc_snapshots_pinned_total",
@@ -733,7 +689,14 @@ class ServiceEngine:
         universe_fp: str,
         epoch: int,
     ) -> Tuple[DensityMatrix, PairEstimateBatcher]:
-        """The epoch's density matrix over the request events, cached."""
+        """The epoch's density matrix over the request events, cached.
+
+        A miss carries every column it can from an older cached matrix
+        (:meth:`_carry_columns`) and BFS-counts only the rest; the floats
+        come from :func:`~repro.core.density.densities_from_counts` over the
+        assembled integer counts, so the matrix is bit-identical to a full
+        pass whichever columns carried.
+        """
         key = (
             cfg.sampler, cfg.batch_per_vicinity,
             self._config_digest(cfg)[-1],
@@ -752,32 +715,28 @@ class ServiceEngine:
                 epoch=epoch, graph=graph,
             )
         ensure_uniform_sample(sample, cfg.sampler)
+        nodes = np.asarray(sample.nodes, dtype=np.int64)
         with stage("density", workers=self.workers):
-            matrix = None
-            if (
-                self.workers > 1
-                and sample.nodes.size > 1
-                and self.supervisor.allow()
-            ):
-                from repro.service.pool import pooled_density_matrix
-
-                self._note_published(epoch, graph)
-                try:
-                    matrix, _bfs = pooled_density_matrix(
-                        global_pool(), graph, sample.nodes, events,
-                        cfg.vicinity_level, self.workers,
-                    )
-                except (WorkerCrashedError, OSError) as exc:
-                    self.supervisor.record_failure(exc)
-                    self._m_pool_fallbacks.inc()
-                else:
-                    self.supervisor.record_success()
-            if matrix is None:
-                computer = DensityComputer(graph.csr)
-                indicators = graph.indicator_matrix(list(events))
-                matrix = computer.density_matrix(
-                    sample.nodes, indicators, cfg.vicinity_level
+            carried, counts, sizes = self._carry_columns(
+                graph, cfg, events, epoch, nodes
+            )
+            missing = ~carried
+            if missing.any():
+                fresh = self._count_columns(
+                    graph, cfg, events, epoch, nodes[missing]
                 )
+                counts[:, missing] = fresh.counts
+                sizes[missing] = fresh.vicinity_sizes
+        num_computed = int(np.count_nonzero(missing))
+        self._m_columns.labels(outcome="computed").inc(num_computed)
+        self._m_columns.labels(outcome="carried").inc(nodes.size - num_computed)
+        matrix = DensityMatrix(
+            reference_nodes=nodes,
+            densities=densities_from_counts(counts, sizes),
+            counts=counts,
+            vicinity_sizes=sizes,
+            level=int(cfg.vicinity_level),
+        )
         batcher = PairEstimateBatcher(
             matrix.densities,
             kernel=cfg.kendall_kernel,
@@ -788,6 +747,115 @@ class ServiceEngine:
         self._matrices[key] = (matrix, batcher)
         self._m_matrices.inc()
         return matrix, batcher
+
+    def _carry_columns(
+        self,
+        graph: AttributedGraph,
+        cfg: TescConfig,
+        events: Tuple[str, ...],
+        epoch: int,
+        nodes: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Density columns of ``nodes`` carried forward to ``epoch``.
+
+        Returns ``(carried, counts, sizes)``: a mask over ``nodes`` and
+        fresh ``(len(events), len(nodes))`` / ``(len(nodes),)`` integer
+        arrays holding the carried columns (the other columns are left for
+        the caller to fill).  The base is the newest cached matrix at the
+        same vicinity level and event tuple whose epoch is at most
+        ``epoch`` and whose later commits the journal covers.  A node's
+        column carries when the base sampled it and no commit in between
+        dirtied it structurally; each journaled event toggle then shifts
+        the count of every carried column whose node lies in the toggled
+        node's vicinity.  That vicinity is taken on ``graph`` — the
+        reader's own snapshot — which is sound because a clean column's
+        vicinity is the same at every epoch of the span.  The base matrix
+        is only read, never patched, so older epochs stay exact.
+
+        Nothing carries (a full pass) when no cached matrix qualifies: a
+        span with an unjournaled epoch (recovery replay, an out-of-band
+        ``graph.apply``, an aged-out entry), an ``at_epoch`` older than
+        every cached base, or a request ``vicinity_level`` override.
+        """
+        carried = np.zeros(nodes.size, dtype=bool)
+        counts = np.zeros((len(events), nodes.size), dtype=np.int64)
+        sizes = np.zeros(nodes.size, dtype=np.int64)
+        level = int(cfg.vicinity_level)
+        if level != self._journal.level:
+            return carried, counts, sizes
+        bases = sorted(
+            (
+                (key[-1], matrix)
+                for key, (matrix, _batcher) in self._matrices.items()
+                if key[-2] == events and key[-1] <= epoch
+                and matrix.level == level
+            ),
+            key=lambda entry: entry[0],
+            reverse=True,
+        )
+        for base_epoch, base in bases:
+            regions = self._journal.between(base_epoch, epoch)
+            if regions is not None:
+                break
+        else:
+            return carried, counts, sizes
+
+        # Base column of every node, with structurally dirtied nodes
+        # struck out; -1 marks "not carried".
+        source = np.full(graph.num_nodes, -1, dtype=np.int64)
+        source[base.reference_nodes] = np.arange(base.reference_nodes.size)
+        for region in regions:
+            source[region.structure] = -1
+        source = source[nodes]
+        carried = source >= 0
+        source = source[carried]
+        counts[:, carried] = base.counts[:, source]
+        sizes[carried] = base.vicinity_sizes[source]
+
+        row_of = {event: row for row, event in enumerate(events)}
+        toggles = [
+            (row_of[event], node, sign)
+            for region in regions
+            for event, node, sign in region.toggles
+            if event in row_of
+        ]
+        if toggles and source.size:
+            column = np.full(graph.num_nodes, -1, dtype=np.int64)
+            column[nodes[carried]] = np.flatnonzero(carried)
+            engine = BFSEngine(graph.csr)
+            for row, node, sign in toggles:
+                hit = column[engine.vicinity(node, level)]
+                counts[row, hit[hit >= 0]] += sign
+        return carried, counts, sizes
+
+    def _count_columns(
+        self,
+        graph: AttributedGraph,
+        cfg: TescConfig,
+        events: Tuple[str, ...],
+        epoch: int,
+        nodes: np.ndarray,
+    ) -> DensityMatrix:
+        """BFS-count the density columns of ``nodes`` (pooled when enabled)."""
+        if self.workers > 1 and nodes.size > 1 and self.supervisor.allow():
+            from repro.service.pool import pooled_density_matrix
+
+            self._note_published(epoch, graph)
+            try:
+                matrix, _bfs = pooled_density_matrix(
+                    global_pool(), graph, nodes, events,
+                    cfg.vicinity_level, self.workers,
+                )
+            except (WorkerCrashedError, OSError) as exc:
+                self.supervisor.record_failure(exc)
+                self._m_pool_fallbacks.inc()
+            else:
+                self.supervisor.record_success()
+                return matrix
+        computer = DensityComputer(graph.csr)
+        return computer.density_matrix(
+            nodes, graph.indicator_matrix(list(events)), cfg.vicinity_level
+        )
 
     # -- topk ----------------------------------------------------------------
 
@@ -940,7 +1008,10 @@ class ServiceEngine:
         pinned snapshots while the new epoch is published, and every later
         read admits at the bumped epoch.  A cached ``(pair, epoch)`` entry
         can therefore never be served stale — the commit that might have
-        invalidated it lives at a different epoch.
+        invalidated it lives at a different epoch.  Under the same mutex
+        the commit journals its structural dirty set and effective event
+        toggles, which is what lets the next read's density matrix carry
+        the clean columns of the previous epoch forward.
 
         ``rid`` makes the commit idempotent: a rid already in the dedup
         table returns the recorded result (marked ``"replayed": true``)
@@ -989,6 +1060,8 @@ class ServiceEngine:
                 self._m_commits.inc()
                 with stage("apply"):
                     applied = self.graph.apply(batch)
+                with stage("journal"):
+                    self._journal.record(applied)
                 epoch = applied.epoch
                 result = {
                     "epoch": epoch,

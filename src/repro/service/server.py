@@ -62,6 +62,13 @@ _UNGATED_METHODS = frozenset(
     {"ping", "status", "metrics", "shutdown", "checkpoint"}
 )
 
+#: Largest request frame (one JSON line, newline excluded) a connection may
+#: send.  Well above the largest request in the tree (bulk commits of 2,500
+#: edges, ~100 KB); a longer frame is answered with a 400 and its connection
+#: closed, so a peer that never sends a newline cannot grow server memory
+#: without bound.
+MAX_FRAME_BYTES = 8 * 1024 * 1024
+
 
 class CorrelationServer:
     """Serve ``rank``/``topk``/``stream`` for one graph over a local socket.
@@ -316,7 +323,20 @@ class CorrelationServer:
     def _serve_connection(self, connection: socket.socket) -> None:
         try:
             reader = connection.makefile("rb")
-            for line in reader:
+            while True:
+                line = reader.readline(MAX_FRAME_BYTES + 1)
+                if not line:
+                    break
+                if len(line) > MAX_FRAME_BYTES and not line.endswith(b"\n"):
+                    error = BadRequestError(
+                        f"request frame exceeds {MAX_FRAME_BYTES} bytes "
+                        "without a newline; closing the connection"
+                    )
+                    try:
+                        connection.sendall(encode(error_response(None, error)))
+                    except OSError:
+                        pass
+                    break
                 if not line.strip():
                     continue
                 rule = faults.inject(faults.SOCKET_RECV)

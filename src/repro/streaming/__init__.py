@@ -1,6 +1,6 @@
-"""Streaming updates: dynamic graphs with incremental correlation re-ranking.
+"""Streaming updates: dynamic graphs and the commit journal.
 
-The subsystem has four layers:
+The subsystem has three layers:
 
 * :mod:`repro.streaming.delta` — the :class:`Delta` / :class:`DeltaBatch` /
   :class:`DeltaLog` update model (edge insert/delete, event attach/detach)
@@ -9,15 +9,17 @@ The subsystem has four layers:
   :class:`DynamicAttributedGraph`, which applies batches by patching CSR
   adjacency rows and bumping the event-layer version instead of rebuilding
   the world;
-* :mod:`repro.streaming.dirty` — :class:`DirtyTracker`, mapping each applied
-  batch to the invalidated reference rows (structural recomputes within
-  ``h - 1`` hops of a touched endpoint, in-place ``± 1`` count patches for
-  event toggles);
-* :mod:`repro.streaming.ranker` — :class:`ContinuousRanker`, the standing
-  monitored-pair ranking whose :meth:`~ContinuousRanker.commit` re-scores
-  only the dirtied pairs and returns a :class:`RankingDelta`, while staying
-  bit-identical to a fresh static :class:`~repro.core.batch.BatchTescEngine`
-  run with the same seed.
+* :mod:`repro.streaming.dirty` — :class:`DirtyTracker`, the per-epoch
+  journal of what each commit invalidated (structural recomputes within
+  ``h - 1`` hops of a touched endpoint, ``± 1`` count patches for event
+  toggles).
+
+Ranking over a changing graph goes through
+:func:`repro.api.open_session`: every ``rank`` after a commit carries the
+clean density columns of the previous epoch's matrix forward through the
+journal and BFS-counts only the dirty ones, bit-identical to a fresh
+:class:`~repro.core.batch.BatchTescEngine` run on the same graph state with
+the same seed.
 """
 
 from repro.streaming.delta import (
@@ -26,19 +28,11 @@ from repro.streaming.delta import (
     DeltaError,
     DeltaLog,
 )
-from repro.streaming.dirty import DirtyRegion, DirtyTracker, EventPatch
+from repro.streaming.dirty import DirtyRegion, DirtyTracker
 from repro.streaming.dynamic_graph import AppliedBatch, DynamicAttributedGraph
-from repro.streaming.ranker import (
-    CommitStats,
-    ContinuousRanker,
-    PairChange,
-    RankingDelta,
-)
 
 __all__ = [
     "AppliedBatch",
-    "CommitStats",
-    "ContinuousRanker",
     "Delta",
     "DeltaBatch",
     "DeltaError",
@@ -46,7 +40,4 @@ __all__ = [
     "DirtyRegion",
     "DirtyTracker",
     "DynamicAttributedGraph",
-    "EventPatch",
-    "PairChange",
-    "RankingDelta",
 ]

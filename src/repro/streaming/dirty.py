@@ -1,7 +1,7 @@
-"""Mapping applied deltas to the reference-node rows they invalidate.
+"""The per-epoch commit journal behind carried-forward density columns.
 
 The density column of a reference node ``r`` — the numerators
-``|V_e ∩ V^h_r|`` for every monitored event ``e`` plus the denominator
+``|V_e ∩ V^h_r|`` for every requested event ``e`` plus the denominator
 ``|V^h_r|`` — changes under a delta batch in exactly two ways:
 
 * **structurally**, when an edge delta changes ``V^h_r`` itself.  That
@@ -12,75 +12,63 @@ The density column of a reference node ``r`` — the numerators
 * **by occupancy**, when an event attach/detach at node ``x`` toggles a
   member of ``V^h_r``, i.e. when ``r ∈ V^h_x`` (hop distance is symmetric).
   Structurally *clean* columns need no BFS for this: the affected count is
-  patched in place by ``± 1``.
+  patched by ``± 1``.
 
-:class:`DirtyTracker` computes both regions with Batch BFS and hands them to
-the :class:`~repro.streaming.ranker.ContinuousRanker`, which drops the
-structurally dirty columns from its cache and patches the rest.
+:class:`DirtyTracker` journals both per committed epoch — the structural
+dirty set and the effective toggles — and the
+:class:`~repro.service.engine.ServiceEngine` reads the journal between a
+cached matrix's epoch and a request's epoch to carry every clean column
+forward.  Toggle *regions* are deliberately not journaled: the reader
+computes ``V^h_x`` on its own pinned snapshot, which is sound because a
+column no structural commit dirtied has the same vicinity at every epoch of
+the span.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.traversal import BFSEngine, dirty_vicinity
+from repro.graph.traversal import dirty_vicinity
 from repro.streaming.dynamic_graph import AppliedBatch
 from repro.utils.validation import check_vicinity_level
 
 
 @dataclass(frozen=True)
-class EventPatch:
-    """One event occurrence toggle and the reference rows it reaches.
-
-    ``sign`` is ``+1`` for an attach and ``-1`` for a detach; ``region`` is
-    ``V^h_node`` on the post-batch graph — every reference node whose count
-    for ``event`` shifts by ``sign``.
-    """
-
-    event: str
-    node: int
-    sign: int
-    region: np.ndarray
-
-
-@dataclass(frozen=True)
 class DirtyRegion:
-    """Everything a delta batch invalidates at one vicinity level."""
+    """Everything one committed batch invalidates at one vicinity level."""
 
     level: int
     #: Nodes whose ``V^h`` may have changed — their density columns (and
     #: vicinity sizes) must be recomputed from scratch.
     structure: np.ndarray
-    #: In-place count adjustments for structurally clean columns.
-    event_patches: Tuple[EventPatch, ...]
+    #: Effective event toggles as ``(event, node, sign)``: ``+1`` for an
+    #: attach, ``-1`` for a detach.  Every column whose node lies in
+    #: ``V^h_node`` shifts its ``event`` count by ``sign``.
+    toggles: Tuple[Tuple[str, int, int], ...]
 
     @property
     def is_empty(self) -> bool:
         """Whether the batch dirtied nothing at this level."""
-        return self.structure.size == 0 and not self.event_patches
-
-    @property
-    def num_structural(self) -> int:
-        """Number of structurally dirty nodes."""
-        return int(self.structure.size)
+        return self.structure.size == 0 and not self.toggles
 
 
 class DirtyTracker:
-    """Computes :class:`DirtyRegion` for committed batches at a fixed level.
+    """A bounded per-epoch journal of :class:`DirtyRegion` at a fixed level.
 
     Parameters
     ----------
     level:
-        The vicinity level ``h`` the downstream ranker scores at.
+        The vicinity level ``h`` the regions are computed at.
     journal_size:
-        Regions computed with an ``epoch`` tag are kept in a bounded
-        per-epoch journal so snapshot-pinned consumers (debugging a commit
-        after the fact, incremental catch-up from a pinned epoch) can
-        re-read what a commit invalidated without replaying its BFS.
+        Journaled epochs kept; older ones age out, and a span reaching past
+        them reads as unjournaled (:meth:`between` returns ``None``).
+
+    One writer (the commit path) and any number of concurrent readers may
+    use the journal: readers only look entries up by epoch.
     """
 
     def __init__(self, level: int, journal_size: int = 16) -> None:
@@ -88,25 +76,8 @@ class DirtyTracker:
         self.journal_size = max(1, int(journal_size))
         self._journal: "OrderedDict[int, DirtyRegion]" = OrderedDict()
 
-    def region_at(self, epoch: int) -> Optional[DirtyRegion]:
-        """The journaled region of the commit that produced ``epoch``.
-
-        Returns ``None`` when the epoch was never journaled (no ``epoch``
-        passed to :meth:`region`) or has aged out of the bounded journal.
-        """
-        return self._journal.get(int(epoch))
-
-    def journaled_epochs(self) -> Tuple[int, ...]:
-        """Epochs currently held in the journal, oldest first."""
-        return tuple(self._journal)
-
-    def region(self, applied: AppliedBatch,
-               epoch: Optional[int] = None) -> DirtyRegion:
-        """The dirty region of one applied batch.
-
-        ``epoch`` — normally ``applied.epoch`` — journals the region under
-        that key; omit it to keep the tracker stateless as before.
-        """
+    def region(self, applied: AppliedBatch) -> DirtyRegion:
+        """The dirty region of one applied batch (not journaled)."""
         if applied.structure_changed:
             # The vicinity-index rebase may have run the same endpoint BFS
             # already (same radius, same graphs) — reuse it rather than pay
@@ -123,25 +94,39 @@ class DirtyTracker:
             )
         else:
             structure = np.empty(0, dtype=np.int64)
-
-        patches = []
-        if applied.events_changed:
-            engine = BFSEngine(applied.new_csr)
-            for sign, toggles in ((+1, applied.attached), (-1, applied.detached)):
-                for event, node in toggles:
-                    patches.append(
-                        EventPatch(
-                            event=event,
-                            node=node,
-                            sign=sign,
-                            region=engine.vicinity(node, self.level),
-                        )
-                    )
-        region = DirtyRegion(
-            level=self.level, structure=structure, event_patches=tuple(patches)
+        toggles = tuple(
+            [(event, node, +1) for event, node in applied.attached]
+            + [(event, node, -1) for event, node in applied.detached]
         )
-        if epoch is not None:
-            self._journal[int(epoch)] = region
+        return DirtyRegion(level=self.level, structure=structure, toggles=toggles)
+
+    def record(self, applied: AppliedBatch) -> DirtyRegion:
+        """Journal the region of ``applied`` under the epoch it produced.
+
+        The entry describes the step from ``applied.epoch - 1`` to
+        ``applied.epoch`` (an effective apply bumps the epoch by exactly
+        one).  Batches without effect produce no epoch and are not recorded.
+        """
+        region = self.region(applied)
+        if applied.changed:
+            self._journal[int(applied.epoch)] = region
             while len(self._journal) > self.journal_size:
                 self._journal.popitem(last=False)
         return region
+
+    def between(self, since: int, until: int) -> Optional[List[DirtyRegion]]:
+        """The journaled regions of the epochs ``since + 1 .. until``.
+
+        ``None`` when any of those epochs is missing — never journaled (an
+        out-of-band mutation, recovery replay) or aged out — or when
+        ``until`` precedes ``since``.  An empty span returns ``[]``.
+        """
+        if until < since:
+            return None
+        regions = []
+        for epoch in range(int(since) + 1, int(until) + 1):
+            region = self._journal.get(epoch)
+            if region is None:
+                return None
+            regions.append(region)
+        return regions

@@ -184,6 +184,51 @@ class TestSocketChaos:
             )
 
 
+    def test_newline_free_flood_is_cut_off_while_others_are_served(
+        self, make_dynamic_graph, chaos_dataset, serial_reference
+    ):
+        """A peer streaming a frame that never ends is answered with a 400
+        and disconnected at the cap; concurrent clients keep getting the
+        fault-free answer."""
+        import socket
+
+        from repro.service.server import MAX_FRAME_BYTES
+
+        _dataset, config = chaos_dataset
+        with running_server(make_dynamic_graph(), config, workers=1) as server:
+            outcome = {}
+
+            def flood():
+                chunk = b"{" * 65536
+                sent = 0
+                with socket.create_connection(server.address, timeout=30) as sock:
+                    try:
+                        while sent < 4 * MAX_FRAME_BYTES:
+                            sock.sendall(chunk)
+                            sent += len(chunk)
+                    except OSError:
+                        pass  # the server hung up mid-flood
+                    outcome["sent"] = sent
+                    try:
+                        outcome["reply"] = sock.makefile("rb").readline()
+                    except OSError:
+                        outcome["reply"] = b""
+
+            flooder = threading.Thread(target=flood)
+            flooder.start()
+            with CorrelationClient(*server.address) as client:
+                answers = [client.rank()["pairs"] for _ in range(3)]
+            flooder.join(timeout=120)
+            assert not flooder.is_alive()
+            assert all(answer == serial_reference["rank"] for answer in answers)
+            # Cut off near the cap, never after reading the whole flood.
+            assert outcome["sent"] < 4 * MAX_FRAME_BYTES
+            if outcome["reply"]:
+                assert b'"code":400' in outcome["reply"]
+            with CorrelationClient(*server.address) as client:
+                assert client.rank()["pairs"] == serial_reference["rank"]
+
+
 class TestIdempotentCommits:
     def test_stream_retry_advances_epoch_exactly_once(
         self, make_dynamic_graph, chaos_dataset

@@ -1,22 +1,24 @@
 """Engine-level agreement tests for the size-dispatched Kendall kernels.
 
-The ISSUE 4 acceptance bar: `BatchTescEngine.rank_pairs` and
-`ContinuousRanker` outputs (scores, z-scores, verdicts) must be identical
-whichever concordance kernel computes them, for every sampler × worker-count
-combination — the kernels return the same exact integer ``S``, so this is a
-bit-identity property, not an approximation.
+`BatchTescEngine.rank_pairs` and post-commit session `rank` outputs
+(scores, z-scores, verdicts) must be identical whichever concordance kernel
+computes them, for every sampler × worker-count combination — the kernels
+return the same exact integer ``S``, so this is a bit-identity property,
+not an approximation.
 """
 
 import numpy as np
 import pytest
 
+from repro import open_session
 from repro.core.batch import BatchTescEngine
 from repro.core.config import TescConfig
 from repro.core.estimators import PairEstimateBatcher, plain_estimate
 from repro.core.parallel import ParallelBatchTescEngine
 from repro.datasets.synthetic_dblp import make_dblp_like
 from repro.exceptions import ConfigurationError
-from repro.streaming import ContinuousRanker, Delta, DynamicAttributedGraph
+from repro.service.engine import pair_record
+from repro.streaming import Delta
 
 
 @pytest.fixture(scope="module")
@@ -103,12 +105,12 @@ class TestBatchEngineKernelAgreement:
         assert_rankings_identical(ranking_high, ranking_low)
 
 
-class TestContinuousRankerKernelAgreement:
+class TestSessionKernelAgreement:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_streaming_verdicts_kernel_invariant(self, dblp_workload, workers):
-        """Two rankers over identical delta streams — one forced naive, one
+        """Two sessions over identical delta streams — one forced naive, one
         forced fast — agree on every score, z-score and verdict after every
-        commit."""
+        commit, carried-forward density columns included."""
         dataset, pairs = dblp_workload
         monitored = pairs[:6]
         rng = np.random.default_rng(31)
@@ -128,55 +130,48 @@ class TestContinuousRankerKernelAgreement:
             )
 
         def run(kernel):
-            dynamic = DynamicAttributedGraph(
-                dataset.graph.copy(), dataset.attributed.events.copy()
-            )
             config = TescConfig(
                 vicinity_level=1, sample_size=250, random_state=13,
                 kendall_kernel=kernel,
             )
-            with ContinuousRanker(
-                dynamic, monitored, config, workers=workers
-            ) as ranker:
-                deltas = [ranker.commit()]
+            with open_session(
+                dataset.graph.copy(), config,
+                events=dataset.attributed.events.copy(), workers=workers,
+            ) as session:
+                answers = [session.rank(monitored)["pairs"]]
                 for batch in batches:
-                    deltas.append(ranker.commit(batch))
-                return [delta.ranking for delta in deltas]
+                    session.commit(batch)
+                    answers.append(session.rank(monitored)["pairs"])
+                return answers
 
-        for naive, fast in zip(run("naive"), run("fast")):
-            assert_rankings_identical(naive, fast)
+        assert run("naive") == run("fast")
 
 
-class TestColumnCacheRealignment:
-    def test_unwatch_reuses_and_realigns_columns(self, dblp_workload):
-        """After unwatch shrinks the monitored events, cached columns that
-        cover the new event set are reused without a BFS and re-aligned in
-        place, so subsequent commits take the aligned fast path again."""
+class TestColumnCarryAcrossEventTuples:
+    def test_event_tuple_change_recomputes_then_carries(self, dblp_workload):
+        """Columns carry only between matrices over the same event tuple:
+        dropping a pair whose events leave the tuple forces a full pass,
+        and the next epoch over the shrunken tuple carries again."""
         dataset, pairs = dblp_workload
-        dynamic = DynamicAttributedGraph(
-            dataset.graph.copy(), dataset.attributed.events.copy()
-        )
         config = TescConfig(vicinity_level=1, sample_size=200, random_state=3)
-        ranker = ContinuousRanker(dynamic, pairs, config)
-        ranker.commit()
-        ranker.unwatch([pairs[-1]])
-        delta = ranker.commit()
-        # The sample is redrawn over the shrunken universe, so brand-new
-        # reference nodes need a BFS — but every cached column covering the
-        # surviving events is reused without one...
-        assert 0 < delta.stats.columns_recomputed < delta.stats.columns_total
-        # ...and reused columns were rewritten to the current alignment, so
-        # the follow-up commit is all-aligned and recomputes nothing.
-        events = tuple(sorted({event for pair in ranker.pairs for event in pair}))
-        sampled = set(int(node) for node in delta.ranking.sample.nodes.tolist())
-        aligned = [
-            entry.events == events
-            for node, entry in ranker._columns.items()
-            if node in sampled
-        ]
-        assert aligned and all(aligned)
-        follow_up = ranker.commit()
-        assert follow_up.stats.columns_recomputed == 0
+        with open_session(
+            dataset.graph.copy(), config,
+            events=dataset.attributed.events.copy(),
+        ) as session:
+            def carried():
+                return session.metrics.value(
+                    "tesc_density_columns_total", outcome="carried"
+                )
+
+            session.rank(pairs)
+            before = carried()
+            session.rank(pairs[:-1])
+            assert carried() == before
+            session.commit([Delta.event_attach(pairs[0][0], 0)])
+            answer = session.rank(pairs[:-1])
+            assert carried() > before
+            reference = session.reference_ranking(pairs[:-1])
+            assert answer["pairs"] == [pair_record(pair) for pair in reference]
 
 
 class TestBatcherRankCache:

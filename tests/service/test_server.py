@@ -9,7 +9,7 @@ import pytest
 
 from repro.service.client import CorrelationClient
 from repro.service.protocol import BadRequestError, RemoteError
-from repro.service.server import CorrelationServer
+from repro.service.server import MAX_FRAME_BYTES, CorrelationServer
 from repro.streaming.dynamic_graph import DynamicAttributedGraph
 
 from tests.service.conftest import shm_segments
@@ -75,6 +75,28 @@ class TestProtocolEdges:
                 client.request("topk", {"k": "three"})
             with pytest.raises(BadRequestError):
                 client.request("topk", {})  # k missing entirely
+
+    def test_oversize_frame_gets_400_and_closes(self, static_server):
+        """A frame past the cap with no newline is answered with a 400 and
+        its connection closed; other connections keep being served."""
+        host, port = static_server.address
+        with CorrelationClient(host, port) as bystander:
+            with socket.create_connection((host, port), timeout=30) as sock:
+                sock.sendall(b"x" * (MAX_FRAME_BYTES + 1))
+                with sock.makefile("rb") as reader:
+                    response = json.loads(reader.readline().decode("utf-8"))
+                    assert reader.readline() == b""  # closed by the server
+            assert response["ok"] is False
+            assert response["error"]["code"] == 400
+            assert bystander.ping()
+        with CorrelationClient(host, port) as fresh:
+            assert fresh.ping()
+
+    def test_frame_at_the_cap_is_accepted(self, static_server):
+        payload = json.dumps({"id": 3, "method": "ping", "params": {}}).encode()
+        frame = payload.ljust(MAX_FRAME_BYTES) + b"\n"  # trailing JSON spaces
+        response = raw_exchange(static_server.address, frame)
+        assert response["ok"] is True and response["id"] == 3
 
     def test_static_graph_rejects_stream(self, static_server):
         host, port = static_server.address

@@ -56,20 +56,38 @@ def test_structure_region_is_tight_at_level_one():
 
 
 def test_event_patch_regions_and_signs():
+    """Event toggles are journaled as (event, node, sign); their regions are
+    left to the reader, who takes V^h_node on its own snapshot."""
     graph = erdos_renyi_graph(50, 0.08, random_state=2)
     dynamic = DynamicAttributedGraph(graph, {"a": [1, 2], "b": [3]})
     applied = dynamic.apply(
-        [Delta.event_attach("a", 10), Delta.event_detach("b", 3)]
+        [Delta.event_attach("a", 10), Delta.event_detach("b", 3),
+         Delta.event_detach("b", 4)]  # no-op: never an occurrence
     )
     region = DirtyTracker(2).region(applied)
     assert region.structure.size == 0
-    by_event = {patch.event: patch for patch in region.event_patches}
-    assert by_event["a"].sign == +1
-    assert by_event["b"].sign == -1
-    engine = BFSEngine(dynamic.csr)
-    np.testing.assert_array_equal(
-        np.sort(by_event["a"].region), np.sort(engine.vicinity(10, 2))
-    )
+    assert region.toggles == (("a", 10, +1), ("b", 3, -1))
+
+
+def test_journal_spans_consecutive_epochs():
+    graph = erdos_renyi_graph(40, 0.1, random_state=3)
+    dynamic = DynamicAttributedGraph(graph, {"a": [0]})
+    tracker = DirtyTracker(2, journal_size=2)
+    first = tracker.record(dynamic.apply([Delta.event_attach("a", 5)]))
+    assert tracker.between(0, 0) == []
+    assert tracker.between(0, 1) == [first]
+    assert tracker.between(1, 0) is None
+    dynamic.events.add_occurrence("a", 6)  # out of band: never journaled
+    second = tracker.record(dynamic.apply([Delta.event_attach("a", 7)]))
+    assert dynamic.epoch == 3
+    assert tracker.between(2, 3) == [second]
+    assert tracker.between(0, 3) is None
+    # A batch without effect produces no epoch and no entry.
+    tracker.record(dynamic.apply([Delta.event_attach("a", 7)]))
+    u, v = next(iter(dynamic.csr.edges()))
+    tracker.record(dynamic.apply([Delta.edge_remove(u, v)]))
+    assert tracker.between(0, 1) is None  # epoch 1 aged out
+    assert len(tracker.between(2, 4)) == 2
 
 
 def test_region_reuses_rebase_dirty_sets():

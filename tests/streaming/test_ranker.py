@@ -1,88 +1,69 @@
-"""ContinuousRanker tests.
+"""Equivalence suite for ranking over a changing graph through a session.
 
-The centrepiece is the equivalence property suite: after *any* sequence of
-delta batches, the streaming ranking must be bit-identical — scores,
-z-scores, p-values, verdicts, ranks — to a fresh
-:class:`~repro.core.batch.BatchTescEngine` run on the equivalent static graph
-with the same seed, across samplers and worker counts.
+After *any* sequence of commits, every post-commit ``rank`` — whose density
+matrix carries clean columns forward from the previous epoch through the
+commit journal — must be bit-identical, field by field, to the from-scratch
+``reference_ranking`` at its epoch, across samplers and worker counts.  The
+carry-forward mechanics and fallbacks are pinned in
+``tests/service/test_incremental_density.py``, which also holds the shared
+helpers.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchTescEngine
-from repro.core.config import TescConfig
+from repro import TescConfig, open_session
 from repro.datasets.synthetic_dblp import make_dblp_like
 from repro.datasets.synthetic_twitter import make_twitter_like
 from repro.exceptions import ConfigurationError
-from repro.streaming import ContinuousRanker, Delta, DynamicAttributedGraph
+from repro.service.engine import pair_record
+from repro.service.protocol import BadRequestError
+from repro.streaming import Delta
+
+from tests.service.test_incremental_density import (
+    _assert_matches_reference,
+    _Columns,
+    _random_batch,
+    _session,
+)
 
 
-def _random_batch(rng, dynamic, events, num_edges=4, num_events=2):
-    """A mixed batch of random structural and event deltas."""
-    deltas = []
-    edges = list(dynamic.csr.edges())
-    num_nodes = dynamic.num_nodes
-    for _ in range(num_edges):
-        if rng.random() < 0.5 and edges:
-            u, v = edges.pop(int(rng.integers(0, len(edges))))
-            deltas.append(Delta.edge_remove(u, v))
-        else:
-            u, v = int(rng.integers(0, num_nodes)), int(rng.integers(0, num_nodes))
-            if u != v:
-                deltas.append(Delta.edge_add(u, v))
-    for _ in range(num_events):
-        event = events[int(rng.integers(0, len(events)))]
-        node = int(rng.integers(0, num_nodes))
-        if rng.random() < 0.5:
-            deltas.append(Delta.event_attach(event, node))
-        else:
-            deltas.append(Delta.event_detach(event, node))
-    return deltas
-
-
-def _assert_matches_static(ranking, dynamic, pairs, config, sort_by="score"):
-    static = BatchTescEngine(dynamic.snapshot(), config).rank_pairs(
-        pairs, sort_by=sort_by
+@pytest.fixture
+def dataset():
+    return make_dblp_like(
+        num_communities=10, community_size=40, num_positive_pairs=2,
+        num_negative_pairs=2, num_background_keywords=4, random_state=31,
     )
-    assert [p.events for p in ranking] == [p.events for p in static]
-    assert [p.rank for p in ranking] == [p.rank for p in static]
-    assert [p.score for p in ranking] == [p.score for p in static]
-    assert [p.z_score for p in ranking] == [p.z_score for p in static]
-    assert [p.p_value for p in ranking] == [p.p_value for p in static]
-    assert [p.verdict for p in ranking] == [p.verdict for p in static]
-    assert [p.num_reference_nodes for p in ranking] == [
-        p.num_reference_nodes for p in static
-    ]
 
 
 class TestEquivalenceProperty:
-    """Satellite: random delta sequences stay bit-identical to static re-rank."""
+    """Random commit sequences stay bit-identical to the reference."""
 
     @pytest.mark.parametrize("sampler", ["batch_bfs", "whole_graph", "exhaustive"])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_dblp_like_stream(self, sampler, workers):
-        dataset = make_dblp_like(
-            num_communities=10, community_size=40, num_positive_pairs=2,
-            num_negative_pairs=2, num_background_keywords=4, random_state=31,
-        )
-        dynamic = DynamicAttributedGraph(dataset.graph, dataset.attributed.events)
+    def test_dblp_like_stream(self, sampler, workers, dataset):
         pairs = (
             dataset.positive_pairs
             + dataset.negative_pairs
             + [("bg_0", "bg_1"), ("bg_2", "bg_3")]
         )
         events = sorted({event for pair in pairs for event in pair})
-        config = TescConfig(
-            vicinity_level=1, sample_size=120, sampler=sampler, random_state=7,
-        )
         rng = np.random.default_rng(100 + workers)
-        with ContinuousRanker(dynamic, pairs, config, workers=workers) as ranker:
-            _assert_matches_static(ranker.commit().ranking, dynamic, pairs, config)
+        with open_session(
+            dataset.graph.copy(),
+            TescConfig(vicinity_level=1, sample_size=120, sampler=sampler,
+                       random_state=7),
+            events=dataset.attributed.events.copy(), workers=workers,
+        ) as session:
+            columns = _Columns(session)
+            _assert_matches_reference(session, session.rank(pairs), pairs)
+            carried = 0
             for _ in range(4):
-                batch = _random_batch(rng, dynamic, events)
-                delta = ranker.commit(batch)
-                _assert_matches_static(delta.ranking, dynamic, pairs, config)
+                receipt = session.commit(_random_batch(rng, session.graph, events))
+                response = session.rank(pairs, at_epoch=receipt["epoch"])
+                _assert_matches_reference(session, response, pairs)
+                carried += columns.delta()[1]
+            assert carried > 0
 
     @pytest.mark.parametrize("sampler", ["batch_bfs", "whole_graph"])
     def test_twitter_like_stream(self, sampler):
@@ -92,183 +73,162 @@ class TestEquivalenceProperty:
             name: rng.choice(600, size=60, replace=False)
             for name in ("a", "b", "c", "d")
         }
-        dynamic = DynamicAttributedGraph(graph, events)
         config = TescConfig(
             vicinity_level=2, sample_size=100, sampler=sampler, random_state=23,
         )
-        with ContinuousRanker(dynamic, "all", config) as ranker:
-            _assert_matches_static(ranker.commit().ranking, dynamic, "all", config)
+        with open_session(graph, config, events=events) as session:
+            _assert_matches_reference(session, session.rank(), "all")
             for _ in range(3):
-                batch = _random_batch(rng, dynamic, list(events), num_edges=6)
-                delta = ranker.commit(batch)
-                _assert_matches_static(delta.ranking, dynamic, "all", config)
+                session.commit(
+                    _random_batch(rng, session.graph, list(events), num_edges=6)
+                )
+                _assert_matches_reference(session, session.rank(), "all")
 
     def test_worker_counts_agree_exactly(self):
-        dataset = make_dblp_like(
+        data = make_dblp_like(
             num_communities=8, community_size=30, num_positive_pairs=2,
             num_negative_pairs=1, num_background_keywords=2, random_state=5,
         )
-        config = TescConfig(sample_size=90, random_state=11)
-        batches = []
         rng = np.random.default_rng(55)
-        probe = DynamicAttributedGraph(
-            dataset.graph.copy(), dataset.attributed.events.copy()
-        )
-        events = probe.event_names()
+        probe = _session(data)
+        batches = []
         for _ in range(3):
-            batches.append(_random_batch(rng, probe, events))
-            probe.apply(batches[-1])
-
-        rankings = {}
-        for workers in (1, 2):
-            dynamic = DynamicAttributedGraph(
-                dataset.graph.copy(), dataset.attributed.events.copy()
+            batches.append(
+                _random_batch(rng, probe.graph, probe.graph.event_names())
             )
-            with ContinuousRanker(dynamic, "all", config, workers=workers) as ranker:
-                ranker.commit()
+            probe.commit(batches[-1])
+        probe.close()
+
+        answers = {}
+        for workers in (1, 2):
+            with open_session(
+                data.graph.copy(), TescConfig(sample_size=90, random_state=11),
+                events=data.attributed.events.copy(), workers=workers,
+            ) as session:
+                session.rank()
                 for batch in batches:
-                    final = ranker.commit(batch)
-                rankings[workers] = final.ranking
-        assert [p.score for p in rankings[1]] == [p.score for p in rankings[2]]
-        assert [p.events for p in rankings[1]] == [p.events for p in rankings[2]]
-        assert [p.verdict for p in rankings[1]] == [p.verdict for p in rankings[2]]
+                    session.commit(batch)
+                    answers.setdefault(workers, []).append(session.rank()["pairs"])
+        assert answers[1] == answers[2]
 
 
 class TestIncrementalBehaviour:
-    @pytest.fixture
-    def dataset(self):
-        return make_dblp_like(
-            num_communities=10, community_size=40, num_positive_pairs=2,
-            num_negative_pairs=2, num_background_keywords=4, random_state=31,
-        )
-
     def test_first_commit_reports_every_pair_as_new(self, dataset):
-        dynamic = DynamicAttributedGraph(dataset.graph, dataset.attributed.events)
-        config = TescConfig(sample_size=100, random_state=3)
-        ranker = ContinuousRanker(dynamic, "all", config)
-        delta = ranker.commit()
-        assert len(delta.changed) == len(delta.ranking)
-        assert all(change.is_new for change in delta.changed)
-        assert delta.stats.columns_recomputed == delta.stats.columns_total
+        """The first rank computes every pair and every density column."""
+        with _session(dataset, sample_size=100) as session:
+            columns = _Columns(session)
+            first = session.rank()
+            assert first["computed_pairs"] == len(first["pairs"])
+            assert first["cached_pairs"] == 0
+            computed, carried = columns.delta()
+            assert computed > 0 and carried == 0
 
     def test_empty_commit_changes_nothing(self, dataset):
-        dynamic = DynamicAttributedGraph(dataset.graph, dataset.attributed.events)
-        config = TescConfig(sample_size=100, random_state=3)
-        ranker = ContinuousRanker(dynamic, "all", config)
-        ranker.commit()
-        delta = ranker.commit()
-        assert len(delta.changed) == 0
-        assert delta.stats.columns_recomputed == 0
-        assert delta.stats.pairs_rescored == 0
-        assert not delta.stats.sample_redrawn
-        assert "no ranking changes" in delta.render()
+        with _session(dataset, sample_size=100) as session:
+            first = session.rank()
+            columns = _Columns(session)
+            receipt = session.commit([])
+            assert receipt["epoch"] == first["epoch"]
+            again = session.rank()
+            assert again["pairs"] == first["pairs"]
+            assert again["computed_pairs"] == 0
+            assert columns.delta() == (0, 0)
 
-    def test_localised_edit_reuses_columns_and_pairs(self, dataset):
-        dynamic = DynamicAttributedGraph(dataset.graph, dataset.attributed.events)
-        config = TescConfig(sample_size=150, random_state=3)
+    def test_localised_edit_carries_columns(self, dataset):
         pairs = dataset.positive_pairs + dataset.negative_pairs
-        ranker = ContinuousRanker(dynamic, pairs, config)
-        ranker.commit()
-        # Toggle one occurrence of one monitored event: no structural change,
-        # so no column needs a BFS — counts are patched in place.
-        event = dataset.positive_pairs[0][0]
-        node = int(dynamic.event_nodes(event)[0])
-        delta = ranker.commit([Delta.event_detach(event, node)])
-        assert delta.stats.columns_recomputed == 0
-        assert delta.stats.pairs_reused > 0
-        _assert_matches_static(delta.ranking, dynamic, pairs, config)
+        with _session(dataset, sample_size=150) as session:
+            session.rank(pairs)
+            # Toggle one occurrence of one monitored event: no structural
+            # change, so no carried column needs a BFS — counts are patched.
+            event = dataset.positive_pairs[0][0]
+            node = int(session.graph.event_nodes(event)[0])
+            columns = _Columns(session)
+            session.commit([Delta.event_detach(event, node)])
+            response = session.rank(pairs)
+            computed, carried = columns.delta()
+            assert carried > 0
+            assert computed <= carried // 10
+            _assert_matches_reference(session, response, pairs)
 
     def test_unmonitored_event_toggle_keeps_sample(self, dataset):
-        dynamic = DynamicAttributedGraph(dataset.graph, dataset.attributed.events)
-        config = TescConfig(sample_size=100, random_state=3)
-        ranker = ContinuousRanker(dynamic, dataset.positive_pairs, config)
-        ranker.commit()
-        delta = ranker.commit([Delta.event_attach("bg_0", 5)])
-        assert not delta.stats.sample_redrawn
-        assert len(delta.changed) == 0
+        pairs = dataset.positive_pairs
+        with _session(dataset, sample_size=100) as session:
+            first = session.rank(pairs)
+            columns = _Columns(session)
+            session.commit([Delta.event_attach("bg_0", 5)])
+            response = session.rank(pairs)
+            computed, carried = columns.delta()
+            assert computed == 0 and carried > 0
+            assert response["pairs"] == first["pairs"]
+            _assert_matches_reference(session, response, pairs)
 
     def test_out_of_band_mutation_is_detected(self, dataset):
-        dynamic = DynamicAttributedGraph(dataset.graph, dataset.attributed.events)
-        config = TescConfig(sample_size=100, random_state=3)
         pairs = dataset.positive_pairs + dataset.negative_pairs
-        ranker = ContinuousRanker(dynamic, pairs, config)
-        ranker.commit()
-        # Mutate behind the ranker's back, then commit an empty batch: the
-        # ranker must notice the version drift and still match static.
-        u, v = next(iter(dynamic.csr.edges()))
-        dynamic.apply([Delta.edge_remove(u, v)])
-        delta = ranker.commit()
-        _assert_matches_static(delta.ranking, dynamic, pairs, config)
+        with _session(dataset, sample_size=100) as session:
+            session.rank(pairs)
+            # Mutate behind the engine's back, then commit through it: the
+            # out-of-band epoch was never journaled, so nothing carries.
+            u, v = next(iter(session.graph.csr.edges()))
+            session.graph.apply([Delta.edge_remove(u, v)])
+            session.commit([Delta.event_attach("bg_0", 5)])
+            columns = _Columns(session)
+            response = session.rank(pairs)
+            assert columns.delta()[1] == 0
+            _assert_matches_reference(session, response, pairs)
 
     def test_watch_and_unwatch(self, dataset):
-        dynamic = DynamicAttributedGraph(dataset.graph, dataset.attributed.events)
-        config = TescConfig(sample_size=100, random_state=3)
-        ranker = ContinuousRanker(dynamic, dataset.positive_pairs, config)
-        ranker.commit()
-        ranker.watch([("bg_0", "bg_1")])
-        delta = ranker.commit()
-        assert ("bg_0", "bg_1") in [p.events for p in delta.ranking]
-        _assert_matches_static(
-            delta.ranking, dynamic,
-            dataset.positive_pairs + [("bg_0", "bg_1")], config,
-        )
-        ranker.unwatch([("bg_0", "bg_1")])
-        delta = ranker.commit()
-        assert ("bg_0", "bg_1") not in [p.events for p in delta.ranking]
+        """A changed event tuple has no base; the next epoch carries again."""
+        monitored = dataset.positive_pairs
+        widened = monitored + [("bg_0", "bg_1")]
+        with _session(dataset, sample_size=100) as session:
+            session.rank(monitored)
+            session.commit([Delta.event_attach("bg_2", 5)])
+            columns = _Columns(session)
+            response = session.rank(widened)
+            assert columns.delta()[1] == 0
+            _assert_matches_reference(session, response, widened)
+            session.commit([Delta.event_attach("bg_2", 6)])
+            response = session.rank(widened)
+            assert columns.delta()[1] > 0
+            _assert_matches_reference(session, response, widened)
 
     def test_top_k_trims_public_ranking_only(self, dataset):
-        dynamic = DynamicAttributedGraph(dataset.graph, dataset.attributed.events)
-        config = TescConfig(sample_size=100, random_state=3)
-        ranker = ContinuousRanker(dynamic, "all", config, top_k=2)
-        delta = ranker.commit()
-        assert len(delta.ranking) == 2
-        event = dataset.positive_pairs[0][0]
-        node = int(dynamic.event_nodes(event)[0])
-        delta = ranker.commit([Delta.event_detach(event, node)])
-        static = BatchTescEngine(dynamic.snapshot(), config).rank_pairs(
-            "all", top_k=2
-        )
-        assert [p.events for p in delta.ranking] == [p.events for p in static]
-        assert [p.score for p in delta.ranking] == [p.score for p in static]
+        with _session(dataset, sample_size=100) as session:
+            assert len(session.rank(top_k=2)["pairs"]) == 2
+            event = dataset.positive_pairs[0][0]
+            node = int(session.graph.event_nodes(event)[0])
+            session.commit([Delta.event_detach(event, node)])
+            response = session.rank(top_k=2)
+            reference = session.reference_ranking(top_k=2)
+            assert response["pairs"] == [pair_record(pair) for pair in reference]
 
     def test_verdict_flip_surfaces_in_delta(self, dataset):
-        dynamic = DynamicAttributedGraph(dataset.graph, dataset.attributed.events)
-        config = TescConfig(sample_size=150, random_state=3)
         pair = dataset.positive_pairs[0]
-        ranker = ContinuousRanker(dynamic, [pair], config)
-        first = ranker.commit()
-        assert first.ranking[0].verdict.value == "positive"
-        # Detaching every occurrence of one side forces the pair to
-        # insufficient/independent — a verdict flip the delta must surface.
-        nodes = [int(n) for n in dynamic.event_nodes(pair[0])]
-        delta = ranker.commit([Delta.event_detach(pair[0], n) for n in nodes])
-        assert len(delta.verdict_flips) == 1
-        _assert_matches_static(delta.ranking, dynamic, [pair], config)
+        with _session(dataset, sample_size=150) as session:
+            assert session.rank([pair])["pairs"][0]["verdict"] == "positive"
+            # Detaching every occurrence of one side forces the pair to
+            # insufficient/independent — the carried columns must follow.
+            nodes = [int(n) for n in session.graph.event_nodes(pair[0])]
+            session.commit([Delta.event_detach(pair[0], n) for n in nodes])
+            response = session.rank([pair])
+            assert response["pairs"][0]["verdict"] != "positive"
+            _assert_matches_reference(session, response, [pair])
+
+
 
 
 class TestValidation:
-    def test_requires_dynamic_graph(self, dataset=None):
-        data = make_dblp_like(
-            num_communities=8, community_size=20, num_positive_pairs=1,
-            num_negative_pairs=1, num_background_keywords=0, random_state=1,
-        )
-        with pytest.raises(ConfigurationError):
-            ContinuousRanker(data.attributed, "all")
+    def test_requires_dynamic_graph(self, dataset):
+        with open_session(dataset.attributed, TescConfig(sample_size=60),
+                          dynamic=False) as session:
+            with pytest.raises(BadRequestError):
+                session.commit([Delta.event_attach("bg_0", 5)])
 
-    def test_rejects_weighted_samplers(self):
-        data = make_dblp_like(
-            num_communities=8, community_size=20, num_positive_pairs=1,
-            num_negative_pairs=1, num_background_keywords=0, random_state=1,
-        )
-        dynamic = DynamicAttributedGraph(data.graph, data.attributed.events)
+    def test_rejects_weighted_samplers(self, dataset):
         with pytest.raises(ConfigurationError):
-            ContinuousRanker(dynamic, "all", TescConfig(sampler="importance"))
+            open_session(dataset.attributed, TescConfig(sampler="importance"))
 
-    def test_rejects_bad_sort_key(self):
-        data = make_dblp_like(
-            num_communities=8, community_size=20, num_positive_pairs=1,
-            num_negative_pairs=1, num_background_keywords=0, random_state=1,
-        )
-        dynamic = DynamicAttributedGraph(data.graph, data.attributed.events)
-        with pytest.raises(ConfigurationError):
-            ContinuousRanker(dynamic, "all", sort_by="banana")
+    def test_rejects_bad_sort_key(self, dataset):
+        with _session(dataset, sample_size=60) as session:
+            with pytest.raises(ConfigurationError):
+                session.rank(sort_by="banana")

@@ -12,7 +12,6 @@ from repro.exceptions import SnapshotExpiredError
 from repro.graph.generators import community_ring_graph
 from repro.service.protocol import BadRequestError
 from repro.streaming import DynamicAttributedGraph
-from repro.streaming.ranker import ContinuousRanker
 
 
 EVENTS = {"a": range(0, 40), "b": range(20, 60), "c": range(120, 160)}
@@ -162,17 +161,6 @@ class TestDeprecationShims:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             BatchTescEngine(self._graph(), _config())
-        messages = [str(w.message) for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert any("open_session" in message for message in messages)
-
-    def test_continuous_ranker_construction_warns(self):
-        dynamic = DynamicAttributedGraph(
-            community_ring_graph(6, 30, 5.0, 8, random_state=2), EVENTS
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ContinuousRanker(dynamic, "all", _config())
         messages = [str(w.message) for w in caught
                     if issubclass(w.category, DeprecationWarning)]
         assert any("open_session" in message for message in messages)
