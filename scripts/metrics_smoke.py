@@ -9,7 +9,9 @@ verb), scrapes the Prometheus HTTP endpoint, and fails loudly if
 * either printed address cannot be parsed from the startup banner,
 * the exposition is malformed (unparseable lines, families without TYPE),
 * any instrumented subsystem reports zero samples after the burst
-  (requests, latency histograms, pair cache, admission, pins, commits), or
+  (requests, latency histograms, pair cache, admission, pins, commits,
+  reused pair estimates),
+* the pair-estimate outcomes do not add up to the pair-cache misses, or
 * the protocol snapshot disagrees with the scripted request counts.
 
 The raw scrape is written to ``--out`` (default ``metrics_scrape.txt``)
@@ -54,6 +56,7 @@ REQUIRED_NONZERO = [
     ("tesc_commit_seconds_count", None),
     ("tesc_topk_rounds_total", None),
     ("tesc_sampler_cache_misses_total", None),
+    ("tesc_pair_estimates_total", 'outcome="reused"'),
 ]
 
 
@@ -169,7 +172,7 @@ def main() -> int:
               f"exposition {metrics_host}:{metrics_port}")
 
         # -- the scripted burst ------------------------------------------
-        num_ranks, num_topk, num_commits = 4, 2, 2
+        num_ranks, num_topk, num_commits = 4, 2, 3
         with CorrelationClient(host, int(port), timeout=60.0) as client:
             for index in range(num_ranks):
                 spec = (
@@ -181,10 +184,19 @@ def main() -> int:
                 client.topk(2)
             # The server relabels file nodes to 0..n-1, so small ids are
             # always valid; re-attaching is an accepted no-op commit.
-            for index in range(num_commits):
+            for index in range(num_commits - 1):
                 client.stream([{
                     "op": "event_attach", "event": "alpha", "node": index,
                 }])
+            # One effective commit on an event no ranked pair names: the
+            # pair ranked at the new epoch misses the epoch-keyed cache but
+            # reuses its estimate, since its density inputs are unchanged.
+            receipt = client.stream([{
+                "op": "event_attach", "event": "epsilon", "node": 0,
+            }])
+            if not receipt["changed"]:
+                fail("the epsilon attach did not change the graph")
+            client.rank([("alpha", "beta")], at_epoch=receipt["epoch"])
             snapshot = client.metrics()["metrics"]
 
             url = f"http://{metrics_host}:{metrics_port}/metrics"
@@ -206,6 +218,19 @@ def main() -> int:
         print(f"metrics smoke: all {len(REQUIRED_NONZERO)} required "
               "subsystems report nonzero samples")
 
+        # Every pair-cache miss is coalesced, reused or estimated.
+        misses = sample_value(text, "tesc_pair_cache_misses_total", None)
+        outcomes = (
+            sample_value(text, "tesc_pair_estimates_total", 'outcome="estimated"')
+            + sample_value(text, "tesc_pair_estimates_total", 'outcome="reused"')
+            + sample_value(text, "tesc_singleflight_coalesced_total", None)
+        )
+        if outcomes != misses:
+            fail(f"estimated + reused + coalesced = {outcomes}, "
+                 f"but {misses} pair-cache misses")
+        print(f"metrics smoke: {misses:g} pair-cache misses reconcile with "
+              "their estimate outcomes")
+
         # The protocol snapshot must agree with the scripted counts.
         def verb_count(method):
             for entry in snapshot["tesc_requests_total"]["values"]:
@@ -214,7 +239,8 @@ def main() -> int:
             return 0.0
 
         expected = {
-            "rank": num_ranks, "topk": num_topk, "commit": num_commits,
+            # The loop's ranks plus the one after the effective commit.
+            "rank": num_ranks + 1, "topk": num_topk, "commit": num_commits,
         }
         for method, count in expected.items():
             got = verb_count(method)

@@ -18,7 +18,7 @@ Subcommands
     Replay a JSONL delta file through a session: commit each batch, rank
     the monitored pairs at the commit's epoch, and print what changed
     since the previous answer with the density columns computed and
-    carried forward.
+    carried forward and the re-scored pairs whose estimate was reused.
 ``tesc serve``
     Start the correlation service: a persistent server answering
     ``rank``/``topk``/``stream`` requests over a local socket, with a
@@ -617,10 +617,14 @@ def _command_stream(args: argparse.Namespace) -> int:
         # Ranks are assigned over every pair, so a prefix is the top-k.
         return records if args.top_k is None else records[: max(args.top_k, 0)]
 
-    def columns() -> Tuple[int, int]:
+    def counters() -> Tuple[int, int, int]:
         return tuple(
-            int(session.metrics.value("tesc_density_columns_total", outcome=outcome))
-            for outcome in ("computed", "carried")
+            int(session.metrics.value(name, outcome=outcome))
+            for name, outcome in (
+                ("tesc_density_columns_total", "computed"),
+                ("tesc_density_columns_total", "carried"),
+                ("tesc_pair_estimates_total", "reused"),
+            )
         )
 
     # --concurrent-queries: snapshot-isolated readers racing the replay.
@@ -656,13 +660,13 @@ def _command_stream(args: argparse.Namespace) -> int:
         print("initial ranking:")
         print(_render_records(shown(ranking), args.markdown))
         for number, batch in enumerate(log.replay(), start=1):
-            before = columns()
+            before = counters()
             receipt = session.commit(batch)
             response = session.rank(
                 pairs, sort_by=args.sort_by, at_epoch=receipt["epoch"]
             )
             commits = number
-            after = columns()
+            after = counters()
             old = {(pair["event_a"], pair["event_b"]): pair for pair in ranking}
             changes = []
             for pair in response["pairs"]:
@@ -683,7 +687,8 @@ def _command_stream(args: argparse.Namespace) -> int:
                 f"{receipt['epoch']}, {len(changes)} pairs changed "
                 f"({flips} verdict flips), columns "
                 f"{after[0] - before[0]} computed / {after[1] - before[1]} "
-                f"carried, pairs {response['computed_pairs']} re-scored / "
+                f"carried, pairs {response['computed_pairs']} re-scored "
+                f"({after[2] - before[2]} reused) / "
                 f"{response['cached_pairs']} cached"
             )
             print(_render_changes(changes, args.markdown))

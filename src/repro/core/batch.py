@@ -346,6 +346,7 @@ def estimate_pair_list(
     batcher: Optional[PairEstimateBatcher],
     cfg: TescConfig,
     on_insufficient: str,
+    columns: Optional[Sequence[np.ndarray]] = None,
 ) -> List[RankedPair]:
     """Per-pair estimates over a shared density matrix (unranked).
 
@@ -361,36 +362,42 @@ def estimate_pair_list(
     amortises the rank encoding across many pairs sharing events, the plain
     path wins when only a few pairs are being (re-)scored.  Both dispatch the concordance kernel through
     ``cfg.kendall_kernel`` / ``cfg.kendall_crossover``.
+
+    ``columns`` optionally supplies each pair's
+    :meth:`~repro.core.density.DensityMatrix.pair_rows`, aligned with
+    ``pair_list``, for callers that already computed them.
     """
     results: List[RankedPair] = []
-    for event_a, event_b in pair_list:
+    for index, (event_a, event_b) in enumerate(pair_list):
         row_a, row_b = row_of[event_a], row_of[event_b]
-        columns = matrix.pair_rows(row_a, row_b)
-        if columns.size < 2:
+        pair_columns = (
+            matrix.pair_rows(row_a, row_b) if columns is None else columns[index]
+        )
+        if pair_columns.size < 2:
             if on_insufficient == "raise":
                 raise InsufficientSampleError(
                     f"pair ({event_a!r}, {event_b!r}) has only "
-                    f"{columns.size} reference nodes in the shared sample"
+                    f"{pair_columns.size} reference nodes in the shared sample"
                 )
             results.append(
                 RankedPair(
                     rank=0, event_a=event_a, event_b=event_b,
                     score=0.0, z_score=0.0, p_value=1.0,
                     verdict=CorrelationVerdict.INDEPENDENT,
-                    num_reference_nodes=int(columns.size),
+                    num_reference_nodes=int(pair_columns.size),
                     degenerate=True, insufficient=True,
                 )
             )
             continue
         if batcher is None:
             components: EstimateComponents = plain_estimate(
-                matrix.densities[row_a, columns],
-                matrix.densities[row_b, columns],
+                matrix.densities[row_a, pair_columns],
+                matrix.densities[row_b, pair_columns],
                 kernel=cfg.kendall_kernel,
                 crossover=cfg.kendall_crossover,
             )
         else:
-            components = batcher.estimate_pair(row_a, row_b, columns)
+            components = batcher.estimate_pair(row_a, row_b, pair_columns)
         significance = decide(components.z_score, cfg.alpha, cfg.alternative)
         results.append(
             RankedPair(

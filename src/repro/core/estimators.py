@@ -16,7 +16,7 @@ import numpy as np
 from repro.exceptions import EstimationError, InsufficientSampleError
 from repro.stats.fast_kendall import concordance_sum, dense_ranks
 from repro.stats.kendall import pair_concordance_sum, weighted_pair_concordance
-from repro.stats.ties import degenerate_ties, tie_corrected_sigma, tie_group_sizes
+from repro.stats.ties import null_variance_numerator_with_ties, tie_group_sizes
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,40 @@ def _validate_densities(densities_a: Sequence[float],
     return a, b
 
 
+def _null_statistics(a: np.ndarray, b: np.ndarray) -> Tuple[tuple, tuple, Optional[float]]:
+    """Tie groups of both vectors and the Eq. 6 null sigma of ``S``.
+
+    Each vector's tie groups are computed once and feed both the reported
+    ``ties_a``/``ties_b`` and the variance; the sigma is ``None`` when the
+    pair is degenerate (either vector is a single tie group of size ``n``).
+    """
+    n = int(a.size)
+    ties_a = tie_group_sizes(a)
+    ties_b = tie_group_sizes(b)
+    if ties_a == [n] or ties_b == [n]:
+        return tuple(ties_a), tuple(ties_b), None
+    variance = null_variance_numerator_with_ties(n, ties_a, ties_b)
+    if variance < 0:
+        raise EstimationError(f"negative null variance {variance}; ties are inconsistent")
+    return tuple(ties_a), tuple(ties_b), float(np.sqrt(variance))
+
+
+def _plain_components(a: np.ndarray, b: np.ndarray, s) -> EstimateComponents:
+    """:class:`EstimateComponents` of the plain statistic with numerator ``s``."""
+    n = int(a.size)
+    ties_a, ties_b, sigma = _null_statistics(a, b)
+    return EstimateComponents(
+        estimate=s / (0.5 * n * (n - 1)),
+        z_score=float(s / sigma) if sigma else 0.0,
+        num_reference_nodes=n,
+        concordance_sum=s,
+        null_sigma=sigma or 0.0,
+        ties_a=ties_a,
+        ties_b=ties_b,
+        degenerate=sigma is None,
+    )
+
+
 def plain_estimate(densities_a: Sequence[float],
                    densities_b: Sequence[float],
                    kernel: str = "auto",
@@ -84,35 +118,8 @@ def plain_estimate(densities_a: Sequence[float],
     every path, so the choice never changes the estimate.
     """
     a, b = _validate_densities(densities_a, densities_b)
-    n = int(a.size)
     s = float(pair_concordance_sum(a, b, kernel=kernel, crossover=crossover))
-    num_pairs = 0.5 * n * (n - 1)
-    estimate = s / num_pairs
-
-    if degenerate_ties(a, b):
-        return EstimateComponents(
-            estimate=estimate,
-            z_score=0.0,
-            num_reference_nodes=n,
-            concordance_sum=s,
-            null_sigma=0.0,
-            ties_a=tuple(tie_group_sizes(a)),
-            ties_b=tuple(tie_group_sizes(b)),
-            degenerate=True,
-        )
-
-    sigma_numerator = tie_corrected_sigma(a, b)
-    z_score = s / sigma_numerator if sigma_numerator > 0 else 0.0
-    return EstimateComponents(
-        estimate=estimate,
-        z_score=float(z_score),
-        num_reference_nodes=n,
-        concordance_sum=s,
-        null_sigma=float(sigma_numerator),
-        ties_a=tuple(tie_group_sizes(a)),
-        ties_b=tuple(tie_group_sizes(b)),
-        degenerate=False,
-    )
+    return _plain_components(a, b, s)
 
 
 def importance_weighted_estimate(
@@ -161,33 +168,21 @@ def importance_weighted_estimate(
     estimate = numerator / denominator
 
     n = int(a.size)
-    if degenerate_ties(a, b):
-        return EstimateComponents(
-            estimate=float(estimate),
-            z_score=0.0,
-            num_reference_nodes=n,
-            concordance_sum=float(numerator),
-            null_sigma=0.0,
-            ties_a=tuple(tie_group_sizes(a)),
-            ties_b=tuple(tie_group_sizes(b)),
-            degenerate=True,
-        )
-
+    ties_a, ties_b, sigma_numerator = _null_statistics(a, b)
     # Use t~ as a surrogate for t: z = t~ / sigma where sigma is the Eq.5/6
-    # standard deviation of the *normalised* statistic over n reference nodes.
-    sigma_numerator = tie_corrected_sigma(a, b)
-    num_pairs = 0.5 * n * (n - 1)
-    sigma_t = sigma_numerator / num_pairs if num_pairs > 0 else 0.0
+    # standard deviation of the *normalised* statistic over n reference nodes
+    # (z = 0 when the pair is degenerate).
+    sigma_t = sigma_numerator / (0.5 * n * (n - 1)) if sigma_numerator else 0.0
     z_score = estimate / sigma_t if sigma_t > 0 else 0.0
     return EstimateComponents(
         estimate=float(estimate),
         z_score=float(z_score),
         num_reference_nodes=n,
         concordance_sum=float(numerator),
-        null_sigma=float(sigma_numerator),
-        ties_a=tuple(tie_group_sizes(a)),
-        ties_b=tuple(tie_group_sizes(b)),
-        degenerate=False,
+        null_sigma=sigma_numerator or 0.0,
+        ties_a=ties_a,
+        ties_b=ties_b,
+        degenerate=sigma_numerator is None,
     )
 
 
@@ -328,33 +323,7 @@ class PairEstimateBatcher:
                 f"need at least 2 reference nodes to form a pair, got {n}"
             )
         s = concordance_sum(a, b, kernel=self._kernel, crossover=self._crossover)
-        num_pairs = 0.5 * n * (n - 1)
-        estimate = s / num_pairs
-
-        if degenerate_ties(a, b):
-            return EstimateComponents(
-                estimate=estimate,
-                z_score=0.0,
-                num_reference_nodes=n,
-                concordance_sum=s,
-                null_sigma=0.0,
-                ties_a=tuple(tie_group_sizes(a)),
-                ties_b=tuple(tie_group_sizes(b)),
-                degenerate=True,
-            )
-
-        sigma_numerator = tie_corrected_sigma(a, b)
-        z_score = s / sigma_numerator if sigma_numerator > 0 else 0.0
-        return EstimateComponents(
-            estimate=estimate,
-            z_score=float(z_score),
-            num_reference_nodes=n,
-            concordance_sum=s,
-            null_sigma=float(sigma_numerator),
-            ties_a=tuple(tie_group_sizes(a)),
-            ties_b=tuple(tie_group_sizes(b)),
-            degenerate=False,
-        )
+        return _plain_components(a, b, s)
 
 
 def exact_tau(densities_a: Sequence[float],

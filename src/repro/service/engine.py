@@ -9,7 +9,7 @@ state — so commits never block readers and readers never block commits.
 Every response carries the epoch it was computed at, and ``at_epoch``
 requests re-read any epoch still retained by a lease.
 
-Three layers of reuse keep the hot path cheap:
+Four layers of reuse keep the hot path cheap:
 
 * **Samples** come from :class:`~repro.sampling.cache.SampleMemo` keyed by
   the epoch and drawn against the pinned snapshot, so every sample is
@@ -26,7 +26,12 @@ Three layers of reuse keep the hot path cheap:
   the pair's estimate depends only on the shared sample (a function of the
   request universe, config and epoch) and the pair's two density rows, so
   the key is exact: a cached entry can never be served stale, because any
-  commit that could change the answer lands at a different epoch.
+  commit that could change the answer lands at a different epoch;
+* **Pair estimates** behind that cache are memoised by content: a miss
+  keys each pair by ``(pair, alpha, alternative)`` and a digest of its two
+  density rows restricted to its own reference population — everything
+  the estimate reads — so after a commit only the pairs whose inputs moved
+  are Kendall-estimated again, whichever epoch, view or worker count asks.
 
 For a dynamic graph the epoch *is* the graph's commit epoch
 (:attr:`~repro.streaming.dynamic_graph.DynamicAttributedGraph.epoch` — one
@@ -43,6 +48,7 @@ cache and HTAP suites assert under random commit/query interleavings.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import threading
 import time
@@ -122,6 +128,20 @@ def pair_record(pair: RankedPair) -> Dict[str, Any]:
     }
 
 
+def estimate_inputs_digest(
+    densities: np.ndarray, row_a: int, row_b: int, columns: np.ndarray
+) -> bytes:
+    """Content digest of everything a pair's estimate reads from the matrix.
+
+    That is the pair's two density rows restricted to its reference
+    population ``columns``, in column order.  Both vectors have the same
+    length, so hashing them back to back is unambiguous.
+    """
+    digest = hashlib.blake2b(densities[row_a, columns].tobytes(), digest_size=16)
+    digest.update(densities[row_b, columns].tobytes())
+    return digest.digest()
+
+
 class ServiceEngine:
     """Snapshot-isolated ``rank``/``topk``/``stream`` execution over one graph.
 
@@ -141,8 +161,9 @@ class ServiceEngine:
         process-wide persistent pool (``1`` = in-process serial compute —
         still bit-identical, the pool changes nothing but wall-clock).
     max_cached_results / max_cached_matrices / max_cached_topk:
-        LRU bounds of the per-pair result cache, the density-matrix cache
-        and the whole-response top-k cache.
+        LRU bounds of the per-pair result cache (and of the content-keyed
+        pair-estimate memo behind it), the density-matrix cache and the
+        whole-response top-k cache.
     metrics:
         The :class:`~repro.obs.MetricsRegistry` to instrument into.  The
         default is a fresh enabled registry owned by this engine, so one
@@ -254,6 +275,10 @@ class ServiceEngine:
             OrderedDict()
         )
         self._results: "OrderedDict[tuple, RankedPair]" = OrderedDict()
+        # (pair, alpha, alternative, inputs digest) -> estimate: lets a
+        # result-cache miss reuse the answer of any earlier epoch whose
+        # restricted density rows were the same.
+        self._estimates: "OrderedDict[tuple, RankedPair]" = OrderedDict()
         self._topk_cache: "OrderedDict[tuple, Dict[str, Any]]" = OrderedDict()
         # What each commit dirtied at the default level, per epoch: lets a
         # matrix miss carry clean columns forward from a cached epoch.
@@ -311,6 +336,13 @@ class ServiceEngine:
             "tesc_density_columns_total",
             "Density columns of computed matrices, by outcome: BFS-counted "
             "(computed) or carried forward from a cached epoch (carried).",
+            labels=("outcome",),
+        )
+        self._m_estimates = m.counter(
+            "tesc_pair_estimates_total",
+            "Pair results computed on result-cache misses, by outcome: "
+            "Kendall-estimated (estimated) or reused from an earlier "
+            "estimate with identical density inputs (reused).",
             labels=("outcome",),
         )
         self._m_pins = m.counter(
@@ -627,7 +659,9 @@ class ServiceEngine:
         compute the shared sample/matrix once; the cache is re-checked
         under the lock for pairs another thread just filled.  ``graph`` is
         the caller's pinned snapshot (or the live static graph), so a
-        commit landing mid-computation changes nothing here.
+        commit landing mid-computation changes nothing here.  Pairs whose
+        :func:`estimate_inputs_digest` and decision config match an earlier
+        estimate reuse it; only the rest are estimated.
         """
         with self._miss_lock:
             computed: Dict[Tuple[str, str], RankedPair] = {}
@@ -647,38 +681,84 @@ class ServiceEngine:
                 graph, cfg, tuple(events), universe, universe_fp, epoch
             )
             row_of = {event: row for row, event in enumerate(events)}
-            # Insufficient pairs are cached as insufficient records even in
-            # "raise" mode; the caller raises after assembly, and "keep"
-            # requests for the same pair still hit the cache.
-            with stage("estimate", pairs=len(still_missing)):
-                deadlines.checkpoint()
-                fresh = None
-                if (
-                    self.workers > 1
-                    and len(still_missing) > 1
-                    and self.supervisor.allow()
-                ):
-                    try:
-                        fresh = estimate_matrix_pairs_sharded(
-                            global_pool(), matrix, row_of, still_missing, cfg,
-                            "keep", self.workers,
-                        )
-                    except (WorkerCrashedError, OSError) as exc:
-                        self.supervisor.record_failure(exc)
-                        self._m_pool_fallbacks.inc()
-                    else:
-                        self.supervisor.record_success()
-                if fresh is None:
-                    fresh = estimate_pair_list(
-                        still_missing, row_of, matrix, batcher, cfg, "keep"
-                    )
-            for pair_result in fresh:
-                pair = pair_result.events
-                computed[pair] = pair_result
-                self._results[(pair, digest, universe_fp, epoch)] = pair_result
+            # A pair's estimate is a function of its two density rows over
+            # its own population, plus the decision config: key on exactly
+            # that, so any epoch, view or worker count that feeds the same
+            # inputs reuses the answer.  The kernel is not part of the key:
+            # every kernel returns the same integer S.
+            keys: Dict[Tuple[str, str], tuple] = {}
+            pending: List[Tuple[str, str]] = []
+            pending_columns: List[np.ndarray] = []
+            for pair in still_missing:
+                row_a, row_b = row_of[pair[0]], row_of[pair[1]]
+                columns = matrix.pair_rows(row_a, row_b)
+                key = keys[pair] = (
+                    pair, cfg.alpha, cfg.alternative,
+                    estimate_inputs_digest(matrix.densities, row_a, row_b, columns),
+                )
+                reused = self._estimates.get(key)
+                if reused is not None:
+                    self._estimates.move_to_end(key)
+                    computed[pair] = reused
+                else:
+                    pending.append(pair)
+                    pending_columns.append(columns)
+            self._m_estimates.labels(outcome="reused").inc(
+                len(still_missing) - len(pending)
+            )
+            self._m_estimates.labels(outcome="estimated").inc(len(pending))
+            if pending:
+                fresh = self._estimate(
+                    matrix, batcher, row_of, pending, pending_columns, cfg
+                )
+                for pair_result in fresh:
+                    pair = pair_result.events
+                    computed[pair] = pair_result
+                    self._estimates[keys[pair]] = pair_result
+                while len(self._estimates) > self.max_cached_results:
+                    self._estimates.popitem(last=False)
+            for pair in still_missing:
+                self._results[(pair, digest, universe_fp, epoch)] = computed[pair]
             while len(self._results) > self.max_cached_results:
                 self._results.popitem(last=False)
             return computed
+
+    def _estimate(
+        self,
+        matrix: DensityMatrix,
+        batcher: PairEstimateBatcher,
+        row_of: Dict[str, int],
+        pairs: List[Tuple[str, str]],
+        columns: List[np.ndarray],
+        cfg: TescConfig,
+    ) -> List[RankedPair]:
+        """Estimate ``pairs`` over ``matrix``: pooled when enabled, else serial.
+
+        Insufficient pairs come back as insufficient records even for
+        "raise" requests; the caller raises after assembly, and "keep"
+        requests for the same pair still hit the caches.
+        """
+        with stage("estimate", pairs=len(pairs)):
+            deadlines.checkpoint()
+            if (
+                self.workers > 1
+                and len(pairs) > 1
+                and self.supervisor.allow()
+            ):
+                try:
+                    fresh = estimate_matrix_pairs_sharded(
+                        global_pool(), matrix, row_of, pairs, cfg,
+                        "keep", self.workers,
+                    )
+                except (WorkerCrashedError, OSError) as exc:
+                    self.supervisor.record_failure(exc)
+                    self._m_pool_fallbacks.inc()
+                else:
+                    self.supervisor.record_success()
+                    return fresh
+            return estimate_pair_list(
+                pairs, row_of, matrix, batcher, cfg, "keep", columns=columns
+            )
 
     def _matrix_for(
         self,
@@ -1318,6 +1398,7 @@ class ServiceEngine:
             self._ckpt_thread = None
         with self._miss_lock:
             self._results.clear()
+            self._estimates.clear()
             self._matrices.clear()
             self._topk_cache.clear()
             self._memos.clear()

@@ -163,6 +163,10 @@ def decode_line(line: bytes) -> Dict[str, Any]:
         message = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise BadRequestError(f"malformed JSON line: {exc}") from exc
+    except RecursionError as exc:
+        # The decoder recurses once per nesting level; a deeply nested
+        # frame is the client's fault, not an internal failure.
+        raise BadRequestError("JSON line is nested too deeply") from exc
     if not isinstance(message, dict):
         raise BadRequestError(
             f"protocol messages must be JSON objects, got {type(message).__name__}"

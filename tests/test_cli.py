@@ -338,6 +338,7 @@ class TestStreamCommand:
         assert "commit 2" in output
         assert "final ranking" in output
         assert "re-scored" in output
+        assert "reused) /" in output
 
     @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_stream_matches_static_rank_after_replay(self, files, capsys):

@@ -10,11 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.estimators import importance_weighted_estimate, plain_estimate
+from repro.core.estimators import (
+    EstimateComponents,
+    PairEstimateBatcher,
+    importance_weighted_estimate,
+    plain_estimate,
+)
 from repro.graph.csr import CSRGraph
 from repro.graph.traversal import BFSEngine
 from repro.stats.kendall import kendall_tau_a, kendall_tau_b, pair_concordance_sum
 from repro.stats.ties import (
+    degenerate_ties,
     null_variance_numerator_with_ties,
     tie_corrected_sigma,
     tie_group_sizes,
@@ -134,6 +140,59 @@ class TestEstimatorProperties:
         plain = plain_estimate(x, y)
         assert weighted.estimate == pytest.approx(plain.estimate, abs=1e-9)
         assert weighted.z_score == pytest.approx(plain.z_score, abs=1e-9)
+
+
+def _composed_components(x, y):
+    """The plain estimate assembled from the public tie helpers, each of
+    which recomputes the tie groups: the reference the estimators' single
+    tie-group pass must reproduce exactly."""
+    n = x.size
+    s = float(pair_concordance_sum(x, y))
+    degenerate = degenerate_ties(x, y)
+    sigma = 0.0 if degenerate else tie_corrected_sigma(x, y)
+    return EstimateComponents(
+        estimate=s / (0.5 * n * (n - 1)),
+        z_score=0.0 if degenerate else (float(s / sigma) if sigma > 0 else 0.0),
+        num_reference_nodes=n,
+        concordance_sum=s,
+        null_sigma=float(sigma),
+        ties_a=tuple(tie_group_sizes(x)),
+        ties_b=tuple(tie_group_sizes(y)),
+        degenerate=degenerate,
+    )
+
+
+@st.composite
+def tie_heavy_pairs(draw):
+    """Two equal-length vectors over a tiny value set; either may be constant."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    vectors = []
+    for _ in range(2):
+        if draw(st.booleans()) and draw(st.booleans()):
+            vectors.append([draw(st.sampled_from([0.0, 0.25, 1.0]))] * n)
+        else:
+            vectors.append(draw(st.lists(
+                st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n, max_size=n,
+            )))
+    return tuple(np.asarray(vector, dtype=float) for vector in vectors)
+
+
+class TestSingleTiePass:
+    @given(tie_heavy_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_components_equal_the_composed_reference(self, pair):
+        x, y = pair
+        expected = _composed_components(x, y)
+        batcher = PairEstimateBatcher(np.vstack([x, y]))
+        assert plain_estimate(x, y) == expected
+        assert batcher.estimate_pair(0, 1) == expected
+
+    def test_constant_vectors_are_degenerate(self):
+        x, y = np.full(6, 0.5), np.array([0.0, 1.0, 1.0, 0.25, 0.0, 0.5])
+        for a, b in ((x, y), (y, x), (x, x)):
+            components = plain_estimate(a, b)
+            assert components == _composed_components(a, b)
+            assert components.degenerate and components.z_score == 0.0
 
 
 class TestGraphProperties:
