@@ -23,7 +23,12 @@ from repro.graph.mutation import rewire_random_edges
 from repro.graph.traversal import BFSEngine
 from repro.graph.vicinity import VicinityIndex
 from repro.sampling.registry import create_sampler
-from repro.stats.kendall import pair_concordance_sum, weighted_pair_concordance
+from repro.stats.fast_kendall import (
+    fenwick_weighted_concordance,
+    merge_concordance_sum,
+    naive_concordance_sum,
+    naive_weighted_concordance,
+)
 from repro.streaming import Delta, DeltaBatch, DynamicAttributedGraph
 
 GRAPH = make_twitter_like(num_nodes=20_000, edges_per_node=8, random_state=1)
@@ -175,7 +180,7 @@ def test_kendall_kernel_naive(benchmark, n):
     """Baseline: the O(n²) sign-matrix concordance kernel."""
     x, y, _ = KERNEL_VECTORS[n]
     benchmark.pedantic(
-        lambda: pair_concordance_sum(x, y, kernel="naive"), rounds=2, iterations=1
+        lambda: naive_concordance_sum(x, y), rounds=2, iterations=1
     )
 
 
@@ -184,7 +189,7 @@ def test_kendall_kernel_fast(benchmark, n):
     """The O(n log n) merge-sort (Knight) concordance kernel."""
     x, y, _ = KERNEL_VECTORS[n]
     benchmark.pedantic(
-        lambda: pair_concordance_sum(x, y, kernel="fast"), rounds=3, iterations=1
+        lambda: merge_concordance_sum(x, y), rounds=3, iterations=1
     )
 
 
@@ -193,7 +198,7 @@ def test_kendall_weighted_kernel_naive(benchmark, n):
     """Baseline: the O(n²) weighted (Eq. 8) concordance kernel."""
     x, y, w = KERNEL_VECTORS[n]
     benchmark.pedantic(
-        lambda: weighted_pair_concordance(x, y, w, kernel="naive"),
+        lambda: naive_weighted_concordance(x, y, w),
         rounds=2, iterations=1,
     )
 
@@ -203,7 +208,7 @@ def test_kendall_weighted_kernel_fast(benchmark, n):
     """The O(n log n) Fenwick-tree weighted (Eq. 8) kernel."""
     x, y, w = KERNEL_VECTORS[n]
     benchmark.pedantic(
-        lambda: weighted_pair_concordance(x, y, w, kernel="fast"),
+        lambda: fenwick_weighted_concordance(x, y, w),
         rounds=3, iterations=1,
     )
 
@@ -238,16 +243,14 @@ def test_fast_kernel_beats_naive_at_20k():
         tracemalloc.stop()
         return peak
 
-    s_fast, fast_seconds = timed(lambda: pair_concordance_sum(x, y, kernel="fast"))
-    s_naive, naive_seconds = timed(lambda: pair_concordance_sum(x, y, kernel="naive"))
+    s_fast, fast_seconds = timed(lambda: merge_concordance_sum(x, y))
+    s_naive, naive_seconds = timed(lambda: naive_concordance_sum(x, y))
     speedup = naive_seconds / fast_seconds if fast_seconds > 0 else float("inf")
-    fast_peak = traced_peak(lambda: pair_concordance_sum(x, y, kernel="fast"))
+    fast_peak = traced_peak(lambda: merge_concordance_sum(x, y))
     # The naive memory claim is checked at n=5000 to avoid a second
     # minute-long 9.6 GB naive pass; O(n²) growth is the same either way.
     xw, yw, ww = KERNEL_VECTORS[5_000]
-    naive_peak_5k = traced_peak(
-        lambda: pair_concordance_sum(xw, yw, kernel="naive")
-    )
+    naive_peak_5k = traced_peak(lambda: naive_concordance_sum(xw, yw))
     print(
         f"\nS kernel at n={n}: naive {naive_seconds:.2f}s, fast "
         f"{fast_seconds * 1e3:.1f}ms (peak {fast_peak / 1e6:.2f} MB), "
@@ -263,10 +266,10 @@ def test_fast_kernel_beats_naive_at_20k():
     assert naive_peak_5k >= 5_000 * 5_000
 
     (num_fast, den_fast), fast_w_seconds = timed(
-        lambda: weighted_pair_concordance(xw, yw, ww, kernel="fast")
+        lambda: fenwick_weighted_concordance(xw, yw, ww)
     )
     (num_naive, den_naive), naive_w_seconds = timed(
-        lambda: weighted_pair_concordance(xw, yw, ww, kernel="naive")
+        lambda: naive_weighted_concordance(xw, yw, ww)
     )
     weighted_speedup = (
         naive_w_seconds / fast_w_seconds if fast_w_seconds > 0 else float("inf")

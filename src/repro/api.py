@@ -194,7 +194,7 @@ class Session:
         Returns the service response dict: ``pairs`` (full-precision
         records), the ``epoch`` the answer was computed at, and cache
         counters.  Keyword overrides (``sample_size=...``,
-        ``random_state=...``, ``kendall_kernel=...``) apply for this call
+        ``random_state=...``, ``alpha=...``) apply for this call
         only.
         """
         return self.engine.rank(

@@ -117,9 +117,7 @@ def transaction_correlation(
     )
 
 
-def transaction_tau_b_dense(
-    indicator_a: np.ndarray, indicator_b: np.ndarray, kernel: str = "auto"
-) -> float:
+def transaction_tau_b_dense(indicator_a: np.ndarray, indicator_b: np.ndarray) -> float:
     """Reference τ-b on dense binary vectors (used to cross-check the closed form).
 
     Routed through the size-dispatched concordance kernels, so the dense
@@ -128,19 +126,15 @@ def transaction_tau_b_dense(
     """
     if indicator_a.shape != indicator_b.shape:
         raise EstimationError("indicator vectors must have the same shape")
-    return kendall_tau_b(
-        indicator_a.astype(float), indicator_b.astype(float), kernel=kernel
-    )
+    return kendall_tau_b(indicator_a.astype(float), indicator_b.astype(float))
 
 
-def transaction_z_dense(
-    indicator_a: np.ndarray, indicator_b: np.ndarray, kernel: str = "auto"
-) -> float:
+def transaction_z_dense(indicator_a: np.ndarray, indicator_b: np.ndarray) -> float:
     """Reference z-score on dense binary vectors (cross-check of the closed form)."""
     a = indicator_a.astype(float)
     b = indicator_b.astype(float)
     if degenerate_ties(a, b):
         return 0.0
-    s = pair_concordance_sum(a, b, kernel=kernel)
+    s = pair_concordance_sum(a, b)
     sigma = tie_corrected_sigma(a, b)
     return float(s / sigma) if sigma > 0 else 0.0

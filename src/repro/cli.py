@@ -60,18 +60,18 @@ from repro.graph.io import read_edge_list, read_event_file
 from repro.graph.metrics import summarize_graph
 from repro.sampling.registry import available_samplers
 from repro.simulation.runner import SimulationStudy
-from repro.stats.fast_kendall import KERNELS
 from repro.utils.logging import configure_logging
 from repro.utils.tables import TextTable, render_mapping
 
 
-def _shared_engine_parent() -> argparse.ArgumentParser:
+def _shared_engine_parent(top_k: bool = True) -> argparse.ArgumentParser:
     """The flags every engine-backed subcommand accepts identically.
 
     ``rank``, ``topk``, ``stream``, ``serve`` and ``experiment`` all take
-    ``--workers``, ``--kendall-kernel``, ``--top-k`` and ``--seed`` with the
-    same spelling and semantics; defining them once on a parent parser keeps
-    the subcommands from drifting apart.
+    ``--workers`` and ``--seed`` with the same spelling and semantics, and
+    all but ``experiment`` (whose configs fix their own pair counts) take
+    ``--top-k``; defining them once on a parent parser keeps the
+    subcommands from drifting apart.
     """
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("shared engine options")
@@ -80,17 +80,12 @@ def _shared_engine_parent() -> argparse.ArgumentParser:
         help="shard the workload across N worker processes (0 = one per "
              "core); results are identical to a serial run",
     )
-    group.add_argument(
-        "--kendall-kernel", default="auto", choices=list(KERNELS),
-        help="concordance kernel: auto (size-dispatched), naive (O(n^2) "
-             "sign matrices) or fast (O(n log n) merge sort); identical "
-             "rankings either way",
-    )
-    group.add_argument(
-        "--top-k", type=int, default=None, metavar="K",
-        help="cap output at the K best-ranked pairs (serve: server-side "
-             "default for rank/topk requests; topk: alias for --k)",
-    )
+    if top_k:
+        group.add_argument(
+            "--top-k", type=int, default=None, metavar="K",
+            help="cap output at the K best-ranked pairs (serve: server-side "
+                 "default for rank/topk requests; topk: alias for --k)",
+        )
     group.add_argument(
         "--seed", type=int, default=None,
         help="random seed (TescConfig.random_state; experiment: reseeds "
@@ -121,11 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     test_parser.add_argument("--alpha", type=float, default=0.05)
     test_parser.add_argument(
         "--alternative", default="two-sided", choices=["two-sided", "greater", "less"]
-    )
-    test_parser.add_argument(
-        "--kendall-kernel", default="auto", choices=list(KERNELS),
-        help="concordance kernel: auto (size-dispatched), naive (O(n^2) "
-             "sign matrices) or fast (O(n log n) merge sort / Fenwick tree)",
     )
     test_parser.add_argument("--seed", type=int, default=None)
 
@@ -340,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     experiment_parser = subparsers.add_parser(
-        "experiment", parents=[shared],
+        "experiment", parents=[_shared_engine_parent(top_k=False)],
         help="reproduce one or more of the paper's tables/figures",
     )
     experiment_parser.add_argument(
@@ -380,7 +370,6 @@ def _command_test(args: argparse.Namespace) -> int:
         sampler=args.sampler,
         alpha=args.alpha,
         alternative=args.alternative,
-        kendall_kernel=args.kendall_kernel,
         random_state=args.seed,
     )
     result = TescTester(attributed, config).test(args.event_a, args.event_b)
@@ -411,7 +400,6 @@ def _command_rank(args: argparse.Namespace) -> int:
         sample_size=args.sample_size,
         sampler=args.sampler,
         alpha=args.alpha,
-        kendall_kernel=args.kendall_kernel,
         random_state=args.seed,
     )
     pairs = [tuple(pair) for pair in args.pair] if args.pair else "all"
@@ -517,7 +505,6 @@ def _command_topk(args: argparse.Namespace) -> int:
         sample_size=args.sample_size,
         sampler=args.sampler,
         alpha=args.alpha,
-        kendall_kernel=args.kendall_kernel,
         random_state=args.seed,
     )
     if args.confidence is not None:
@@ -606,7 +593,6 @@ def _command_stream(args: argparse.Namespace) -> int:
         sample_size=args.sample_size,
         sampler=args.sampler,
         alpha=args.alpha,
-        kendall_kernel=args.kendall_kernel,
         random_state=args.seed,
     )
     pairs = [tuple(pair) for pair in args.pair] if args.pair else "all"
@@ -755,7 +741,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         sample_size=args.sample_size,
         sampler=args.sampler,
         alpha=args.alpha,
-        kendall_kernel=args.kendall_kernel,
         random_state=args.seed,
     )
     if args.slow_request_seconds is not None:
@@ -923,16 +908,10 @@ def _command_checkpoint(args: argparse.Namespace) -> int:
 
 
 def _command_experiment(args: argparse.Namespace) -> int:
-    # The shared flags map onto per-experiment config fields; run_all
-    # filters each override to the experiments whose config defines it
-    # (every experiment has random_state; kernel/top_k apply where present).
+    # --seed reseeds every experiment's config (each has random_state).
     overrides = {}
     if args.seed is not None:
         overrides["random_state"] = args.seed
-    if args.kendall_kernel != "auto":
-        overrides["kendall_kernel"] = args.kendall_kernel
-    if args.top_k is not None:
-        overrides["top_k"] = args.top_k
     results = run_all(
         args.experiment_ids, workers=args.workers,
         config_overrides=overrides or None,

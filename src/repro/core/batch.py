@@ -38,7 +38,7 @@ The entry points are :meth:`BatchTescEngine.rank_pairs` (object API) and
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -58,7 +58,6 @@ from repro.sampling.cache import CachingSampler, event_nodes_fingerprint
 from repro.sampling.registry import create_sampler
 from repro.stats.hypothesis import CorrelationVerdict, decide
 from repro.utils.tables import TextTable
-from repro.utils.timing import Timer
 
 #: Ranking keys accepted by :meth:`BatchTescEngine.rank_pairs`.
 SORT_KEYS = ("score", "z_score", "abs_z", "p_value")
@@ -148,7 +147,6 @@ class BatchStats:
     density_bfs_calls: int = 0
     workers: int = 1
     shards: int = 1
-    timings: Dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -360,8 +358,7 @@ def estimate_pair_list(
     vectors instead of gathering shared rank vectors.  The two paths are
     numerically identical (asserted in the estimator tests); the batcher
     amortises the rank encoding across many pairs sharing events, the plain
-    path wins when only a few pairs are being (re-)scored.  Both dispatch the concordance kernel through
-    ``cfg.kendall_kernel`` / ``cfg.kendall_crossover``.
+    path wins when only a few pairs are being (re-)scored.
 
     ``columns`` optionally supplies each pair's
     :meth:`~repro.core.density.DensityMatrix.pair_rows`, aligned with
@@ -393,8 +390,6 @@ def estimate_pair_list(
             components: EstimateComponents = plain_estimate(
                 matrix.densities[row_a, pair_columns],
                 matrix.densities[row_b, pair_columns],
-                kernel=cfg.kendall_kernel,
-                crossover=cfg.kendall_crossover,
             )
         else:
             components = batcher.estimate_pair(row_a, row_b, pair_columns)
@@ -454,8 +449,7 @@ class BatchTescEngine:
         self.config = config if config is not None else TescConfig()
         self._density_computer = DensityComputer(attributed.csr)
         self._samplers: Dict[tuple, CachingSampler] = {}
-        self._matrices: Dict[tuple, DensityMatrix] = {}
-        self._batchers: Dict[tuple, PairEstimateBatcher] = {}
+        self._matrices: Dict[tuple, Tuple[DensityMatrix, PairEstimateBatcher]] = {}
         self.stats = BatchStats()
 
     # -- pair/universe resolution ---------------------------------------------
@@ -482,13 +476,11 @@ class BatchTescEngine:
         return cached
 
     def _shared_sample(self, cfg: TescConfig, universe: np.ndarray,
-                       timer: Timer, call_stats: BatchStats
-                       ) -> Tuple[ReferenceSample, tuple]:
+                       call_stats: BatchStats) -> Tuple[ReferenceSample, tuple]:
         ensure_uniform_sampler(cfg)
         sampler = self._sampler(cfg)
         misses_before = sampler.misses
-        with timer.lap("sampling"):
-            sample = sampler.sample(universe, cfg.vicinity_level, cfg.sample_size)
+        sample = sampler.sample(universe, cfg.vicinity_level, cfg.sample_size)
         if sampler.misses > misses_before:
             call_stats.samples_drawn += 1
         else:
@@ -499,45 +491,25 @@ class BatchTescEngine:
         )
         return sample, matrix_key
 
-    def _density_matrix(self, cfg: TescConfig, events: Sequence[str],
-                        sample: ReferenceSample, matrix_key: tuple,
-                        timer: Timer, call_stats: BatchStats) -> DensityMatrix:
+    def _matrix_for(self, cfg: TescConfig, events: Sequence[str],
+                    sample: ReferenceSample, matrix_key: tuple,
+                    call_stats: BatchStats
+                    ) -> Tuple[DensityMatrix, PairEstimateBatcher]:
+        """The shared density matrix and its rank-vector batcher, cached."""
         key = matrix_key + (tuple(events),)
         cached = self._matrices.get(key)
         if cached is None:
             engine = self._density_computer.engine
             bfs_before = engine.bfs_calls
-            with timer.lap("densities"):
-                indicators = self.attributed.indicator_matrix(events)
-                cached = self._density_computer.density_matrix(
-                    sample.nodes, indicators, cfg.vicinity_level
-                )
+            indicators = self.attributed.indicator_matrix(events)
+            matrix = self._density_computer.density_matrix(
+                sample.nodes, indicators, cfg.vicinity_level
+            )
             while len(self._matrices) >= MAX_CACHED_MATRICES:
-                oldest = next(iter(self._matrices))
-                del self._matrices[oldest]
-                # Batcher keys extend the matrix key with the kernel choice;
-                # drop every batcher built over the evicted matrix.
-                for stale in [
-                    batcher_key for batcher_key in self._batchers
-                    if batcher_key[: len(oldest)] == oldest
-                ]:
-                    del self._batchers[stale]
-            self._matrices[key] = cached
+                del self._matrices[next(iter(self._matrices))]
+            cached = self._matrices[key] = (matrix, PairEstimateBatcher(matrix.densities))
             call_stats.density_passes += 1
             call_stats.density_bfs_calls += engine.bfs_calls - bfs_before
-        return cached
-
-    def _batcher(self, matrix: DensityMatrix, key: tuple,
-                 cfg: TescConfig) -> PairEstimateBatcher:
-        key = key + (cfg.kendall_kernel, cfg.kendall_crossover)
-        cached = self._batchers.get(key)
-        if cached is None:
-            cached = PairEstimateBatcher(
-                matrix.densities,
-                kernel=cfg.kendall_kernel,
-                crossover=cfg.kendall_crossover,
-            )
-            self._batchers[key] = cached
         return cached
 
     # -- the public API --------------------------------------------------------
@@ -580,7 +552,6 @@ class BatchTescEngine:
                 f'on_insufficient must be "keep" or "raise", got {on_insufficient!r}'
             )
         cfg = config if config is not None else self.config
-        timer = Timer()
         call_stats = BatchStats()
 
         pair_list = self._resolve_pairs(pairs)
@@ -594,16 +565,13 @@ class BatchTescEngine:
 
         universe = self._universe(events)
         with stage("sampling"):
-            sample, matrix_key = self._shared_sample(
-                cfg, universe, timer, call_stats
-            )
+            sample, matrix_key = self._shared_sample(cfg, universe, call_stats)
         with stage("density"):
-            matrix = self._density_matrix(
-                cfg, events, sample, matrix_key, timer, call_stats
+            matrix, batcher = self._matrix_for(
+                cfg, events, sample, matrix_key, call_stats
             )
-            batcher = self._batcher(matrix, matrix_key + (tuple(events),), cfg)
 
-        with timer.lap("estimates"), stage("estimate", pairs=len(pair_list)):
+        with stage("estimate", pairs=len(pair_list)):
             results = self._estimate_pair_list(
                 pair_list, row_of, matrix, batcher, cfg, on_insufficient
             )
@@ -612,8 +580,6 @@ class BatchTescEngine:
 
         call_stats.num_events = len(events)
         call_stats.num_pairs = len(pair_list)
-        for name in ("sampling", "densities", "estimates"):
-            call_stats.timings[name] = timer.total(name)
         self._accumulate(call_stats)
         return PairRanking(
             pairs=ranked,
@@ -662,7 +628,6 @@ class BatchTescEngine:
         order.
         """
         cfg = config if config is not None else self.config
-        timer = Timer()
         call_stats = BatchStats()
 
         pair_list = self._resolve_pairs(pairs)
@@ -681,19 +646,15 @@ class BatchTescEngine:
         matrix_key = self._sampler_key(cfg) + (
             event_nodes_fingerprint(nodes), cfg.vicinity_level, int(nodes.size),
         )
-        matrix = self._density_matrix(
-            cfg, events, sample, matrix_key, timer, call_stats
+        matrix, batcher = self._matrix_for(
+            cfg, events, sample, matrix_key, call_stats
         )
-        batcher = self._batcher(matrix, matrix_key + (tuple(events),), cfg)
-        with timer.lap("estimates"):
-            results = self._estimate_pair_list(
-                pair_list, row_of, matrix, batcher, cfg, on_insufficient
-            )
+        results = self._estimate_pair_list(
+            pair_list, row_of, matrix, batcher, cfg, on_insufficient
+        )
 
         call_stats.num_events = len(events)
         call_stats.num_pairs = len(pair_list)
-        for name in ("sampling", "densities", "estimates"):
-            call_stats.timings[name] = timer.total(name)
         self._accumulate(call_stats)
         return results
 
@@ -705,8 +666,6 @@ class BatchTescEngine:
         self.stats.sample_cache_hits += call_stats.sample_cache_hits
         self.stats.density_passes += call_stats.density_passes
         self.stats.density_bfs_calls += call_stats.density_bfs_calls
-        for name, seconds in call_stats.timings.items():
-            self.stats.timings[name] = self.stats.timings.get(name, 0.0) + seconds
 
 def _sort_value(pair: RankedPair, sort_by: str) -> tuple:
     if sort_by == "score":

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.exceptions import ConfigurationError
-from repro.stats.fast_kendall import KERNELS
 from repro.utils.rng import RandomState
 from repro.utils.validation import check_positive_int, check_vicinity_level
 
@@ -33,9 +32,6 @@ DEFAULT_TOPK_CONFIDENCE = 0.995
 
 #: Valid pruning-bound variance choices for the progressive top-k engine.
 TOPK_BOUNDS = ("asymptotic", "certified")
-
-#: Sentinel for :meth:`TescConfig.with_kernel`: keep the current crossover.
-_KEEP_CROSSOVER = object()
 
 
 @dataclass(frozen=True)
@@ -76,16 +72,6 @@ class TescConfig:
         For the batched importance sampler: how many reference nodes to draw
         from each sampled event node's vicinity (Section 5.2.2 uses 3 for
         h=2 and 6 for h=3).  ``None`` keeps the chosen sampler's own default.
-    kendall_kernel:
-        Concordance-kernel selection for every estimate this config drives:
-        ``"auto"`` (default) dispatches on sample size — the vectorised
-        O(n²) kernel below the crossover, the O(n log n) merge-sort /
-        Fenwick kernels at or above it; ``"naive"`` / ``"fast"`` force one
-        path (benchmarks, debugging).  The unweighted kernels return the
-        same exact integer ``S``, so this never changes a test verdict.
-    kendall_crossover:
-        ``"auto"`` dispatch threshold override (``None`` keeps the library
-        default, :data:`repro.stats.fast_kendall.DEFAULT_CROSSOVER`).
     topk_initial_sample_size:
         First-round prefix size of the progressive top-k engine
         (:class:`~repro.core.topk.ProgressiveTopKEngine`); rounds grow
@@ -110,8 +96,6 @@ class TescConfig:
     alpha: float = DEFAULT_ALPHA
     alternative: str = "two-sided"
     batch_per_vicinity: Optional[int] = None
-    kendall_kernel: str = "auto"
-    kendall_crossover: Optional[int] = None
     topk_initial_sample_size: int = DEFAULT_TOPK_INITIAL_SAMPLE_SIZE
     topk_growth_factor: float = DEFAULT_TOPK_GROWTH_FACTOR
     topk_confidence: float = DEFAULT_TOPK_CONFIDENCE
@@ -132,13 +116,6 @@ class TescConfig:
             )
         if not isinstance(self.sampler, str) or not self.sampler:
             raise ConfigurationError("sampler must be a non-empty string")
-        if self.kendall_kernel not in KERNELS:
-            raise ConfigurationError(
-                f"kendall_kernel must be one of {KERNELS}, "
-                f"got {self.kendall_kernel!r}"
-            )
-        if self.kendall_crossover is not None:
-            check_positive_int(self.kendall_crossover, "kendall_crossover")
         check_positive_int(self.topk_initial_sample_size, "topk_initial_sample_size")
         if self.topk_initial_sample_size < 2:
             raise ConfigurationError(
@@ -157,21 +134,6 @@ class TescConfig:
             raise ConfigurationError(
                 f"topk_bound must be one of {TOPK_BOUNDS}, got {self.topk_bound!r}"
             )
-
-    def with_kernel(self, kendall_kernel: str,
-                    kendall_crossover: object = _KEEP_CROSSOVER) -> "TescConfig":
-        """A copy of this configuration using a different concordance kernel.
-
-        ``kendall_crossover`` is preserved unless explicitly passed (``None``
-        explicitly restores the library default threshold).
-        """
-        if kendall_crossover is _KEEP_CROSSOVER:
-            kendall_crossover = self.kendall_crossover
-        return replace(
-            self,
-            kendall_kernel=kendall_kernel,
-            kendall_crossover=kendall_crossover,
-        )
 
     def with_level(self, vicinity_level: int) -> "TescConfig":
         """A copy of this configuration at a different vicinity level."""

@@ -105,20 +105,15 @@ def _plain_components(a: np.ndarray, b: np.ndarray, s) -> EstimateComponents:
 
 
 def plain_estimate(densities_a: Sequence[float],
-                   densities_b: Sequence[float],
-                   kernel: str = "auto",
-                   crossover: Optional[int] = None) -> EstimateComponents:
+                   densities_b: Sequence[float]) -> EstimateComponents:
     """The sampled Kendall statistic ``t(a, b)`` of Eq. 4 with its z-score.
 
     The z-score divides the numerator ``S`` by the tie-corrected null
     standard deviation of Eq. 6 (equivalently: ``t / sigma`` with both
-    numerator and denominator scaled by ``n(n-1)/2``).  ``kernel`` and
-    ``crossover`` select the concordance kernel (see
-    :mod:`repro.stats.fast_kendall`); ``S`` is the same exact integer on
-    every path, so the choice never changes the estimate.
+    numerator and denominator scaled by ``n(n-1)/2``).
     """
     a, b = _validate_densities(densities_a, densities_b)
-    s = float(pair_concordance_sum(a, b, kernel=kernel, crossover=crossover))
+    s = float(pair_concordance_sum(a, b))
     return _plain_components(a, b, s)
 
 
@@ -127,8 +122,6 @@ def importance_weighted_estimate(
     densities_b: Sequence[float],
     frequencies: Sequence[int],
     probabilities: Sequence[float],
-    kernel: str = "auto",
-    crossover: Optional[int] = None,
 ) -> EstimateComponents:
     """The importance-sampling estimator ``t̃(a, b)`` of Eq. 8 with a z-score.
 
@@ -160,9 +153,7 @@ def importance_weighted_estimate(
         raise EstimationError("probabilities must lie in (0, 1]")
 
     node_weights = w / p
-    numerator, denominator = weighted_pair_concordance(
-        a, b, node_weights, kernel=kernel, crossover=crossover
-    )
+    numerator, denominator = weighted_pair_concordance(a, b, node_weights)
     if denominator <= 0:
         raise EstimationError("the weighted pair denominator is not positive")
     estimate = numerator / denominator
@@ -205,8 +196,6 @@ class PairEstimateBatcher:
     density_matrix:
         ``(num_events, n)`` float matrix of densities over the shared
         reference sample (``DensityMatrix.densities``).
-    kernel / crossover:
-        Concordance-kernel dispatch (see :mod:`repro.stats.fast_kendall`).
 
     Notes
     -----
@@ -216,12 +205,7 @@ class PairEstimateBatcher:
     kernels return the same integer ``S``.
     """
 
-    def __init__(
-        self,
-        density_matrix: np.ndarray,
-        kernel: str = "auto",
-        crossover: Optional[int] = None,
-    ) -> None:
+    def __init__(self, density_matrix: np.ndarray) -> None:
         matrix = np.asarray(density_matrix, dtype=float)
         if matrix.ndim != 2:
             raise EstimationError(
@@ -229,8 +213,6 @@ class PairEstimateBatcher:
                 f"{matrix.shape}"
             )
         self._matrix = matrix
-        self._kernel = kernel
-        self._crossover = crossover
         self._ranks: Dict[int, np.ndarray] = {}
 
     @property
@@ -262,9 +244,7 @@ class PairEstimateBatcher:
                 "grown() needs a matrix whose column prefix is this batcher's "
                 f"matrix; got shape {matrix.shape} over {old.shape}"
             )
-        return PairEstimateBatcher(
-            matrix, kernel=self._kernel, crossover=self._crossover
-        )
+        return PairEstimateBatcher(matrix)
 
     def _rank_vector(self, row: int) -> np.ndarray:
         """Dense ranks of one density row, computed once and cached (O(n))."""
@@ -297,7 +277,7 @@ class PairEstimateBatcher:
             raise InsufficientSampleError(
                 f"need at least 2 reference nodes to form a pair, got {n}"
             )
-        s = concordance_sum(a, b, kernel=self._kernel, crossover=self._crossover)
+        s = concordance_sum(a, b)
         return s / (0.5 * n * (n - 1)), n
 
     def estimate_pair(
@@ -322,7 +302,7 @@ class PairEstimateBatcher:
             raise InsufficientSampleError(
                 f"need at least 2 reference nodes to form a pair, got {n}"
             )
-        s = concordance_sum(a, b, kernel=self._kernel, crossover=self._crossover)
+        s = concordance_sum(a, b)
         return _plain_components(a, b, s)
 
 

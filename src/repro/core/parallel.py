@@ -60,7 +60,6 @@ from repro.core.density import DensityMatrix
 from repro.events.attributed_graph import AttributedGraph
 from repro.exceptions import ConfigurationError
 from repro.obs.trace import attach_remote, propagation, stage
-from repro.utils.timing import Timer
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -325,7 +324,6 @@ class ParallelBatchTescEngine:
             self._accumulate(ranking.stats)
             return ranking
 
-        timer = Timer()
         call_stats = BatchStats(workers=worker_count)
 
         events = sorted({event for pair in pair_list for event in pair})
@@ -336,16 +334,16 @@ class ParallelBatchTescEngine:
         universe = self._serial._universe(events)
         with stage("sampling"):
             sample, matrix_key = self._serial._shared_sample(
-                cfg, universe, timer, call_stats
+                cfg, universe, call_stats
             )
 
         pool = self._pool()
         with stage("density", workers=worker_count):
             matrix = self._matrix(
                 matrix_key + (tuple(events),), pool, sample.nodes, events, cfg,
-                worker_count, timer, call_stats,
+                worker_count, call_stats,
             )
-        with timer.lap("estimates"), stage("estimate", workers=worker_count):
+        with stage("estimate", workers=worker_count):
             results = estimate_matrix_pairs_sharded(
                 pool, matrix, row_of, pair_list, cfg, on_insufficient,
                 worker_count,
@@ -356,8 +354,6 @@ class ParallelBatchTescEngine:
         call_stats.num_events = len(events)
         call_stats.num_pairs = len(pair_list)
         call_stats.shards = len(shard_pairs(pair_list, worker_count))
-        for name in ("sampling", "densities", "estimates"):
-            call_stats.timings[name] = timer.total(name)
         self._accumulate(call_stats)
         return PairRanking(
             pairs=ranked,
@@ -376,7 +372,6 @@ class ParallelBatchTescEngine:
         events: Sequence[str],
         cfg: TescConfig,
         worker_count: int,
-        timer: Timer,
         call_stats: BatchStats,
     ) -> DensityMatrix:
         """The shared density matrix for this call, pool-computed on miss.
@@ -389,11 +384,10 @@ class ParallelBatchTescEngine:
             return cached
         from repro.service.pool import pooled_density_matrix
 
-        with timer.lap("densities"):
-            matrix, bfs_calls = pooled_density_matrix(
-                pool, self.attributed, sample_nodes, events,
-                cfg.vicinity_level, worker_count,
-            )
+        matrix, bfs_calls = pooled_density_matrix(
+            pool, self.attributed, sample_nodes, events,
+            cfg.vicinity_level, worker_count,
+        )
         call_stats.density_passes += 1
         call_stats.density_bfs_calls += bfs_calls
         while len(self._matrices) >= MAX_CACHED_MATRICES:
@@ -409,8 +403,6 @@ class ParallelBatchTescEngine:
         self.stats.density_passes += call_stats.density_passes
         self.stats.density_bfs_calls += call_stats.density_bfs_calls
         self.stats.shards = call_stats.shards
-        for name, seconds in call_stats.timings.items():
-            self.stats.timings[name] = self.stats.timings.get(name, 0.0) + seconds
 
 
 def rank_pairs_parallel(

@@ -146,13 +146,9 @@ class TescTester:
                 components = importance_weighted_estimate(
                     densities_a, densities_b,
                     sample.frequencies, sample.probabilities,
-                    kernel=cfg.kendall_kernel, crossover=cfg.kendall_crossover,
                 )
             else:
-                components = plain_estimate(
-                    densities_a, densities_b,
-                    kernel=cfg.kendall_kernel, crossover=cfg.kendall_crossover,
-                )
+                components = plain_estimate(densities_a, densities_b)
             significance = decide(components.z_score, cfg.alpha, cfg.alternative)
 
         return TescResult(

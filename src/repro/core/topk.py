@@ -74,7 +74,6 @@ from repro.obs.trace import stage
 from repro.sampling.cache import CachingSampler
 from repro.stats.normal import critical_z
 from repro.utils import deadlines
-from repro.utils.timing import Timer
 
 
 def round_schedule(initial: int, budget: int, growth_factor: float) -> List[int]:
@@ -213,7 +212,6 @@ class TopKStats:
     density_bfs_calls: int = 0
     workers: int = 1
     rounds: Tuple[TopKRound, ...] = ()
-    timings: Dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -405,7 +403,6 @@ class ProgressiveTopKEngine:
         worker_count = (
             resolve_workers(workers) if workers is not None else self.workers
         )
-        timer = Timer()
         stats = TopKStats(k=k, workers=worker_count)
 
         pair_list = resolve_pair_spec(self.attributed.event_names(), pairs)
@@ -416,7 +413,7 @@ class ProgressiveTopKEngine:
 
         sampler = self._sampler(cfg)
         misses_before = sampler.misses
-        with timer.lap("sampling"), stage("sampling"):
+        with stage("sampling"):
             growth = sampler.growable(
                 universe, cfg.vicinity_level, cfg.sample_size
             )
@@ -447,9 +444,9 @@ class ProgressiveTopKEngine:
             target = pending.pop(0)
             final_round = not pending
             self._m_rounds.inc()
-            with timer.lap("sampling"), stage("sampling", target=int(target)):
+            with stage("sampling", target=int(target)):
                 order_nodes = growth.grow_to(target)
-            with timer.lap("densities"), stage("density"):
+            with stage("density"):
                 if matrix is None:
                     new_count = order_nodes.size
                     matrix = self._density_computer.density_matrix(
@@ -462,11 +459,7 @@ class ProgressiveTopKEngine:
                         matrix, suffix, indicators[live_rows], rows=live_rows
                     )
             batcher = (
-                PairEstimateBatcher(
-                    matrix.densities,
-                    kernel=cfg.kendall_kernel,
-                    crossover=cfg.kendall_crossover,
-                )
+                PairEstimateBatcher(matrix.densities)
                 if batcher is None
                 else batcher.grown(matrix.densities)
             )
@@ -475,7 +468,7 @@ class ProgressiveTopKEngine:
                 break
 
             entering = len(active)
-            with timer.lap("screening"), stage("screening", pairs=entering):
+            with stage("screening", pairs=entering):
                 screened: List[Tuple[Tuple[str, str], float, float]] = []
                 for pair in active:
                     columns = matrix.pair_rows(row_of[pair[0]], row_of[pair[1]])
@@ -533,16 +526,14 @@ class ProgressiveTopKEngine:
                 # pruned nothing); jump straight to the full budget.
                 pending = pending[-1:]
 
-        with timer.lap("sampling"), stage("sampling"):
+        with stage("sampling"):
             sample = growth.full_sample()
         ensure_uniform_sample(sample, cfg.sampler)
 
         # Final full-budget estimates for the survivors — the exact
         # rank_pairs arithmetic (shared density matrix, rank vectors,
         # size-dispatched kernels), optionally sharded across workers.
-        with timer.lap("estimates"), stage(
-            "estimate", pairs=len(active), workers=worker_count
-        ):
+        with stage("estimate", pairs=len(active), workers=worker_count):
             if worker_count > 1 and len(active) > 1:
                 results = estimate_matrix_pairs_sharded(
                     self._pool(), matrix, row_of, active, cfg, on_insufficient,
@@ -575,8 +566,6 @@ class ProgressiveTopKEngine:
         stats.pairs_survived = len(active)
         stats.density_bfs_calls = bfs_engine.bfs_calls - bfs_before
         stats.rounds = tuple(rounds)
-        for name in ("sampling", "densities", "screening", "estimates"):
-            stats.timings[name] = timer.total(name)
         self._accumulate(stats)
 
         return TopKRanking(
@@ -593,7 +582,6 @@ class ProgressiveTopKEngine:
                 density_passes=len(stats.rounds),
                 density_bfs_calls=stats.density_bfs_calls,
                 workers=worker_count,
-                timings=dict(stats.timings),
             ),
             k=k,
             confidence=cfg.topk_confidence,
@@ -615,8 +603,6 @@ class ProgressiveTopKEngine:
         self.stats.samples_drawn += call_stats.samples_drawn
         self.stats.sample_cache_hits += call_stats.sample_cache_hits
         self.stats.density_bfs_calls += call_stats.density_bfs_calls
-        for name, seconds in call_stats.timings.items():
-            self.stats.timings[name] = self.stats.timings.get(name, 0.0) + seconds
 
 
 def top_k_pairs(

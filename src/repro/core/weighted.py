@@ -75,17 +75,15 @@ def weighted_tesc_score(
     reference_nodes: Iterable[int],
     decay: float = 0.5,
     max_hops: int = 3,
-    kernel: str = "auto",
 ) -> Tuple[float, np.ndarray, np.ndarray]:
     """Kendall τ of the distance-weighted densities of the two events.
 
-    Returns ``(score, weighted_densities_a, weighted_densities_b)``.
-    ``kernel`` selects the concordance kernel (the decayed densities are
-    near-tie-free, so large reference sets route to the O(n log n) merge
-    kernel under ``"auto"``); the score is exact on every path.
+    Returns ``(score, weighted_densities_a, weighted_densities_b)``.  The
+    decayed densities are near-tie-free, so large reference sets route to
+    the O(n log n) merge kernel; the score is exact on every path.
     """
     nodes = [int(node) for node in reference_nodes]
     densities_a = distance_weighted_densities(attributed, event_a, nodes, decay, max_hops)
     densities_b = distance_weighted_densities(attributed, event_b, nodes, decay, max_hops)
-    score = kendall_tau_a(densities_a, densities_b, kernel=kernel)
+    score = kendall_tau_a(densities_a, densities_b)
     return float(score), densities_a, densities_b

@@ -523,6 +523,10 @@ class ServiceEngine:
         """
         items = asdict(cfg)
         items.pop("random_state")
+        # Fields retired from TescConfig, folded in at the only values they
+        # can still take so digests persisted in checkpoint manifests by
+        # earlier versions keep matching and their checkpoints stay valid.
+        items.update(kendall_crossover=None, kendall_kernel="auto")
         # asdict deep-copies field values; id() must see the live object on
         # the config, not a throwaway copy whose address the allocator may
         # hand to the next caller.
@@ -684,8 +688,7 @@ class ServiceEngine:
             # A pair's estimate is a function of its two density rows over
             # its own population, plus the decision config: key on exactly
             # that, so any epoch, view or worker count that feeds the same
-            # inputs reuses the answer.  The kernel is not part of the key:
-            # every kernel returns the same integer S.
+            # inputs reuses the answer.
             keys: Dict[Tuple[str, str], tuple] = {}
             pending: List[Tuple[str, str]] = []
             pending_columns: List[np.ndarray] = []
@@ -781,7 +784,6 @@ class ServiceEngine:
             cfg.sampler, cfg.batch_per_vicinity,
             self._config_digest(cfg)[-1],
             universe_fp, cfg.vicinity_level, cfg.sample_size,
-            cfg.kendall_kernel, cfg.kendall_crossover,
             events, epoch,
         )
         cached = self._matrices.get(key)
@@ -817,11 +819,7 @@ class ServiceEngine:
             vicinity_sizes=sizes,
             level=int(cfg.vicinity_level),
         )
-        batcher = PairEstimateBatcher(
-            matrix.densities,
-            kernel=cfg.kendall_kernel,
-            crossover=cfg.kendall_crossover,
-        )
+        batcher = PairEstimateBatcher(matrix.densities)
         while len(self._matrices) >= self.max_cached_matrices:
             self._matrices.popitem(last=False)
         self._matrices[key] = (matrix, batcher)

@@ -2,8 +2,8 @@
 
 Newline-delimited JSON over a local TCP (or Unix) socket: each request is
 one line ``{"id": ..., "method": ..., "params": {...}}``, each response one
-line ``{"id": ..., "proto": 2, "epoch": ..., "ok": true, "result": {...}}``
-or ``{"id": ..., "proto": 2, "ok": false, "error": {"code": ..., "type":
+line ``{"id": ..., "proto": 3, "epoch": ..., "ok": true, "result": {...}}``
+or ``{"id": ..., "proto": 3, "ok": false, "error": {"code": ..., "type":
 ..., "message": ...}}``.  JSON floats round-trip Python's float64 exactly
 (``repr`` shortest-round-trip), which is what lets the bit-identity suites
 compare service answers against in-process rankings field by field.
@@ -18,14 +18,14 @@ against a leased snapshot) forces a durable checkpoint on a server started
 with ``--store``; ``params: {"force": true}`` overrides the unchanged-epoch
 skip.
 
-Protocol v2 (the snapshot-isolation release) adds two envelope fields to
-every response: ``proto``, the protocol **major version** — clients must
-reject responses whose major version they do not speak — and ``epoch``, the
-commit epoch the response was computed at (present on every success whose
-result is epoch-bound; mirrored from the result for ``rank``/``topk``/
-``stream``).  Requests may pass ``at_epoch`` in ``rank``/``topk`` params to
-read a pinned historical snapshot.  v1 servers sent no ``proto`` field;
-clients treat a missing ``proto`` as version 1.
+Every response carries two envelope fields: ``proto``, the protocol
+**major version**, and ``epoch``, the commit epoch the response was
+computed at (present on every success whose result is epoch-bound; mirrored
+from the result for ``rank``/``topk``/``stream``).  The only client is the
+in-tree one, so it speaks exactly this build's version: a response whose
+``proto`` is missing or differs is rejected.  Requests may pass
+``at_epoch`` in ``rank``/``topk`` params to read a pinned historical
+snapshot (added in v2, the snapshot-isolation release).
 
 Protocol v3 (the fault-tolerance release) adds two *request* envelope
 fields — ``rid``, a client-generated idempotency key (the server dedups
@@ -35,9 +35,7 @@ in flight is returned from cache instead of applied twice), and
 skew is irrelevant) propagated into admission waits and cooperative
 cancellation checkpoints — and two *error*-body fields: ``retryable``
 (whether an identical retry can succeed) and an optional ``retry_after``
-backoff hint in seconds.  Both directions are backwards compatible: v2
-servers ignore the new request fields, v2 clients ignore the new error
-fields.
+backoff hint in seconds.
 
 Error codes follow the familiar HTTP shape so backpressure is recognisable:
 ``400`` malformed/invalid request (never retryable), ``408`` queue-wait or
@@ -64,8 +62,6 @@ CONFIG_FIELDS: Dict[str, type] = {
     "alpha": float,
     "alternative": str,
     "batch_per_vicinity": int,
-    "kendall_kernel": str,
-    "kendall_crossover": int,
     "topk_initial_sample_size": int,
     "topk_growth_factor": float,
     "topk_confidence": float,
@@ -222,20 +218,21 @@ def ok_response(request_id: Any, result: Dict[str, Any],
 
 
 def check_proto(response: Dict[str, Any]) -> int:
-    """Client side: reject responses from an incompatible major version.
+    """Client side: reject responses from any other major version.
 
-    A missing ``proto`` field means a v1 server — accepted, since v1's
-    request/response shapes are a strict subset of v2.  Anything newer than
-    this build raises :class:`RemoteError` (the safe interpretation of a
-    message whose semantics we cannot know).
+    Every response this build's server sends carries ``proto``, so a
+    missing field or a different major version raises :class:`RemoteError`
+    (the safe interpretation of a message whose semantics we cannot know).
     """
-    proto = response.get("proto", 1)
+    if "proto" not in response:
+        raise RemoteError("response carries no protocol version")
+    proto = response["proto"]
     if not isinstance(proto, int) or proto < 1:
         raise RemoteError(f"malformed protocol version {proto!r} in response")
-    if proto > PROTO_VERSION:
+    if proto != PROTO_VERSION:
         raise RemoteError(
-            f"server speaks protocol v{proto}, this client only understands "
-            f"up to v{PROTO_VERSION}; upgrade the client"
+            f"server speaks protocol v{proto}, this client speaks "
+            f"v{PROTO_VERSION}"
         )
     return proto
 

@@ -7,10 +7,8 @@ testable against brute force and against ``scipy.stats``.
 
 from repro.stats.fast_kendall import (
     DEFAULT_CROSSOVER,
-    KERNELS,
     fenwick_weighted_concordance,
     merge_concordance_sum,
-    resolve_kernel,
 )
 from repro.stats.kendall import (
     concordance_matrix,
@@ -30,10 +28,8 @@ from repro.stats.hypothesis import CorrelationVerdict, SignificanceResult, decid
 
 __all__ = [
     "DEFAULT_CROSSOVER",
-    "KERNELS",
     "fenwick_weighted_concordance",
     "merge_concordance_sum",
-    "resolve_kernel",
     "concordance_matrix",
     "kendall_tau_a",
     "kendall_tau_b",

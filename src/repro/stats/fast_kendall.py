@@ -26,10 +26,11 @@ paper's n=900.  This module provides exact sub-quadratic kernels:
   bookkeeping for small ``n``).
 
 :func:`concordance_sum` and :func:`weighted_concordance` are the facades the
-rest of the code base routes through: ``kernel="auto"`` (the default) picks
-the naive kernel below :data:`DEFAULT_CROSSOVER` observations and the fast
-kernel at or above it; ``"naive"`` / ``"fast"`` force a path for benchmarks
-and debugging (``TescConfig.kendall_kernel`` / ``--kendall-kernel``).
+rest of the code base routes through.  They pick the kernel from the input
+size alone: the naive kernel below :data:`DEFAULT_CROSSOVER` observations,
+the merge-sort / Fenwick kernel at or above it.  The choice is not a
+setting, because it never changes ``S``; benchmarks and tests that need one
+path call the kernel functions directly.
 
 Complexity summary (per pair estimate):
 
@@ -44,30 +45,17 @@ Fenwick weighted              O(n log n)  O(n)
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.exceptions import EstimationError
 
-#: Kernel names accepted by the facades (and ``TescConfig.kendall_kernel``).
-KERNELS = ("auto", "naive", "fast")
-
-#: ``kernel="auto"`` dispatch threshold: below this many observations the
-#: vectorised O(n²) kernel's smaller constant wins; at or above it the
-#: O(n log n) kernels win (measured crossover ~130–250 on CPython/NumPy —
-#: at n=900 the merge kernel is already ~15x faster).
+#: Facade dispatch threshold: below this many observations the vectorised
+#: O(n²) kernel's smaller constant wins; at or above it the O(n log n)
+#: kernels win (measured crossover ~130–250 on CPython/NumPy — at n=900 the
+#: merge kernel is already ~15x faster).
 DEFAULT_CROSSOVER = 192
-
-
-def resolve_kernel(kernel: str, n: int, crossover: Optional[int] = None) -> str:
-    """Resolve a kernel request into ``"naive"`` or ``"fast"`` for size ``n``."""
-    if kernel not in KERNELS:
-        raise EstimationError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-    if kernel != "auto":
-        return kernel
-    threshold = DEFAULT_CROSSOVER if crossover is None else int(crossover)
-    return "fast" if n >= threshold else "naive"
 
 
 def dense_ranks(values: np.ndarray) -> np.ndarray:
@@ -143,7 +131,7 @@ def naive_concordance_sum(x: np.ndarray, y: np.ndarray) -> int:
     """``S`` via the full sign-matrix product — O(n²) time and memory.
 
     This is the historical implementation, kept as the property-test oracle
-    and as the ``kernel="naive"`` path (it wins below the dispatch crossover
+    and as the facades' path below the dispatch crossover (it wins there
     thanks to its pure-vectorised inner loop).
     """
     x, y = _check_pair(x, y)
@@ -314,30 +302,21 @@ def _fenwick_weighted_concordance(
 # -- the dispatch facades -----------------------------------------------------
 
 
-def concordance_sum(
-    x: np.ndarray,
-    y: np.ndarray,
-    kernel: str = "auto",
-    crossover: Optional[int] = None,
-) -> int:
+def concordance_sum(x: np.ndarray, y: np.ndarray) -> int:
     """``S = #concordant − #discordant`` through the size-dispatched facade.
 
     The naive and merge-sort kernels return the same integer, so dispatch
     never changes a result — only its cost.
     """
     x, y = _check_pair(x, y)
-    if resolve_kernel(kernel, int(x.size), crossover) == "fast":
+    if x.size >= DEFAULT_CROSSOVER:
         concordant, discordant, _ = _concordance_counts(x, y)
         return concordant - discordant
     return _naive_concordance_sum(x, y)
 
 
 def weighted_concordance(
-    x: np.ndarray,
-    y: np.ndarray,
-    weights: np.ndarray,
-    kernel: str = "auto",
-    crossover: Optional[int] = None,
+    x: np.ndarray, y: np.ndarray, weights: np.ndarray
 ) -> Tuple[float, float]:
     """Eq. 8 weighted numerator/denominator through the dispatch facade.
 
@@ -348,6 +327,6 @@ def weighted_concordance(
     weights = np.asarray(weights, dtype=float)
     if weights.shape != x.shape:
         raise EstimationError("weights must match the observation vectors")
-    if resolve_kernel(kernel, int(x.size), crossover) == "fast":
+    if x.size >= DEFAULT_CROSSOVER:
         return _fenwick_weighted_concordance(x, y, weights)
     return _naive_weighted_concordance(x, y, weights)

@@ -14,14 +14,13 @@ All four validate their inputs and then route through the size-dispatched
 kernels of :mod:`repro.stats.fast_kendall`: a vectorised ``O(n²)``
 sign-matrix kernel below the crossover (~200 observations, where its small
 constant wins) and the exact ``O(n log n)`` merge-sort / Fenwick-tree
-kernels above it.  ``kernel`` accepts ``"auto"`` (default), ``"naive"`` or
-``"fast"`` to force a path; the unweighted kernels return the same integer
-``S`` either way, so dispatch never changes a result.
+kernels above it.  The unweighted kernels return the same integer ``S``,
+so dispatch never changes a result.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -52,17 +51,11 @@ def concordance_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (dx * dy).astype(np.int64)
 
 
-def pair_concordance_sum(
-    x: np.ndarray,
-    y: np.ndarray,
-    kernel: str = "auto",
-    crossover: Optional[int] = None,
-) -> int:
+def pair_concordance_sum(x: np.ndarray, y: np.ndarray) -> int:
     """``S = #concordant − #discordant`` over all unordered pairs.
 
-    This is the numerator ``sum_{i<j} c(r_i, r_j)`` of Eq. 4.  ``kernel``
-    selects the concordance kernel (see :mod:`repro.stats.fast_kendall`);
-    the result is the same exact integer on every path.
+    This is the numerator ``sum_{i<j} c(r_i, r_j)`` of Eq. 4, the same
+    exact integer whichever kernel :mod:`repro.stats.fast_kendall` picks.
     """
     x = _as_vector(x, "x")
     y = _as_vector(y, "y")
@@ -70,15 +63,13 @@ def pair_concordance_sum(
         raise EstimationError("x and y must have the same length")
     if x.size < 2:
         raise EstimationError("at least two observations are required")
-    return concordance_sum(x, y, kernel=kernel, crossover=crossover)
+    return concordance_sum(x, y)
 
 
 def weighted_pair_concordance(
     x: np.ndarray,
     y: np.ndarray,
     pair_weights: np.ndarray,
-    kernel: str = "auto",
-    crossover: Optional[int] = None,
 ) -> Tuple[float, float]:
     """Weighted concordance numerator and denominator of Eq. 8.
 
@@ -96,24 +87,20 @@ def weighted_pair_concordance(
         raise EstimationError("at least two observations are required")
     if np.any(weights < 0):
         raise EstimationError("pair_weights must be non-negative")
-    return weighted_concordance(x, y, weights, kernel=kernel, crossover=crossover)
+    return weighted_concordance(x, y, weights)
 
 
-def kendall_tau_a(
-    x: np.ndarray, y: np.ndarray, kernel: str = "auto"
-) -> float:
+def kendall_tau_a(x: np.ndarray, y: np.ndarray) -> float:
     """Kendall τ-a: ``S / (n(n-1)/2)`` — Eq. 3/4 of the paper."""
     x = _as_vector(x, "x")
     n = x.size
     if n < 2:
         raise EstimationError("at least two observations are required")
-    s = pair_concordance_sum(x, y, kernel=kernel)
+    s = pair_concordance_sum(x, y)
     return float(s) / (0.5 * n * (n - 1))
 
 
-def kendall_tau_b(
-    x: np.ndarray, y: np.ndarray, kernel: str = "auto"
-) -> float:
+def kendall_tau_b(x: np.ndarray, y: np.ndarray) -> float:
     """Kendall τ-b: tie-adjusted coefficient used for Transaction Correlation.
 
     ``τ_b = S / sqrt((n0 - n1)(n0 - n2))`` where ``n0 = n(n-1)/2`` and
@@ -130,7 +117,7 @@ def kendall_tau_b(
         raise EstimationError("at least two observations are required")
     from repro.stats.ties import tie_group_sizes
 
-    s = pair_concordance_sum(x, y, kernel=kernel)
+    s = pair_concordance_sum(x, y)
     n0 = 0.5 * n * (n - 1)
     ties_x = tie_group_sizes(x)
     ties_y = tie_group_sizes(y)

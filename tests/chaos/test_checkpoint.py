@@ -392,6 +392,18 @@ class TestEngineCheckpointing:
             config, persistent=True
         ) == ServiceEngine._config_digest(rebooted_config, persistent=True)
 
+    def test_persisted_digests_are_pinned(self):
+        """Checkpoint manifests written by earlier builds keep matching:
+        these are the digests of two configs before TescConfig lost its
+        kendall_kernel / kendall_crossover fields.  A changed digest would
+        reject every existing checkpoint at boot."""
+        from repro.core.config import TescConfig
+
+        assert _digest(TescConfig()) == "6a0ef2f049bb61d5"
+        assert _digest(
+            TescConfig(vicinity_level=2, sample_size=8000, random_state=7)
+        ) == "140f05ffa69e05c5"
+
     def test_recovery_at_checkpoint_skips_the_duplicate(
         self, make_dynamic_graph, chaos_dataset, tmp_path
     ):

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro.events.attributed_graph import AttributedGraph
 from repro.graph.adjacency import Graph
 from repro.graph.generators import erdos_renyi_graph
+from repro.service.pool import shutdown_global_pool
+from repro.stats import fast_kendall
 
 
 @pytest.fixture
@@ -59,3 +63,27 @@ def attributed_random(random_graph) -> AttributedGraph:
 def rng() -> np.random.Generator:
     """A deterministic RNG for tests."""
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def force_kernel(monkeypatch):
+    """Pin the concordance facades to one kernel for the rest of a test.
+
+    ``force_kernel("naive")`` moves the size-dispatch threshold past every
+    input, ``force_kernel("fast")`` below every input, and
+    ``force_kernel("auto")`` restores the library threshold.  The library
+    offers no such switch (the kernels return the same ``S``); tests use
+    this one to check exactly that.  The process-wide worker pool is shut
+    down around each change so pool workers fork with the same threshold.
+    """
+    thresholds = {
+        "naive": sys.maxsize, "fast": 2, "auto": fast_kendall.DEFAULT_CROSSOVER,
+    }
+
+    def force(path: str) -> None:
+        shutdown_global_pool()
+        monkeypatch.setattr(fast_kendall, "DEFAULT_CROSSOVER", thresholds[path])
+
+    yield force
+    monkeypatch.undo()
+    shutdown_global_pool()

@@ -4,7 +4,8 @@
 (scores, z-scores, verdicts) must be identical whichever concordance kernel
 computes them, for every sampler × worker-count combination — the kernels
 return the same exact integer ``S``, so this is a bit-identity property,
-not an approximation.
+not an approximation.  The ``force_kernel`` fixture pins the facades to one
+kernel; the library itself picks the kernel from the input size alone.
 """
 
 import numpy as np
@@ -16,8 +17,8 @@ from repro.core.config import TescConfig
 from repro.core.estimators import PairEstimateBatcher, plain_estimate
 from repro.core.parallel import ParallelBatchTescEngine
 from repro.datasets.synthetic_dblp import make_dblp_like
-from repro.exceptions import ConfigurationError
 from repro.service.engine import pair_record
+from repro.service.protocol import BadRequestError
 from repro.streaming import Delta
 
 
@@ -54,60 +55,45 @@ def assert_rankings_identical(expected, actual):
 
 class TestBatchEngineKernelAgreement:
     @pytest.mark.parametrize("sampler", ["batch_bfs", "exhaustive", "whole_graph"])
-    def test_rank_pairs_kernel_invariant(self, dblp_workload, sampler):
+    def test_rank_pairs_kernel_invariant(self, dblp_workload, sampler,
+                                         force_kernel):
         """Naive, fast and auto kernels produce bit-identical rankings —
         at n=900-ish sample sizes auto routes to the fast path, so this
         also pins the default configuration against the pre-kernel output."""
         dataset, pairs = dblp_workload
+        config = TescConfig(
+            vicinity_level=1, sample_size=400, random_state=5, sampler=sampler,
+        )
         rankings = {}
         for kernel in ("naive", "fast", "auto"):
-            config = TescConfig(
-                vicinity_level=1, sample_size=400, random_state=5,
-                sampler=sampler, kendall_kernel=kernel,
-            )
+            force_kernel(kernel)
             engine = BatchTescEngine(dataset.attributed, config)
             rankings[kernel] = engine.rank_pairs(pairs)
         assert_rankings_identical(rankings["naive"], rankings["fast"])
         assert_rankings_identical(rankings["naive"], rankings["auto"])
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_worker_sweep_with_fast_kernel(self, dblp_workload, workers):
+    def test_worker_sweep_with_fast_kernel(self, dblp_workload, workers,
+                                           force_kernel):
         """rank_pairs(workers=1/2/4) is unchanged by the new kernels: every
         worker count with the forced-fast kernel reproduces the serial
         naive-kernel ranking bit for bit."""
         dataset, pairs = dblp_workload
-        naive_config = TescConfig(
-            vicinity_level=1, sample_size=300, random_state=11,
-            kendall_kernel="naive",
-        )
-        serial = BatchTescEngine(dataset.attributed, naive_config).rank_pairs(pairs)
-        fast_config = naive_config.with_kernel("fast")
+        config = TescConfig(vicinity_level=1, sample_size=300, random_state=11)
+        force_kernel("naive")
+        serial = BatchTescEngine(dataset.attributed, config).rank_pairs(pairs)
+        force_kernel("fast")
         with ParallelBatchTescEngine(
-            dataset.attributed, fast_config, workers=workers
+            dataset.attributed, config, workers=workers
         ) as engine:
             ranking = engine.rank_pairs(pairs)
         assert_rankings_identical(serial, ranking)
 
-    def test_crossover_override_dispatches_naive(self, dblp_workload):
-        """A crossover above the sample size keeps auto on the naive path;
-        either way the ranking is identical (dispatch is cost-only)."""
-        dataset, pairs = dblp_workload
-        high = TescConfig(
-            vicinity_level=1, sample_size=200, random_state=7,
-            kendall_crossover=10**6,
-        )
-        low = TescConfig(
-            vicinity_level=1, sample_size=200, random_state=7,
-            kendall_crossover=2,
-        )
-        ranking_high = BatchTescEngine(dataset.attributed, high).rank_pairs(pairs)
-        ranking_low = BatchTescEngine(dataset.attributed, low).rank_pairs(pairs)
-        assert_rankings_identical(ranking_high, ranking_low)
-
 
 class TestSessionKernelAgreement:
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_streaming_verdicts_kernel_invariant(self, dblp_workload, workers):
+    def test_streaming_verdicts_kernel_invariant(self, dblp_workload, workers,
+                                                 force_kernel):
         """Two sessions over identical delta streams — one forced naive, one
         forced fast — agree on every score, z-score and verdict after every
         commit, carried-forward density columns included."""
@@ -130,10 +116,8 @@ class TestSessionKernelAgreement:
             )
 
         def run(kernel):
-            config = TescConfig(
-                vicinity_level=1, sample_size=250, random_state=13,
-                kendall_kernel=kernel,
-            )
+            force_kernel(kernel)
+            config = TescConfig(vicinity_level=1, sample_size=250, random_state=13)
             with open_session(
                 dataset.graph.copy(), config,
                 events=dataset.attributed.events.copy(), workers=workers,
@@ -192,13 +176,13 @@ class TestBatcherRankCache:
             assert ranks.nbytes == 8 * n  # int64 rank vector, not n×n signs
 
     @pytest.mark.parametrize("kernel", ["naive", "fast", "auto"])
-    def test_matches_plain_estimate_on_subsets(self, kernel):
+    def test_matches_plain_estimate_on_subsets(self, kernel, force_kernel):
         rng = np.random.default_rng(9)
         matrix = np.round(rng.random((3, 230)), 1)  # heavy ties
         columns = np.sort(rng.choice(230, size=180, replace=False))
-        batcher = PairEstimateBatcher(matrix, kernel=kernel)
-        batched = batcher.estimate_pair(0, 2, columns)
         direct = plain_estimate(matrix[0, columns], matrix[2, columns])
+        force_kernel(kernel)
+        batched = PairEstimateBatcher(matrix).estimate_pair(0, 2, columns)
         assert batched.estimate == direct.estimate
         assert batched.z_score == direct.z_score
         assert batched.concordance_sum == direct.concordance_sum
@@ -207,22 +191,20 @@ class TestBatcherRankCache:
 
 
 class TestConfigValidation:
+    """The kernel is not a config setting: the retired fields are rejected
+    rather than silently ignored."""
+
     def test_rejects_unknown_kernel(self):
-        with pytest.raises(ConfigurationError):
-            TescConfig(kendall_kernel="blas")
+        with pytest.raises(TypeError, match="kendall_kernel"):
+            TescConfig(kendall_kernel="naive")
 
     def test_rejects_bad_crossover(self):
-        with pytest.raises(ConfigurationError):
-            TescConfig(kendall_crossover=0)
+        with pytest.raises(TypeError, match="kendall_crossover"):
+            TescConfig(kendall_crossover=500)
 
-    def test_with_kernel(self):
-        config = TescConfig().with_kernel("fast", kendall_crossover=32)
-        assert config.kendall_kernel == "fast"
-        assert config.kendall_crossover == 32
-        assert TescConfig().kendall_kernel == "auto"
-
-    def test_with_kernel_preserves_configured_crossover(self):
-        config = TescConfig(kendall_crossover=500)
-        assert config.with_kernel("fast").kendall_crossover == 500
-        assert config.with_kernel("auto").kendall_crossover == 500
-        assert config.with_kernel("auto", kendall_crossover=None).kendall_crossover is None
+    def test_session_override_rejected(self, dblp_workload):
+        dataset, pairs = dblp_workload
+        config = TescConfig(vicinity_level=1, sample_size=120, random_state=3)
+        with open_session(dataset.attributed, config) as session:
+            with pytest.raises(BadRequestError, match="kendall_kernel"):
+                session.rank(pairs[:1], kendall_kernel="naive")

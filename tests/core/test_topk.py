@@ -208,12 +208,10 @@ class TestKernelConservatism:
     """
 
     @pytest.mark.parametrize("kernel", ["naive", "fast"])
-    def test_forced_kernels_match_auto(self, kernel):
+    def test_forced_kernels_match_auto(self, kernel, force_kernel):
         auto = ProgressiveTopKEngine(DATASET.attributed, _config()).top_k(3)
-        forced_engine = ProgressiveTopKEngine(
-            DATASET.attributed, _config(kendall_kernel=kernel)
-        )
-        forced = forced_engine.top_k(3)
+        force_kernel(kernel)
+        forced = ProgressiveTopKEngine(DATASET.attributed, _config()).top_k(3)
         assert _signature(forced) == _signature(auto)
         assert [
             (r.pairs_entering, r.pairs_pruned) for r in forced.rounds

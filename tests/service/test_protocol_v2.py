@@ -39,8 +39,13 @@ class TestEnvelope:
 
 
 class TestCheckProto:
-    def test_missing_proto_is_v1(self):
-        assert check_proto({"ok": True}) == 1
+    def test_missing_proto_rejected(self):
+        with pytest.raises(RemoteError, match="no protocol version"):
+            check_proto({"ok": True})
+
+    def test_older_major_rejected(self):
+        with pytest.raises(RemoteError, match="v2"):
+            check_proto({"proto": PROTO_VERSION - 1})
 
     def test_current_version_accepted(self):
         assert check_proto({"proto": PROTO_VERSION}) == PROTO_VERSION

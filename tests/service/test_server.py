@@ -72,6 +72,10 @@ class TestProtocolEdges:
             with pytest.raises(BadRequestError):
                 client.rank("all", config={"not_a_field": 3})
             with pytest.raises(BadRequestError):
+                client.rank("all", config={"kendall_kernel": "fast"})
+            with pytest.raises(BadRequestError):
+                client.rank("all", config={"kendall_crossover": 2})
+            with pytest.raises(BadRequestError):
                 client.request("topk", {"k": "three"})
             with pytest.raises(BadRequestError):
                 client.request("topk", {})  # k missing entirely

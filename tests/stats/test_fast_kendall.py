@@ -13,7 +13,6 @@ import pytest
 from repro.exceptions import EstimationError
 from repro.stats.fast_kendall import (
     DEFAULT_CROSSOVER,
-    KERNELS,
     concordance_counts,
     concordance_sum,
     count_inversions,
@@ -22,9 +21,9 @@ from repro.stats.fast_kendall import (
     merge_concordance_sum,
     naive_concordance_sum,
     naive_weighted_concordance,
-    resolve_kernel,
     weighted_concordance,
 )
+from repro.stats import fast_kendall
 from repro.stats.kendall import (
     kendall_tau_a,
     kendall_tau_b,
@@ -167,47 +166,73 @@ class TestInversionsAndRanks:
 
 
 class TestDispatchFacade:
-    def test_resolve_kernel(self):
-        assert resolve_kernel("naive", 10**6) == "naive"
-        assert resolve_kernel("fast", 2) == "fast"
-        assert resolve_kernel("auto", DEFAULT_CROSSOVER - 1) == "naive"
-        assert resolve_kernel("auto", DEFAULT_CROSSOVER) == "fast"
-        assert resolve_kernel("auto", 10, crossover=5) == "fast"
-        assert resolve_kernel("auto", 10, crossover=50) == "naive"
+    def test_dispatch_switches_at_crossover(self, rng, monkeypatch):
+        """The facades run the naive kernels below DEFAULT_CROSSOVER and the
+        merge-sort / Fenwick kernels from DEFAULT_CROSSOVER on."""
+        calls = []
+
+        def spy(name):
+            kernel = getattr(fast_kendall, name)
+
+            def recorded(*args):
+                calls.append(name)
+                return kernel(*args)
+
+            monkeypatch.setattr(fast_kendall, name, recorded)
+
+        for name in (
+            "_naive_concordance_sum", "_concordance_counts",
+            "_naive_weighted_concordance", "_fenwick_weighted_concordance",
+        ):
+            spy(name)
+        for n, plain, weighted in (
+            (DEFAULT_CROSSOVER - 1,
+             "_naive_concordance_sum", "_naive_weighted_concordance"),
+            (DEFAULT_CROSSOVER,
+             "_concordance_counts", "_fenwick_weighted_concordance"),
+        ):
+            x, y, weights = rng.random(n), rng.random(n), rng.random(n)
+            calls.clear()
+            concordance_sum(x, y)
+            assert calls == [plain]
+            calls.clear()
+            weighted_concordance(x, y, weights)
+            assert calls == [weighted]
 
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(EstimationError):
-            resolve_kernel("blas", 100)
-        with pytest.raises(EstimationError):
-            concordance_sum([1.0, 2.0], [1.0, 2.0], kernel="blas")
-
-    def test_kernels_tuple(self):
-        assert KERNELS == ("auto", "naive", "fast")
+        """The facades take no kernel argument: the kernel is not a setting."""
+        with pytest.raises(TypeError):
+            concordance_sum([1.0, 2.0], [1.0, 2.0], kernel="naive")
+        with pytest.raises(TypeError):
+            pair_concordance_sum([1.0, 2.0], [1.0, 2.0], kernel="fast")
 
     def test_facades_agree_across_kernels(self, rng):
         x = rng.integers(0, 4, 250).astype(float)
         y = rng.integers(0, 4, 250).astype(float)
         weights = rng.random(250)
-        expected = naive_concordance_sum(x, y)
-        for kernel in KERNELS:
-            assert concordance_sum(x, y, kernel=kernel) == expected
-            assert pair_concordance_sum(x, y, kernel=kernel) == expected
-        naive_num, naive_den = weighted_concordance(x, y, weights, kernel="naive")
-        fast_num, fast_den = weighted_concordance(x, y, weights, kernel="fast")
+        for n in (DEFAULT_CROSSOVER - 1, DEFAULT_CROSSOVER, 250):
+            expected = naive_concordance_sum(x[:n], y[:n])
+            assert merge_concordance_sum(x[:n], y[:n]) == expected
+            assert concordance_sum(x[:n], y[:n]) == expected
+            assert pair_concordance_sum(x[:n], y[:n]) == expected
+        naive_num, naive_den = naive_weighted_concordance(x, y, weights)
+        fast_num, fast_den = weighted_concordance(x, y, weights)
+        assert (fast_num, fast_den) == fenwick_weighted_concordance(x, y, weights)
         scale = max(1.0, abs(naive_den))
         assert fast_num == pytest.approx(naive_num, abs=1e-9 * scale)
         assert fast_den == pytest.approx(naive_den, abs=1e-9 * scale)
-        wrapped = weighted_pair_concordance(x, y, weights, kernel="fast")
+        wrapped = weighted_pair_concordance(x, y, weights)
         assert wrapped == (fast_num, fast_den)
 
-    def test_tau_a_and_tau_b_kernel_invariant(self, rng):
-        for x, y in random_vector_pairs(rng, (3, 40, 230)):
-            assert kendall_tau_a(x, y, kernel="fast") == kendall_tau_a(
-                x, y, kernel="naive"
-            )
-            assert kendall_tau_b(x, y, kernel="fast") == kendall_tau_b(
-                x, y, kernel="naive"
-            )
+    def test_tau_a_and_tau_b_kernel_invariant(self, rng, force_kernel):
+        vectors = list(random_vector_pairs(rng, (3, 40, 230)))
+        taus = {}
+        for kernel in ("naive", "fast"):
+            force_kernel(kernel)
+            taus[kernel] = [
+                (kendall_tau_a(x, y), kendall_tau_b(x, y)) for x, y in vectors
+            ]
+        assert taus["fast"] == taus["naive"]
 
     def test_validation_still_enforced(self):
         with pytest.raises(EstimationError):
@@ -215,4 +240,4 @@ class TestDispatchFacade:
         with pytest.raises(EstimationError):
             concordance_sum([1.0, 2.0], [1.0, 2.0, 3.0])
         with pytest.raises(EstimationError):
-            weighted_pair_concordance([1, 2], [1, 2], [-1.0, 1.0], kernel="fast")
+            weighted_pair_concordance([1, 2], [1, 2], [-1.0, 1.0])

@@ -87,27 +87,8 @@ class TestRankCommand:
             "independent"
         ) >= 3
 
-    def test_kendall_kernel_flag_is_result_invariant(self, files, capsys):
-        """--kendall-kernel naive|fast|auto print the identical ranking table
-        (the kernels compute the same exact integer S)."""
-        edges_path, events_path = files
-        outputs = {}
-        for kernel in ("naive", "fast", "auto"):
-            exit_code = main(
-                [
-                    "rank",
-                    "--edges", edges_path,
-                    "--events", events_path,
-                    "--sample-size", "80",
-                    "--seed", "3",
-                    "--kendall-kernel", kernel,
-                ]
-            )
-            assert exit_code == 0
-            outputs[kernel] = capsys.readouterr().out
-        assert outputs["naive"] == outputs["fast"] == outputs["auto"]
-
     def test_rejects_unknown_kernel(self, files, capsys):
+        """The kernel is picked from the sample size; there is no flag."""
         edges_path, events_path = files
         with pytest.raises(SystemExit):
             main(
@@ -115,9 +96,10 @@ class TestRankCommand:
                     "rank",
                     "--edges", edges_path,
                     "--events", events_path,
-                    "--kendall-kernel", "blas",
+                    "--kendall-kernel", "fast",
                 ]
             )
+        assert "unrecognized arguments: --kendall-kernel" in capsys.readouterr().err
 
     def test_explicit_pairs_and_top_k(self, files, capsys):
         edges_path, events_path = files
@@ -376,10 +358,10 @@ class TestStreamCommand:
 
 
 class TestSharedEngineFlags:
-    """rank/topk/stream/serve/experiment accept the same engine flags."""
+    """rank/topk/stream/serve accept the same engine flags; experiment
+    accepts only the ones it honours (--workers, --seed)."""
 
-    SHARED = ["--workers", "2", "--kendall-kernel", "fast",
-              "--top-k", "3", "--seed", "9"]
+    SHARED = ["--workers", "2", "--seed", "9"]
 
     def _parse(self, argv):
         return build_parser().parse_args(argv)
@@ -397,16 +379,23 @@ class TestSharedEngineFlags:
             args = self._parse(argv + self.SHARED)
             assert args.command == command
             assert args.workers == 2
-            assert args.kendall_kernel == "fast"
-            assert args.top_k == 3
             assert args.seed == 9
+            if command != "experiment":
+                assert self._parse(argv + ["--top-k", "3"]).top_k == 3
 
     def test_shared_flag_defaults(self):
         args = self._parse(["serve", "--edges", "e", "--events", "v"])
         assert args.workers is None
-        assert args.kendall_kernel == "auto"
         assert args.top_k is None
         assert args.seed is None
+
+    def test_experiment_rejects_top_k(self, capsys):
+        """No experiment config has a top_k field, so the flag would be
+        dropped without a word: it is a usage error instead."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment", "figure5", "--top-k", "3"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --top-k" in capsys.readouterr().err
 
     def test_stream_concurrent_queries_flag(self):
         args = self._parse(
