@@ -287,7 +287,7 @@ class Session:
         return self.engine.metrics
 
     def close(self) -> None:
-        """Release engine caches and shared-memory publications."""
+        """Release engine caches and close the write-ahead log."""
         self.engine.close()
 
     def __enter__(self) -> "Session":
@@ -327,8 +327,8 @@ def open_session(
         Event occurrences and node labels when ``graph`` is a bare graph
         (ignored when an attributed graph is passed).
     workers:
-        Worker processes for density/estimate fan-out (1 = serial,
-        bit-identical either way).
+        Density threads per BFS-counted matrix (1 = serial, bit-identical
+        either way).
     dynamic:
         ``True``/``None`` (default) makes the session committable: a bare or
         static graph is wrapped in a

@@ -21,8 +21,8 @@ Subcommands
     carried forward and the re-scored pairs whose estimate was reused.
 ``tesc serve``
     Start the correlation service: a persistent server answering
-    ``rank``/``topk``/``stream`` requests over a local socket, with a
-    long-lived shared-memory worker pool and epoch-keyed result caching
+    ``rank``/``topk``/``stream`` requests over a local socket, with
+    thread-sharded density passes and epoch-keyed result caching
     (``--metrics-port`` adds a Prometheus HTTP endpoint,
     ``--slow-request-seconds`` a JSON-lines slow-request log).
 ``tesc status``
@@ -77,8 +77,9 @@ def _shared_engine_parent(top_k: bool = True) -> argparse.ArgumentParser:
     group = parent.add_argument_group("shared engine options")
     group.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="shard the workload across N worker processes (0 = one per "
-             "core); results are identical to a serial run",
+        help="split density passes across N threads (0 = one per core; "
+             "experiment: run N experiments in parallel processes); results "
+             "are identical to a serial run",
     )
     if top_k:
         group.add_argument(
@@ -417,8 +418,8 @@ def _command_rank(args: argparse.Namespace) -> int:
             topk_ranking = engine.top_k(args.top_k, pairs)
         _print_topk(topk_ranking, workers, args)
         return 0
-    # The parallel engine degrades to the serial BatchTescEngine in-process
-    # when workers <= 1, so one code path serves both modes.
+    # With workers <= 1 the parallel engine is the serial BatchTescEngine,
+    # so one code path serves both modes.
     with ParallelBatchTescEngine(attributed, config, workers=workers) as engine:
         ranking = engine.rank_pairs(pairs, top_k=args.top_k, sort_by=args.sort_by)
         stats = engine.stats

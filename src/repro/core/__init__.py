@@ -5,9 +5,8 @@ The public entry points are :class:`TescTester` (per-pair object API),
 workloads — :class:`BatchTescEngine` / :func:`rank_pairs`, which amortise
 sampling, vicinity indexing and density computation across a whole pair set
 and return a ranked :class:`PairRanking`.  For multi-core machines,
-:class:`ParallelBatchTescEngine` / ``rank_pairs(..., workers=N)`` shard the
-pair workload across a process pool with results identical to the serial
-engine.  :class:`ProgressiveTopKEngine` / :func:`top_k_pairs` answer top-k
+:class:`ParallelBatchTescEngine` / ``rank_pairs(..., workers=N)`` split the
+density pass across N threads with results identical to the serial engine.  :class:`ProgressiveTopKEngine` / :func:`top_k_pairs` answer top-k
 queries with confidence-bound pruning over a prefix-growable sample —
 identical output to ``rank_pairs().top(k)``, a fraction of the work.
 """

@@ -136,7 +136,8 @@ class BatchStats:
     engine's lifetime.  The point of the batch engine is that
     ``samples_drawn`` and ``density_bfs_calls`` stay independent of the
     number of pairs; these counters make that claim checkable (and are
-    asserted on in the tests).
+    asserted on in the tests).  ``workers`` is the density-thread count and
+    ``shards`` the number of column slices its density pass splits into.
     """
 
     num_events: int = 0
@@ -349,9 +350,8 @@ def estimate_pair_list(
     """Per-pair estimates over a shared density matrix (unranked).
 
     This is the per-pair half of :meth:`BatchTescEngine.rank_pairs`, exposed
-    at module level so the parallel engine's worker shards and the service
-    engine run exactly the same arithmetic on their slice of the pair
-    workload.
+    at module level so the progressive top-k and service engines run exactly
+    the same arithmetic on their pair lists.
 
     ``batcher=None`` computes each pair directly with
     :func:`~repro.core.estimators.plain_estimate` on the restricted density
@@ -552,7 +552,8 @@ class BatchTescEngine:
                 f'on_insufficient must be "keep" or "raise", got {on_insufficient!r}'
             )
         cfg = config if config is not None else self.config
-        call_stats = BatchStats()
+        workers = self._density_computer.workers
+        call_stats = BatchStats(workers=workers)
 
         pair_list = self._resolve_pairs(pairs)
         # Sorted row layout so pair sets naming the same events (in any
@@ -566,6 +567,7 @@ class BatchTescEngine:
         universe = self._universe(events)
         with stage("sampling"):
             sample, matrix_key = self._shared_sample(cfg, universe, call_stats)
+        call_stats.shards = max(1, min(workers, sample.nodes.size))
         with stage("density"):
             matrix, batcher = self._matrix_for(
                 cfg, events, sample, matrix_key, call_stats
@@ -602,8 +604,8 @@ class BatchTescEngine:
         """Per-pair estimates over a shared density matrix (unranked).
 
         Delegates to the module-level :func:`estimate_pair_list`, which the
-        parallel engine's worker shards and the service engine also call so
-        every execution mode runs exactly the same arithmetic.
+        progressive top-k and service engines also call so every execution
+        mode runs exactly the same arithmetic.
         """
         return estimate_pair_list(
             pair_list, row_of, matrix, batcher, cfg, on_insufficient
@@ -620,12 +622,9 @@ class BatchTescEngine:
 
         No sampling happens: the caller provides the (already drawn) shared
         reference nodes and this method runs only the density pass and the
-        per-pair estimates.  This is the shard entry point of
-        :class:`~repro.core.parallel.ParallelBatchTescEngine` — the parent
-        process draws one sample and every worker evaluates its pair shard on
-        those same nodes, which keeps parallel results bit-identical to the
-        serial engine.  Returned pairs are unranked (``rank=0``) and in input
-        order.
+        per-pair estimates, e.g. to score pairs on the reference nodes of an
+        earlier :meth:`rank_pairs` call.  Returned pairs are unranked
+        (``rank=0``) and in input order.
         """
         cfg = config if config is not None else self.config
         call_stats = BatchStats()
@@ -666,6 +665,8 @@ class BatchTescEngine:
         self.stats.sample_cache_hits += call_stats.sample_cache_hits
         self.stats.density_passes += call_stats.density_passes
         self.stats.density_bfs_calls += call_stats.density_bfs_calls
+        self.stats.shards = call_stats.shards
+
 
 def _sort_value(pair: RankedPair, sort_by: str) -> tuple:
     if sort_by == "score":
@@ -687,10 +688,9 @@ def finalise_ranking(
 ) -> Tuple[RankedPair, ...]:
     """Sort unranked pair results and assign 1-based ranks.
 
-    Shared by the serial engine and the parallel engine's merge step: because
-    the sort key is a deterministic total order (statistic plus event-name
-    tie-break), the final ranking is independent of how the results were
-    sharded across workers.
+    Shared by every engine: because the sort key is a deterministic total
+    order (statistic plus event-name tie-break), the final ranking does not
+    depend on the order the results were computed in.
     """
     ordered = sorted(results, key=lambda pair: _sort_value(pair, sort_by))
     if top_k is not None:
@@ -720,8 +720,8 @@ def rank_pairs(
 
     ``config_kwargs`` accepts any :class:`~repro.core.config.TescConfig`
     field, e.g. ``sample_size=900``, ``sampler="exhaustive"`` or
-    ``random_state=42``.  ``workers`` > 1 shards the pair workload across a
-    process pool via :class:`~repro.core.parallel.ParallelBatchTescEngine`;
+    ``random_state=42``.  ``workers`` > 1 splits the density pass across
+    that many threads via :class:`~repro.core.parallel.ParallelBatchTescEngine`;
     the results are identical to the serial engine's.
 
     Examples

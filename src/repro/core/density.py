@@ -89,12 +89,33 @@ class DensityComputer:
 
     One h-hop BFS per reference node yields the vicinity once and both
     events' densities are read off the same vicinity, exactly as the paper's
-    event-density phase does.
+    event-density phase does.  With ``workers > 1`` the many-node passes
+    (:meth:`density_matrix`, :meth:`append_columns`) split their columns
+    across that many threads
+    (:func:`~repro.service.pool.pooled_density_matrix`); the counts are
+    bit-identical either way, and :attr:`engine` still counts every BFS call.
     """
 
-    def __init__(self, graph: CSRGraph, engine: Optional[BFSEngine] = None) -> None:
+    def __init__(self, graph: CSRGraph, engine: Optional[BFSEngine] = None,
+                 workers: int = 1) -> None:
         self.graph = graph
         self.engine = engine if engine is not None else BFSEngine(graph)
+        self.workers = int(workers)
+
+    def _grouped_counts(
+        self, nodes: np.ndarray, level: int, indicators: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Grouped-BFS ``(counts, sizes)`` of ``nodes``, thread-sharded when
+        :attr:`workers` asks for it."""
+        if self.workers <= 1:
+            return self.engine.grouped_marked_counts(nodes, level, indicators)
+        from repro.service import pool
+
+        matrix, bfs_calls = pool.pooled_density_matrix(
+            self.graph, indicators, nodes, level, self.workers
+        )
+        self.engine.bfs_calls += bfs_calls
+        return matrix.counts, matrix.vicinity_sizes
 
     def density(self, reference_node: int, indicator: np.ndarray, level: int) -> float:
         """``s^h_event(reference_node)`` for the event given by ``indicator``."""
@@ -176,7 +197,7 @@ class DensityComputer:
         # reference node: every block of reference vicinities is expanded by
         # vectorised frontier passes and all events' occurrence counts fall
         # out of a single matrix product per block.
-        counts, sizes = self.engine.grouped_marked_counts(nodes, level, indicators)
+        counts, sizes = self._grouped_counts(nodes, level, indicators)
         densities = densities_from_counts(counts, sizes)
         return DensityMatrix(
             reference_nodes=nodes,
@@ -245,7 +266,7 @@ class DensityComputer:
         )
         new_counts = np.zeros((matrix.num_events, nodes.size), dtype=np.int64)
         if nodes.size:
-            live_counts, new_sizes = self.engine.grouped_marked_counts(
+            live_counts, new_sizes = self._grouped_counts(
                 nodes, matrix.level, indicators
             )
             new_counts[row_index] = live_counts

@@ -24,11 +24,11 @@ budget only where it can still change the answer:
    small to estimate are never pruned.
 4. **Full-budget finish.**  Only survivors ever see the full sample: their
    final estimates run through the exact same density matrix / rank-vector /
-   kernel arithmetic as ``rank_pairs`` (optionally sharded across worker
-   processes), so whenever the confidence intervals hold, the returned
-   top-k — keys, scores, z-scores, verdicts and ranks — is *identical* to
-   ``rank_pairs().top(k)`` (property-tested across samplers and worker
-   counts).
+   kernel arithmetic as ``rank_pairs``, so whenever the confidence intervals
+   hold, the returned top-k — keys, scores, z-scores, verdicts and ranks — is
+   *identical* to ``rank_pairs().top(k)`` (property-tested across samplers
+   and worker counts).  ``workers > 1`` splits each round's density columns
+   across that many threads, which changes no count.
 
 The half-width of a round-``r`` interval covers the gap between the round
 estimate and the *full-budget* estimate, not just the population value: for
@@ -66,7 +66,7 @@ from repro.core.batch import (
 from repro.core.config import DEFAULT_TOPK_GROWTH_FACTOR, TescConfig
 from repro.core.density import DensityComputer, DensityMatrix
 from repro.core.estimators import PairEstimateBatcher, variance_upper_bound
-from repro.core.parallel import estimate_matrix_pairs_sharded, resolve_workers
+from repro.core.parallel import resolve_workers
 from repro.events.attributed_graph import AttributedGraph
 from repro.exceptions import ConfigurationError
 from repro.obs.registry import NULL_REGISTRY
@@ -74,6 +74,9 @@ from repro.obs.trace import stage
 from repro.sampling.cache import CachingSampler
 from repro.stats.normal import critical_z
 from repro.utils import deadlines
+
+# benchmarks/ledger/traced_serve.py wraps this name at startup; nothing calls it.
+estimate_matrix_pairs_sharded = estimate_pair_list
 
 
 def round_schedule(initial: int, budget: int, growth_factor: float) -> List[int]:
@@ -242,8 +245,9 @@ class ProgressiveTopKEngine:
         ``topk_confidence`` and ``topk_bound``.  Same sampler restrictions
         as :class:`~repro.core.batch.BatchTescEngine` (uniform only).
     workers:
-        Worker processes for the final survivor re-score (``None``/1 =
-        serial).  Results are identical for every worker count.
+        Density threads per round (``None``/1 = serial); see
+        :func:`~repro.core.parallel.resolve_workers`.  Results are identical
+        for every worker count.
 
     Examples
     --------
@@ -266,16 +270,13 @@ class ProgressiveTopKEngine:
         attributed: AttributedGraph,
         config: Optional[TescConfig] = None,
         workers: Optional[int] = None,
-        mp_context: Optional[str] = None,
         metrics=None,
     ) -> None:
         self.attributed = attributed
         self.config = config if config is not None else TescConfig()
         self.workers = resolve_workers(workers)
-        self._mp_context = mp_context
-        self._density_computer = DensityComputer(attributed.csr)
+        self._density_computer = DensityComputer(attributed.csr, workers=self.workers)
         self._samplers: Dict[tuple, CachingSampler] = {}
-        self._private_pool = None
         self.stats = TopKStats(workers=self.workers)
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self._m_rounds = self.metrics.counter(
@@ -299,43 +300,16 @@ class ProgressiveTopKEngine:
             "Full-budget estimates computed for surviving pairs.",
         )
 
-    # -- pool lifecycle -----------------------------------------------------
-
-    def _pool(self):
-        # Same sharing rule as the parallel batch engine: the default is the
-        # process-wide persistent pool, an explicit mp_context gets a
-        # private pool torn down by close().
-        if self._mp_context is None:
-            from repro.service.pool import global_pool
-
-            return global_pool()
-        if self._private_pool is None:
-            from repro.service.pool import PersistentWorkerPool
-
-            self._private_pool = PersistentWorkerPool(mp_context=self._mp_context)
-        return self._private_pool
+    # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Release engine-held resources (idempotent).
-
-        A private pool (explicit ``mp_context``) is shut down; the shared
-        process-wide pool survives for the next caller — by design.
-        """
-        if self._private_pool is not None:
-            self._private_pool.shutdown()
-            self._private_pool = None
+        """Nothing to release: density threads live only inside a round."""
 
     def __enter__(self) -> "ProgressiveTopKEngine":
         return self
 
     def __exit__(self, *_exc) -> None:
         self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
 
     # -- shared-resource plumbing ------------------------------------------
 
@@ -360,7 +334,6 @@ class ProgressiveTopKEngine:
         sort_by: str = "score",
         config: Optional[TescConfig] = None,
         on_insufficient: str = "keep",
-        workers: Optional[int] = None,
     ) -> TopKRanking:
         """The ``k`` best pairs of ``pairs``, identical to full-budget ranking.
 
@@ -382,8 +355,6 @@ class ProgressiveTopKEngine:
             ``rank_pairs``; a pair too sparse to estimate is never pruned,
             so ``"raise"`` fires at the final round exactly when a full
             ranking would have raised.
-        workers:
-            Per-call override of the engine-level worker count.
         """
         if sort_by != "score":
             raise ConfigurationError(
@@ -400,10 +371,7 @@ class ProgressiveTopKEngine:
             raise ConfigurationError(f"k must be a positive integer, got {k}")
         cfg = config if config is not None else self.config
         ensure_uniform_sampler(cfg, "the progressive top-k engine")
-        worker_count = (
-            resolve_workers(workers) if workers is not None else self.workers
-        )
-        stats = TopKStats(k=k, workers=worker_count)
+        stats = TopKStats(k=k, workers=self.workers)
 
         pair_list = resolve_pair_spec(self.attributed.event_names(), pairs)
         events = sorted({event for pair in pair_list for event in pair})
@@ -532,17 +500,11 @@ class ProgressiveTopKEngine:
 
         # Final full-budget estimates for the survivors — the exact
         # rank_pairs arithmetic (shared density matrix, rank vectors,
-        # size-dispatched kernels), optionally sharded across workers.
-        with stage("estimate", pairs=len(active), workers=worker_count):
-            if worker_count > 1 and len(active) > 1:
-                results = estimate_matrix_pairs_sharded(
-                    self._pool(), matrix, row_of, active, cfg, on_insufficient,
-                    worker_count,
-                )
-            else:
-                results = estimate_pair_list(
-                    active, row_of, matrix, batcher, cfg, on_insufficient
-                )
+        # size-dispatched kernels).
+        with stage("estimate", pairs=len(active)):
+            results = estimate_pair_list(
+                active, row_of, matrix, batcher, cfg, on_insufficient
+            )
         stats.final_estimates += len(active)
 
         ranked = finalise_ranking(results, sort_by, k)
@@ -581,7 +543,7 @@ class ProgressiveTopKEngine:
                 sample_cache_hits=stats.sample_cache_hits,
                 density_passes=len(stats.rounds),
                 density_bfs_calls=stats.density_bfs_calls,
-                workers=worker_count,
+                workers=self.workers,
             ),
             k=k,
             confidence=cfg.topk_confidence,

@@ -88,8 +88,8 @@ class AttributedGraph:
         ``structure_version`` on every effective structural commit, the
         event layer bumps its version on every occurrence change.  Static
         graphs report structure version ``0``.  Snapshot handles pin this
-        pair, and every version-keyed cache (indicator cache, shared-memory
-        dataset publication, service epoch map) derives its key from it.
+        pair, and every version-keyed cache (indicator cache, service epoch
+        map) derives its key from it.
         """
         return (
             int(getattr(self, "structure_version", 0)),

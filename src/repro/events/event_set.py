@@ -197,9 +197,9 @@ class EventLayer:
         detach deltas) stay registered in the copy.  The :attr:`version`
         counter is preserved, so a snapshot's copied layer still identifies
         the graph state it was taken from — caches keyed by
-        ``(structure_version, events.version)`` (shared-memory dataset
-        publications, indicator caches) must not conflate two snapshots of
-        different states taken at the same structure version.
+        ``(structure_version, events.version)`` (indicator caches) must not
+        conflate two snapshots of different states taken at the same
+        structure version.
         """
         clone = EventLayer(self.num_nodes)
         clone._event_to_nodes = {

@@ -92,11 +92,12 @@ def run_all(experiment_ids: Optional[List[str]] = None,
     in the requested order either way.  ``workers=0`` or negative means one
     worker per available core.
 
-    ``config_overrides`` are applied to each experiment's default config,
-    filtered per experiment to the fields its config actually defines (see
-    :func:`experiment_config_fields`) — e.g. ``random_state`` reseeds every
-    experiment, while a field only some configs carry silently skips the
-    rest.
+    ``config_overrides`` are applied to each experiment's default config —
+    e.g. ``random_state`` reseeds every experiment.  A key that some
+    requested experiment's config does not define (see
+    :func:`experiment_config_fields`) raises
+    :class:`~repro.exceptions.ExperimentError` naming the key and the
+    experiment, before any experiment runs.
     """
     from repro.core.parallel import resolve_workers
 
@@ -108,13 +109,13 @@ def run_all(experiment_ids: Optional[List[str]] = None,
                 f"{', '.join(available_experiments())}"
             )
     overrides = dict(config_overrides or {})
-    per_id: Dict[str, Dict[str, Any]] = {
-        experiment_id: {
-            key: value for key, value in overrides.items()
-            if key in experiment_config_fields(experiment_id)
-        }
-        for experiment_id in ids
-    }
+    for experiment_id in ids:
+        unknown = sorted(set(overrides) - experiment_config_fields(experiment_id))
+        if unknown:
+            raise ExperimentError(
+                f"config override {unknown[0]!r} is not a field of "
+                f"experiment {experiment_id!r}'s config"
+            )
     worker_count = resolve_workers(workers)
     if worker_count > 1 and len(ids) > 1:
         if progress is not None:
@@ -122,7 +123,7 @@ def run_all(experiment_ids: Optional[List[str]] = None,
                 progress(experiment_id)
         with ProcessPoolExecutor(max_workers=min(worker_count, len(ids))) as pool:
             futures = [
-                pool.submit(run_experiment, experiment_id, **per_id[experiment_id])
+                pool.submit(run_experiment, experiment_id, **overrides)
                 for experiment_id in ids
             ]
             return [future.result() for future in futures]
@@ -130,7 +131,7 @@ def run_all(experiment_ids: Optional[List[str]] = None,
     for experiment_id in ids:
         if progress is not None:
             progress(experiment_id)
-        results.append(run_experiment(experiment_id, **per_id[experiment_id]))
+        results.append(run_experiment(experiment_id, **overrides))
     return results
 
 

@@ -7,9 +7,9 @@ Three small, dependency-free pieces:
   a plain dict (the ``metrics`` protocol verb) and to the Prometheus text
   exposition format;
 * :mod:`repro.obs.trace` — the :func:`trace`/:func:`stage` span API that
-  stamps every rank/topk/commit request with per-stage timings and
-  propagates span context across the worker-pool fork boundary
-  (:func:`propagation` → :func:`remote_record` → :func:`attach_remote`);
+  stamps every rank/topk/commit request with per-stage timings (density
+  threads run in a copy of the request's context, so their spans nest
+  under the stage that started them);
 * :mod:`repro.obs.exposition` / :mod:`repro.obs.slowlog` — the HTTP
   ``/metrics`` endpoint behind ``tesc serve --metrics-port`` and the
   JSON-lines slow-request log.
@@ -34,10 +34,7 @@ from repro.obs.slowlog import SlowRequestLog
 from repro.obs.trace import (
     Span,
     TraceBuffer,
-    attach_remote,
     current_span,
-    propagation,
-    remote_record,
     stage,
     trace,
 )
@@ -55,10 +52,7 @@ __all__ = [
     "SlowRequestLog",
     "Span",
     "TraceBuffer",
-    "attach_remote",
     "current_span",
-    "propagation",
-    "remote_record",
     "stage",
     "trace",
 ]

@@ -1,4 +1,4 @@
-"""Per-request span trees: stage timings that survive the fork boundary.
+"""Per-request span trees: stage timings of one request.
 
 A *span* is one timed region of a request — ``rank`` → ``sampling`` →
 ``density`` → ``estimate`` — held in a tree rooted at the request span.
@@ -15,14 +15,10 @@ Two entry points with different zero-state behaviour:
   library hot paths (the batch engine, the top-k round loop) call it
   unconditionally and pay one contextvar read when nobody is tracing.
 
-**Fork propagation.**  Worker-pool tasks cannot share the parent's
-contextvars, so the boundary is crossed by value: the parent passes
-:func:`propagation` (a small picklable dict naming the current span), the
-worker times itself and returns :func:`remote_record`, and the parent
-grafts it back with :func:`attach_remote` — a pre-measured child span
-marked ``remote`` whose duration is the worker's own wall clock.  Worker
-CPU is thereby attributed to the exact request (and stage) that dispatched
-it, while shard spans stay bounded by their enclosing stage's wall time.
+Helper threads started under :func:`contextvars.copy_context` (the density
+shards of :func:`~repro.service.pool.pooled_density_matrix`) see the span
+that was current when they were started, so their stages attach to it
+directly.
 """
 
 from __future__ import annotations
@@ -56,7 +52,7 @@ class Span:
     """One timed region; durations in seconds, children in start order."""
 
     __slots__ = (
-        "children", "duration", "name", "parent_id", "remote", "span_id",
+        "children", "duration", "name", "parent_id", "span_id",
         "started_at", "tags", "trace_id", "_t0",
     )
 
@@ -73,14 +69,13 @@ class Span:
         self.parent_id = parent_id
         self.tags: Dict[str, Any] = dict(tags or {})
         self.children: List["Span"] = []
-        self.remote = False
         self.started_at = time.time()
-        self._t0: Optional[float] = time.perf_counter()
+        self._t0 = time.perf_counter()
         self.duration: Optional[float] = None
 
     def end(self) -> None:
         """Stamp the duration (idempotent)."""
-        if self.duration is None and self._t0 is not None:
+        if self.duration is None:
             self.duration = time.perf_counter() - self._t0
 
     def child_seconds(self) -> float:
@@ -103,7 +98,6 @@ class Span:
             "parent_id": self.parent_id,
             "started_at": self.started_at,
             "seconds": self.duration,
-            "remote": self.remote,
             "tags": dict(self.tags),
             "children": [child.to_dict() for child in self.children],
         }
@@ -165,63 +159,6 @@ def stage(name: str, **tags: Any) -> Iterator[Optional[Span]]:
         return
     with trace(name, **tags) as span:
         yield span
-
-
-# -- fork-boundary propagation -------------------------------------------------
-
-
-def propagation() -> Optional[Dict[str, str]]:
-    """The current span as a picklable wire context (None when not tracing).
-
-    Pass this into a worker-pool task; the worker hands it to
-    :func:`remote_record` so its timing can be grafted back.
-    """
-    span = _CURRENT.get()
-    if span is None:
-        return None
-    return {"trace_id": span.trace_id, "span_id": span.span_id}
-
-
-def remote_record(
-    name: str,
-    seconds: float,
-    context: Optional[Dict[str, str]],
-    **tags: Any,
-) -> Optional[Dict[str, Any]]:
-    """Worker-side: package a self-measured duration for the parent.
-
-    Returns ``None`` when no context was propagated (nobody is tracing),
-    so tasks can pass the result straight back unconditionally.
-    """
-    if context is None:
-        return None
-    return {
-        "name": name,
-        "seconds": float(seconds),
-        "trace_id": context.get("trace_id"),
-        "parent_id": context.get("span_id"),
-        "tags": {**tags, "pid": os.getpid()},
-    }
-
-
-def attach_remote(record: Optional[Dict[str, Any]]) -> Optional[Span]:
-    """Parent-side: graft a worker's :func:`remote_record` onto the current
-    span as a pre-measured remote child.  No-op outside a trace or for
-    ``None`` records."""
-    parent = _CURRENT.get()
-    if parent is None or not record:
-        return None
-    span = Span(
-        str(record.get("name", "remote")),
-        trace_id=parent.trace_id,
-        parent_id=parent.span_id,
-        tags=record.get("tags") or {},
-    )
-    span.remote = True
-    span._t0 = None
-    span.duration = float(record.get("seconds", 0.0))
-    parent.children.append(span)
-    return span
 
 
 # -- root-span retention -------------------------------------------------------

@@ -4,14 +4,10 @@ The batch/streaming engines in :mod:`repro.core` and :mod:`repro.streaming`
 answer one caller inside one process.  This package turns them into a
 long-lived *service*:
 
-* :mod:`repro.service.pool` — a process-wide persistent worker pool, spawned
-  once and reused by every parallel call (replacing the fork-per-call pools
-  that BENCH_pr5 showed losing to serial execution), plus the
-  :class:`~repro.service.pool.CircuitBreaker`/:class:`~repro.service.pool.PoolSupervisor`
-  pair that trips the engine into serial fallback when workers keep dying;
-* :mod:`repro.service.shm` — :mod:`multiprocessing.shared_memory` plumbing
-  so datasets, reference samples and density matrices cross the process
-  boundary as shared blocks instead of per-call pickles;
+* :mod:`repro.service.pool` — the thread-sharded density pass behind
+  ``workers > 1`` (:func:`~repro.service.pool.pooled_density_matrix`): the
+  sample's columns are split across density threads and reassembled into
+  one bit-identical matrix;
 * :mod:`repro.service.engine` — :class:`~repro.service.engine.ServiceEngine`,
   the epoch-aware request executor with per-``(pair, epoch)`` result caching
   layered on :class:`~repro.sampling.cache.SampleMemo`;
@@ -22,8 +18,8 @@ long-lived *service*:
   (429-style rejection, queue timeouts, request deadlines) so many
   concurrent clients degrade gracefully;
 * :mod:`repro.service.faults` — the deterministic fault-injection registry
-  the chaos suite arms to rehearse worker kills, dropped sockets, failed
-  allocations and fsync errors on demand.
+  the chaos suite arms to rehearse dropped sockets and fsync errors on
+  demand.
 
 Every answer the service produces is bit-identical to the serial in-process
 engines for the same seed — asserted throughout :mod:`tests.service` and,
@@ -33,15 +29,7 @@ under injected faults, :mod:`tests.chaos`.
 from repro.service.admission import AdmissionController, AdmissionStats
 from repro.service.client import CorrelationClient, RetryStats
 from repro.service.engine import ServiceEngine
-from repro.service.pool import (
-    CircuitBreaker,
-    PersistentWorkerPool,
-    PoolHealth,
-    PoolSupervisor,
-    WorkerCrashedError,
-    global_pool,
-    shutdown_global_pool,
-)
+from repro.service.pool import pooled_density_matrix
 from repro.service.protocol import (
     BadRequestError,
     ConnectionLostError,
@@ -57,21 +45,15 @@ __all__ = [
     "AdmissionController",
     "AdmissionStats",
     "BadRequestError",
-    "CircuitBreaker",
     "ConnectionLostError",
     "CorrelationClient",
     "CorrelationServer",
     "OverloadedError",
-    "PersistentWorkerPool",
-    "PoolHealth",
-    "PoolSupervisor",
     "RemoteError",
     "RequestTimeoutError",
     "RetryStats",
     "ServiceEngine",
     "ServiceError",
     "UnavailableError",
-    "WorkerCrashedError",
-    "global_pool",
-    "shutdown_global_pool",
+    "pooled_density_matrix",
 ]

@@ -20,8 +20,8 @@ Four layers of reuse keep the hot path cheap:
   forward from the newest cached matrix at the same level and event tuple —
   the commit journal (:class:`~repro.streaming.dirty.DirtyTracker`) says
   which reference nodes each commit dirtied structurally and which event
-  occurrences it toggled — and BFS-counts only the rest, through the
-  persistent worker pool when the engine runs with ``workers > 1``;
+  occurrences it toggled — and BFS-counts only the rest, split across
+  ``workers`` density threads when the engine runs with ``workers > 1``;
 * **Per-pair results** are cached per ``(pair, config, universe, epoch)`` —
   the pair's estimate depends only on the shared sample (a function of the
   request universe, config and epoch) and the pair's two density rows, so
@@ -73,7 +73,7 @@ from repro.core.batch import (
 from repro.core.config import TescConfig
 from repro.core.density import DensityComputer, DensityMatrix, densities_from_counts
 from repro.core.estimators import PairEstimateBatcher
-from repro.core.parallel import estimate_matrix_pairs_sharded, resolve_workers
+from repro.core.parallel import resolve_workers
 from repro.events.attributed_graph import AttributedGraph
 from repro.exceptions import (
     ConfigurationError,
@@ -93,14 +93,8 @@ from repro.obs import (
     trace,
 )
 from repro.sampling.cache import SampleMemo, event_nodes_fingerprint
-from repro.service.pool import (
-    CircuitBreaker,
-    PoolSupervisor,
-    WorkerCrashedError,
-    global_pool,
-)
+from repro.service import pool
 from repro.service.protocol import BadRequestError, UnavailableError
-from repro.service.shm import unpublish_dataset
 from repro.storage.checkpoint import CheckpointStore, digest_string
 from repro.storage.recovery import RecoveryReport
 from repro.streaming.delta import DeltaBatch, WriteAheadLog
@@ -110,6 +104,9 @@ from repro.streaming.snapshots import SnapshotLease
 from repro.utils import deadlines
 
 logger = logging.getLogger(__name__)
+
+# benchmarks/ledger/traced_serve.py wraps this name at startup; nothing calls it.
+estimate_matrix_pairs_sharded = estimate_pair_list
 
 
 def pair_record(pair: RankedPair) -> Dict[str, Any]:
@@ -157,9 +154,10 @@ class ServiceEngine:
         Default :class:`~repro.core.config.TescConfig`; requests may
         override whitelisted fields per call.
     workers:
-        Worker processes for density/estimate fan-out through the
-        process-wide persistent pool (``1`` = in-process serial compute —
-        still bit-identical, the pool changes nothing but wall-clock).
+        Density threads per BFS-counted matrix
+        (:func:`~repro.service.pool.pooled_density_matrix`; ``1`` = count in
+        the request thread).  Estimates always run in the request thread.
+        Answers are bit-identical for every worker count.
     max_cached_results / max_cached_matrices / max_cached_topk:
         LRU bounds of the per-pair result cache (and of the content-keyed
         pair-estimate memo behind it), the density-matrix cache and the
@@ -184,11 +182,6 @@ class ServiceEngine:
         with the same WAL replays back to the last committed epoch.  The
         engine does **not** replay on construction (callers replay before
         serving; see ``tesc serve --wal``).
-    breaker:
-        Optional :class:`~repro.service.pool.CircuitBreaker` guarding the
-        pooled compute paths (a default one is built when ``workers > 1``).
-        When the pool keeps crashing, the breaker opens and requests run
-        the bit-identical serial path instead of erroring.
     store:
         Optional :class:`~repro.storage.checkpoint.CheckpointStore` (or a
         directory path to open one at).  Enables :meth:`checkpoint`:
@@ -214,7 +207,6 @@ class ServiceEngine:
         trace_buffer_size: int = 64,
         slow_request_seconds: Optional[float] = None,
         wal: Optional[Any] = None,
-        breaker: Optional[CircuitBreaker] = None,
         store: Optional[Any] = None,
         checkpoint_interval: Optional[float] = None,
         checkpoint_retain: int = 2,
@@ -264,7 +256,6 @@ class ServiceEngine:
         )
         self._ckpt_stop = threading.Event()
         self._ckpt_thread: Optional[threading.Thread] = None
-        self.supervisor = PoolSupervisor(global_pool(), breaker)
         # rid -> cached commit result: makes retried stream commits
         # idempotent (a lost response must not re-apply the batch).
         self._commit_rids: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
@@ -283,10 +274,6 @@ class ServiceEngine:
         # What each commit dirtied at the default level, per epoch: lets a
         # matrix miss carry clean columns forward from a cached epoch.
         self._journal = DirtyTracker(self.config.vicinity_level)
-        # epoch -> snapshot whose shared-memory publication this engine may
-        # have triggered; swept once the lease table no longer retains it.
-        self._published: Dict[int, AttributedGraph] = {}
-        self._publish_lock = threading.Lock()
 
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.trace_buffer = TraceBuffer(trace_buffer_size)
@@ -398,25 +385,6 @@ class ServiceEngine:
             "full_replay, fresh).",
             labels=("path",),
         )
-        self._m_pool_fallbacks = m.counter(
-            "tesc_pool_fallbacks_total",
-            "Pooled compute phases that failed mid-request and were "
-            "recomputed on the bit-identical serial path.",
-        )
-        self._m_degraded_requests = m.counter(
-            "tesc_degraded_requests_total",
-            "rank/topk requests served while the pool circuit breaker "
-            "distrusted the pool (serial degraded mode).",
-        )
-        m.gauge(
-            "tesc_degraded_mode",
-            "1 while the pool circuit breaker is open or half-open "
-            "(requests run the serial fallback), else 0.",
-        ).set_function(lambda: 1.0 if self.supervisor.degraded else 0.0)
-        m.gauge(
-            "tesc_breaker_transitions",
-            "Circuit-breaker state transitions (lifetime).",
-        ).set_function(lambda: float(self.supervisor.breaker.transitions))
         m.gauge(
             "tesc_cached_pair_results", "Entries in the per-pair result cache."
         ).set_function(lambda: len(self._results))
@@ -587,8 +555,6 @@ class ServiceEngine:
             )
         cfg = self._merge_config(config_overrides or {})
         self._m_requests.labels(method="rank").inc()
-        if self.workers > 1 and self.supervisor.degraded:
-            self._m_degraded_requests.inc()
         with trace("rank", sink=self._finish_trace) as span:
             epoch, graph, lease = self._pin(at_epoch)
             try:
@@ -735,7 +701,7 @@ class ServiceEngine:
         columns: List[np.ndarray],
         cfg: TescConfig,
     ) -> List[RankedPair]:
-        """Estimate ``pairs`` over ``matrix``: pooled when enabled, else serial.
+        """Estimate ``pairs`` over ``matrix`` in the request thread.
 
         Insufficient pairs come back as insufficient records even for
         "raise" requests; the caller raises after assembly, and "keep"
@@ -743,22 +709,6 @@ class ServiceEngine:
         """
         with stage("estimate", pairs=len(pairs)):
             deadlines.checkpoint()
-            if (
-                self.workers > 1
-                and len(pairs) > 1
-                and self.supervisor.allow()
-            ):
-                try:
-                    fresh = estimate_matrix_pairs_sharded(
-                        global_pool(), matrix, row_of, pairs, cfg,
-                        "keep", self.workers,
-                    )
-                except (WorkerCrashedError, OSError) as exc:
-                    self.supervisor.record_failure(exc)
-                    self._m_pool_fallbacks.inc()
-                else:
-                    self.supervisor.record_success()
-                    return fresh
             return estimate_pair_list(
                 pairs, row_of, matrix, batcher, cfg, "keep", columns=columns
             )
@@ -804,9 +754,7 @@ class ServiceEngine:
             )
             missing = ~carried
             if missing.any():
-                fresh = self._count_columns(
-                    graph, cfg, events, epoch, nodes[missing]
-                )
+                fresh = self._count_columns(graph, cfg, events, nodes[missing])
                 counts[:, missing] = fresh.counts
                 sizes[missing] = fresh.vicinity_sizes
         num_computed = int(np.count_nonzero(missing))
@@ -911,29 +859,21 @@ class ServiceEngine:
         graph: AttributedGraph,
         cfg: TescConfig,
         events: Tuple[str, ...],
-        epoch: int,
         nodes: np.ndarray,
     ) -> DensityMatrix:
-        """BFS-count the density columns of ``nodes`` (pooled when enabled)."""
-        if self.workers > 1 and nodes.size > 1 and self.supervisor.allow():
-            from repro.service.pool import pooled_density_matrix
-
-            self._note_published(epoch, graph)
-            try:
-                matrix, _bfs = pooled_density_matrix(
-                    global_pool(), graph, nodes, events,
-                    cfg.vicinity_level, self.workers,
-                )
-            except (WorkerCrashedError, OSError) as exc:
-                self.supervisor.record_failure(exc)
-                self._m_pool_fallbacks.inc()
-            else:
-                self.supervisor.record_success()
-                return matrix
+        """BFS-count the density columns of ``nodes`` (thread-sharded when
+        ``workers > 1``)."""
+        indicators = graph.indicator_matrix(list(events))
+        if self.workers > 1:
+            # Called directly, not through DensityComputer(workers=...):
+            # benchmarks/ledger/traced_serve.py times both functions, and
+            # nesting them would count these columns twice.
+            matrix, _bfs_calls = pool.pooled_density_matrix(
+                graph.csr, indicators, nodes, cfg.vicinity_level, self.workers
+            )
+            return matrix
         computer = DensityComputer(graph.csr)
-        return computer.density_matrix(
-            nodes, graph.indicator_matrix(list(events)), cfg.vicinity_level
-        )
+        return computer.density_matrix(nodes, indicators, cfg.vicinity_level)
 
     # -- topk ----------------------------------------------------------------
 
@@ -958,8 +898,6 @@ class ServiceEngine:
 
         cfg = self._merge_config(config_overrides or {})
         self._m_requests.labels(method="topk").inc()
-        if self.workers > 1 and self.supervisor.degraded:
-            self._m_degraded_requests.inc()
         with trace("topk", sink=self._finish_trace, k=int(k)) as span:
             epoch, graph, lease = self._pin(at_epoch)
             try:
@@ -1005,40 +943,12 @@ class ServiceEngine:
         Caller holds ``_miss_lock`` and has re-checked the cache."""
         from repro.core.topk import ProgressiveTopKEngine
 
-        workers = self.workers
-        if workers > 1 and not self.supervisor.allow():
-            workers = 1
-        if workers > 1:
-            self._note_published(epoch, graph)
         engine = ProgressiveTopKEngine(
-            graph, cfg, workers=workers, metrics=self.metrics
+            graph, cfg, workers=self.workers, metrics=self.metrics
         )
-        try:
-            try:
-                ranking = engine.top_k(
-                    k, pair_list, sort_by=sort_by,
-                    on_insufficient=on_insufficient,
-                )
-            except (WorkerCrashedError, OSError) as exc:
-                if workers == 1:
-                    raise
-                # A fresh serial engine reseeds every round from the config,
-                # so the retry is bit-identical to an untroubled run.
-                self.supervisor.record_failure(exc)
-                self._m_pool_fallbacks.inc()
-                engine.close()
-                engine = ProgressiveTopKEngine(
-                    graph, cfg, workers=1, metrics=self.metrics
-                )
-                ranking = engine.top_k(
-                    k, pair_list, sort_by=sort_by,
-                    on_insufficient=on_insufficient,
-                )
-            else:
-                if workers > 1:
-                    self.supervisor.record_success()
-        finally:
-            engine.close()
+        ranking = engine.top_k(
+            k, pair_list, sort_by=sort_by, on_insufficient=on_insufficient,
+        )
         result = {
             "pairs": [pair_record(pair) for pair in ranking],
             "epoch": epoch,
@@ -1154,8 +1064,6 @@ class ServiceEngine:
                     self._commit_rids[rid] = dict(result)
                     while len(self._commit_rids) > self._max_commit_rids:
                         self._commit_rids.popitem(last=False)
-            with stage("sweep"):
-                self._sweep_publications()
         self._m_commit_seconds.observe(span.duration)
         self._m_request_seconds.labels(method="commit").observe(span.duration)
         return result
@@ -1299,25 +1207,6 @@ class ServiceEngine:
             # background checkpoint until a commit moves the graph.
             self._last_checkpoint_epoch = report.restored_epoch
 
-    # -- snapshot publication lifecycle --------------------------------------
-
-    def _note_published(self, epoch: int, graph: AttributedGraph) -> None:
-        """Record that ``graph`` (a pinned snapshot) may gain a shared-memory
-        publication, so its blocks can be unlinked once the epoch retires."""
-        if graph is self.graph:
-            return
-        with self._publish_lock:
-            self._published.setdefault(int(epoch), graph)
-
-    def _sweep_publications(self) -> None:
-        """Unpublish snapshots whose epoch the lease table no longer retains."""
-        if not self._dynamic or not self._published:
-            return
-        retained = set(self.graph.retained_epochs())
-        with self._publish_lock:
-            for epoch in [e for e in self._published if e not in retained]:
-                unpublish_dataset(self._published.pop(epoch))
-
     # -- introspection / lifecycle -------------------------------------------
 
     def describe(self) -> Dict[str, Any]:
@@ -1336,8 +1225,6 @@ class ServiceEngine:
             "cached_pair_results": len(self._results),
             "cached_matrices": len(self._matrices),
             "cached_topk": len(self._topk_cache),
-            "degraded": self.supervisor.degraded,
-            "breaker": self.supervisor.describe(),
             "metrics": self.metrics.snapshot(),
         }
         if self._wal is not None:
@@ -1389,7 +1276,7 @@ class ServiceEngine:
                 self._m_active_pins.dec()
 
     def close(self) -> None:
-        """Drop caches and unlink this graph's shared-memory publications."""
+        """Stop the checkpoint thread, drop caches and close the WAL."""
         self._ckpt_stop.set()
         if self._ckpt_thread is not None:
             self._ckpt_thread.join(timeout=5.0)
@@ -1400,10 +1287,5 @@ class ServiceEngine:
             self._matrices.clear()
             self._topk_cache.clear()
             self._memos.clear()
-        with self._publish_lock:
-            for snapshot in self._published.values():
-                unpublish_dataset(snapshot)
-            self._published.clear()
-        unpublish_dataset(self.graph)
         if self._wal is not None:
             self._wal.close()

@@ -3,10 +3,6 @@
 The service stack exposes a handful of *seams* — named points where a chaos
 test can ask for a failure to happen:
 
-* :data:`WORKER_DISPATCH` — in :meth:`PersistentWorkerPool.run_tasks`, once
-  per task submitted to the pool (``kill_worker`` SIGKILLs a live worker);
-* :data:`SHM_ALLOC` — in :class:`~repro.service.shm.ShmRegistry` before a
-  shared-memory segment is created (``error`` raises ``OSError``);
 * :data:`SOCKET_RECV` / :data:`SOCKET_SEND` — in the server's per-connection
   loop, after a request line is read / before a response is written
   (``drop`` closes the connection abruptly);
@@ -21,7 +17,7 @@ test can ask for a failure to happen:
 A :class:`FaultPlan` is a list of :class:`FaultRule`\\ s.  Each rule names a
 seam, an action, and *which* invocations of that seam it fires on (1-based
 ``at``, for ``times`` consecutive matching invocations) — so plans read like
-"kill worker 2 on task 7" or "drop the socket after the 3rd response" and
+"fail the 2nd fsync" or "drop the socket after the 3rd response" and
 replay identically run after run.  Arming is process-global
 (:func:`arm` / :func:`disarm` / the :func:`armed` context manager); with no
 plan armed every seam is a single ``None`` check, cheap enough to leave in
@@ -39,8 +35,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 __all__ = [
-    "WORKER_DISPATCH",
-    "SHM_ALLOC",
     "SOCKET_RECV",
     "SOCKET_SEND",
     "WAL_FSYNC",
@@ -56,21 +50,16 @@ __all__ = [
     "inject",
 ]
 
-WORKER_DISPATCH = "worker.dispatch"
-SHM_ALLOC = "shm.alloc"
 SOCKET_RECV = "socket.recv"
 SOCKET_SEND = "socket.send"
 WAL_FSYNC = "wal.fsync"
 CHECKPOINT_FSYNC = "checkpoint.fsync"
 
-KNOWN_SITES = frozenset(
-    {WORKER_DISPATCH, SHM_ALLOC, SOCKET_RECV, SOCKET_SEND, WAL_FSYNC,
-     CHECKPOINT_FSYNC}
-)
+KNOWN_SITES = frozenset({SOCKET_RECV, SOCKET_SEND, WAL_FSYNC, CHECKPOINT_FSYNC})
 
-#: Actions a rule may request.  ``kill_worker`` is only meaningful at
-#: :data:`WORKER_DISPATCH`; ``drop`` at the socket seams; ``error`` anywhere.
-ACTIONS = frozenset({"kill_worker", "drop", "error"})
+#: Actions a rule may request.  ``drop`` is only meaningful at the socket
+#: seams; ``error`` anywhere.
+ACTIONS = frozenset({"drop", "error"})
 
 
 @dataclass(frozen=True)
@@ -82,9 +71,7 @@ class FaultRule:
     (so ``at=3, times=1`` reads "on the 3rd call").  ``match`` narrows which
     invocations count: every key must equal the context value the seam
     passes to :func:`inject` (e.g. ``match={"method": "stream"}`` on
-    :data:`SOCKET_SEND` counts only stream responses).  ``worker`` selects
-    the victim for ``kill_worker`` (index into the pool's live workers,
-    sorted by pid).
+    :data:`SOCKET_SEND` counts only stream responses).
     """
 
     site: str
@@ -93,7 +80,6 @@ class FaultRule:
     times: int = 1
     match: Mapping[str, Any] = field(default_factory=dict)
     message: str = "injected fault"
-    worker: int = 0
 
     def __post_init__(self) -> None:
         if self.site not in KNOWN_SITES:
@@ -154,8 +140,8 @@ class FaultPlan:
 
         Every rule whose ``match`` accepts the invocation advances its own
         counter; at most one rule fires (the first in declaration order
-        whose window contains its count), so "kill on task 3" and "kill on
-        task 7" coexist in one plan.
+        whose window contains its count), so "fail on call 3" and "fail on
+        call 7" coexist in one plan.
         """
         with self._lock:
             self._site_counts[site] = self._site_counts.get(site, 0) + 1

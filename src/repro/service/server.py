@@ -2,21 +2,20 @@
 
 :class:`CorrelationServer` owns one :class:`~repro.service.engine.ServiceEngine`
 and serves it over a loopback TCP socket speaking the newline-delimited JSON
-protocol of :mod:`repro.service.protocol`.  Process model:
+protocol of :mod:`repro.service.protocol`.  Thread model:
 
-* the **worker pool** (the process-wide persistent pool) is spawned once, in
-  :meth:`start`, *before* any request thread exists — forked workers must
-  never inherit a threaded parent;
 * one daemon **accept thread** hands each connection to a daemon
   **connection thread**; connections are cheap because all heavy state lives
-  in the engine and the pool;
+  in the engine;
+* with ``workers > 1`` a request's density pass fans out to short-lived
+  density threads for its duration
+  (:func:`~repro.service.pool.pooled_density_matrix`);
 * compute methods (``rank``/``topk``/``stream``) pass through the
   :class:`~repro.service.admission.AdmissionController` — bounded
   concurrency, bounded queue, 429/408 rejections — while ``ping``/``status``
   always answer, so health checks keep working under overload;
 * :meth:`close` stops the listener, drains connection threads, and releases
-  the engine's caches and shared-memory publications.  The global worker
-  pool deliberately survives, warm, for the next server or engine.
+  the engine's caches.
 """
 
 from __future__ import annotations
@@ -82,7 +81,7 @@ class CorrelationServer:
     config:
         Default :class:`~repro.core.config.TescConfig` for all requests.
     workers:
-        Worker processes in the persistent pool (``1`` = compute in the
+        Density threads per request (``1`` = compute entirely in the
         request thread).
     host / port:
         Bind address; port ``0`` (the default) picks a free port, exposed
@@ -229,16 +228,9 @@ class CorrelationServer:
         return self._metrics_server.address
 
     def start(self) -> "CorrelationServer":
-        """Bind, pre-spawn the worker pool, and begin accepting requests."""
+        """Bind and begin accepting requests."""
         if self._started:
             return self
-        if self.engine.workers > 1:
-            # Fork the workers while this process is still single-threaded —
-            # a fork after the accept/connection threads exist could inherit
-            # locks held mid-operation.
-            from repro.service.pool import global_pool
-
-            global_pool().ensure(self.engine.workers)
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self._host, self._requested_port))

@@ -10,9 +10,9 @@ property into an explicit MVCC contract:
   AttributedGraph` view of one epoch: the epoch's CSR (shared, immutable),
   a deep copy of the event layer (version preserved), and the pinned
   ``(structure_version, events_version)`` pair.  Everything downstream — the
-  samplers, the density pass, the estimate batchers, the shared-memory
-  dataset publication — works on a snapshot exactly as it would on a live
-  graph, because a snapshot *is* an attributed graph;
+  samplers, the density pass, the estimate batchers — works on a snapshot
+  exactly as it would on a live graph, because a snapshot *is* an
+  attributed graph;
 * :class:`SnapshotLease` — one reader's pin on an epoch.  While at least one
   lease is held, the epoch's snapshot (and therefore its retired CSR row
   arrays) stays retained; when the last lease drops and the epoch is no
@@ -52,8 +52,8 @@ class GraphSnapshot(AttributedGraph):
     structure_version / events version:
         The pinned version pair; :meth:`~repro.events.attributed_graph.
         AttributedGraph.versions` reports it, so version-keyed caches (the
-        shared-memory dataset publication, indicator caches) treat the
-        snapshot exactly like the live graph state it froze.
+        indicator caches) treat the snapshot exactly like the live graph
+        state it froze.
 
     Treat snapshots as read-only: they share the epoch's immutable CSR and
     own a private event-layer copy, but nothing enforces immutability at the

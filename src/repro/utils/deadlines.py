@@ -11,9 +11,10 @@ normal ``finally`` paths).
 
 The scope is a :class:`~contextvars.ContextVar`, so deadlines are
 per-thread (the server handles each connection in its own thread) and cost
-one context-variable read when no deadline is set.  Worker processes never
-see the deadline — cancellation is cooperative in the coordinating thread
-only.  :func:`checkpoint` is late-bound by callers (``deadlines.checkpoint()``)
+one context-variable read when no deadline is set.  Density threads run in
+a copy of the request's context
+(:func:`~repro.service.pool.pooled_density_matrix`), so the request's
+deadline cancels them too.  :func:`checkpoint` is late-bound by callers (``deadlines.checkpoint()``)
 so the CI fault-seam overhead guard can patch it out to measure its cost.
 """
 

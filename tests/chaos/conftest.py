@@ -12,7 +12,6 @@ import pytest
 from repro.core.config import TescConfig
 from repro.datasets.synthetic_dblp import make_dblp_like
 from repro.service import faults
-from repro.service.pool import shutdown_global_pool
 from repro.streaming.dynamic_graph import DynamicAttributedGraph
 
 
@@ -70,10 +69,3 @@ def running_server(graph, config, **kwargs):
         yield server
     finally:
         server.close()
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _shutdown_pool_after_session():
-    """Leave no worker processes behind once the test session finishes."""
-    yield
-    shutdown_global_pool()

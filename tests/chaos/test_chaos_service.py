@@ -1,9 +1,8 @@
 """End-to-end chaos: the self-healing service under injected faults.
 
 The acceptance bar for every scenario is *bit-identity*: whatever faults
-fire, a retrying client (or the degraded engine) must produce exactly the
-answer a fault-free serial run produces — degraded means slower, never
-different.
+fire, a retrying client must produce exactly the answer a fault-free
+serial run produces.
 """
 
 import threading
@@ -13,7 +12,6 @@ import pytest
 from repro.service import faults
 from repro.service.client import CorrelationClient
 from repro.service.engine import ServiceEngine
-from repro.service.pool import CircuitBreaker, global_pool
 from repro.service.protocol import UnavailableError
 from repro.streaming.delta import WriteAheadLog
 
@@ -46,109 +44,6 @@ def serial_reference(chaos_dataset):
     return {"rank": rank["pairs"], "topk": topk["pairs"]}
 
 
-def _primed_pool(workers=2):
-    """The global pool with live worker processes (kills need victims)."""
-    pool = global_pool()
-    pool.ensure(workers)
-    assert pool.probe().ok
-    return pool
-
-
-class TestWorkerKill:
-    def test_single_kill_is_transparent_and_bit_identical(
-        self, make_dynamic_graph, chaos_dataset, serial_reference
-    ):
-        _dataset, config = chaos_dataset
-        pool = _primed_pool()
-        recovered_before = pool.stats.crashes_recovered
-        engine = ServiceEngine(make_dynamic_graph(), config, workers=2)
-        try:
-            with faults.armed(
-                faults.FaultRule(
-                    faults.WORKER_DISPATCH, action="kill_worker", at=1,
-                    times=1, match={"task": "_density_columns_task"},
-                )
-            ) as plan:
-                result = engine.rank()
-            assert len(plan.fired_at(faults.WORKER_DISPATCH)) == 1
-            assert result["pairs"] == serial_reference["rank"]
-            # The kill was absorbed by the pool's transparent respawn: the
-            # breaker never saw a failure and nothing is degraded.
-            assert pool.stats.crashes_recovered > recovered_before
-            assert not engine.supervisor.degraded
-            assert engine.describe()["breaker"]["breaker_state"] == "closed"
-        finally:
-            engine.close()
-
-    def test_crash_loop_trips_breaker_into_serial_fallback(
-        self, make_dynamic_graph, chaos_dataset, serial_reference
-    ):
-        """Worker killed + respawn budget exhausted: the pool goes down for
-        good, the breaker opens, and the request completes serially with the
-        exact fault-free answer.  Resetting the budget heals the breaker
-        through its half-open trial."""
-        _dataset, config = chaos_dataset
-        pool = _primed_pool()
-        denied_before = pool.stats.respawns_denied
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_seconds=0.0)
-        engine = ServiceEngine(make_dynamic_graph(), config, workers=2,
-                               breaker=breaker)
-        try:
-            pool.set_respawn_budget(0)
-            with faults.armed(
-                faults.FaultRule(
-                    faults.WORKER_DISPATCH, action="kill_worker", at=1,
-                    times=1, match={"task": "_density_columns_task"},
-                )
-            ):
-                # The kill breaks the pool; the denied respawn surfaces as
-                # WorkerCrashedError; the engine records the failure and
-                # completes serially — same answer.
-                result = engine.rank()
-            assert result["pairs"] == serial_reference["rank"]
-            assert engine._m_pool_fallbacks.value >= 1
-            assert engine.supervisor.failures >= 1
-            assert pool.stats.respawns_denied > denied_before
-            described = engine.describe()
-            assert "WorkerCrashedError" in described["breaker"]["last_error"]
-            # Budget restored + cooldown 0: the next *uncached* pooled
-            # request is the half-open trial, it succeeds, and the shared
-            # breaker heals closed.  (The first engine memoised its serial
-            # answer, so heal through a fresh engine on the same breaker.)
-            pool.set_respawn_budget(None)
-            fresh = ServiceEngine(make_dynamic_graph(), config, workers=2,
-                                  breaker=breaker)
-            try:
-                healed = fresh.rank()
-            finally:
-                fresh.close()
-            assert healed["pairs"] == serial_reference["rank"]
-            assert engine.describe()["breaker"]["breaker_state"] == "closed"
-        finally:
-            pool.set_respawn_budget(None)
-            engine.close()
-
-    def test_open_breaker_counts_degraded_requests(
-        self, make_dynamic_graph, chaos_dataset, serial_reference
-    ):
-        _dataset, config = chaos_dataset
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_seconds=3600.0)
-        engine = ServiceEngine(make_dynamic_graph(), config, workers=2,
-                               breaker=breaker)
-        try:
-            breaker.record_failure()  # trip it by hand: pool is distrusted
-            assert engine.supervisor.degraded
-            result = engine.rank()
-            assert result["pairs"] == serial_reference["rank"]
-            assert engine._m_degraded_requests.value == 1
-            assert engine.describe()["degraded"] is True
-            topk = engine.topk(k=3)
-            assert topk["pairs"] == serial_reference["topk"]
-            assert engine._m_degraded_requests.value == 2
-        finally:
-            engine.close()
-
-
 class TestSocketChaos:
     def test_drop_after_third_response_retrying_client_completes(
         self, make_dynamic_graph, chaos_dataset, serial_reference
@@ -163,6 +58,25 @@ class TestSocketChaos:
                     answers = [client.rank()["pairs"] for _ in range(5)]
                 assert all(a == serial_reference["rank"] for a in answers)
                 assert client.retry_stats.reconnects >= 1
+
+    def test_density_threads_reproduce_serial_answers_through_drops(
+        self, make_dynamic_graph, chaos_dataset, serial_reference
+    ):
+        """A ``workers=2`` server behind a flaky socket: every retried rank
+        and top-k equals the fault-free serial answer."""
+        _dataset, config = chaos_dataset
+        with running_server(make_dynamic_graph(), config, workers=2) as server:
+            with CorrelationClient(*server.address, max_retries=3,
+                                   backoff_base=0.01, retry_seed=7) as client:
+                with faults.armed(
+                    faults.FaultRule(faults.SOCKET_SEND, action="drop", at=1,
+                                     times=2)
+                ):
+                    rank = client.rank()["pairs"]
+                    topk = client.topk(3)["pairs"]
+                assert client.retry_stats.reconnects >= 1
+        assert rank == serial_reference["rank"]
+        assert topk == serial_reference["topk"]
 
     def test_recv_drop_kills_request_before_processing(
         self, make_dynamic_graph, chaos_dataset

@@ -30,11 +30,13 @@ class TestFaultRule:
 
 class TestFaultPlan:
     def test_fires_inside_window_only(self):
-        plan = FaultPlan(FaultRule(faults.SHM_ALLOC, at=2, times=2))
-        fired = [plan.fire(faults.SHM_ALLOC, {}) is not None for _ in range(5)]
+        plan = FaultPlan(FaultRule(faults.CHECKPOINT_FSYNC, at=2, times=2))
+        fired = [
+            plan.fire(faults.CHECKPOINT_FSYNC, {}) is not None for _ in range(5)
+        ]
         assert fired == [False, True, True, False, False]
-        assert plan.invocations(faults.SHM_ALLOC) == 5
-        events = plan.fired_at(faults.SHM_ALLOC)
+        assert plan.invocations(faults.CHECKPOINT_FSYNC) == 5
+        events = plan.fired_at(faults.CHECKPOINT_FSYNC)
         assert [event.invocation for event in events] == [2, 3]
 
     def test_match_filtered_invocations_do_not_count(self):
@@ -49,25 +51,25 @@ class TestFaultPlan:
         assert rule is not None and rule.action == "drop"
 
     def test_rules_keep_independent_counters(self):
-        """"Kill on call 2" and "kill on call 4" coexist in one plan."""
+        """"Drop on call 2" and "drop on call 4" coexist in one plan."""
         plan = FaultPlan(
-            FaultRule(faults.WORKER_DISPATCH, action="kill_worker", at=2),
-            FaultRule(faults.WORKER_DISPATCH, action="kill_worker", at=4),
+            FaultRule(faults.SOCKET_SEND, action="drop", at=2),
+            FaultRule(faults.SOCKET_SEND, action="drop", at=4),
         )
         fired = [
-            plan.fire(faults.WORKER_DISPATCH, {}) is not None for _ in range(5)
+            plan.fire(faults.SOCKET_SEND, {}) is not None for _ in range(5)
         ]
         assert fired == [False, True, False, True, False]
 
     def test_first_matching_rule_wins(self):
         plan = FaultPlan(
-            FaultRule(faults.SHM_ALLOC, message="first"),
-            FaultRule(faults.SHM_ALLOC, message="second"),
+            FaultRule(faults.WAL_FSYNC, message="first"),
+            FaultRule(faults.WAL_FSYNC, message="second"),
         )
-        rule = plan.fire(faults.SHM_ALLOC, {})
+        rule = plan.fire(faults.WAL_FSYNC, {})
         assert rule is not None and rule.message == "first"
         # The loser's counter advanced too: it never fires later.
-        assert plan.fire(faults.SHM_ALLOC, {}) is None
+        assert plan.fire(faults.WAL_FSYNC, {}) is None
 
     def test_reset_replays_identically(self):
         plan = FaultPlan(FaultRule(faults.WAL_FSYNC, at=3))

@@ -10,7 +10,6 @@ import pytest
 from repro.events.attributed_graph import AttributedGraph
 from repro.graph.adjacency import Graph
 from repro.graph.generators import erdos_renyi_graph
-from repro.service.pool import shutdown_global_pool
 from repro.stats import fast_kendall
 
 
@@ -73,17 +72,14 @@ def force_kernel(monkeypatch):
     input, ``force_kernel("fast")`` below every input, and
     ``force_kernel("auto")`` restores the library threshold.  The library
     offers no such switch (the kernels return the same ``S``); tests use
-    this one to check exactly that.  The process-wide worker pool is shut
-    down around each change so pool workers fork with the same threshold.
+    this one to check exactly that.  Density threads share the process, so
+    the threshold holds for every worker count.
     """
     thresholds = {
         "naive": sys.maxsize, "fast": 2, "auto": fast_kendall.DEFAULT_CROSSOVER,
     }
 
     def force(path: str) -> None:
-        shutdown_global_pool()
         monkeypatch.setattr(fast_kendall, "DEFAULT_CROSSOVER", thresholds[path])
 
-    yield force
-    monkeypatch.undo()
-    shutdown_global_pool()
+    return force

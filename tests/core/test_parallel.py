@@ -1,8 +1,7 @@
-"""Tests for repro.core.parallel — the sharded multi-process ranking engine."""
+"""Tests for repro.core.parallel — ranking with a thread-sharded density pass."""
 
 import time
 
-import numpy as np
 import pytest
 
 from repro.core.batch import BatchTescEngine, rank_pairs
@@ -11,10 +10,8 @@ from repro.core.parallel import (
     ParallelBatchTescEngine,
     rank_pairs_parallel,
     resolve_workers,
-    shard_pairs,
-    shard_seeds,
 )
-from repro.service.pool import global_pool
+from repro.service import pool
 from repro.datasets.synthetic_dblp import make_dblp_like
 from repro.events.attributed_graph import AttributedGraph
 from repro.exceptions import (
@@ -58,7 +55,7 @@ def assert_rankings_identical(serial, parallel):
 
 
 class TestWorkerSweep:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_exhaustive_mode_identical_to_serial(self, dblp_workload, workers):
         """Worker-count sweep: verdicts *and* scores agree bit-for-bit with the
         serial engine when the shared sample is the whole population."""
@@ -70,10 +67,10 @@ class TestWorkerSweep:
             assert engine.stats.num_pairs == len(pairs)
         assert_rankings_identical(serial, ranking)
 
-    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_sampled_mode_identical_to_serial(self, dblp_workload, workers):
-        """The shared sample is drawn once in the parent, so even sampled mode
-        reproduces the serial engine exactly."""
+        """The shared sample is drawn once, in the calling thread, so even
+        sampled mode reproduces the serial engine exactly."""
         attributed, pairs = dblp_workload
         config = TescConfig(vicinity_level=1, sample_size=150, random_state=17)
         serial = BatchTescEngine(attributed, config).rank_pairs(pairs)
@@ -89,20 +86,23 @@ class TestWorkerSweep:
         assert ranking.stats.workers == 2
         assert ranking.stats.shards == 2
         assert ranking.stats.samples_drawn == 1
-        # One column-sharded pass over the shared sample — the workers
+        # One column-sharded pass over the shared sample — the threads
         # split its columns, they do not repeat each other's traversal.
         assert ranking.stats.density_passes == 1
 
 
 class TestParallelBehaviour:
-    def test_workers_one_degrades_to_serial_in_process(self, dblp_workload):
+    def test_workers_one_degrades_to_serial_in_process(self, dblp_workload,
+                                                       monkeypatch):
         attributed, pairs = dblp_workload
         config = TescConfig(vicinity_level=1, sample_size=150, random_state=5)
         engine = ParallelBatchTescEngine(attributed, config, workers=1)
-        batches_before = global_pool().stats.batches_dispatched
+
+        def no_threads(*_args, **_kwargs):
+            raise AssertionError("workers=1 must not start density threads")
+
+        monkeypatch.setattr(pool, "pooled_density_matrix", no_threads)
         ranking = engine.rank_pairs(pairs)
-        # The shared pool was never touched: everything ran in-process.
-        assert global_pool().stats.batches_dispatched == batches_before
         serial = BatchTescEngine(attributed, config).rank_pairs(pairs)
         assert_rankings_identical(serial, ranking)
 
@@ -129,20 +129,6 @@ class TestParallelBehaviour:
         with ParallelBatchTescEngine(attributed, config, workers=2) as pooled:
             assert_rankings_identical(serial, pooled.rank_pairs(iter(pairs)))
 
-    def test_pool_grows_but_never_shrinks(self, dblp_workload):
-        """Smaller calls reuse the existing (larger) pool instead of
-        re-forking and losing warm worker caches."""
-        attributed, pairs = dblp_workload
-        config = TescConfig(vicinity_level=1, sample_size=150, random_state=5)
-        pool = global_pool()
-        with ParallelBatchTescEngine(attributed, config, workers=3) as engine:
-            engine.rank_pairs(pairs)
-            assert pool.workers >= 3
-            spawned = pool.stats.pools_spawned
-            engine.rank_pairs(pairs[:2])  # 2 shards only
-            assert pool.workers >= 3  # did not shrink for the smaller call
-            assert pool.stats.pools_spawned == spawned  # and did not re-fork
-
     def test_convenience_wrappers(self, dblp_workload):
         attributed, pairs = dblp_workload
         serial = rank_pairs(
@@ -158,22 +144,6 @@ class TestParallelBehaviour:
         )
         assert_rankings_identical(serial, via_workers_kwarg)
         assert_rankings_identical(serial, via_parallel)
-
-    def test_pool_reused_across_calls_and_engines(self, dblp_workload):
-        """The persistent pool outlives engines: no re-fork per call, and no
-        re-fork for a brand-new engine either — the BENCH_pr5 fix."""
-        attributed, pairs = dblp_workload
-        config = TescConfig(vicinity_level=1, sample_size=150, random_state=5)
-        pool = global_pool()
-        with ParallelBatchTescEngine(attributed, config, workers=2) as engine:
-            engine.rank_pairs(pairs)
-            spawned = pool.stats.pools_spawned
-            engine.rank_pairs(pairs, sort_by="p_value")
-            assert pool.stats.pools_spawned == spawned
-        with ParallelBatchTescEngine(attributed, config, workers=2) as fresh:
-            fresh.rank_pairs(pairs)
-            assert pool.stats.pools_spawned == spawned
-        assert pool.running  # engine close leaves the shared pool warm
 
     def test_estimate_pairs_on_nodes_matches_serial_restriction(self):
         graph = Graph(8)
@@ -197,12 +167,11 @@ class TestParallelBehaviour:
 
 class TestWarmPoolPerformance:
     def test_warm_workers_never_much_slower_than_serial(self):
-        """Regression guard for the fork-per-call-pool mistake: on the
-        BENCH 50-pair workload, a *warm* workers=2 ranking must never fall
-        behind serial by more than 1.5x (it historically lost 3-4x because
-        every call re-forked the pool and re-ran the whole density pass in
-        each shard).  Best-of-N on both sides to shrug off scheduler noise
-        on small CI boxes."""
+        """Regression guard for parallel overhead: on the BENCH 50-pair
+        workload, a warm workers=2 ranking must never fall behind serial by
+        more than 1.5x (the retired fork-per-call pool lost 3-4x).
+        Best-of-N on both sides to shrug off scheduler noise on small CI
+        boxes."""
         dataset = make_dblp_like(
             num_communities=28, community_size=60,
             num_positive_pairs=13, num_negative_pairs=12,
@@ -230,8 +199,8 @@ class TestWarmPoolPerformance:
                 best = min(best, time.perf_counter() - start)
             return best, result
 
-        # Warm both sides before timing: parent BFS caches, pool workers,
-        # shared-memory dataset publication.
+        # Warm both sides before timing: the graph's indicator and vicinity
+        # caches.
         serial_ranking = BatchTescEngine(attributed, config).rank_pairs(pairs)
         with ParallelBatchTescEngine(attributed, config, workers=2) as engine:
             engine.rank_pairs(pairs)
@@ -239,8 +208,8 @@ class TestWarmPoolPerformance:
         t_serial, _ = best_of(
             3, lambda: BatchTescEngine(attributed, config).rank_pairs(pairs)
         )
-        # Fresh engines per round: the warm state lives in the process-wide
-        # pool and on the graph object, exactly as a service would use it.
+        # Fresh engines per round: the warm state lives on the graph object,
+        # exactly as a service would use it.
         t_warm, parallel_ranking = best_of(
             3,
             lambda: ParallelBatchTescEngine(
@@ -277,6 +246,7 @@ class TestErrorPropagation:
                 engine.rank_pairs(pairs)
 
     def test_insufficient_raise_propagates_from_worker(self):
+        """Insufficient pairs surface the same way at workers=2."""
         graph = Graph(5)
         graph.add_edges([(0, 1), (1, 2)])
         attributed = AttributedGraph(
@@ -300,34 +270,3 @@ class TestShardingHelpers:
         assert resolve_workers(3) == 3
         assert resolve_workers(0) >= 1
         assert resolve_workers(-1) >= 1
-
-    def test_shard_pairs_round_robin(self):
-        pairs = [(f"a{i}", f"b{i}") for i in range(7)]
-        shards = shard_pairs(pairs, 3)
-        assert [len(shard) for shard in shards] == [3, 2, 2]
-        flattened = [pair for shard in shards for pair in shard]
-        assert sorted(flattened) == sorted(pairs)
-        # Never more shards than pairs.
-        assert len(shard_pairs(pairs[:2], 8)) == 2
-
-    def test_shard_seeds_deterministic(self):
-        first = shard_seeds(42, 4)
-        second = shard_seeds(42, 4)
-        assert first == second
-        assert len(set(first)) == 4
-        assert shard_seeds(None, 3) == [None, None, None]
-        assert shard_seeds(np.random.default_rng(1), 2) == [None, None]
-        assert shard_seeds(42, 0) == []
-
-    def test_shard_seeds_do_not_mutate_seed_sequence_root(self):
-        """Repeated calls with the same SeedSequence root must return the
-        same seeds (spawn() is stateful; shard_seeds snapshots the root)."""
-        root = np.random.SeedSequence(7)
-        first = shard_seeds(root, 3)
-        second = shard_seeds(root, 3)
-        assert first == second == shard_seeds(7, 3)
-        assert root.n_children_spawned == 0
-
-    def test_shard_seed_prefix_stable(self):
-        """Shard i's seed does not depend on how many shards there are."""
-        assert shard_seeds(7, 2) == shard_seeds(7, 4)[:2]

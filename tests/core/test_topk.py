@@ -172,7 +172,7 @@ class TestIdentityProperty:
             )
 
     @pytest.mark.parametrize("sampler", ["batch_bfs", "whole_graph", "exhaustive"])
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_workers_change_nothing(self, sampler, workers):
         config = _config(sampler)
         full = BatchTescEngine(DATASET.attributed, config).rank_pairs("all")

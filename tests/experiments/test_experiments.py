@@ -29,7 +29,13 @@ from repro.experiments import (
     run_table5,
 )
 from repro.experiments.base import ExperimentResult
-from repro.experiments.runner import available_experiments, render_report, run_experiment
+from repro.experiments.runner import (
+    available_experiments,
+    experiment_config_fields,
+    render_report,
+    run_all,
+    run_experiment,
+)
 from repro.exceptions import ExperimentError
 
 
@@ -49,6 +55,17 @@ class TestRunner:
     def test_config_object_and_overrides_are_exclusive(self):
         with pytest.raises(ExperimentError):
             run_experiment("table1", Table1Config(), sample_size=10)
+
+    def test_run_all_rejects_an_override_an_experiment_lacks(self):
+        assert "num_subnets" in experiment_config_fields("table3")
+        assert "num_subnets" not in experiment_config_fields("figure5")
+
+        def never_run(experiment_id):
+            raise AssertionError(f"{experiment_id} ran despite a bad override")
+
+        with pytest.raises(ExperimentError, match=r"'num_subnets'.*'figure5'"):
+            run_all(["table3", "figure5"], progress=never_run,
+                    config_overrides={"num_subnets": 40})
 
     def test_render_report_markdown(self):
         result = run_table3(Table3Config(num_subnets=40, subnet_size=15, sample_size=100))

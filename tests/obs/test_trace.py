@@ -1,17 +1,16 @@
-"""Unit tests for span trees, fork propagation, the trace buffer and slowlog."""
+"""Unit tests for span trees, thread propagation, the trace buffer and slowlog."""
 
+import contextvars
 import json
 import logging
+import threading
 
 import pytest
 
 from repro.obs import (
     SlowRequestLog,
     TraceBuffer,
-    attach_remote,
     current_span,
-    propagation,
-    remote_record,
     stage,
     trace,
 )
@@ -78,34 +77,38 @@ class TestTraceNesting:
         assert 0.0 <= root.child_seconds() <= root.duration
 
 
-class TestForkPropagation:
-    def test_propagation_none_outside_trace(self):
-        assert propagation() is None
-        assert remote_record("w", 0.1, None) is None
-
-    def test_remote_record_grafts_onto_current_span(self):
+class TestThreadPropagation:
+    def test_copied_context_attaches_thread_spans_to_the_open_span(self):
         with trace("request") as root:
-            context = propagation()
-            assert context == {
-                "trace_id": root.trace_id,
-                "span_id": root.span_id,
-            }
-            # What a worker process would send back over the pool boundary.
-            record = remote_record(
-                "worker:density_shard", 0.125, context, columns=32
-            )
-            grafted = attach_remote(record)
-        assert grafted in root.children
-        assert grafted.remote is True
-        assert grafted.duration == 0.125
-        assert grafted.tags["columns"] == 32
-        assert "pid" in grafted.tags
-        assert grafted.trace_id == root.trace_id
+            with stage("density") as density:
+                threads = [
+                    threading.Thread(
+                        target=contextvars.copy_context().run,
+                        args=(self._shard, index),
+                    )
+                    for index in range(2)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+        assert sorted(span.tags["index"] for span in density.children) == [0, 1]
+        for span in density.children:
+            assert span.name == "density_shard"
+            assert span.trace_id == root.trace_id
+            assert span.parent_id == density.span_id
 
-    def test_attach_remote_is_noop_outside_trace_or_for_none(self):
-        assert attach_remote(None) is None
-        record = {"name": "w", "seconds": 0.1}
-        assert attach_remote(record) is None  # no current span
+    def test_thread_without_copied_context_records_nothing(self):
+        with trace("request") as root:
+            thread = threading.Thread(target=self._shard, args=(0,))
+            thread.start()
+            thread.join()
+        assert root.children == []
+
+    @staticmethod
+    def _shard(index):
+        with stage("density_shard", index=index):
+            pass
 
 
 class TestTraceBuffer:

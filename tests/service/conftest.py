@@ -7,12 +7,14 @@ import pytest
 
 from repro.core.config import TescConfig
 from repro.datasets.synthetic_dblp import make_dblp_like
-from repro.service.pool import shutdown_global_pool
 from repro.streaming.dynamic_graph import DynamicAttributedGraph
 
 
 def shm_segments():
-    """Names of the service's live shared-memory segments (``/dev/shm``)."""
+    """Names of live ``tesc_`` shared-memory segments (``/dev/shm``).
+
+    The service creates none, so any segment that appears is a leak.
+    """
     return sorted(os.path.basename(path) for path in glob.glob("/dev/shm/tesc_*"))
 
 
@@ -40,10 +42,3 @@ def dynamic_graph(service_dataset):
         attributed.csr,
         {name: attributed.event_nodes(name) for name in attributed.event_names()},
     )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _shutdown_pool_after_session():
-    """Leave no worker processes behind once the test session finishes."""
-    yield
-    shutdown_global_pool()

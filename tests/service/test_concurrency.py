@@ -3,8 +3,8 @@
 Satellite 1 of the service PR.  Two obligations:
 
 * N threads hammering ``rank``/``topk`` interleaved over one server get
-  answers bit-identical to the serial in-process engine — caching and the
-  shared worker pool must never leak state between requests;
+  answers bit-identical to the serial in-process engine — caching must
+  never leak state between requests;
 * when the admission queue fills, excess requests get a clean 429/408
   error response — never a hang, never a corrupted connection.
 """

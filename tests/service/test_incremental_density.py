@@ -82,11 +82,11 @@ def dataset():
     )
 
 
-def _session(dataset, **config):
+def _session(dataset, workers=1, **config):
     config.setdefault("random_state", 3)
     return open_session(
         dataset.graph.copy(), TescConfig(**config),
-        events=dataset.attributed.events.copy(),
+        events=dataset.attributed.events.copy(), workers=workers,
     )
 
 
@@ -161,6 +161,26 @@ class TestCarryForward:
                 # Same event tuple at the view's epoch: a matrix-cache hit.
                 pairs = [(a, b), (a, c), (b, c)]
                 _assert_matches_reference(session, view.rank(pairs), pairs)
+
+
+class TestCarryAcrossWorkerCounts:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_carried_and_counted_columns_match_reference(self, dataset, workers):
+        """After mixed commits a read carries the clean columns and counts
+        the dirty ones on ``workers`` density threads; every answer equals
+        the reference ranking at its epoch, whatever the worker count."""
+        pairs = dataset.positive_pairs + dataset.negative_pairs
+        events = sorted({event for pair in pairs for event in pair})
+        rng = np.random.default_rng(8)
+        with _session(dataset, workers=workers, sample_size=150) as session:
+            session.rank(pairs)
+            columns = _Columns(session)
+            for _ in range(3):
+                session.commit(_random_batch(rng, session.graph, events))
+                response = session.rank(pairs)
+                _assert_matches_reference(session, response, pairs)
+            computed, carried = columns.delta()
+            assert computed > 0 and carried > 0
 
 
 class TestColumnCounters:

@@ -5,7 +5,8 @@ its two density rows over its own population)`` and reuses the stored
 estimate when an earlier request fed exactly the same inputs.  The cases
 here pin which pairs are re-estimated after event-only commits and distant
 rewires, that a decision-config override never borrows another config's
-answer, that only the non-reused pairs reach the worker pool, and — under
+answer, that density threads change nothing about which pairs are
+re-estimated, and — under
 random commit/rank/``at_epoch`` interleavings — that every answer stays
 field-by-field equal to the from-scratch ``reference_ranking`` at its epoch.
 """
@@ -64,17 +65,16 @@ class _Estimates:
         return estimated, reused
 
 
-def _record_calls(monkeypatch, name):
-    """Wrap the engine's module-level ``name`` to record each call's pairs."""
-    original = getattr(engine_module, name)
+def _record_calls(monkeypatch):
+    """Wrap the engine's ``estimate_pair_list`` to record each call's pairs."""
+    original = engine_module.estimate_pair_list
     calls = []
 
-    def recording(*args, **kwargs):
-        pairs = args[0] if name == "estimate_pair_list" else args[3]
+    def recording(pairs, *args, **kwargs):
         calls.append(list(pairs))
-        return original(*args, **kwargs)
+        return original(pairs, *args, **kwargs)
 
-    monkeypatch.setattr(engine_module, name, recording)
+    monkeypatch.setattr(engine_module, "estimate_pair_list", recording)
     return calls
 
 
@@ -108,7 +108,7 @@ class TestWhichPairsAreReEstimated:
         with _session(dataset, sampler="exhaustive") as session:
             pairs, toggled, carrier = _pairs_and_toggle(dataset, session)
             session.rank(pairs)
-            calls = _record_calls(monkeypatch, "estimate_pair_list")
+            calls = _record_calls(monkeypatch)
             estimates = _Estimates(session)
             session.commit([Delta.event_attach(toggled, carrier)])
             response = session.rank(pairs)
@@ -171,11 +171,13 @@ class TestWhichPairsAreReEstimated:
                 _assert_matches_reference(session, response, [pair], **config)
 
 
-class TestPooledReuse:
-    def test_only_non_reused_pairs_reach_the_pool(self, dataset, monkeypatch):
+class TestThreadedReuse:
+    def test_only_non_reused_pairs_are_estimated_at_two_workers(
+        self, dataset, monkeypatch
+    ):
         with _session(dataset, workers=2, sampler="exhaustive") as session:
             pairs, toggled, carrier = _pairs_and_toggle(dataset, session)
-            calls = _record_calls(monkeypatch, "estimate_matrix_pairs_sharded")
+            calls = _record_calls(monkeypatch)
             session.rank(pairs)
             session.commit([Delta.event_attach(toggled, carrier)])
             response = session.rank(pairs)

@@ -1,291 +1,138 @@
-"""Persistent pool: dispatch, crash recovery, supervision, pooled density."""
+"""The thread-sharded density pass: exactness, cleanup, deadlines, spans."""
 
-import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.core.batch import event_universe, make_config_sampler
 from repro.core.density import DensityComputer
-from repro.service import faults
-from repro.service.pool import (
-    CircuitBreaker,
-    PersistentWorkerPool,
-    PoolSupervisor,
-    WorkerCrashedError,
-    pooled_density_matrix,
-)
-
-from tests.service.conftest import shm_segments
+from repro.exceptions import DeadlineExceededError
+from repro.graph.traversal import BFSEngine
+from repro.service.engine import ServiceEngine
+from repro.service.pool import pooled_density_matrix
+from repro.utils import deadlines
 
 
-def _double(value):
-    return value * 2
-
-
-def _crash_unless_marked(flag_path, value):
-    """Die hard on the first run; succeed once the flag file exists.
-
-    Models a worker killed mid-task (OOM, SIGKILL): ``os._exit`` skips all
-    cleanup, so the executor sees a vanished process and breaks.
-    """
-    if not os.path.exists(flag_path):
-        with open(flag_path, "w"):
-            pass
-        os._exit(1)
-    return value
-
-
-def _always_crash():
-    os._exit(1)
-
-
-@pytest.fixture()
-def pool():
-    instance = PersistentWorkerPool()
-    yield instance
-    instance.shutdown()
-
-
-class TestRunTasks:
-    def test_results_preserve_submission_order(self, pool):
-        results = pool.run_tasks(_double, [(i,) for i in range(7)], workers=2)
-        assert results == [0, 2, 4, 6, 8, 10, 12]
-        assert pool.stats.batches_dispatched == 1
-        assert pool.stats.tasks_dispatched == 7
-
-    def test_empty_batch_never_spawns(self, pool):
-        assert pool.run_tasks(_double, [], workers=4) == []
-        assert not pool.running
-        assert pool.stats.pools_spawned == 0
-
-    def test_grow_only(self, pool):
-        pool.ensure(2)
-        assert pool.workers == 2
-        spawned = pool.stats.pools_spawned
-        pool.ensure(1)  # never shrinks
-        assert pool.workers == 2
-        assert pool.stats.pools_spawned == spawned
-        pool.ensure(3)  # growing re-forks
-        assert pool.workers == 3
-        assert pool.stats.pools_spawned == spawned + 1
-
-    def test_shutdown_then_reuse(self, pool):
-        pool.run_tasks(_double, [(1,)], workers=1)
-        pool.shutdown()
-        assert not pool.running and pool.workers == 0
-        assert pool.run_tasks(_double, [(2,)], workers=1) == [4]
-
-
-class TestCrashRecovery:
-    def test_killed_worker_respawned_without_wedging(self, pool, tmp_path):
-        """One worker death mid-batch: the pool rebuilds itself and the
-        in-flight batch is resubmitted and completes — no hang, no error."""
-        flag = str(tmp_path / "crashed-once")
-        results = pool.run_tasks(
-            _crash_unless_marked, [(flag, 11), (flag, 22)], workers=2
-        )
-        assert results == [11, 22]
-        assert pool.stats.crashes_recovered == 1
-        assert pool.running
-
-    def test_repeated_crashes_surface_cleanly(self, pool):
-        with pytest.raises(WorkerCrashedError):
-            pool.run_tasks(_always_crash, [(), ()], workers=2)
-        # The failure left a fresh pool behind, not a wedged one.
-        assert pool.running
-        assert pool.run_tasks(_double, [(3,)], workers=1) == [6]
-
-    def test_crash_leaves_no_shared_memory(self, pool):
-        before = shm_segments()
-        with pytest.raises(WorkerCrashedError):
-            pool.run_tasks(_always_crash, [()], workers=1)
-        assert shm_segments() == before
-
-    def test_second_crash_path_exact(self, pool):
-        """The double-break path end to end: a batch that breaks the pool
-        twice raises WorkerCrashedError after exactly two transparent
-        respawns, leaves no shared memory behind, and the replacement pool
-        answers the very next batch."""
-        before_shm = shm_segments()
-        assert pool.stats.crashes_recovered == 0
-        with pytest.raises(WorkerCrashedError):
-            pool.run_tasks(_always_crash, [(), ()], workers=2)
-        # Attempt 1 broke and respawned, attempt 2 broke and respawned:
-        # both recoveries are counted, nothing more.
-        assert pool.stats.crashes_recovered == 2
-        assert pool.stats.respawns_denied == 0
-        assert shm_segments() == before_shm
-        assert pool.running
-        assert pool.run_tasks(_double, [(21,)], workers=1) == [42]
-        assert pool.stats.crashes_recovered == 2  # clean batch adds none
-
-
-class TestRespawnBudget:
-    def test_budget_exhaustion_downs_the_pool(self):
-        pool = PersistentWorkerPool(respawn_budget=1)
-        try:
-            with pytest.raises(WorkerCrashedError):
-                pool.run_tasks(_always_crash, [()], workers=1)
-            # One respawn was allowed, the second was denied.
-            assert pool.stats.crashes_recovered == 1
-            assert pool.stats.respawns_denied == 1
-            assert pool.respawns_left == 0
-            assert not pool.running
-            # While exhausted, callers fail fast instead of forking.
-            with pytest.raises(WorkerCrashedError, match="budget exhausted"):
-                pool.run_tasks(_double, [(1,)], workers=1)
-            # Resetting the budget brings the pool back.
-            pool.set_respawn_budget(None)
-            assert pool.run_tasks(_double, [(2,)], workers=1) == [4]
-        finally:
-            pool.shutdown()
-
-    def test_probe_reports_health_without_raising(self, pool):
-        health = pool.probe()
-        assert health.ok and len(health.pids) >= 1
-        downed = PersistentWorkerPool(respawn_budget=0)
-        try:
-            with pytest.raises(WorkerCrashedError):
-                downed.run_tasks(_always_crash, [()], workers=1)
-            health = downed.probe()
-            assert not health.ok
-            assert "budget" in health.error
-        finally:
-            downed.shutdown()
-
-
-class TestDispatchFaultSeam:
-    def test_kill_worker_rule_recovers_transparently(self, pool):
-        """A deterministic worker kill at dispatch is absorbed: the batch is
-        resubmitted on a fresh pool and completes with correct results."""
-        pool.ensure(2)
-        assert pool.probe().ok  # force worker processes to actually exist
-        with faults.armed(
-            faults.FaultRule(
-                faults.WORKER_DISPATCH, action="kill_worker", at=1, times=1,
-                match={"task": "_double"},
-            )
-        ) as plan:
-            results = pool.run_tasks(_double, [(i,) for i in range(4)], workers=2)
-        assert results == [0, 2, 4, 6]
-        assert len(plan.fired_at(faults.WORKER_DISPATCH)) == 1
-        assert pool.stats.crashes_recovered >= 1
-
-    def test_disarmed_seam_is_inert(self, pool):
-        assert faults.active() is None
-        assert pool.run_tasks(_double, [(5,)], workers=1) == [10]
-
-
-class TestCircuitBreaker:
-    def test_state_machine(self):
-        now = [0.0]
-        breaker = CircuitBreaker(failure_threshold=2, cooldown_seconds=5.0,
-                                 clock=lambda: now[0])
-        assert breaker.state == CircuitBreaker.CLOSED
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.CLOSED  # below threshold
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        assert not breaker.allow()
-        now[0] = 4.9
-        assert not breaker.allow()
-        now[0] = 5.1
-        assert breaker.allow()  # the single half-open trial
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-        assert not breaker.allow()  # only one trial in flight
-        breaker.record_failure()  # trial failed: re-open
-        assert breaker.state == CircuitBreaker.OPEN
-        now[0] = 11.0
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == CircuitBreaker.CLOSED
-        assert breaker.allow()
-
-    def test_success_resets_failure_streak(self):
-        breaker = CircuitBreaker(failure_threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    def test_transitions_counted(self):
-        now = [0.0]
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_seconds=1.0,
-                                 clock=lambda: now[0])
-        breaker.record_failure()          # closed -> open
-        now[0] = 2.0
-        breaker.allow()                   # open -> half_open
-        breaker.record_success()          # half_open -> closed
-        assert breaker.transitions == 3
-
-
-class TestPoolSupervisor:
-    def test_degraded_follows_breaker(self, pool):
-        supervisor = PoolSupervisor(pool, CircuitBreaker(failure_threshold=1))
-        assert supervisor.allow() and not supervisor.degraded
-        supervisor.record_failure(WorkerCrashedError("boom"))
-        assert supervisor.degraded and not supervisor.allow()
-        described = supervisor.describe()
-        assert described["breaker_state"] == CircuitBreaker.OPEN
-        assert described["pool_failures"] == 1
-        assert "WorkerCrashedError" in described["last_error"]
-
-    def test_probe_does_not_touch_breaker(self, pool):
-        supervisor = PoolSupervisor(pool, CircuitBreaker(failure_threshold=1))
-        assert supervisor.probe().ok
-        assert supervisor.breaker.state == CircuitBreaker.CLOSED
+def _sample(dataset, config, num_events, sample_size):
+    attributed = dataset.attributed
+    events = sorted(attributed.event_names())[:num_events]
+    universe = event_universe(attributed, events)
+    sample = make_config_sampler(attributed, config).sample(
+        universe, config.vicinity_level, sample_size
+    )
+    return attributed, attributed.indicator_matrix(events), sample.nodes
 
 
 class TestPooledDensity:
-    def test_matches_serial_density_pass_exactly(self, pool, service_dataset):
+    def test_matches_serial_density_pass_exactly(self, service_dataset):
         """Column-sharded counts/sizes/densities are bit-identical to the
         one-shot serial pass, for any shard count."""
         dataset, config = service_dataset
-        attributed = dataset.attributed
-        events = sorted(attributed.event_names())[:12]
-        universe = event_universe(attributed, events)
-        sample = make_config_sampler(attributed, config).sample(
-            universe, config.vicinity_level, config.sample_size
+        attributed, indicators, nodes = _sample(
+            dataset, config, 12, config.sample_size
         )
-        indicators = attributed.indicator_matrix(events)
-        serial = DensityComputer(attributed.csr).density_matrix(
-            sample.nodes, indicators, config.vicinity_level
+        engine = BFSEngine(attributed.csr)
+        serial = DensityComputer(attributed.csr, engine).density_matrix(
+            nodes, indicators, config.vicinity_level
         )
         for workers in (1, 2, 3):
             matrix, bfs_calls = pooled_density_matrix(
-                pool, attributed, sample.nodes, events,
-                config.vicinity_level, workers,
+                attributed.csr, indicators, nodes, config.vicinity_level,
+                workers,
             )
+            np.testing.assert_array_equal(matrix.reference_nodes, nodes)
             np.testing.assert_array_equal(matrix.counts, serial.counts)
             np.testing.assert_array_equal(
                 matrix.vicinity_sizes, serial.vicinity_sizes
             )
             np.testing.assert_array_equal(matrix.densities, serial.densities)
-            assert bfs_calls > 0
+            assert bfs_calls == engine.bfs_calls
 
-    def test_transient_blocks_released(self, pool, service_dataset):
-        """Per-call blocks (sample, counts, sizes) are unlinked after each
-        pass; only the memoised dataset publication stays live."""
-        from repro.service.shm import unpublish_dataset
-
+    def test_density_threads_do_not_outlive_the_pass(self, service_dataset):
+        """The shard threads exist only for the duration of one pass."""
         dataset, config = service_dataset
-        attributed = dataset.attributed
-        events = sorted(attributed.event_names())[:6]
-        universe = event_universe(attributed, events)
-        sample = make_config_sampler(attributed, config).sample(
-            universe, config.vicinity_level, 50
-        )
-        before = shm_segments()
+        attributed, indicators, nodes = _sample(dataset, config, 6, 50)
+        before = threading.active_count()
         pooled_density_matrix(
-            pool, attributed, sample.nodes, events, config.vicinity_level, 2
+            attributed.csr, indicators, nodes, config.vicinity_level, 3
         )
-        after = shm_segments()
-        created = set(after) - set(before)
-        assert all(
-            name.split("_")[1] in ("indptr", "indices", "evnodes", "evoffs")
-            for name in created
+        assert threading.active_count() == before
+
+    def test_more_workers_than_columns(self, service_dataset):
+        dataset, config = service_dataset
+        attributed, indicators, nodes = _sample(dataset, config, 4, 50)
+        serial, _calls = pooled_density_matrix(
+            attributed.csr, indicators, nodes[:2], config.vicinity_level, 1
         )
-        unpublish_dataset(attributed)
-        assert set(shm_segments()) <= set(before)
+        matrix, bfs_calls = pooled_density_matrix(
+            attributed.csr, indicators, nodes[:2], config.vicinity_level, 8
+        )
+        np.testing.assert_array_equal(matrix.counts, serial.counts)
+        assert bfs_calls == 2
+
+
+def _slowed_density(monkeypatch, seconds):
+    """Make every grouped BFS call sleep first; return (started, finished)."""
+    started, finished = [], []
+    original = BFSEngine.grouped_marked_counts
+
+    def slowed(self, *args, **kwargs):
+        started.append(threading.current_thread().name)
+        time.sleep(seconds)
+        result = original(self, *args, **kwargs)
+        finished.append(threading.current_thread().name)
+        return result
+
+    monkeypatch.setattr(BFSEngine, "grouped_marked_counts", slowed)
+    return started, finished
+
+
+class TestDeadlines:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_deadline_expiring_mid_density_pass(
+        self, service_dataset, dynamic_graph, monkeypatch, workers
+    ):
+        """A deadline that passes while the density pass runs fails the
+        request with the same DeadlineExceededError at every worker count:
+        each shard sees the request's deadline and stops at its next BFS
+        block, so no shard finishes its columns."""
+        _dataset, config = service_dataset
+        engine = ServiceEngine(dynamic_graph, config, workers=workers)
+        try:
+            started, finished = _slowed_density(monkeypatch, 0.4)
+            with deadlines.deadline_scope(time.monotonic() + 0.2):
+                with pytest.raises(DeadlineExceededError, match="deadline exceeded"):
+                    engine.rank()
+            assert len(started) == workers
+            assert finished == []
+        finally:
+            engine.close()
+
+
+class TestShardSpans:
+    def test_shard_spans_hang_under_the_density_stage(
+        self, service_dataset, dynamic_graph
+    ):
+        _dataset, config = service_dataset
+        engine = ServiceEngine(dynamic_graph, config, workers=2)
+        try:
+            engine.rank()
+            root = engine.trace_buffer.spans()[-1]
+            (density,) = root.find("density")
+            shards = [
+                child for child in density.children
+                if child.name == "density_shard"
+            ]
+            assert len(shards) == 2
+            assert root.find("density_shard") == shards
+            assert sum(shard.tags["columns"] for shard in shards) == (
+                config.sample_size
+            )
+            for shard in shards:
+                assert shard.trace_id == root.trace_id
+                assert shard.parent_id == density.span_id
+                assert shard.duration <= density.duration
+        finally:
+            engine.close()

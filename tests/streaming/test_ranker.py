@@ -40,7 +40,7 @@ class TestEquivalenceProperty:
     """Random commit sequences stay bit-identical to the reference."""
 
     @pytest.mark.parametrize("sampler", ["batch_bfs", "whole_graph", "exhaustive"])
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_dblp_like_stream(self, sampler, workers, dataset):
         pairs = (
             dataset.positive_pairs
@@ -100,7 +100,7 @@ class TestEquivalenceProperty:
         probe.close()
 
         answers = {}
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             with open_session(
                 data.graph.copy(), TescConfig(sample_size=90, random_state=11),
                 events=data.attributed.events.copy(), workers=workers,
@@ -109,7 +109,7 @@ class TestEquivalenceProperty:
                 for batch in batches:
                     session.commit(batch)
                     answers.setdefault(workers, []).append(session.rank()["pairs"])
-        assert answers[1] == answers[2]
+        assert answers[1] == answers[2] == answers[3]
 
 
 class TestIncrementalBehaviour:
