@@ -15,7 +15,6 @@ import pytest
 from repro.core.batch import BatchTescEngine
 from repro.core.config import TescConfig
 from repro.core.estimators import plain_estimate
-from repro.core.parallel import ParallelBatchTescEngine
 from repro.core.tesc import TescTester
 from repro.datasets.synthetic_dblp import make_dblp_like
 from repro.datasets.synthetic_twitter import make_twitter_like
@@ -377,14 +376,14 @@ def test_rank_pairs_serial_fifty(benchmark):
 
 
 @pytest.mark.parametrize("workers", [2, 4])
-def test_rank_pairs_parallel_fifty(benchmark, workers):
+def test_rank_pairs_threaded_fifty(benchmark, workers):
     """The same 50 pairs with the density pass split across threads."""
 
     def run():
-        with ParallelBatchTescEngine(
+        engine = BatchTescEngine(
             PARALLEL_DATASET.attributed, PARALLEL_CONFIG, workers=workers
-        ) as engine:
-            return engine.rank_pairs(PARALLEL_PAIRS)
+        )
+        return engine.rank_pairs(PARALLEL_PAIRS)
 
     ranking = benchmark.pedantic(run, rounds=3, iterations=1)
     assert len(ranking) == len(PARALLEL_PAIRS)
@@ -519,10 +518,10 @@ def _service_rank_serial():
 
 
 def _service_rank_pooled(workers=2):
-    with ParallelBatchTescEngine(
+    engine = BatchTescEngine(
         PARALLEL_DATASET.attributed, PARALLEL_CONFIG, workers=workers
-    ) as engine:
-        return engine.rank_pairs(PARALLEL_PAIRS)
+    )
+    return engine.rank_pairs(PARALLEL_PAIRS)
 
 
 def test_rank_pairs_warm_pool_fifty(benchmark):
@@ -579,12 +578,12 @@ def test_parallel_engine_matches_serial_on_bench_workload():
     started = time.perf_counter()
     serial = serial_engine.rank_pairs(PARALLEL_PAIRS)
     serial_seconds = time.perf_counter() - started
-    with ParallelBatchTescEngine(
+    engine = BatchTescEngine(
         PARALLEL_DATASET.attributed, PARALLEL_CONFIG, workers=4
-    ) as engine:
-        started = time.perf_counter()
-        parallel = engine.rank_pairs(PARALLEL_PAIRS)
-        parallel_seconds = time.perf_counter() - started
+    )
+    started = time.perf_counter()
+    parallel = engine.rank_pairs(PARALLEL_PAIRS)
+    parallel_seconds = time.perf_counter() - started
     print(
         f"\nserial: {serial_seconds:.3f}s, parallel (4 workers): "
         f"{parallel_seconds:.3f}s over {len(PARALLEL_PAIRS)} pairs"

@@ -34,8 +34,7 @@ True
 """
 
 from repro.api import EpochView, Session, open_session
-from repro.core.batch import BatchTescEngine, PairRanking, RankedPair, rank_pairs
-from repro.core.parallel import ParallelBatchTescEngine, rank_pairs_parallel
+from repro.core.batch import PairRanking, RankedPair, rank_pairs
 from repro.core.topk import ProgressiveTopKEngine, TopKRanking, top_k_pairs
 from repro.core.config import TescConfig
 from repro.core.tesc import TescResult, TescTester, measure_tesc
@@ -52,7 +51,6 @@ __all__ = [
     "Session",
     "EpochView",
     "AttributedGraph",
-    "BatchTescEngine",
     "EventLayer",
     "Graph",
     "CSRGraph",
@@ -64,8 +62,6 @@ __all__ = [
     "CorrelationVerdict",
     "measure_tesc",
     "rank_pairs",
-    "rank_pairs_parallel",
-    "ParallelBatchTescEngine",
     "ProgressiveTopKEngine",
     "TopKRanking",
     "top_k_pairs",

@@ -49,9 +49,8 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import __version__
-from repro.core.batch import SORT_KEYS
+from repro.core.batch import SORT_KEYS, BatchTescEngine
 from repro.core.config import DEFAULT_TOPK_INITIAL_SAMPLE_SIZE, TescConfig
-from repro.core.parallel import ParallelBatchTescEngine, resolve_workers
 from repro.core.tesc import TescTester
 from repro.datasets.registry import available_datasets, load_dataset
 from repro.events.attributed_graph import AttributedGraph
@@ -62,6 +61,7 @@ from repro.sampling.registry import available_samplers
 from repro.simulation.runner import SimulationStudy
 from repro.utils.logging import configure_logging
 from repro.utils.tables import TextTable, render_mapping
+from repro.utils.validation import resolve_workers
 
 
 def _shared_engine_parent(top_k: bool = True) -> argparse.ArgumentParser:
@@ -414,15 +414,13 @@ def _command_rank(args: argparse.Namespace) -> int:
         # workload; results are identical to the batch path, only cheaper.
         from repro.core.topk import ProgressiveTopKEngine
 
-        with ProgressiveTopKEngine(attributed, config, workers=workers) as engine:
-            topk_ranking = engine.top_k(args.top_k, pairs)
-        _print_topk(topk_ranking, workers, args)
+        engine = ProgressiveTopKEngine(attributed, config, workers=workers)
+        _print_topk(engine.top_k(args.top_k, pairs), workers, args)
         return 0
-    # With workers <= 1 the parallel engine is the serial BatchTescEngine,
-    # so one code path serves both modes.
-    with ParallelBatchTescEngine(attributed, config, workers=workers) as engine:
-        ranking = engine.rank_pairs(pairs, top_k=args.top_k, sort_by=args.sort_by)
-        stats = engine.stats
+    ranking = BatchTescEngine(attributed, config, workers=workers).rank_pairs(
+        pairs, top_k=args.top_k, sort_by=args.sort_by
+    )
+    stats = ranking.stats
     print(ranking.render(markdown=args.markdown))
     print()
     print(
@@ -526,8 +524,7 @@ def _command_topk(args: argparse.Namespace) -> int:
     config = TescConfig(**config_kwargs)
     pairs = [tuple(pair) for pair in args.pair] if args.pair else "all"
     workers = resolve_workers(args.workers)
-    with ProgressiveTopKEngine(attributed, config, workers=workers) as engine:
-        ranking = engine.top_k(k, pairs)
+    ranking = ProgressiveTopKEngine(attributed, config, workers=workers).top_k(k, pairs)
     return _print_topk(ranking, workers, args)
 
 

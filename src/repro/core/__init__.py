@@ -2,22 +2,19 @@
 
 The public entry points are :class:`TescTester` (per-pair object API),
 :func:`measure_tesc` (one-call convenience function), and — for many-pair
-workloads — :class:`BatchTescEngine` / :func:`rank_pairs`, which amortise
-sampling, vicinity indexing and density computation across a whole pair set
-and return a ranked :class:`PairRanking`.  For multi-core machines,
-:class:`ParallelBatchTescEngine` / ``rank_pairs(..., workers=N)`` split the
-density pass across N threads with results identical to the serial engine.  :class:`ProgressiveTopKEngine` / :func:`top_k_pairs` answer top-k
-queries with confidence-bound pruning over a prefix-growable sample —
-identical output to ``rank_pairs().top(k)``, a fraction of the work.
+workloads — :func:`rank_pairs`, which amortises sampling, vicinity indexing
+and density computation across a whole pair set and returns a ranked
+:class:`PairRanking`.  ``rank_pairs(..., workers=N)`` splits the density pass
+across N threads with results identical to the serial run.
+:class:`BatchTescEngine` is the engine behind it and the serial oracle that
+:meth:`repro.api.Session.reference_ranking` runs.
+:class:`ProgressiveTopKEngine` / :func:`top_k_pairs` answer top-k queries
+with confidence-bound pruning over a prefix-growable sample — identical
+output to ``rank_pairs().top(k)``, a fraction of the work.
 """
 
 from repro.core.batch import BatchTescEngine, PairRanking, RankedPair, rank_pairs
 from repro.core.topk import ProgressiveTopKEngine, TopKRanking, top_k_pairs
-from repro.core.parallel import (
-    ParallelBatchTescEngine,
-    rank_pairs_parallel,
-    resolve_workers,
-)
 from repro.core.config import TescConfig
 from repro.core.density import DensityComputer, DensityMatrix, density_vectors
 from repro.core.concordance import concordance, concordance_counts
@@ -35,9 +32,6 @@ __all__ = [
     "ProgressiveTopKEngine",
     "TopKRanking",
     "top_k_pairs",
-    "ParallelBatchTescEngine",
-    "rank_pairs_parallel",
-    "resolve_workers",
     "TescConfig",
     "DensityComputer",
     "DensityMatrix",

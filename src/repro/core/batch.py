@@ -32,7 +32,9 @@ across a whole pair set:
 
 The entry points are :meth:`BatchTescEngine.rank_pairs` (object API) and
 :func:`rank_pairs` (one-call convenience), both returning a
-:class:`PairRanking`.
+:class:`PairRanking`.  ``workers > 1`` splits the density pass's columns
+across that many threads and changes no count, so rankings are
+bit-identical for every worker count.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from repro.sampling.cache import CachingSampler, event_nodes_fingerprint
 from repro.sampling.registry import create_sampler
 from repro.stats.hypothesis import CorrelationVerdict, decide
 from repro.utils.tables import TextTable
+from repro.utils.validation import resolve_workers
 
 #: Ranking keys accepted by :meth:`BatchTescEngine.rank_pairs`.
 SORT_KEYS = ("score", "z_score", "abs_z", "p_value")
@@ -232,12 +235,42 @@ class PairRanking:
 PairSpec = Union[str, Sequence[Tuple[str, str]]]
 
 
+def check_rank_options(sort_by: str, on_insufficient: str) -> None:
+    """Validate the ``sort_by`` / ``on_insufficient`` arguments of a ranking call.
+
+    Shared by :meth:`BatchTescEngine.rank_pairs`,
+    :meth:`~repro.core.topk.ProgressiveTopKEngine.top_k` and
+    :meth:`~repro.service.engine.ServiceEngine.rank` so every engine rejects
+    the same values with the same message.
+    """
+    if sort_by not in SORT_KEYS:
+        raise ConfigurationError(
+            f"sort_by must be one of {SORT_KEYS}, got {sort_by!r}"
+        )
+    if on_insufficient not in ("keep", "raise"):
+        raise ConfigurationError(
+            f'on_insufficient must be "keep" or "raise", got {on_insufficient!r}'
+        )
+
+
+def sampler_key(cfg: TescConfig) -> tuple:
+    """The part of ``cfg`` that decides which sampler (and RNG stream) draws.
+
+    Engines that keep one :class:`~repro.sampling.cache.CachingSampler` per
+    config key their sampler cache on this; an unhashable seed object is
+    keyed by identity.
+    """
+    seed = cfg.random_state
+    seed_token = seed if seed is None or isinstance(seed, int) else id(seed)
+    return (cfg.sampler, cfg.batch_per_vicinity, seed_token)
+
+
 def ensure_uniform_sampler(cfg: TescConfig, caller: str = "the batch engine") -> None:
     """Reject sampler configs whose draws carry importance weights.
 
     Weighted draws are defined relative to the population they were drawn
     from and cannot be restricted to per-pair populations, so every engine
-    built on a shared sample (batch, parallel, streaming, progressive top-k)
+    built on a shared sample (batch, service, progressive top-k)
     rejects them up front through this guard.
     """
     if cfg.sampler in WEIGHTED_SAMPLERS:
@@ -304,8 +337,8 @@ def resolve_pair_spec(event_names: Sequence[str], pairs: PairSpec) -> List[Tuple
 
     ``"all"`` expands to every unordered pair of ``event_names``; explicit
     sequences are validated (two distinct events per pair, at least one
-    pair).  Shared by :class:`BatchTescEngine`, the parallel engine and the
-    service engine.
+    pair).  Shared by :class:`BatchTescEngine`, the progressive top-k engine
+    and the service engine.
     """
     if isinstance(pairs, str):
         if pairs != "all":
@@ -421,6 +454,12 @@ class BatchTescEngine:
         ("batch_bfs", "exhaustive", "whole_graph", "reject") are supported:
         importance weights are defined relative to the population they were
         drawn from and do not survive the per-pair restriction.
+    workers:
+        Density threads; see :func:`~repro.utils.validation.resolve_workers`.
+        ``None``/1 (the default) counts every column in the calling thread.
+        Rankings are bit-identical for every worker count.
+
+    The engine holds no threads between calls.
 
     Examples
     --------
@@ -430,45 +469,35 @@ class BatchTescEngine:
     >>> attributed = AttributedGraph(
     ...     graph, {"a": range(0, 30), "b": range(10, 40), "c": range(160, 200)}
     ... )
-    >>> engine = BatchTescEngine(attributed, TescConfig(sample_size=120, random_state=3))
-    >>> ranking = engine.rank_pairs("all")
+    >>> config = TescConfig(sample_size=120, random_state=3)
+    >>> ranking = BatchTescEngine(attributed, config).rank_pairs("all")
     >>> len(ranking)
     3
     >>> ranking[0].rank
     1
+    >>> threaded = BatchTescEngine(attributed, config, workers=2).rank_pairs("all")
+    >>> [pair.score for pair in threaded] == [pair.score for pair in ranking]
+    True
     """
 
-    def __init__(self, attributed: AttributedGraph,
-                 config: Optional[TescConfig] = None) -> None:
-        from repro.deprecation import warn_deprecated_construction
-
-        warn_deprecated_construction(
-            "BatchTescEngine", "open_session(graph, config).rank(...)"
-        )
+    def __init__(
+        self,
+        attributed: AttributedGraph,
+        config: Optional[TescConfig] = None,
+        workers: Optional[int] = None,
+    ) -> None:
         self.attributed = attributed
         self.config = config if config is not None else TescConfig()
-        self._density_computer = DensityComputer(attributed.csr)
+        self.workers = resolve_workers(workers)
+        self._density_computer = DensityComputer(attributed.csr, workers=self.workers)
         self._samplers: Dict[tuple, CachingSampler] = {}
         self._matrices: Dict[tuple, Tuple[DensityMatrix, PairEstimateBatcher]] = {}
-        self.stats = BatchStats()
-
-    # -- pair/universe resolution ---------------------------------------------
-
-    def _resolve_pairs(self, pairs: PairSpec) -> List[Tuple[str, str]]:
-        return resolve_pair_spec(self.attributed.event_names(), pairs)
-
-    def _universe(self, events: Sequence[str]) -> np.ndarray:
-        return event_universe(self.attributed, events)
+        self.stats = BatchStats(workers=self.workers)
 
     # -- shared-resource caches -----------------------------------------------
 
-    def _sampler_key(self, cfg: TescConfig) -> tuple:
-        seed = cfg.random_state
-        seed_token = seed if seed is None or isinstance(seed, int) else id(seed)
-        return (cfg.sampler, cfg.batch_per_vicinity, seed_token)
-
     def _sampler(self, cfg: TescConfig) -> CachingSampler:
-        key = self._sampler_key(cfg)
+        key = sampler_key(cfg)
         cached = self._samplers.get(key)
         if cached is None:
             cached = CachingSampler(make_config_sampler(self.attributed, cfg))
@@ -486,7 +515,7 @@ class BatchTescEngine:
         else:
             call_stats.sample_cache_hits += 1
         ensure_uniform_sample(sample, cfg.sampler)
-        matrix_key = self._sampler_key(cfg) + (
+        matrix_key = sampler_key(cfg) + (
             event_nodes_fingerprint(universe), cfg.vicinity_level, cfg.sample_size,
         )
         return sample, matrix_key
@@ -543,19 +572,11 @@ class BatchTescEngine:
             ``insufficient=True``; ``"raise"`` raises
             :class:`~repro.exceptions.InsufficientSampleError` instead.
         """
-        if sort_by not in SORT_KEYS:
-            raise ConfigurationError(
-                f"sort_by must be one of {SORT_KEYS}, got {sort_by!r}"
-            )
-        if on_insufficient not in ("keep", "raise"):
-            raise ConfigurationError(
-                f'on_insufficient must be "keep" or "raise", got {on_insufficient!r}'
-            )
+        check_rank_options(sort_by, on_insufficient)
         cfg = config if config is not None else self.config
-        workers = self._density_computer.workers
-        call_stats = BatchStats(workers=workers)
+        call_stats = BatchStats(workers=self.workers)
 
-        pair_list = self._resolve_pairs(pairs)
+        pair_list = resolve_pair_spec(self.attributed.event_names(), pairs)
         # Sorted row layout so pair sets naming the same events (in any
         # order) share one cached density matrix and rank-vector set.
         events = sorted({event for pair in pair_list for event in pair})
@@ -564,17 +585,17 @@ class BatchTescEngine:
         # any sampling work happens.
         self.attributed.indicator_matrix(events)
 
-        universe = self._universe(events)
+        universe = event_universe(self.attributed, events)
         with stage("sampling"):
             sample, matrix_key = self._shared_sample(cfg, universe, call_stats)
-        call_stats.shards = max(1, min(workers, sample.nodes.size))
+        call_stats.shards = max(1, min(self.workers, sample.nodes.size))
         with stage("density"):
             matrix, batcher = self._matrix_for(
                 cfg, events, sample, matrix_key, call_stats
             )
 
         with stage("estimate", pairs=len(pair_list)):
-            results = self._estimate_pair_list(
+            results = estimate_pair_list(
                 pair_list, row_of, matrix, batcher, cfg, on_insufficient
             )
 
@@ -591,71 +612,6 @@ class BatchTescEngine:
             sample=sample,
             stats=call_stats,
         )
-
-    def _estimate_pair_list(
-        self,
-        pair_list: Sequence[Tuple[str, str]],
-        row_of: Dict[str, int],
-        matrix: DensityMatrix,
-        batcher: PairEstimateBatcher,
-        cfg: TescConfig,
-        on_insufficient: str,
-    ) -> List[RankedPair]:
-        """Per-pair estimates over a shared density matrix (unranked).
-
-        Delegates to the module-level :func:`estimate_pair_list`, which the
-        progressive top-k and service engines also call so every execution
-        mode runs exactly the same arithmetic.
-        """
-        return estimate_pair_list(
-            pair_list, row_of, matrix, batcher, cfg, on_insufficient
-        )
-
-    def estimate_pairs_on_nodes(
-        self,
-        pairs: PairSpec,
-        reference_nodes: np.ndarray,
-        config: Optional[TescConfig] = None,
-        on_insufficient: str = "keep",
-    ) -> List[RankedPair]:
-        """Estimate pairs against an externally supplied reference-node set.
-
-        No sampling happens: the caller provides the (already drawn) shared
-        reference nodes and this method runs only the density pass and the
-        per-pair estimates, e.g. to score pairs on the reference nodes of an
-        earlier :meth:`rank_pairs` call.  Returned pairs are unranked
-        (``rank=0``) and in input order.
-        """
-        cfg = config if config is not None else self.config
-        call_stats = BatchStats()
-
-        pair_list = self._resolve_pairs(pairs)
-        events = sorted({event for pair in pair_list for event in pair})
-        row_of = {event: row for row, event in enumerate(events)}
-        self.attributed.indicator_matrix(events)
-
-        nodes = np.unique(np.asarray(reference_nodes, dtype=np.int64))
-        sample = ReferenceSample(
-            nodes=nodes,
-            frequencies=np.ones(nodes.size, dtype=np.int64),
-            probabilities=None,
-            weighted=False,
-            population_size=None,
-        )
-        matrix_key = self._sampler_key(cfg) + (
-            event_nodes_fingerprint(nodes), cfg.vicinity_level, int(nodes.size),
-        )
-        matrix, batcher = self._matrix_for(
-            cfg, events, sample, matrix_key, call_stats
-        )
-        results = self._estimate_pair_list(
-            pair_list, row_of, matrix, batcher, cfg, on_insufficient
-        )
-
-        call_stats.num_events = len(events)
-        call_stats.num_pairs = len(pair_list)
-        self._accumulate(call_stats)
-        return results
 
     def _accumulate(self, call_stats: BatchStats) -> None:
         """Fold one call's counters into the engine-lifetime :attr:`stats`."""
@@ -721,8 +677,7 @@ def rank_pairs(
     ``config_kwargs`` accepts any :class:`~repro.core.config.TescConfig`
     field, e.g. ``sample_size=900``, ``sampler="exhaustive"`` or
     ``random_state=42``.  ``workers`` > 1 splits the density pass across
-    that many threads via :class:`~repro.core.parallel.ParallelBatchTescEngine`;
-    the results are identical to the serial engine's.
+    that many threads; the results are identical to the serial engine's.
 
     Examples
     --------
@@ -737,12 +692,6 @@ def rank_pairs(
     [1, 2, 3]
     """
     config = TescConfig(vicinity_level=vicinity_level, **config_kwargs)
-    if workers is not None:
-        from repro.core.parallel import ParallelBatchTescEngine, resolve_workers
-
-        if resolve_workers(workers) > 1:
-            with ParallelBatchTescEngine(attributed, config, workers=workers) as engine:
-                return engine.rank_pairs(pairs, top_k=top_k, sort_by=sort_by)
-    return BatchTescEngine(attributed, config).rank_pairs(
+    return BatchTescEngine(attributed, config, workers=workers).rank_pairs(
         pairs, top_k=top_k, sort_by=sort_by
     )

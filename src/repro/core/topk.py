@@ -55,6 +55,7 @@ from repro.core.batch import (
     BatchStats,
     PairRanking,
     PairSpec,
+    check_rank_options,
     ensure_uniform_sample,
     ensure_uniform_sampler,
     estimate_pair_list,
@@ -62,11 +63,11 @@ from repro.core.batch import (
     finalise_ranking,
     make_config_sampler,
     resolve_pair_spec,
+    sampler_key,
 )
 from repro.core.config import DEFAULT_TOPK_GROWTH_FACTOR, TescConfig
 from repro.core.density import DensityComputer, DensityMatrix
 from repro.core.estimators import PairEstimateBatcher, variance_upper_bound
-from repro.core.parallel import resolve_workers
 from repro.events.attributed_graph import AttributedGraph
 from repro.exceptions import ConfigurationError
 from repro.obs.registry import NULL_REGISTRY
@@ -74,6 +75,7 @@ from repro.obs.trace import stage
 from repro.sampling.cache import CachingSampler
 from repro.stats.normal import critical_z
 from repro.utils import deadlines
+from repro.utils.validation import resolve_workers
 
 # benchmarks/ledger/traced_serve.py wraps this name at startup; nothing calls it.
 estimate_matrix_pairs_sharded = estimate_pair_list
@@ -246,7 +248,7 @@ class ProgressiveTopKEngine:
         as :class:`~repro.core.batch.BatchTescEngine` (uniform only).
     workers:
         Density threads per round (``None``/1 = serial); see
-        :func:`~repro.core.parallel.resolve_workers`.  Results are identical
+        :func:`~repro.utils.validation.resolve_workers`.  Results are identical
         for every worker count.
 
     Examples
@@ -300,23 +302,10 @@ class ProgressiveTopKEngine:
             "Full-budget estimates computed for surviving pairs.",
         )
 
-    # -- lifecycle ----------------------------------------------------------
-
-    def close(self) -> None:
-        """Nothing to release: density threads live only inside a round."""
-
-    def __enter__(self) -> "ProgressiveTopKEngine":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
     # -- shared-resource plumbing ------------------------------------------
 
     def _sampler(self, cfg: TescConfig) -> CachingSampler:
-        seed = cfg.random_state
-        seed_token = seed if seed is None or isinstance(seed, int) else id(seed)
-        key = (cfg.sampler, cfg.batch_per_vicinity, seed_token)
+        key = sampler_key(cfg)
         cached = self._samplers.get(key)
         if cached is None:
             cached = CachingSampler(
@@ -362,10 +351,7 @@ class ProgressiveTopKEngine:
                 f'sort_by must be "score" (got {sort_by!r}) — use '
                 "rank_pairs(top_k=...) for other sort keys"
             )
-        if on_insufficient not in ("keep", "raise"):
-            raise ConfigurationError(
-                f'on_insufficient must be "keep" or "raise", got {on_insufficient!r}'
-            )
+        check_rank_options(sort_by, on_insufficient)
         k = int(k)
         if k < 1:
             raise ConfigurationError(f"k must be a positive integer, got {k}")
@@ -544,6 +530,7 @@ class ProgressiveTopKEngine:
                 density_passes=len(stats.rounds),
                 density_bfs_calls=stats.density_bfs_calls,
                 workers=self.workers,
+                shards=max(1, min(self.workers, sample.nodes.size)),
             ),
             k=k,
             confidence=cfg.topk_confidence,
@@ -594,5 +581,4 @@ def top_k_pairs(
     [1, 2]
     """
     config = TescConfig(vicinity_level=vicinity_level, **config_kwargs)
-    with ProgressiveTopKEngine(attributed, config, workers=workers) as engine:
-        return engine.top_k(k, pairs)
+    return ProgressiveTopKEngine(attributed, config, workers=workers).top_k(k, pairs)

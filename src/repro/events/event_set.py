@@ -30,9 +30,12 @@ class EventLayer:
     >>> layer = EventLayer(num_nodes=10)
     >>> layer.add_occurrences("wireless", [1, 2, 3])
     >>> layer.add_occurrence("sensor", 2)
+    True
+    >>> layer.add_occurrence("sensor", 2)
+    False
     >>> sorted(layer.events_of(2))
     ['sensor', 'wireless']
-    >>> list(layer.nodes_of("wireless"))
+    >>> layer.nodes_of("wireless").tolist()
     [1, 2, 3]
     """
 

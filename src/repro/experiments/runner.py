@@ -19,6 +19,7 @@ from repro.experiments.table2 import Table2Config, run_table2
 from repro.experiments.table3 import Table3Config, run_table3
 from repro.experiments.table4 import Table4Config, run_table4
 from repro.experiments.table5 import Table5Config, run_table5
+from repro.utils.validation import resolve_workers
 
 #: experiment id -> (config factory, runner)
 _REGISTRY: Dict[str, tuple] = {
@@ -99,8 +100,6 @@ def run_all(experiment_ids: Optional[List[str]] = None,
     :class:`~repro.exceptions.ExperimentError` naming the key and the
     experiment, before any experiment runs.
     """
-    from repro.core.parallel import resolve_workers
-
     ids = list(experiment_ids) if experiment_ids is not None else available_experiments()
     for experiment_id in ids:
         if experiment_id not in _REGISTRY:

@@ -59,9 +59,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.batch import (
-    SORT_KEYS,
     BatchTescEngine,
     RankedPair,
+    check_rank_options,
     ensure_uniform_sample,
     ensure_uniform_sampler,
     estimate_pair_list,
@@ -73,7 +73,6 @@ from repro.core.batch import (
 from repro.core.config import TescConfig
 from repro.core.density import DensityComputer, DensityMatrix, densities_from_counts
 from repro.core.estimators import PairEstimateBatcher
-from repro.core.parallel import resolve_workers
 from repro.events.attributed_graph import AttributedGraph
 from repro.exceptions import (
     ConfigurationError,
@@ -102,6 +101,7 @@ from repro.streaming.dirty import DirtyTracker
 from repro.streaming.dynamic_graph import DynamicAttributedGraph
 from repro.streaming.snapshots import SnapshotLease
 from repro.utils import deadlines
+from repro.utils.validation import resolve_workers
 
 logger = logging.getLogger(__name__)
 
@@ -545,14 +545,7 @@ class ServiceEngine:
         (:class:`~repro.exceptions.SnapshotExpiredError` otherwise).
         Commits never block this call and it never blocks commits.
         """
-        if sort_by not in SORT_KEYS:
-            raise ConfigurationError(
-                f"sort_by must be one of {SORT_KEYS}, got {sort_by!r}"
-            )
-        if on_insufficient not in ("keep", "raise"):
-            raise ConfigurationError(
-                f'on_insufficient must be "keep" or "raise", got {on_insufficient!r}'
-            )
+        check_rank_options(sort_by, on_insufficient)
         cfg = self._merge_config(config_overrides or {})
         self._m_requests.labels(method="rank").inc()
         with trace("rank", sink=self._finish_trace) as span:

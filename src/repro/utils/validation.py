@@ -2,9 +2,24 @@
 
 from __future__ import annotations
 
-from typing import Any
+import os
+from typing import Any, Optional
 
 from repro.exceptions import ConfigurationError
+
+
+def resolve_workers(workers: Optional[int]) -> int:
+    """Normalise a ``workers`` request into a concrete positive count.
+
+    ``None`` and ``1`` mean serial; ``0`` and negative values mean "one per
+    available core"; any other positive integer is used as given.
+    """
+    if workers is None:
+        return 1
+    count = int(workers)
+    if count <= 0:
+        return os.cpu_count() or 1
+    return count
 
 
 def check_positive_int(value: Any, name: str) -> int:

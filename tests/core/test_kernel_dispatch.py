@@ -15,7 +15,6 @@ from repro import open_session
 from repro.core.batch import BatchTescEngine
 from repro.core.config import TescConfig
 from repro.core.estimators import PairEstimateBatcher, plain_estimate
-from repro.core.parallel import ParallelBatchTescEngine
 from repro.datasets.synthetic_dblp import make_dblp_like
 from repro.service.engine import pair_record
 from repro.service.protocol import BadRequestError
@@ -83,10 +82,9 @@ class TestBatchEngineKernelAgreement:
         force_kernel("naive")
         serial = BatchTescEngine(dataset.attributed, config).rank_pairs(pairs)
         force_kernel("fast")
-        with ParallelBatchTescEngine(
+        ranking = BatchTescEngine(
             dataset.attributed, config, workers=workers
-        ) as engine:
-            ranking = engine.rank_pairs(pairs)
+        ).rank_pairs(pairs)
         assert_rankings_identical(serial, ranking)
 
 

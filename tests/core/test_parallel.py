@@ -1,16 +1,13 @@
-"""Tests for repro.core.parallel — ranking with a thread-sharded density pass."""
+"""Tests for ``BatchTescEngine(workers=N)`` — ranking with a thread-sharded
+density pass."""
 
 import time
 
 import pytest
 
+from repro import open_session
 from repro.core.batch import BatchTescEngine, rank_pairs
 from repro.core.config import TescConfig
-from repro.core.parallel import (
-    ParallelBatchTescEngine,
-    rank_pairs_parallel,
-    resolve_workers,
-)
 from repro.service import pool
 from repro.datasets.synthetic_dblp import make_dblp_like
 from repro.events.attributed_graph import AttributedGraph
@@ -20,6 +17,7 @@ from repro.exceptions import (
     UnknownEventError,
 )
 from repro.graph.adjacency import Graph
+from repro.utils.validation import resolve_workers
 
 
 @pytest.fixture(scope="module")
@@ -61,11 +59,13 @@ class TestWorkerSweep:
         serial engine when the shared sample is the whole population."""
         attributed, pairs = dblp_workload
         config = TescConfig(vicinity_level=1, sample_size=5000, random_state=3)
-        serial = BatchTescEngine(attributed, config).rank_pairs(pairs)
-        with ParallelBatchTescEngine(attributed, config, workers=workers) as engine:
-            ranking = engine.rank_pairs(pairs)
-            assert engine.stats.num_pairs == len(pairs)
+        serial = BatchTescEngine(attributed, config, workers=1).rank_pairs(pairs)
+        engine = BatchTescEngine(attributed, config, workers=workers)
+        ranking = engine.rank_pairs(pairs)
+        assert engine.stats.num_pairs == len(pairs)
         assert_rankings_identical(serial, ranking)
+        with open_session(attributed, config) as session:
+            assert_rankings_identical(session.reference_ranking(pairs), ranking)
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_sampled_mode_identical_to_serial(self, dblp_workload, workers):
@@ -73,16 +73,16 @@ class TestWorkerSweep:
         sampled mode reproduces the serial engine exactly."""
         attributed, pairs = dblp_workload
         config = TescConfig(vicinity_level=1, sample_size=150, random_state=17)
-        serial = BatchTescEngine(attributed, config).rank_pairs(pairs)
-        with ParallelBatchTescEngine(attributed, config, workers=workers) as engine:
-            ranking = engine.rank_pairs(pairs)
+        serial = BatchTescEngine(attributed, config, workers=1).rank_pairs(pairs)
+        ranking = BatchTescEngine(attributed, config, workers=workers).rank_pairs(pairs)
         assert_rankings_identical(serial, ranking)
+        with open_session(attributed, config) as session:
+            assert_rankings_identical(session.reference_ranking(pairs), ranking)
 
     def test_shard_stats_recorded(self, dblp_workload):
         attributed, pairs = dblp_workload
         config = TescConfig(vicinity_level=1, sample_size=150, random_state=17)
-        with ParallelBatchTescEngine(attributed, config, workers=2) as engine:
-            ranking = engine.rank_pairs(pairs)
+        ranking = BatchTescEngine(attributed, config, workers=2).rank_pairs(pairs)
         assert ranking.stats.workers == 2
         assert ranking.stats.shards == 2
         assert ranking.stats.samples_drawn == 1
@@ -96,7 +96,7 @@ class TestParallelBehaviour:
                                                        monkeypatch):
         attributed, pairs = dblp_workload
         config = TescConfig(vicinity_level=1, sample_size=150, random_state=5)
-        engine = ParallelBatchTescEngine(attributed, config, workers=1)
+        engine = BatchTescEngine(attributed, config, workers=1)
 
         def no_threads(*_args, **_kwargs):
             raise AssertionError("workers=1 must not start density threads")
@@ -112,22 +112,21 @@ class TestParallelBehaviour:
         serial = BatchTescEngine(attributed, config).rank_pairs(
             pairs, top_k=5, sort_by="abs_z"
         )
-        with ParallelBatchTescEngine(attributed, config, workers=2) as engine:
-            ranking = engine.rank_pairs(pairs, top_k=5, sort_by="abs_z")
+        ranking = BatchTescEngine(attributed, config, workers=2).rank_pairs(
+            pairs, top_k=5, sort_by="abs_z"
+        )
         assert len(ranking) == 5
         assert_rankings_identical(serial, ranking)
 
     def test_one_shot_pair_iterable(self, dblp_workload):
-        """Regression: the serial fallback must reuse the resolved pair list
-        rather than re-resolving an already-drained iterator."""
+        """Regression: the engine must reuse the resolved pair list rather
+        than re-resolving an already-drained iterator."""
         attributed, pairs = dblp_workload
         config = TescConfig(vicinity_level=1, sample_size=150, random_state=5)
         serial = BatchTescEngine(attributed, config).rank_pairs(pairs)
-        engine = ParallelBatchTescEngine(attributed, config, workers=1)
-        ranking = engine.rank_pairs(iter(pairs))
-        assert_rankings_identical(serial, ranking)
-        with ParallelBatchTescEngine(attributed, config, workers=2) as pooled:
-            assert_rankings_identical(serial, pooled.rank_pairs(iter(pairs)))
+        for workers in (1, 2):
+            engine = BatchTescEngine(attributed, config, workers=workers)
+            assert_rankings_identical(serial, engine.rank_pairs(iter(pairs)))
 
     def test_convenience_wrappers(self, dblp_workload):
         attributed, pairs = dblp_workload
@@ -138,31 +137,8 @@ class TestParallelBehaviour:
             attributed, pairs, workers=2, vicinity_level=1,
             sample_size=150, random_state=5,
         )
-        via_parallel = rank_pairs_parallel(
-            attributed, pairs, workers=2, vicinity_level=1,
-            sample_size=150, random_state=5,
-        )
         assert_rankings_identical(serial, via_workers_kwarg)
-        assert_rankings_identical(serial, via_parallel)
-
-    def test_estimate_pairs_on_nodes_matches_serial_restriction(self):
-        graph = Graph(8)
-        graph.add_edges(
-            [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (0, 2)]
-        )
-        attributed = AttributedGraph(
-            graph, {"a": [0, 1, 2], "b": [1, 2, 3], "c": [5, 6, 7]}
-        )
-        config = TescConfig(vicinity_level=1, sampler="exhaustive", random_state=0)
-        engine = BatchTescEngine(attributed, config)
-        full = engine.rank_pairs([("a", "b")])
-        shard = BatchTescEngine(attributed, config).estimate_pairs_on_nodes(
-            [("a", "b")], full.sample.nodes, config
-        )
-        assert len(shard) == 1
-        assert shard[0].score == full[0].score
-        assert shard[0].z_score == full[0].z_score
-        assert shard[0].verdict is full[0].verdict
+        assert via_workers_kwarg.stats.workers == 2
 
 
 class TestWarmPoolPerformance:
@@ -202,8 +178,7 @@ class TestWarmPoolPerformance:
         # Warm both sides before timing: the graph's indicator and vicinity
         # caches.
         serial_ranking = BatchTescEngine(attributed, config).rank_pairs(pairs)
-        with ParallelBatchTescEngine(attributed, config, workers=2) as engine:
-            engine.rank_pairs(pairs)
+        BatchTescEngine(attributed, config, workers=2).rank_pairs(pairs)
 
         t_serial, _ = best_of(
             3, lambda: BatchTescEngine(attributed, config).rank_pairs(pairs)
@@ -212,9 +187,7 @@ class TestWarmPoolPerformance:
         # exactly as a service would use it.
         t_warm, parallel_ranking = best_of(
             3,
-            lambda: ParallelBatchTescEngine(
-                attributed, config, workers=2
-            ).rank_pairs(pairs),
+            lambda: BatchTescEngine(attributed, config, workers=2).rank_pairs(pairs),
         )
         assert_rankings_identical(serial_ranking, parallel_ranking)
         assert t_warm <= 1.5 * t_serial, (
@@ -226,24 +199,23 @@ class TestWarmPoolPerformance:
 class TestErrorPropagation:
     def test_unknown_event_raises_in_parent(self, dblp_workload):
         attributed, _pairs = dblp_workload
-        with ParallelBatchTescEngine(attributed, workers=2) as engine:
-            with pytest.raises(UnknownEventError):
-                engine.rank_pairs([("kw_pos_0_a", "missing")])
+        engine = BatchTescEngine(attributed, workers=2)
+        with pytest.raises(UnknownEventError):
+            engine.rank_pairs([("kw_pos_0_a", "missing")])
 
     def test_bad_sort_key_raises(self, dblp_workload):
         attributed, pairs = dblp_workload
-        with ParallelBatchTescEngine(attributed, workers=2) as engine:
-            with pytest.raises(ConfigurationError):
-                engine.rank_pairs(pairs, sort_by="magic")
-            with pytest.raises(ConfigurationError):
-                engine.rank_pairs(pairs, on_insufficient="ignore")
+        engine = BatchTescEngine(attributed, workers=2)
+        with pytest.raises(ConfigurationError):
+            engine.rank_pairs(pairs, sort_by="magic")
+        with pytest.raises(ConfigurationError):
+            engine.rank_pairs(pairs, on_insufficient="ignore")
 
     def test_weighted_sampler_rejected_in_parent(self, dblp_workload):
         attributed, pairs = dblp_workload
         config = TescConfig(vicinity_level=1, sampler="importance", random_state=1)
-        with ParallelBatchTescEngine(attributed, config, workers=2) as engine:
-            with pytest.raises(ConfigurationError):
-                engine.rank_pairs(pairs)
+        with pytest.raises(ConfigurationError):
+            BatchTescEngine(attributed, config, workers=2).rank_pairs(pairs)
 
     def test_insufficient_raise_propagates_from_worker(self):
         """Insufficient pairs surface the same way at workers=2."""
@@ -253,14 +225,12 @@ class TestErrorPropagation:
             graph, {"i1": [4], "i2": [4], "a": [0, 1], "b": [1, 2]}
         )
         config = TescConfig(vicinity_level=1, sampler="exhaustive", random_state=0)
-        with ParallelBatchTescEngine(attributed, config, workers=2) as engine:
-            ranking = engine.rank_pairs([("i1", "i2"), ("a", "b")])
-            by_pair = {pair.events: pair for pair in ranking}
-            assert by_pair[("i1", "i2")].insufficient
-            with pytest.raises(InsufficientSampleError):
-                engine.rank_pairs(
-                    [("i1", "i2"), ("a", "b")], on_insufficient="raise"
-                )
+        engine = BatchTescEngine(attributed, config, workers=2)
+        ranking = engine.rank_pairs([("i1", "i2"), ("a", "b")])
+        by_pair = {pair.events: pair for pair in ranking}
+        assert by_pair[("i1", "i2")].insufficient
+        with pytest.raises(InsufficientSampleError):
+            engine.rank_pairs([("i1", "i2"), ("a", "b")], on_insufficient="raise")
 
 
 class TestShardingHelpers:

@@ -176,11 +176,15 @@ class TestIdentityProperty:
     def test_workers_change_nothing(self, sampler, workers):
         config = _config(sampler)
         full = BatchTescEngine(DATASET.attributed, config).rank_pairs("all")
-        with ProgressiveTopKEngine(
+        ranking = ProgressiveTopKEngine(
             DATASET.attributed, config, workers=workers
-        ) as engine:
-            ranking = engine.top_k(4)
+        ).top_k(4)
         assert _signature(ranking) == _signature(full.top(4))
+        threaded = BatchTescEngine(
+            DATASET.attributed, config, workers=workers
+        ).rank_pairs("all")
+        assert ranking.stats.workers == threaded.stats.workers == workers
+        assert ranking.stats.shards == threaded.stats.shards == workers
 
     def test_explicit_pair_subset(self):
         config = _config()

@@ -1,4 +1,4 @@
-"""Tests for the public Session façade (repro.api) and deprecation shims."""
+"""Tests for the public Session façade (repro.api)."""
 
 import warnings
 
@@ -6,7 +6,6 @@ import pytest
 
 import repro
 from repro import EpochView, Session, TescConfig, open_session
-from repro.core.batch import BatchTescEngine
 from repro.events.attributed_graph import AttributedGraph
 from repro.exceptions import SnapshotExpiredError
 from repro.graph.generators import community_ring_graph
@@ -153,21 +152,9 @@ class TestEpochView:
 
 
 class TestDeprecationShims:
-    def _graph(self):
-        graph = community_ring_graph(6, 30, 5.0, 8, random_state=2)
-        return AttributedGraph(graph, EVENTS)
-
-    def test_batch_engine_construction_warns(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            BatchTescEngine(self._graph(), _config())
-        messages = [str(w.message) for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert any("open_session" in message for message in messages)
-
     def test_session_reads_do_not_warn(self, session):
-        # The façade constructs the engines internally; internal callers
-        # must not trip the shim.
+        # The façade constructs the engines internally; no read path may
+        # emit a deprecation warning.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             session.rank()
