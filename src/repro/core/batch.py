@@ -47,11 +47,7 @@ import numpy as np
 
 from repro.core.config import TescConfig
 from repro.core.density import DensityComputer, DensityMatrix
-from repro.core.estimators import (
-    EstimateComponents,
-    PairEstimateBatcher,
-    plain_estimate,
-)
+from repro.core.estimators import PairEstimateBatcher
 from repro.events.attributed_graph import AttributedGraph
 from repro.exceptions import ConfigurationError, InsufficientSampleError
 from repro.obs.trace import stage
@@ -297,6 +293,24 @@ def ensure_uniform_sample(sample: ReferenceSample, sampler_name: str) -> None:
         )
 
 
+def draw_shared_sample(sampler: CachingSampler, universe: np.ndarray,
+                       cfg: TescConfig, stats) -> ReferenceSample:
+    """The memoised full-budget sample over ``universe``, checked uniform.
+
+    Counts the call on ``stats`` (a :class:`BatchStats` or
+    :class:`~repro.core.topk.TopKStats`) as ``samples_drawn`` on a memo
+    miss or ``sample_cache_hits`` on a hit.
+    """
+    misses_before = sampler.misses
+    sample = sampler.sample(universe, cfg.vicinity_level, cfg.sample_size)
+    if sampler.misses > misses_before:
+        stats.samples_drawn += 1
+    else:
+        stats.sample_cache_hits += 1
+    ensure_uniform_sample(sample, cfg.sampler)
+    return sample
+
+
 def make_config_sampler(attributed: AttributedGraph, cfg: TescConfig):
     """A fresh sampler for ``cfg`` over ``attributed`` (freshly seeded RNG).
 
@@ -375,7 +389,7 @@ def estimate_pair_list(
     pair_list: Sequence[Tuple[str, str]],
     row_of: Dict[str, int],
     matrix: DensityMatrix,
-    batcher: Optional[PairEstimateBatcher],
+    batcher: PairEstimateBatcher,
     cfg: TescConfig,
     on_insufficient: str,
     columns: Optional[Sequence[np.ndarray]] = None,
@@ -385,13 +399,6 @@ def estimate_pair_list(
     This is the per-pair half of :meth:`BatchTescEngine.rank_pairs`, exposed
     at module level so the progressive top-k and service engines run exactly
     the same arithmetic on their pair lists.
-
-    ``batcher=None`` computes each pair directly with
-    :func:`~repro.core.estimators.plain_estimate` on the restricted density
-    vectors instead of gathering shared rank vectors.  The two paths are
-    numerically identical (asserted in the estimator tests); the batcher
-    amortises the rank encoding across many pairs sharing events, the plain
-    path wins when only a few pairs are being (re-)scored.
 
     ``columns`` optionally supplies each pair's
     :meth:`~repro.core.density.DensityMatrix.pair_rows`, aligned with
@@ -419,13 +426,7 @@ def estimate_pair_list(
                 )
             )
             continue
-        if batcher is None:
-            components: EstimateComponents = plain_estimate(
-                matrix.densities[row_a, pair_columns],
-                matrix.densities[row_b, pair_columns],
-            )
-        else:
-            components = batcher.estimate_pair(row_a, row_b, pair_columns)
+        components = batcher.estimate_pair(row_a, row_b, pair_columns)
         significance = decide(components.z_score, cfg.alpha, cfg.alternative)
         results.append(
             RankedPair(
@@ -507,14 +508,7 @@ class BatchTescEngine:
     def _shared_sample(self, cfg: TescConfig, universe: np.ndarray,
                        call_stats: BatchStats) -> Tuple[ReferenceSample, tuple]:
         ensure_uniform_sampler(cfg)
-        sampler = self._sampler(cfg)
-        misses_before = sampler.misses
-        sample = sampler.sample(universe, cfg.vicinity_level, cfg.sample_size)
-        if sampler.misses > misses_before:
-            call_stats.samples_drawn += 1
-        else:
-            call_stats.sample_cache_hits += 1
-        ensure_uniform_sample(sample, cfg.sampler)
+        sample = draw_shared_sample(self._sampler(cfg), universe, cfg, call_stats)
         matrix_key = sampler_key(cfg) + (
             event_nodes_fingerprint(universe), cfg.vicinity_level, cfg.sample_size,
         )

@@ -6,12 +6,15 @@ top-k most correlated ones — an all-pairs scan over ``E`` events pays
 ``O(E² · budget)`` estimate work.  :class:`ProgressiveTopKEngine` spends the
 budget only where it can still change the answer:
 
-1. **One shared sample, grown in geometric prefix rounds.**  The engine
-   draws through the prefix-extendable seam of the sampling layer
-   (:meth:`~repro.sampling.cache.CachingSampler.growable`): round ``r``'s
-   reference nodes are a strict prefix of round ``r + 1``'s, and growing all
-   the way to the budget yields exactly the sample a one-shot
-   :meth:`~repro.core.batch.BatchTescEngine.rank_pairs` draw would.
+1. **One shared sample, revealed in geometric prefix rounds.**  The engine
+   draws the full-budget sample once, through the same memoised
+   :meth:`~repro.sampling.cache.CachingSampler.sample` call as
+   :meth:`~repro.core.batch.BatchTescEngine.rank_pairs`; round ``r``'s
+   reference nodes are the first ``m_r`` entries of its draw order
+   (``sample.draw_order``, or
+   :func:`~repro.sampling.base.deterministic_draw_order` for samplers that
+   record none).  Every prefix of a uniform draw order is itself a uniform
+   sample, and the last round is the whole sample.
 2. **Append-only density evaluation.**  Each round BFS-counts only the
    newly revealed reference nodes
    (:meth:`~repro.core.density.DensityComputer.append_columns`), and only
@@ -56,7 +59,7 @@ from repro.core.batch import (
     PairRanking,
     PairSpec,
     check_rank_options,
-    ensure_uniform_sample,
+    draw_shared_sample,
     ensure_uniform_sampler,
     estimate_pair_list,
     event_universe,
@@ -72,6 +75,7 @@ from repro.events.attributed_graph import AttributedGraph
 from repro.exceptions import ConfigurationError
 from repro.obs.registry import NULL_REGISTRY
 from repro.obs.trace import stage
+from repro.sampling.base import deterministic_draw_order
 from repro.sampling.cache import CachingSampler
 from repro.stats.normal import critical_z
 from repro.utils import deadlines
@@ -201,7 +205,9 @@ class TopKStats:
     estimates of the surviving pairs.  ``rank_pairs`` would have paid
     ``num_pairs`` full estimates at the full budget — the spread between
     these counters is the work the bounds saved, and the benchmark asserts
-    on the wall-clock consequence.
+    on the wall-clock consequence.  ``budget`` is the shared sample's
+    distinct node count: ``sample_size`` unless the sampler found fewer
+    eligible nodes.
     """
 
     num_events: int = 0
@@ -365,16 +371,16 @@ class ProgressiveTopKEngine:
         indicators = np.asarray(self.attributed.indicator_matrix(events))
         universe = event_universe(self.attributed, events)
 
-        sampler = self._sampler(cfg)
-        misses_before = sampler.misses
         with stage("sampling"):
-            growth = sampler.growable(
-                universe, cfg.vicinity_level, cfg.sample_size
-            )
-        if sampler.misses > misses_before:
-            stats.samples_drawn += 1
-        else:
-            stats.sample_cache_hits += 1
+            sample = draw_shared_sample(self._sampler(cfg), universe, cfg, stats)
+        # Round r's reference nodes are order[:m_r]: every prefix of a
+        # uniform draw order is itself a uniform sample.
+        order = (
+            sample.draw_order
+            if sample.draw_order is not None
+            else deterministic_draw_order(sample.nodes)
+        )
+        budget = int(order.size)
 
         z_star = critical_z(1.0 - cfg.topk_confidence, "two-sided")
         bfs_engine = self._density_computer.engine
@@ -385,7 +391,7 @@ class ProgressiveTopKEngine:
         matrix: Optional[DensityMatrix] = None
         batcher: Optional[PairEstimateBatcher] = None
         pending = round_schedule(
-            cfg.topk_initial_sample_size, growth.budget, cfg.topk_growth_factor
+            cfg.topk_initial_sample_size, budget, cfg.topk_growth_factor
         )
         live_rows = np.arange(len(events), dtype=np.int64)
         stalled_rounds = 0
@@ -393,13 +399,12 @@ class ProgressiveTopKEngine:
 
         while pending:
             # Cooperative cancellation between rounds: a request whose
-            # deadline expired stops before paying for another sample grow.
+            # deadline expired stops before paying for another round.
             deadlines.checkpoint()
             target = pending.pop(0)
             final_round = not pending
             self._m_rounds.inc()
-            with stage("sampling", target=int(target)):
-                order_nodes = growth.grow_to(target)
+            order_nodes = order[:target]
             with stage("density"):
                 if matrix is None:
                     new_count = order_nodes.size
@@ -434,7 +439,7 @@ class ProgressiveTopKEngine:
                     width = confidence_half_width(
                         estimate,
                         n_pair,
-                        (n_pair * growth.budget) // max(order_nodes.size, 1),
+                        (n_pair * budget) // max(order_nodes.size, 1),
                         z_star,
                         cfg.topk_bound,
                     )
@@ -480,10 +485,6 @@ class ProgressiveTopKEngine:
                 # pruned nothing); jump straight to the full budget.
                 pending = pending[-1:]
 
-        with stage("sampling"):
-            sample = growth.full_sample()
-        ensure_uniform_sample(sample, cfg.sampler)
-
         # Final full-budget estimates for the survivors — the exact
         # rank_pairs arithmetic (shared density matrix, rank vectors,
         # size-dispatched kernels).
@@ -509,7 +510,7 @@ class ProgressiveTopKEngine:
         )
         stats.num_events = len(events)
         stats.num_pairs = len(pair_list)
-        stats.budget = int(growth.budget)
+        stats.budget = budget
         stats.pairs_pruned = len(pair_list) - len(active)
         stats.pairs_survived = len(active)
         stats.density_bfs_calls = bfs_engine.bfs_calls - bfs_before

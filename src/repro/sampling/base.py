@@ -65,8 +65,8 @@ class ReferenceSample:
         sampler records one (``None`` otherwise).  For uniform samplers the
         draw sequence is exchangeable, so every prefix of ``draw_order`` is
         itself a uniform sample of the population — the invariant the
-        progressive top-k engine's round schedule rests on (see
-        :class:`SampleGrowth`).
+        progressive top-k engine's round schedule rests on: its rounds are
+        the prefixes ``draw_order[:m]`` of one full-budget sample.
     """
 
     nodes: np.ndarray
@@ -127,81 +127,6 @@ def deterministic_draw_order(nodes: np.ndarray) -> np.ndarray:
     return canonical[order_rng.permutation(canonical.size)]
 
 
-class SampleGrowth(abc.ABC):
-    """A reference sample that grows toward a budget in prefix rounds.
-
-    The progressive top-k engine consumes samples through this seam: each
-    round asks for a larger prefix via :meth:`grow_to`, and the contract is
-    the *prefix invariant* — the draw-order node sequence returned for size
-    ``m`` is a strict prefix of the sequence returned for any ``m' > m``,
-    and growing all the way to ``budget`` yields exactly the sample (same
-    node set) the sampler's one-shot :meth:`ReferenceSampler.sample` would
-    draw for the same arguments from the same RNG state.
-    """
-
-    def __init__(self, budget: int) -> None:
-        self.budget = int(budget)
-
-    @abc.abstractmethod
-    def grow_to(self, size: int) -> np.ndarray:
-        """Grow to ``min(size, budget)`` drawn nodes; return them in draw order.
-
-        The returned array is a read-only view of the growth's internal
-        draw-order sequence — round ``r``'s array is literally a prefix of
-        round ``r + 1``'s.
-        """
-
-    @abc.abstractmethod
-    def full_sample(self) -> ReferenceSample:
-        """The canonical full-budget :class:`ReferenceSample` (sorted nodes).
-
-        Implies :meth:`grow_to` ``(budget)``.  Bit-identical to the one-shot
-        draw of the same sampler, which is what makes a progressive run's
-        surviving pairs match a full-budget batch run exactly.
-        """
-
-    @property
-    def size(self) -> int:
-        """Number of nodes drawn so far."""
-        return int(self.grown_size)
-
-    grown_size: int = 0
-
-
-class EagerSampleGrowth(SampleGrowth):
-    """Prefix growth over a sample that was drawn in full up front.
-
-    Wraps any already-drawn :class:`ReferenceSample`: the draw order is the
-    sampler-recorded one when available (``sample.draw_order``), else the
-    content-keyed :func:`deterministic_draw_order`.  ``grow_to`` merely
-    reveals a longer prefix — no new randomness is consumed, so the final
-    sample is trivially the one-shot draw.
-    """
-
-    def __init__(self, sample: ReferenceSample) -> None:
-        super().__init__(sample.nodes.size)
-        self._sample = sample
-        # Private copy: freezing the caller's (possibly cached and shared)
-        # draw_order array in place would leak read-only state to every
-        # other holder of the sample.
-        order = (
-            sample.draw_order.copy()
-            if sample.draw_order is not None
-            else deterministic_draw_order(sample.nodes)
-        )
-        order.setflags(write=False)
-        self._order = order
-        self.grown_size = 0
-
-    def grow_to(self, size: int) -> np.ndarray:
-        self.grown_size = max(self.grown_size, min(int(size), self.budget))
-        return self._order[: self.grown_size]
-
-    def full_sample(self) -> ReferenceSample:
-        self.grow_to(self.budget)
-        return self._sample
-
-
 class ReferenceSampler(abc.ABC):
     """Strategy interface for reference-node sampling.
 
@@ -214,11 +139,6 @@ class ReferenceSampler(abc.ABC):
     #: Registry name; subclasses override.
     name = "abstract"
 
-    #: Whether :meth:`growable` draws lazily round by round from the RNG
-    #: stream (True for acceptance-loop samplers such as whole-graph) rather
-    #: than eagerly revealing prefixes of a one-shot draw.
-    incremental_growth = False
-
     def __init__(self, graph: CSRGraph, random_state: RandomState = None) -> None:
         self.graph = graph
         self.rng = ensure_rng(random_state)
@@ -227,18 +147,6 @@ class ReferenceSampler(abc.ABC):
     def sample(self, event_nodes: np.ndarray, level: int,
                sample_size: int) -> ReferenceSample:
         """Draw a reference sample for the given event-node union."""
-
-    def growable(self, event_nodes: np.ndarray, level: int,
-                 budget: int) -> SampleGrowth:
-        """A prefix-extendable sample targeting ``budget`` reference nodes.
-
-        The default draws the full budget once through :meth:`sample` (so
-        the RNG stream advances exactly as a one-shot draw would) and grows
-        by revealing prefixes of the recorded draw order.  Samplers whose
-        per-draw cost is significant override this to draw each round's
-        suffix lazily from the same stream (``incremental_growth = True``).
-        """
-        return EagerSampleGrowth(self.sample(event_nodes, level, budget))
 
     def _validate(self, event_nodes: np.ndarray, level: int, sample_size: int) -> np.ndarray:
         check_vicinity_level(level)

@@ -45,7 +45,7 @@ class BatchBFSSampler(ReferenceSampler):
             # Generator.choice without replacement shuffles its output, so
             # ``chosen`` is in exchangeable random order: every prefix is a
             # uniform without-replacement sample of the population.  Recording
-            # it (pre-sort) is what makes this sample prefix-extendable.
+            # it (pre-sort) is what lets top-k rounds slice prefixes of it.
             chosen = self.rng.choice(population, size=sample_size, replace=False)
             draw_order = chosen.copy()
         cost = SamplingCost(wall_seconds=time.perf_counter() - started)

@@ -20,12 +20,7 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from repro.obs.registry import NULL_REGISTRY
-from repro.sampling.base import (
-    EagerSampleGrowth,
-    ReferenceSample,
-    ReferenceSampler,
-    SampleGrowth,
-)
+from repro.sampling.base import ReferenceSample, ReferenceSampler
 
 
 def event_nodes_fingerprint(event_nodes: np.ndarray) -> str:
@@ -91,34 +86,6 @@ class CachingSampler(ReferenceSampler):
         self._cache[key] = sample
         return sample
 
-    def growable(self, event_nodes: np.ndarray, level: int,
-                 budget: int) -> SampleGrowth:
-        """A prefix-extendable sample that shares this sampler's memo.
-
-        A memoised full-budget sample is reused as an eager (already drawn)
-        growth; otherwise the inner sampler's growth is wrapped so that the
-        moment it reaches the full budget, the resulting sample is registered
-        under the same ``(fingerprint, level, budget)`` key a one-shot
-        :meth:`sample` call would use.  A progressive run therefore leaves
-        behind exactly the cache entry a batch run needs — and vice versa —
-        keeping the two engines' shared samples identical within one engine
-        as well as across engines.
-        """
-        key = (event_nodes_fingerprint(event_nodes), int(level), int(budget))
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.hits += 1
-            self._m_hits.inc()
-            return EagerSampleGrowth(cached)
-        if not self.inner.incremental_growth:
-            # One eager draw through sample() (memoising it as usual).
-            return EagerSampleGrowth(self.sample(event_nodes, level, budget))
-        self.misses += 1
-        self._m_misses.inc()
-        return _RegisteringGrowth(
-            self.inner.growable(event_nodes, level, budget), self._cache, key
-        )
-
     def clear(self) -> None:
         """Drop all memoised samples (e.g. after a graph mutation)."""
         self._cache.clear()
@@ -130,29 +97,6 @@ class CachingSampler(ReferenceSampler):
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"CachingSampler({self.inner!r}, cached={self.num_cached})"
-
-
-class _RegisteringGrowth(SampleGrowth):
-    """Delegating growth that memoises the full-budget sample on completion."""
-
-    def __init__(self, inner: SampleGrowth,
-                 cache: Dict[Tuple[str, int, int], ReferenceSample],
-                 key: Tuple[str, int, int]) -> None:
-        super().__init__(inner.budget)
-        self._inner = inner
-        self._cache = cache
-        self._key = key
-
-    def grow_to(self, size: int) -> np.ndarray:
-        order = self._inner.grow_to(size)
-        self.grown_size = self._inner.grown_size
-        return order
-
-    def full_sample(self) -> ReferenceSample:
-        sample = self._inner.full_sample()
-        self.grown_size = self._inner.grown_size
-        self._cache.setdefault(self._key, sample)
-        return sample
 
 
 class SampleMemo:
@@ -231,19 +175,6 @@ class SampleMemo:
             del self._cache[next(iter(self._cache))]
         self._cache[key] = sample
         return sample
-
-    def growable(self, event_nodes: np.ndarray, level: int, sample_size: int,
-                 epoch: int = 0) -> SampleGrowth:
-        """A prefix-extendable view of the memoised sample for the epoch.
-
-        Draws through :meth:`sample` (fresh-sampler semantics preserved:
-        the memoised draw is bit-identical to a from-scratch engine's), so
-        growth here is always eager — the memo's job is reproducibility
-        across commits, not lazy suffix draws.
-        """
-        return EagerSampleGrowth(
-            self.sample(event_nodes, level, sample_size, epoch=epoch)
-        )
 
     def clear(self) -> None:
         """Drop every memoised draw."""

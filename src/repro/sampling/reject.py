@@ -123,7 +123,7 @@ class RejectionSampler(ReferenceSampler):
 
         # ``accepted`` is insertion-ordered, i.e. the acceptance sequence of
         # the rejection loop — an exchangeable order whose prefixes are
-        # themselves uniform samples (used by prefix-extendable growth).
+        # themselves uniform samples (the progressive top-k rounds).
         draw_order = np.fromiter(accepted, count=len(accepted), dtype=np.int64)
         cost = SamplingCost(
             rejections=rejections, wall_seconds=time.perf_counter() - started

@@ -8,11 +8,9 @@ tested candidate costs one h-hop BFS; the expected number of wasted tests is
 high vicinity levels (the paper suggests h = 3 and ``|V_{a∪b}|`` above ~200k
 on the Twitter graph).
 
-Because the sampler is a plain acceptance loop, it extends naturally to
-*incremental* prefix growth: stopping the loop at ``n₁`` accepted nodes and
-later resuming it to ``n₂`` consumes the RNG stream exactly as a one-shot
-draw of ``n₂`` would, so the progressive top-k engine's early rounds pay
-only for the eligibility BFS of the nodes they actually reveal.
+The acceptance order is recorded as the sample's ``draw_order``; the
+progressive top-k engine's rounds are prefixes of it, so a top-k call draws
+exactly what one :meth:`WholeGraphSampler.sample` call draws.
 """
 
 from __future__ import annotations
@@ -24,12 +22,7 @@ import numpy as np
 from repro.exceptions import SamplingError
 from repro.graph.csr import CSRGraph
 from repro.graph.traversal import BFSEngine
-from repro.sampling.base import (
-    ReferenceSample,
-    ReferenceSampler,
-    SampleGrowth,
-    SamplingCost,
-)
+from repro.sampling.base import ReferenceSample, ReferenceSampler, SamplingCost
 from repro.utils.rng import RandomState
 from repro.utils.validation import check_positive_int
 
@@ -47,7 +40,6 @@ class WholeGraphSampler(ReferenceSampler):
     """
 
     name = "whole_graph"
-    incremental_growth = True
 
     def __init__(self, graph: CSRGraph, random_state: RandomState = None,
                  max_draw_factor: int = 200) -> None:
@@ -55,23 +47,24 @@ class WholeGraphSampler(ReferenceSampler):
         self._engine = BFSEngine(graph)
         self._max_draw_factor = check_positive_int(max_draw_factor, "max_draw_factor")
 
-    def _advance(self, accepted: dict, counters: dict,
-                 event_marker: np.ndarray, level: int, target: int) -> None:
-        """Run the acceptance loop until ``target`` accepted nodes (or give up).
+    def sample(self, event_nodes: np.ndarray, level: int,
+               sample_size: int) -> ReferenceSample:
+        event_nodes = self._validate(event_nodes, level, sample_size)
+        started = time.perf_counter()
+        self._engine.reset_counters()
+        event_marker = np.zeros(self.graph.num_nodes, dtype=bool)
+        event_marker[event_nodes] = True
 
-        ``accepted`` is insertion-ordered (the draw order) and ``counters``
-        carries ``draws``/``out_of_sight`` across calls, so resuming with a
-        larger target consumes the RNG stream exactly as a single run to that
-        target would — the property the incremental growth path relies on.
-        """
-        max_draws = self._max_draw_factor * target
+        accepted: dict = {}  # insertion-ordered: the draw order
+        draws = out_of_sight = 0
+        max_draws = self._max_draw_factor * sample_size
         num_nodes = self.graph.num_nodes
         # Sampling without replacement from V, implemented by drawing with
         # replacement and skipping repeats: repeats are vanishingly rare for
         # the graph sizes this sampler targets, and the eligible subset stays
         # uniformly distributed either way.
-        while len(accepted) < target and counters["draws"] < max_draws:
-            counters["draws"] += 1
+        while len(accepted) < sample_size and draws < max_draws:
+            draws += 1
             candidate = int(self.rng.integers(0, num_nodes))
             if candidate in accepted:
                 continue
@@ -81,28 +74,21 @@ class WholeGraphSampler(ReferenceSampler):
             if overlap > 0:
                 accepted[candidate] = True
             else:
-                counters["out_of_sight"] += 1
+                out_of_sight += 1
 
-        if len(accepted) < min(target, 2):
+        if len(accepted) < min(sample_size, 2):
             raise SamplingError(
                 f"whole-graph sampling found only {len(accepted)} eligible "
-                f"reference nodes in {counters['draws']} draws; the event set "
-                "is too small for this sampler"
+                f"reference nodes in {draws} draws; the event set is too "
+                "small for this sampler"
             )
 
-    def _event_marker(self, event_nodes: np.ndarray) -> np.ndarray:
-        event_marker = np.zeros(self.graph.num_nodes, dtype=bool)
-        event_marker[event_nodes] = True
-        return event_marker
-
-    @staticmethod
-    def _build_sample(accepted: dict, counters: dict,
-                      wall_seconds: float, engine: BFSEngine) -> ReferenceSample:
         draw_order = np.fromiter(accepted, count=len(accepted), dtype=np.int64)
         cost = SamplingCost(
-            out_of_sight_draws=counters["out_of_sight"], wall_seconds=wall_seconds
+            out_of_sight_draws=out_of_sight,
+            wall_seconds=time.perf_counter() - started,
         )
-        cost.merge_engine(engine)
+        cost.merge_engine(self._engine)
         return ReferenceSample(
             nodes=np.sort(draw_order),
             frequencies=np.ones(draw_order.size, dtype=np.int64),
@@ -111,66 +97,4 @@ class WholeGraphSampler(ReferenceSampler):
             population_size=None,
             cost=cost,
             draw_order=draw_order,
-        )
-
-    def sample(self, event_nodes: np.ndarray, level: int,
-               sample_size: int) -> ReferenceSample:
-        event_nodes = self._validate(event_nodes, level, sample_size)
-        started = time.perf_counter()
-        self._engine.reset_counters()
-        accepted: dict = {}
-        counters = {"draws": 0, "out_of_sight": 0}
-        self._advance(
-            accepted, counters, self._event_marker(event_nodes), level, sample_size
-        )
-        return self._build_sample(
-            accepted, counters, time.perf_counter() - started, self._engine
-        )
-
-    def growable(self, event_nodes: np.ndarray, level: int,
-                 budget: int) -> "_WholeGraphGrowth":
-        """Lazy prefix growth: each round draws only its suffix.
-
-        Unlike the default eager path, nothing is drawn until the first
-        :meth:`~repro.sampling.base.SampleGrowth.grow_to`; growing to the
-        full budget leaves the RNG stream (and the accepted node set) exactly
-        where a one-shot :meth:`sample` of the budget would.
-        """
-        event_nodes = self._validate(event_nodes, level, budget)
-        return _WholeGraphGrowth(self, event_nodes, level, budget)
-
-
-class _WholeGraphGrowth(SampleGrowth):
-    """Resumable acceptance-loop state for :class:`WholeGraphSampler`."""
-
-    def __init__(self, sampler: WholeGraphSampler, event_nodes: np.ndarray,
-                 level: int, budget: int) -> None:
-        super().__init__(budget)
-        self._sampler = sampler
-        self._event_marker = sampler._event_marker(event_nodes)
-        self._level = int(level)
-        self._accepted: dict = {}
-        self._counters = {"draws": 0, "out_of_sight": 0}
-        self._wall_seconds = 0.0
-        sampler._engine.reset_counters()
-
-    def grow_to(self, size: int) -> np.ndarray:
-        target = min(int(size), self.budget)
-        if target > len(self._accepted):
-            started = time.perf_counter()
-            self._sampler._advance(
-                self._accepted, self._counters, self._event_marker,
-                self._level, target,
-            )
-            self._wall_seconds += time.perf_counter() - started
-        self.grown_size = len(self._accepted)
-        return np.fromiter(
-            self._accepted, count=len(self._accepted), dtype=np.int64
-        )
-
-    def full_sample(self) -> ReferenceSample:
-        self.grow_to(self.budget)
-        return WholeGraphSampler._build_sample(
-            self._accepted, self._counters, self._wall_seconds,
-            self._sampler._engine,
         )

@@ -76,10 +76,7 @@ from repro.core.estimators import PairEstimateBatcher
 from repro.events.attributed_graph import AttributedGraph
 from repro.exceptions import (
     ConfigurationError,
-    EdgeError,
-    EventError,
     InsufficientSampleError,
-    NodeNotFoundError,
     SnapshotExpiredError,
 )
 from repro.graph.traversal import BFSEngine
@@ -160,8 +157,9 @@ class ServiceEngine:
         Answers are bit-identical for every worker count.
     max_cached_results / max_cached_matrices / max_cached_topk:
         LRU bounds of the per-pair result cache (and of the content-keyed
-        pair-estimate memo behind it), the density-matrix cache and the
-        whole-response top-k cache.
+        pair-estimate memo behind it), the density-matrix cache (and of the
+        per-config sample memos that feed it) and the whole-response top-k
+        cache.
     metrics:
         The :class:`~repro.obs.MetricsRegistry` to instrument into.  The
         default is a fresh enabled registry owned by this engine, so one
@@ -261,7 +259,7 @@ class ServiceEngine:
         self._commit_rids: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._max_commit_rids = 1024
 
-        self._memos: Dict[tuple, SampleMemo] = {}
+        self._memos: "OrderedDict[tuple, SampleMemo]" = OrderedDict()
         self._matrices: "OrderedDict[tuple, Tuple[DensityMatrix, PairEstimateBatcher]]" = (
             OrderedDict()
         )
@@ -513,15 +511,21 @@ class ServiceEngine:
             self._config_digest(cfg)[-1],
         )
         memo = self._memos.get(key)
-        if memo is None:
-            live = self.graph
-            memo = SampleMemo(
-                lambda graph=None: make_config_sampler(
-                    live if graph is None else graph, cfg
-                ),
-                metrics=self.metrics,
-            )
-            self._memos[key] = memo
+        if memo is not None:
+            self._memos.move_to_end(key)
+            return memo
+        live = self.graph
+        memo = SampleMemo(
+            lambda graph=None: make_config_sampler(
+                live if graph is None else graph, cfg
+            ),
+            metrics=self.metrics,
+        )
+        # Every request seed gets its own memo; an evicted one redraws
+        # bit-identically because each miss draws through a fresh sampler.
+        while len(self._memos) >= self.max_cached_matrices:
+            self._memos.popitem(last=False)
+        self._memos[key] = memo
         return memo
 
     # -- rank ----------------------------------------------------------------
@@ -957,29 +961,6 @@ class ServiceEngine:
 
     # -- stream --------------------------------------------------------------
 
-    def _validate_batch(self, batch: DeltaBatch) -> None:
-        """The same checks :meth:`DynamicAttributedGraph.apply` runs, early.
-
-        Commit runs them *before* the write-ahead append so the WAL can
-        never durably record a batch the graph would then reject — replay
-        of a recovered log is therefore always clean.
-        """
-        num_nodes = self.graph.num_nodes
-        for delta in batch.edge_deltas():
-            if not (0 <= delta.u < num_nodes):
-                raise NodeNotFoundError(delta.u)
-            if not (0 <= delta.v < num_nodes):
-                raise NodeNotFoundError(delta.v)
-            if delta.u == delta.v:
-                raise EdgeError(f"self-loop ({delta.u}, {delta.v}) is not allowed")
-        for delta in batch.event_deltas():
-            if not isinstance(delta.event, str) or not delta.event:
-                raise EventError(
-                    f"event name must be a non-empty string, got {delta.event!r}"
-                )
-            if not (0 <= delta.node < num_nodes):
-                raise NodeNotFoundError(delta.node)
-
     def commit(self, delta_records: Sequence[Dict[str, Any]],
                rid: Optional[str] = None) -> Dict[str, Any]:
         """Apply one delta batch and report its net effect.
@@ -1027,7 +1008,9 @@ class ServiceEngine:
                         result["replayed"] = True
                         span.tags["replayed"] = True
                         return result
-                self._validate_batch(batch)
+                # Before the WAL append: the log must never durably record
+                # a batch the graph would then reject.
+                batch.validate(self.graph.num_nodes)
                 if self._wal is not None:
                     with stage("wal"):
                         try:

@@ -24,7 +24,7 @@ import zlib
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.exceptions import ReproError
+from repro.exceptions import EdgeError, EventError, NodeNotFoundError, ReproError
 
 
 class DeltaError(ReproError):
@@ -153,6 +153,31 @@ class DeltaBatch:
     def event_deltas(self) -> Tuple[Delta, ...]:
         """The event-layer deltas, in order."""
         return tuple(delta for delta in self.deltas if delta.is_event)
+
+    def validate(self, num_nodes: int) -> None:
+        """Reject a batch that would fail to apply to a ``num_nodes`` graph.
+
+        Edge deltas are checked first (node range, then self-loop), then
+        event deltas (non-empty name, then node range), each in batch order.
+        :meth:`~repro.streaming.dynamic_graph.DynamicAttributedGraph.apply`
+        runs this before mutating anything, and the service runs it before
+        the write-ahead append so the log never records a batch that apply
+        would reject.
+        """
+        for delta in self.edge_deltas():
+            if not (0 <= delta.u < num_nodes):
+                raise NodeNotFoundError(delta.u)
+            if not (0 <= delta.v < num_nodes):
+                raise NodeNotFoundError(delta.v)
+            if delta.u == delta.v:
+                raise EdgeError(f"self-loop ({delta.u}, {delta.v}) is not allowed")
+        for delta in self.event_deltas():
+            if not isinstance(delta.event, str) or not delta.event:
+                raise EventError(
+                    f"event name must be a non-empty string, got {delta.event!r}"
+                )
+            if not (0 <= delta.node < num_nodes):
+                raise NodeNotFoundError(delta.node)
 
     @classmethod
     def coerce(cls, batch: BatchLike) -> "DeltaBatch":

@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.events.attributed_graph import AttributedGraph
-from repro.exceptions import EdgeError, EventError, NodeNotFoundError
 from repro.graph.csr import CSRGraph
 from repro.graph.traversal import dirty_vicinity
 from repro.streaming.delta import EDGE_ADD, EVENT_ATTACH, BatchLike, DeltaBatch
@@ -255,10 +254,9 @@ class DynamicAttributedGraph(AttributedGraph):
         patch.  Event deltas go through the versioned
         :class:`~repro.events.event_set.EventLayer` API (idempotent — attach
         of an existing occurrence or detach of an absent one is a recorded
-        no-op).  Out-of-range nodes raise
-        :class:`~repro.exceptions.NodeNotFoundError` and self-loops
-        :class:`~repro.exceptions.EdgeError`; nothing is applied until the
-        whole batch validates, so a failed apply leaves the graph untouched.
+        no-op).  :meth:`~repro.streaming.delta.DeltaBatch.validate` rejects
+        out-of-range nodes, self-loops and empty event names before anything
+        is applied, so a failed apply leaves the graph untouched.
 
         Commits serialise on the graph's mutation lock; an effective batch
         bumps :attr:`epoch` and advances the snapshot lease table, retiring
@@ -289,6 +287,10 @@ class DynamicAttributedGraph(AttributedGraph):
         """The batch netting + splice body of :meth:`apply` (lock held)."""
         batch = DeltaBatch.coerce(batch)
         old_csr = self.csr
+        # Validate every delta before mutating anything (the event checks
+        # are the ones EventLayer.add_occurrence would raise mid-apply), so
+        # the whole batch stays atomic.
+        batch.validate(old_csr.num_nodes)
 
         overlay: Dict[int, Set[int]] = {}
 
@@ -303,12 +305,6 @@ class DynamicAttributedGraph(AttributedGraph):
         removed: Set[Tuple[int, int]] = set()
         for delta in batch.edge_deltas():
             u, v = delta.u, delta.v
-            if not (0 <= u < old_csr.num_nodes):
-                raise NodeNotFoundError(u)
-            if not (0 <= v < old_csr.num_nodes):
-                raise NodeNotFoundError(v)
-            if u == v:
-                raise EdgeError(f"self-loop ({u}, {v}) is not allowed")
             edge = (u, v)
             if delta.op == EDGE_ADD:
                 if v in neighbours(u):
@@ -328,17 +324,6 @@ class DynamicAttributedGraph(AttributedGraph):
                     added.discard(edge)
                 else:
                     removed.add(edge)
-
-        # Validate event deltas before mutating anything (the same checks
-        # EventLayer.add_occurrence would raise mid-apply — surfacing them
-        # here keeps the whole batch atomic).
-        for delta in batch.event_deltas():
-            if not isinstance(delta.event, str) or not delta.event:
-                raise EventError(
-                    f"event name must be a non-empty string, got {delta.event!r}"
-                )
-            if not (0 <= delta.node < old_csr.num_nodes):
-                raise NodeNotFoundError(delta.node)
 
         new_csr = old_csr
         vicinity_dirty: Optional[Dict[int, np.ndarray]] = None

@@ -14,9 +14,10 @@ from repro.core.topk import (
     top_k_pairs,
 )
 from repro.datasets.synthetic_dblp import make_dblp_like
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, DeadlineExceededError
 from repro.graph.generators import community_ring_graph
 from repro.events.attributed_graph import AttributedGraph
+from repro.utils import deadlines
 
 
 # A small DBLP-like workload with planted structure: 2 positive pairs plus
@@ -297,6 +298,33 @@ class TestEngineBehaviour:
         engine.top_k(3)
         assert engine.stats.samples_drawn == first_draws
         assert engine.stats.sample_cache_hits >= 1
+
+
+class TestCancellation:
+    def test_cancelled_top_k_can_be_retried(self, monkeypatch):
+        """A deadline hit mid-schedule leaves no half-drawn sample behind:
+        the retry on the same engine answers like a fresh engine."""
+        config = _config("whole_graph")
+        expected = ProgressiveTopKEngine(DATASET.attributed, config).top_k(2)
+        engine = ProgressiveTopKEngine(DATASET.attributed, config)
+        real_checkpoint = deadlines.checkpoint
+        calls = []
+
+        def third_call_expires():
+            calls.append(None)
+            if len(calls) == 3:
+                raise DeadlineExceededError("deadline exceeded (injected)")
+            real_checkpoint()
+
+        monkeypatch.setattr(deadlines, "checkpoint", third_call_expires)
+        with pytest.raises(DeadlineExceededError):
+            engine.top_k(2)
+        monkeypatch.setattr(deadlines, "checkpoint", real_checkpoint)
+
+        retried = engine.top_k(2)
+        assert _signature(retried) == _signature(expected)
+        full = BatchTescEngine(DATASET.attributed, config).rank_pairs("all")
+        assert _signature(retried) == _signature(full.top(2))
 
 
 class TestInsufficientPairs:

@@ -1,16 +1,16 @@
-"""Tests for the prefix-extendable sample seam (SampleGrowth and friends)."""
+"""Tests for the draw-order prefixes the progressive top-k rounds slice."""
 
 import numpy as np
 import pytest
 
+from repro.core.batch import event_universe, make_config_sampler
+from repro.core.config import TescConfig
+from repro.core.density import DensityComputer
+from repro.core.topk import ProgressiveTopKEngine
+from repro.events.attributed_graph import AttributedGraph
 from repro.exceptions import SamplingError
-from repro.sampling.base import (
-    EagerSampleGrowth,
-    ReferenceSample,
-    deterministic_draw_order,
-)
+from repro.sampling.base import ReferenceSample, deterministic_draw_order
 from repro.sampling.batch_bfs import BatchBFSSampler, ExhaustiveSampler
-from repro.sampling.cache import CachingSampler, SampleMemo
 from repro.sampling.reject import RejectionSampler
 from repro.sampling.whole_graph import WholeGraphSampler
 
@@ -23,6 +23,42 @@ def csr(random_graph):
 @pytest.fixture
 def universe():
     return np.arange(0, 80)
+
+
+@pytest.fixture
+def attributed(random_graph):
+    # The event union is exactly the ``universe`` fixture's node range.
+    return AttributedGraph(
+        random_graph, {"a": range(0, 40), "b": range(30, 60), "c": range(50, 80)}
+    )
+
+
+def _config(sampler, **kwargs):
+    kwargs.setdefault("sample_size", 60)
+    return TescConfig(
+        sampler=sampler, topk_initial_sample_size=8, random_state=11, **kwargs
+    )
+
+
+def _round_nodes(monkeypatch):
+    """Record the reference nodes of every density matrix a round builds."""
+    seen = []
+    for name in ("density_matrix", "append_columns"):
+        original = getattr(DensityComputer, name)
+
+        def recording(self, *args, _original=original, **kwargs):
+            matrix = _original(self, *args, **kwargs)
+            seen.append(matrix.reference_nodes.copy())
+            return matrix
+
+        monkeypatch.setattr(DensityComputer, name, recording)
+    return seen
+
+
+def _draw_order(sample):
+    if sample.draw_order is not None:
+        return sample.draw_order
+    return deterministic_draw_order(sample.nodes)
 
 
 class TestDrawOrderField:
@@ -57,76 +93,61 @@ class TestDrawOrderField:
 
 
 class TestPrefixInvariant:
-    """Round r's draw order must be a strict prefix of round r+1's, and the
-    grown-to-budget sample must equal the sampler's one-shot draw."""
+    """Each top-k round's reference nodes are a prefix of the one-shot
+    sample's draw order, and the last round is that whole sample."""
 
     @pytest.mark.parametrize(
-        "factory",
-        [BatchBFSSampler, WholeGraphSampler, ExhaustiveSampler],
-        ids=["batch_bfs", "whole_graph", "exhaustive"],
+        "sampler", ["batch_bfs", "whole_graph", "exhaustive"],
     )
-    def test_prefixes_nest_and_full_matches_one_shot(self, csr, universe, factory):
-        one_shot = factory(csr, random_state=11).sample(universe, 1, 60)
-        growth = factory(csr, random_state=11).growable(universe, 1, 60)
-        previous = np.empty(0, dtype=np.int64)
-        for size in (8, 16, 33, 60):
-            order = growth.grow_to(size)
-            assert np.array_equal(order[: previous.size], previous)
-            assert np.unique(order).size == order.size
-            previous = order.copy()
-        full = growth.full_sample()
-        assert np.array_equal(full.nodes, one_shot.nodes)
+    def test_prefixes_nest_and_full_matches_one_shot(
+        self, attributed, universe, monkeypatch, sampler
+    ):
+        config = _config(sampler)
+        assert np.array_equal(
+            event_universe(attributed, attributed.event_names()), universe
+        )
+        one_shot = make_config_sampler(attributed, config).sample(
+            universe, 1, config.sample_size
+        )
+        order = _draw_order(one_shot)
+        seen = _round_nodes(monkeypatch)
+        ranking = ProgressiveTopKEngine(attributed, config).top_k(1)
+        assert len(seen) == len(ranking.rounds) >= 2
+        for nodes, round_ in zip(seen, ranking.rounds):
+            assert nodes.size == round_.sample_size
+            assert np.array_equal(nodes, order[: nodes.size])
+        assert np.array_equal(seen[-1], order)
+        assert np.array_equal(ranking.sample.nodes, one_shot.nodes)
+        assert ranking.topk_stats.budget == one_shot.num_distinct
 
-    def test_incremental_flag(self, csr):
-        assert WholeGraphSampler(csr).incremental_growth
-        assert not BatchBFSSampler(csr).incremental_growth
-
-    def test_whole_graph_grows_lazily(self, csr, universe):
-        growth = WholeGraphSampler(csr, random_state=7).growable(universe, 1, 60)
-        assert growth.grown_size == 0
-        growth.grow_to(10)
-        assert growth.grown_size == 10
-        # The eligibility BFS cost so far is bounded by the draws taken, far
-        # below what a full-budget draw would have issued.
-        assert growth.grown_size < growth.budget
-
-    def test_eager_growth_reveals_only(self, csr, universe):
-        sample = BatchBFSSampler(csr, random_state=5).sample(universe, 1, 50)
-        growth = EagerSampleGrowth(sample)
-        assert growth.budget == 50
-        assert growth.grow_to(10_000).size == 50
-        assert growth.full_sample() is sample
+    def test_eager_growth_reveals_only(self, attributed):
+        """Rounds reveal prefixes of the memoised draw; no round draws more."""
+        engine = ProgressiveTopKEngine(attributed, _config("whole_graph"))
+        first = engine.top_k(1)
+        second = engine.top_k(2)
+        assert second.sample is first.sample
+        assert len(first.rounds) >= 2
+        assert engine.stats.samples_drawn == 1
+        assert engine.stats.sample_cache_hits == 1
 
 
 class TestCachingGrowable:
-    def test_cache_hit_reuses_sample(self, csr, universe):
-        sampler = CachingSampler(BatchBFSSampler(csr, random_state=3))
-        first = sampler.sample(universe, 1, 40)
-        growth = sampler.growable(universe, 1, 40)
+    def test_cache_hit_reuses_sample(self, attributed, universe):
+        config = _config("batch_bfs")
+        engine = ProgressiveTopKEngine(attributed, config)
+        sampler = engine._sampler(config)
+        first = sampler.sample(universe, 1, config.sample_size)
+        ranking = engine.top_k(2)
         assert sampler.hits == 1
-        assert growth.full_sample() is first
+        assert ranking.sample is first
+        assert ranking.topk_stats.sample_cache_hits == 1
 
-    def test_incremental_growth_registers_in_cache(self, csr, universe):
-        sampler = CachingSampler(WholeGraphSampler(csr, random_state=3))
-        growth = sampler.growable(universe, 1, 40)
-        growth.grow_to(10)
-        full = growth.full_sample()
-        assert sampler.misses == 1
-        assert sampler.sample(universe, 1, 40) is full
-        assert sampler.hits == 1
-
-    def test_eager_inner_goes_through_sample_cache(self, csr, universe):
-        sampler = CachingSampler(BatchBFSSampler(csr, random_state=3))
-        growth = sampler.growable(universe, 1, 40)
-        full = growth.full_sample()
-        assert sampler.misses == 1
-        assert sampler.sample(universe, 1, 40) is full
-
-
-class TestSampleMemoGrowable:
-    def test_growable_matches_memoised_draw(self, csr, universe):
-        memo = SampleMemo(lambda: BatchBFSSampler(csr, random_state=9))
-        sample = memo.sample(universe, 1, 40, epoch=2)
-        growth = memo.growable(universe, 1, 40, epoch=2)
-        assert growth.full_sample() is sample
-        assert memo.hits == 1
+    def test_eager_inner_goes_through_sample_cache(self, attributed, universe):
+        for sampler in ("batch_bfs", "whole_graph"):
+            config = _config(sampler)
+            engine = ProgressiveTopKEngine(attributed, config)
+            ranking = engine.top_k(2)
+            cache = engine._sampler(config)
+            assert cache.misses == 1
+            assert cache.sample(universe, 1, config.sample_size) is ranking.sample
+            assert cache.hits == 1

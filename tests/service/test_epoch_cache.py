@@ -167,3 +167,31 @@ class TestEpochCacheProperty:
         reference = engine.reference_ranking("all", top_k=3)
         assert fresh["pairs"] == [pair_record(pair) for pair in reference]
         engine.close()
+
+
+class TestSampleMemoBound:
+    def test_per_seed_memos_stay_bounded(self, dynamic_graph, service_dataset):
+        """Each request seed gets its own sample memo; they are evicted LRU
+        beyond ``max_cached_matrices``, and an evicted seed redraws the
+        identical sample."""
+        _dataset, config = service_dataset
+        # One cached result forces every re-rank below back to the sample.
+        engine = ServiceEngine(
+            dynamic_graph, config, max_cached_matrices=3, max_cached_results=1
+        )
+        names = dynamic_graph.event_names()
+        pairs = [(names[0], names[1])]
+        first = engine.rank(pairs, config_overrides={"random_state": 0})
+        for seed in range(1, 12):
+            engine.rank(pairs, config_overrides={"random_state": seed})
+            assert len(engine._memos) <= engine.max_cached_matrices
+        misses = engine.metrics.value("tesc_sample_memo_misses_total")
+        again = engine.rank(pairs, config_overrides={"random_state": 0})
+        assert engine.metrics.value("tesc_sample_memo_misses_total") == misses + 1
+        assert again["pairs"] == first["pairs"]
+        reference = engine.reference_ranking(
+            pairs, config_overrides={"random_state": 0}
+        )
+        assert again["pairs"] == [pair_record(pair) for pair in reference]
+        assert len(engine._memos) <= engine.max_cached_matrices
+        engine.close()
