@@ -55,7 +55,7 @@ REQUIRED_NONZERO = [
     ("tesc_commits_total", None),
     ("tesc_commit_seconds_count", None),
     ("tesc_topk_rounds_total", None),
-    ("tesc_sampler_cache_misses_total", None),
+    ("tesc_sample_memo_misses_total", None),
     ("tesc_pair_estimates_total", 'outcome="reused"'),
 ]
 

@@ -802,7 +802,7 @@ def _render_status(status: Dict[str, Any]) -> str:
         for key in (
             "epoch", "dynamic", "workers", "num_events", "num_nodes",
             "num_edges", "cached_pair_results", "cached_matrices",
-            "cached_topk",
+            "cached_topk", "cached_samples",
         )
     }
     if "retained_epochs" in status:

@@ -8,9 +8,11 @@ across a whole pair set:
 
 1. **One shared reference sample per (event-universe, level).**  The engine
    samples the reference population of the *union* of all events being
-   ranked, through a :class:`~repro.sampling.cache.CachingSampler`, so the
-   sampling pass (and the vicinity index a sampler may need) runs at most
-   once per level no matter how many pairs are tested.
+   ranked, through the engine's :class:`~repro.sampling.cache.SampleMemo`,
+   so the sampling pass (and the vicinity index a sampler may need) runs at
+   most once per level no matter how many pairs are tested.  Every miss
+   draws through a freshly seeded sampler, so a call's sample depends only
+   on its population and config, never on which calls came before.
 2. **One density pass for all events.**
    :meth:`~repro.core.density.DensityComputer.density_matrix` performs one
    h-hop BFS per reference node and reads every event's density off the same
@@ -52,8 +54,8 @@ from repro.events.attributed_graph import AttributedGraph
 from repro.exceptions import ConfigurationError, InsufficientSampleError
 from repro.obs.trace import stage
 from repro.sampling.base import ReferenceSample
-from repro.sampling.cache import CachingSampler, event_nodes_fingerprint
-from repro.sampling.registry import create_sampler
+from repro.sampling.cache import SampleMemo, event_nodes_fingerprint
+from repro.sampling.registry import sampler_key
 from repro.stats.hypothesis import CorrelationVerdict, decide
 from repro.utils.tables import TextTable
 from repro.utils.validation import resolve_workers
@@ -66,11 +68,9 @@ SORT_KEYS = ("score", "z_score", "abs_z", "p_value")
 #: to per-pair populations, so the batch engine rejects them up front.
 WEIGHTED_SAMPLERS = ("importance", "batch_importance")
 
-#: Samplers that need the ``|V^h_v|`` vicinity-size index to draw.
-INDEXED_SAMPLERS = ("importance", "batch_importance", "reject")
-
-#: How many density matrices (each with its per-event O(n) rank vectors)
-#: an engine retains before evicting the oldest.
+#: How many density matrices (each with its per-event O(n) rank vectors),
+#: and how many reference samples, an engine retains before evicting the
+#: oldest.
 MAX_CACHED_MATRICES = 8
 
 
@@ -249,18 +249,6 @@ def check_rank_options(sort_by: str, on_insufficient: str) -> None:
         )
 
 
-def sampler_key(cfg: TescConfig) -> tuple:
-    """The part of ``cfg`` that decides which sampler (and RNG stream) draws.
-
-    Engines that keep one :class:`~repro.sampling.cache.CachingSampler` per
-    config key their sampler cache on this; an unhashable seed object is
-    keyed by identity.
-    """
-    seed = cfg.random_state
-    seed_token = seed if seed is None or isinstance(seed, int) else id(seed)
-    return (cfg.sampler, cfg.batch_per_vicinity, seed_token)
-
-
 def ensure_uniform_sampler(cfg: TescConfig, caller: str = "the batch engine") -> None:
     """Reject sampler configs whose draws carry importance weights.
 
@@ -293,47 +281,23 @@ def ensure_uniform_sample(sample: ReferenceSample, sampler_name: str) -> None:
         )
 
 
-def draw_shared_sample(sampler: CachingSampler, universe: np.ndarray,
-                       cfg: TescConfig, stats) -> ReferenceSample:
+def draw_shared_sample(memo: SampleMemo, graph: AttributedGraph,
+                       universe: np.ndarray, cfg: TescConfig,
+                       stats) -> ReferenceSample:
     """The memoised full-budget sample over ``universe``, checked uniform.
 
     Counts the call on ``stats`` (a :class:`BatchStats` or
     :class:`~repro.core.topk.TopKStats`) as ``samples_drawn`` on a memo
     miss or ``sample_cache_hits`` on a hit.
     """
-    misses_before = sampler.misses
-    sample = sampler.sample(universe, cfg.vicinity_level, cfg.sample_size)
-    if sampler.misses > misses_before:
+    misses_before = memo.misses
+    sample = memo.sample(graph, cfg, universe)
+    if memo.misses > misses_before:
         stats.samples_drawn += 1
     else:
         stats.sample_cache_hits += 1
     ensure_uniform_sample(sample, cfg.sampler)
     return sample
-
-
-def make_config_sampler(attributed: AttributedGraph, cfg: TescConfig):
-    """A fresh sampler for ``cfg`` over ``attributed`` (freshly seeded RNG).
-
-    The single place that knows how a :class:`~repro.core.config.TescConfig`
-    maps to a sampler instance (registry lookup, vicinity-index wiring,
-    ``batch_per_vicinity``).  The batch engine wraps the result in a
-    :class:`~repro.sampling.cache.CachingSampler`; the service engine's
-    :class:`~repro.sampling.cache.SampleMemo` calls this on every miss —
-    sharing the factory is what keeps a per-epoch redraw bit-identical to a
-    from-scratch engine's draw.
-    """
-    vicinity_index = (
-        attributed.vicinity_index(levels=(cfg.vicinity_level,))
-        if cfg.sampler in INDEXED_SAMPLERS
-        else None
-    )
-    return create_sampler(
-        cfg.sampler,
-        attributed.csr,
-        vicinity_index=vicinity_index,
-        random_state=cfg.random_state,
-        batch_per_vicinity=cfg.batch_per_vicinity,
-    )
 
 
 def event_universe(attributed: AttributedGraph, events: Sequence[str]) -> np.ndarray:
@@ -491,24 +455,18 @@ class BatchTescEngine:
         self.config = config if config is not None else TescConfig()
         self.workers = resolve_workers(workers)
         self._density_computer = DensityComputer(attributed.csr, workers=self.workers)
-        self._samplers: Dict[tuple, CachingSampler] = {}
+        self._sample_memo = SampleMemo(max_entries=MAX_CACHED_MATRICES)
         self._matrices: Dict[tuple, Tuple[DensityMatrix, PairEstimateBatcher]] = {}
         self.stats = BatchStats(workers=self.workers)
 
     # -- shared-resource caches -----------------------------------------------
 
-    def _sampler(self, cfg: TescConfig) -> CachingSampler:
-        key = sampler_key(cfg)
-        cached = self._samplers.get(key)
-        if cached is None:
-            cached = CachingSampler(make_config_sampler(self.attributed, cfg))
-            self._samplers[key] = cached
-        return cached
-
     def _shared_sample(self, cfg: TescConfig, universe: np.ndarray,
                        call_stats: BatchStats) -> Tuple[ReferenceSample, tuple]:
         ensure_uniform_sampler(cfg)
-        sample = draw_shared_sample(self._sampler(cfg), universe, cfg, call_stats)
+        sample = draw_shared_sample(
+            self._sample_memo, self.attributed, universe, cfg, call_stats
+        )
         matrix_key = sampler_key(cfg) + (
             event_nodes_fingerprint(universe), cfg.vicinity_level, cfg.sample_size,
         )

@@ -8,9 +8,10 @@ budget only where it can still change the answer:
 
 1. **One shared sample, revealed in geometric prefix rounds.**  The engine
    draws the full-budget sample once, through the same memoised
-   :meth:`~repro.sampling.cache.CachingSampler.sample` call as
-   :meth:`~repro.core.batch.BatchTescEngine.rank_pairs`; round ``r``'s
-   reference nodes are the first ``m_r`` entries of its draw order
+   :meth:`~repro.sampling.cache.SampleMemo.sample` call as
+   :meth:`~repro.core.batch.BatchTescEngine.rank_pairs`, so a fresh engine
+   and one that answered other pair sets first draw the same sample; round
+   ``r``'s reference nodes are the first ``m_r`` entries of its draw order
    (``sample.draw_order``, or
    :func:`~repro.sampling.base.deterministic_draw_order` for samplers that
    record none).  Every prefix of a uniform draw order is itself a uniform
@@ -50,11 +51,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.batch import (
+    MAX_CACHED_MATRICES,
     BatchStats,
     PairRanking,
     PairSpec,
@@ -64,9 +66,7 @@ from repro.core.batch import (
     estimate_pair_list,
     event_universe,
     finalise_ranking,
-    make_config_sampler,
     resolve_pair_spec,
-    sampler_key,
 )
 from repro.core.config import DEFAULT_TOPK_GROWTH_FACTOR, TescConfig
 from repro.core.density import DensityComputer, DensityMatrix
@@ -76,7 +76,7 @@ from repro.exceptions import ConfigurationError
 from repro.obs.registry import NULL_REGISTRY
 from repro.obs.trace import stage
 from repro.sampling.base import deterministic_draw_order
-from repro.sampling.cache import CachingSampler
+from repro.sampling.cache import SampleMemo
 from repro.stats.normal import critical_z
 from repro.utils import deadlines
 from repro.utils.validation import resolve_workers
@@ -284,9 +284,11 @@ class ProgressiveTopKEngine:
         self.config = config if config is not None else TescConfig()
         self.workers = resolve_workers(workers)
         self._density_computer = DensityComputer(attributed.csr, workers=self.workers)
-        self._samplers: Dict[tuple, CachingSampler] = {}
         self.stats = TopKStats(workers=self.workers)
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
+        self._sample_memo = SampleMemo(
+            max_entries=MAX_CACHED_MATRICES, metrics=self.metrics
+        )
         self._m_rounds = self.metrics.counter(
             "tesc_topk_rounds_total",
             "Progressive rounds executed (screening and final).",
@@ -307,18 +309,6 @@ class ProgressiveTopKEngine:
             "tesc_topk_final_estimates_total",
             "Full-budget estimates computed for surviving pairs.",
         )
-
-    # -- shared-resource plumbing ------------------------------------------
-
-    def _sampler(self, cfg: TescConfig) -> CachingSampler:
-        key = sampler_key(cfg)
-        cached = self._samplers.get(key)
-        if cached is None:
-            cached = CachingSampler(
-                make_config_sampler(self.attributed, cfg), metrics=self.metrics
-            )
-            self._samplers[key] = cached
-        return cached
 
     # -- the public API ------------------------------------------------------
 
@@ -372,7 +362,9 @@ class ProgressiveTopKEngine:
         universe = event_universe(self.attributed, events)
 
         with stage("sampling"):
-            sample = draw_shared_sample(self._sampler(cfg), universe, cfg, stats)
+            sample = draw_shared_sample(
+                self._sample_memo, self.attributed, universe, cfg, stats
+            )
         # Round r's reference nodes are order[:m_r]: every prefix of a
         # uniform draw order is itself a uniform sample.
         order = (

@@ -8,7 +8,7 @@ factories.
 
 from repro.sampling.base import ReferenceSample, ReferenceSampler, SamplingCost
 from repro.sampling.batch_bfs import BatchBFSSampler, ExhaustiveSampler
-from repro.sampling.cache import CachingSampler, event_nodes_fingerprint
+from repro.sampling.cache import event_nodes_fingerprint
 from repro.sampling.reject import RejectionSampler
 from repro.sampling.importance import ImportanceSampler
 from repro.sampling.whole_graph import WholeGraphSampler
@@ -19,7 +19,6 @@ __all__ = [
     "ReferenceSampler",
     "SamplingCost",
     "BatchBFSSampler",
-    "CachingSampler",
     "ExhaustiveSampler",
     "RejectionSampler",
     "ImportanceSampler",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.exceptions import ConfigurationError
 from repro.graph.csr import CSRGraph
@@ -14,12 +14,19 @@ from repro.sampling.reject import RejectionSampler
 from repro.sampling.whole_graph import WholeGraphSampler
 from repro.utils.rng import RandomState
 
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.core.config import TescConfig
+    from repro.events.attributed_graph import AttributedGraph
+
 _FactoryType = Callable[..., ReferenceSampler]
 
 
 #: Default nodes-per-vicinity of the "batch_importance" sampler, following the
 #: Section 5.2.2 recommendation of a small batch (3 for h=2).
 DEFAULT_BATCH_PER_VICINITY = 3
+
+#: Samplers that need the ``|V^h_v|`` vicinity-size index to draw.
+INDEXED_SAMPLERS = ("importance", "batch_importance", "reject")
 
 
 def _batch_importance_factory(graph: CSRGraph, *, vicinity_index=None,
@@ -92,4 +99,39 @@ def create_sampler(
         vicinity_index=vicinity_index,
         random_state=random_state,
         batch_per_vicinity=batch_per_vicinity,
+    )
+
+
+def sampler_key(cfg: "TescConfig") -> tuple:
+    """The part of ``cfg`` that decides which sampler (and RNG stream) draws.
+
+    Sample and density caches key on this; an unhashable seed object is
+    keyed by identity, so distinct ``Generator`` objects never share an
+    entry.
+    """
+    seed = cfg.random_state
+    seed_token = seed if seed is None or isinstance(seed, int) else id(seed)
+    return (cfg.sampler, cfg.batch_per_vicinity, seed_token)
+
+
+def make_config_sampler(attributed: "AttributedGraph", cfg: "TescConfig"):
+    """A fresh sampler for ``cfg`` over ``attributed`` (freshly seeded RNG).
+
+    The single place that knows how a :class:`~repro.core.config.TescConfig`
+    maps to a sampler instance (registry lookup, vicinity-index wiring,
+    ``batch_per_vicinity``).  :class:`~repro.sampling.cache.SampleMemo`
+    calls this on every miss, which is what keeps each memoised draw
+    bit-identical to a from-scratch engine's.
+    """
+    vicinity_index = (
+        attributed.vicinity_index(levels=(cfg.vicinity_level,))
+        if cfg.sampler in INDEXED_SAMPLERS
+        else None
+    )
+    return create_sampler(
+        cfg.sampler,
+        attributed.csr,
+        vicinity_index=vicinity_index,
+        random_state=cfg.random_state,
+        batch_per_vicinity=cfg.batch_per_vicinity,
     )

@@ -11,10 +11,10 @@ requests re-read any epoch still retained by a lease.
 
 Four layers of reuse keep the hot path cheap:
 
-* **Samples** come from :class:`~repro.sampling.cache.SampleMemo` keyed by
-  the epoch and drawn against the pinned snapshot, so every sample is
-  bit-identical to what a freshly constructed in-process engine would draw
-  at that graph state;
+* **Samples** come from one :class:`~repro.sampling.cache.SampleMemo`
+  keyed by the sampler config, population and epoch and drawn against the
+  pinned snapshot, so every sample is bit-identical to what a freshly
+  constructed in-process engine would draw at that graph state;
 * **Density matrices** (with their estimate batchers) are cached per
   ``(config, universe, events, epoch)``.  A miss carries every clean column
   forward from the newest cached matrix at the same level and event tuple —
@@ -67,7 +67,6 @@ from repro.core.batch import (
     estimate_pair_list,
     event_universe,
     finalise_ranking,
-    make_config_sampler,
     resolve_pair_spec,
 )
 from repro.core.config import TescConfig
@@ -89,6 +88,7 @@ from repro.obs import (
     trace,
 )
 from repro.sampling.cache import SampleMemo, event_nodes_fingerprint
+from repro.sampling.registry import sampler_key
 from repro.service import pool
 from repro.service.protocol import BadRequestError, UnavailableError
 from repro.storage.checkpoint import CheckpointStore, digest_string
@@ -158,8 +158,7 @@ class ServiceEngine:
     max_cached_results / max_cached_matrices / max_cached_topk:
         LRU bounds of the per-pair result cache (and of the content-keyed
         pair-estimate memo behind it), the density-matrix cache (and of the
-        per-config sample memos that feed it) and the whole-response top-k
-        cache.
+        sample memo that feeds it) and the whole-response top-k cache.
     metrics:
         The :class:`~repro.obs.MetricsRegistry` to instrument into.  The
         default is a fresh enabled registry owned by this engine, so one
@@ -259,7 +258,6 @@ class ServiceEngine:
         self._commit_rids: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._max_commit_rids = 1024
 
-        self._memos: "OrderedDict[tuple, SampleMemo]" = OrderedDict()
         self._matrices: "OrderedDict[tuple, Tuple[DensityMatrix, PairEstimateBatcher]]" = (
             OrderedDict()
         )
@@ -274,6 +272,9 @@ class ServiceEngine:
         self._journal = DirtyTracker(self.config.vicinity_level)
 
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._sample_memo = SampleMemo(
+            max_entries=self.max_cached_matrices, metrics=self.metrics
+        )
         self.trace_buffer = TraceBuffer(trace_buffer_size)
         self.slow_log = SlowRequestLog(slow_request_seconds)
         self._instrument()
@@ -493,40 +494,16 @@ class ServiceEngine:
         # can still take so digests persisted in checkpoint manifests by
         # earlier versions keep matching and their checkpoints stay valid.
         items.update(kendall_crossover=None, kendall_kernel="auto")
-        # asdict deep-copies field values; id() must see the live object on
-        # the config, not a throwaway copy whose address the allocator may
-        # hand to the next caller.
+        # asdict deep-copies field values; the in-process token is the one
+        # sample and matrix keys use (sampler_key), whose id() sees the live
+        # object on the config, not a throwaway copy whose address the
+        # allocator may hand to the next caller.
         seed = cfg.random_state
-        if seed is None or isinstance(seed, int):
-            seed_token: object = seed
-        elif persistent:
-            seed_token = "unseeded-object"
+        if persistent and not (seed is None or isinstance(seed, int)):
+            seed_token: object = "unseeded-object"
         else:
-            seed_token = id(seed)
+            seed_token = sampler_key(cfg)[-1]
         return tuple(sorted(items.items())) + (("random_state", seed_token),)
-
-    def _memo(self, cfg: TescConfig) -> SampleMemo:
-        key = (
-            cfg.sampler, cfg.batch_per_vicinity, cfg.vicinity_level,
-            self._config_digest(cfg)[-1],
-        )
-        memo = self._memos.get(key)
-        if memo is not None:
-            self._memos.move_to_end(key)
-            return memo
-        live = self.graph
-        memo = SampleMemo(
-            lambda graph=None: make_config_sampler(
-                live if graph is None else graph, cfg
-            ),
-            metrics=self.metrics,
-        )
-        # Every request seed gets its own memo; an evicted one redraws
-        # bit-identically because each miss draws through a fresh sampler.
-        while len(self._memos) >= self.max_cached_matrices:
-            self._memos.popitem(last=False)
-        self._memos[key] = memo
-        return memo
 
     # -- rank ----------------------------------------------------------------
 
@@ -727,22 +704,15 @@ class ServiceEngine:
         assembled integer counts, so the matrix is bit-identical to a full
         pass whichever columns carried.
         """
-        key = (
-            cfg.sampler, cfg.batch_per_vicinity,
-            self._config_digest(cfg)[-1],
-            universe_fp, cfg.vicinity_level, cfg.sample_size,
-            events, epoch,
+        key = sampler_key(cfg) + (
+            universe_fp, cfg.vicinity_level, cfg.sample_size, events, epoch,
         )
         cached = self._matrices.get(key)
         if cached is not None:
             self._matrices.move_to_end(key)
             return cached
-        memo = self._memo(cfg)
         with stage("sampling"):
-            sample = memo.sample(
-                universe, cfg.vicinity_level, cfg.sample_size,
-                epoch=epoch, graph=graph,
-            )
+            sample = self._sample_memo.sample(graph, cfg, universe, epoch=epoch)
         ensure_uniform_sample(sample, cfg.sampler)
         nodes = np.asarray(sample.nodes, dtype=np.int64)
         with stage("density", workers=self.workers):
@@ -1201,6 +1171,7 @@ class ServiceEngine:
             "cached_pair_results": len(self._results),
             "cached_matrices": len(self._matrices),
             "cached_topk": len(self._topk_cache),
+            "cached_samples": self._sample_memo.num_cached,
             "metrics": self.metrics.snapshot(),
         }
         if self._wal is not None:
@@ -1262,6 +1233,6 @@ class ServiceEngine:
             self._estimates.clear()
             self._matrices.clear()
             self._topk_cache.clear()
-            self._memos.clear()
+            self._sample_memo.clear()
         if self._wal is not None:
             self._wal.close()

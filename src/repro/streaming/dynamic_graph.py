@@ -3,12 +3,13 @@
 :class:`DynamicAttributedGraph` extends
 :class:`~repro.events.attributed_graph.AttributedGraph` with
 :meth:`~DynamicAttributedGraph.apply`: a delta batch is netted out (cancelling
-add/remove pairs collapse, no-ops are dropped), the CSR is patched row-wise
-through :meth:`~repro.graph.csr.CSRGraph.apply_edge_deltas` instead of being
-rebuilt from scratch, the event layer is updated through its versioned
-occurrence API, and the lazily built vicinity index is *rebased* — clean
-``|V^h_v|`` entries survive, only nodes within ``h - 1`` hops of a touched
-endpoint are dropped.  The :class:`AppliedBatch` it returns keeps the
+add/remove pairs collapse, no-ops are dropped) against a per-node overlay,
+the touched rows are spliced into the CSR with
+:meth:`~repro.graph.csr.CSRGraph.replace_rows` instead of rebuilding it from
+scratch, the event layer is updated through its versioned occurrence API,
+and the lazily built vicinity index is *rebased* — clean ``|V^h_v|``
+entries survive, only nodes within ``h - 1`` hops of a touched endpoint are
+dropped.  The :class:`AppliedBatch` it returns keeps the
 pre-patch CSR alive so the dirty tracker can run old-graph traversals.
 """
 

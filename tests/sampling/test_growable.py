@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.batch import event_universe, make_config_sampler
+from repro.core.batch import event_universe
 from repro.core.config import TescConfig
 from repro.core.density import DensityComputer
 from repro.core.topk import ProgressiveTopKEngine
@@ -11,6 +11,7 @@ from repro.events.attributed_graph import AttributedGraph
 from repro.exceptions import SamplingError
 from repro.sampling.base import ReferenceSample, deterministic_draw_order
 from repro.sampling.batch_bfs import BatchBFSSampler, ExhaustiveSampler
+from repro.sampling.registry import make_config_sampler
 from repro.sampling.reject import RejectionSampler
 from repro.sampling.whole_graph import WholeGraphSampler
 
@@ -135,10 +136,10 @@ class TestCachingGrowable:
     def test_cache_hit_reuses_sample(self, attributed, universe):
         config = _config("batch_bfs")
         engine = ProgressiveTopKEngine(attributed, config)
-        sampler = engine._sampler(config)
-        first = sampler.sample(universe, 1, config.sample_size)
+        memo = engine._sample_memo
+        first = memo.sample(attributed, config, universe)
         ranking = engine.top_k(2)
-        assert sampler.hits == 1
+        assert memo.hits == 1
         assert ranking.sample is first
         assert ranking.topk_stats.sample_cache_hits == 1
 
@@ -147,7 +148,7 @@ class TestCachingGrowable:
             config = _config(sampler)
             engine = ProgressiveTopKEngine(attributed, config)
             ranking = engine.top_k(2)
-            cache = engine._sampler(config)
-            assert cache.misses == 1
-            assert cache.sample(universe, 1, config.sample_size) is ranking.sample
-            assert cache.hits == 1
+            memo = engine._sample_memo
+            assert memo.misses == 1
+            assert memo.sample(attributed, config, universe) is ranking.sample
+            assert memo.hits == 1

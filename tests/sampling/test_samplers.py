@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core.config import TescConfig
+from repro.events.attributed_graph import AttributedGraph
 from repro.exceptions import EmptyReferenceSetError, SamplingError
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.traversal import batch_bfs_vicinity
 from repro.graph.vicinity import VicinityIndex
 from repro.sampling.batch_bfs import BatchBFSSampler, ExhaustiveSampler
+from repro.sampling.cache import SampleMemo
 from repro.sampling.importance import ImportanceSampler
 from repro.sampling.reject import RejectionSampler
 from repro.sampling.whole_graph import WholeGraphSampler
@@ -172,27 +175,29 @@ class TestWholeGraphSampler:
             sampler.sample(np.array([7]), 1, 50)
 
 
-class TestCachingSampler:
-    def test_same_population_sampled_once(self, sampling_graph, event_nodes):
-        from repro.sampling.cache import CachingSampler
+class TestSampleMemo:
+    @pytest.fixture
+    def attributed(self, sampling_graph):
+        return AttributedGraph(sampling_graph)
 
-        sampler = CachingSampler(BatchBFSSampler(sampling_graph, random_state=4))
-        first = sampler.sample(event_nodes, 1, 50)
-        second = sampler.sample(event_nodes, 1, 50)
+    def test_same_population_sampled_once(self, attributed, event_nodes):
+        memo = SampleMemo()
+        config = TescConfig(sample_size=50, random_state=4)
+        first = memo.sample(attributed, config, event_nodes)
+        second = memo.sample(attributed, config, event_nodes)
         assert first is second
-        assert (sampler.hits, sampler.misses) == (1, 1)
+        assert (memo.hits, memo.misses) == (1, 1)
         # Order of the requested node set must not matter.
-        third = sampler.sample(event_nodes[::-1].copy(), 1, 50)
+        third = memo.sample(attributed, config, event_nodes[::-1].copy())
         assert third is first
 
-    def test_distinct_requests_miss(self, sampling_graph, event_nodes):
-        from repro.sampling.cache import CachingSampler
-
-        sampler = CachingSampler(BatchBFSSampler(sampling_graph, random_state=4))
-        sampler.sample(event_nodes, 1, 50)
-        sampler.sample(event_nodes, 2, 50)
-        sampler.sample(event_nodes[:10], 1, 50)
-        assert sampler.misses == 3
-        assert sampler.num_cached == 3
-        sampler.clear()
-        assert sampler.num_cached == 0
+    def test_distinct_requests_miss(self, attributed, event_nodes):
+        memo = SampleMemo()
+        config = TescConfig(sample_size=50, random_state=4)
+        memo.sample(attributed, config, event_nodes)
+        memo.sample(attributed, config.with_level(2), event_nodes)
+        memo.sample(attributed, config, event_nodes[:10])
+        assert memo.misses == 3
+        assert memo.num_cached == 3
+        memo.clear()
+        assert memo.num_cached == 0

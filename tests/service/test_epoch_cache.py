@@ -171,9 +171,9 @@ class TestEpochCacheProperty:
 
 class TestSampleMemoBound:
     def test_per_seed_memos_stay_bounded(self, dynamic_graph, service_dataset):
-        """Each request seed gets its own sample memo; they are evicted LRU
-        beyond ``max_cached_matrices``, and an evicted seed redraws the
-        identical sample."""
+        """Samples of every request seed share one memo, evicted LRU beyond
+        ``max_cached_matrices``; an evicted seed redraws the identical
+        sample."""
         _dataset, config = service_dataset
         # One cached result forces every re-rank below back to the sample.
         engine = ServiceEngine(
@@ -184,7 +184,7 @@ class TestSampleMemoBound:
         first = engine.rank(pairs, config_overrides={"random_state": 0})
         for seed in range(1, 12):
             engine.rank(pairs, config_overrides={"random_state": seed})
-            assert len(engine._memos) <= engine.max_cached_matrices
+            assert engine._sample_memo.num_cached <= engine.max_cached_matrices
         misses = engine.metrics.value("tesc_sample_memo_misses_total")
         again = engine.rank(pairs, config_overrides={"random_state": 0})
         assert engine.metrics.value("tesc_sample_memo_misses_total") == misses + 1
@@ -193,5 +193,5 @@ class TestSampleMemoBound:
             pairs, config_overrides={"random_state": 0}
         )
         assert again["pairs"] == [pair_record(pair) for pair in reference]
-        assert len(engine._memos) <= engine.max_cached_matrices
+        assert engine._sample_memo.num_cached <= engine.max_cached_matrices
         engine.close()

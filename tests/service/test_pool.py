@@ -6,10 +6,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.batch import event_universe, make_config_sampler
+from repro.core.batch import event_universe
 from repro.core.density import DensityComputer
 from repro.exceptions import DeadlineExceededError
 from repro.graph.traversal import BFSEngine
+from repro.sampling.registry import make_config_sampler
 from repro.service.engine import ServiceEngine
 from repro.service.pool import pooled_density_matrix
 from repro.utils import deadlines
