@@ -11,7 +11,9 @@ verb), scrapes the Prometheus HTTP endpoint, and fails loudly if
 * any instrumented subsystem reports zero samples after the burst
   (requests, latency histograms, pair cache, admission, pins, commits,
   reused pair estimates),
-* the pair-estimate outcomes do not add up to the pair-cache misses, or
+* the pair-estimate outcomes do not add up to the pair-cache misses,
+* the sample-memo lookups do not add up to the density matrices computed
+  (only a matrix miss consults the memo; top-k draws its own sample), or
 * the protocol snapshot disagrees with the scripted request counts.
 
 The raw scrape is written to ``--out`` (default ``metrics_scrape.txt``)
@@ -230,6 +232,18 @@ def main() -> int:
                  f"but {misses} pair-cache misses")
         print(f"metrics smoke: {misses:g} pair-cache misses reconcile with "
               "their estimate outcomes")
+
+        # Every density-matrix miss looks its sample up in the memo once.
+        lookups = (
+            sample_value(text, "tesc_sample_memo_hits_total", None)
+            + sample_value(text, "tesc_sample_memo_misses_total", None)
+        )
+        matrices = sample_value(text, "tesc_matrices_computed_total", None)
+        if lookups != matrices:
+            fail(f"sample-memo hits + misses = {lookups}, but {matrices} "
+                 "density matrices computed")
+        print(f"metrics smoke: {lookups:g} sample-memo lookups reconcile with "
+              "the density matrices computed")
 
         # The protocol snapshot must agree with the scripted counts.
         def verb_count(method):

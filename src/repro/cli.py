@@ -429,7 +429,7 @@ def _command_rank(args: argparse.Namespace) -> int:
                 "pairs tested": stats.num_pairs,
                 "events involved": stats.num_events,
                 "shared reference nodes": ranking.sample.num_distinct,
-                "sampling passes": stats.samples_drawn,
+                "sampling passes": 1,
                 "density BFS calls": stats.density_bfs_calls,
                 "workers": workers,
                 "sampler": args.sampler,

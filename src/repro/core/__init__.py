@@ -9,9 +9,10 @@ across N threads with results identical to the serial run.
 :class:`BatchTescEngine` is the engine behind it and the serial oracle that
 :meth:`repro.api.Session.reference_ranking` runs.
 :class:`ProgressiveTopKEngine` / :func:`top_k_pairs` answer top-k queries
-with confidence-bound pruning over growing prefixes of the one memoised
-sample ``rank_pairs`` draws — identical output to ``rank_pairs().top(k)``,
-a fraction of the work.
+with confidence-bound pruning over growing prefixes of the same sample
+``rank_pairs`` draws — identical output to ``rank_pairs().top(k)``, a
+fraction of the work.  Both engines are one-shot: each call draws its sample
+through a fresh sampler and keeps nothing after it returns.
 """
 
 from repro.core.batch import BatchTescEngine, PairRanking, RankedPair, rank_pairs

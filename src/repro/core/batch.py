@@ -6,13 +6,13 @@ alerts) all test *many* event pairs on one graph, yet
 density costs once per pair.  :class:`BatchTescEngine` amortises that work
 across a whole pair set:
 
-1. **One shared reference sample per (event-universe, level).**  The engine
-   samples the reference population of the *union* of all events being
-   ranked, through the engine's :class:`~repro.sampling.cache.SampleMemo`,
-   so the sampling pass (and the vicinity index a sampler may need) runs at
-   most once per level no matter how many pairs are tested.  Every miss
-   draws through a freshly seeded sampler, so a call's sample depends only
-   on its population and config, never on which calls came before.
+1. **One shared reference sample per call.**  Each
+   :meth:`~BatchTescEngine.rank_pairs` call samples the reference
+   population of the *union* of all events being ranked once, through a
+   freshly seeded sampler, so the sampling pass (and the vicinity index a
+   sampler may need) runs once no matter how many pairs are tested.  The
+   engine keeps nothing between calls, so a call's sample depends only on
+   its population and config, never on which calls came before.
 2. **One density pass for all events.**
    :meth:`~repro.core.density.DensityComputer.density_matrix` performs one
    h-hop BFS per reference node and reads every event's density off the same
@@ -54,8 +54,7 @@ from repro.events.attributed_graph import AttributedGraph
 from repro.exceptions import ConfigurationError, InsufficientSampleError
 from repro.obs.trace import stage
 from repro.sampling.base import ReferenceSample
-from repro.sampling.cache import SampleMemo, event_nodes_fingerprint
-from repro.sampling.registry import sampler_key
+from repro.sampling.registry import make_config_sampler
 from repro.stats.hypothesis import CorrelationVerdict, decide
 from repro.utils.tables import TextTable
 from repro.utils.validation import resolve_workers
@@ -67,11 +66,6 @@ SORT_KEYS = ("score", "z_score", "abs_z", "p_value")
 #: relative to the population they were drawn from and cannot be restricted
 #: to per-pair populations, so the batch engine rejects them up front.
 WEIGHTED_SAMPLERS = ("importance", "batch_importance")
-
-#: How many density matrices (each with its per-event O(n) rank vectors),
-#: and how many reference samples, an engine retains before evicting the
-#: oldest.
-MAX_CACHED_MATRICES = 8
 
 
 @dataclass(frozen=True)
@@ -128,21 +122,18 @@ class RankedPair:
 
 @dataclass
 class BatchStats:
-    """Cost accounting for batch ranking.
+    """Cost accounting for one batch ranking call.
 
-    Each :class:`PairRanking` carries the stats of the call that produced it;
-    :attr:`BatchTescEngine.stats` accumulates the same counters over the
-    engine's lifetime.  The point of the batch engine is that
-    ``samples_drawn`` and ``density_bfs_calls`` stay independent of the
-    number of pairs; these counters make that claim checkable (and are
-    asserted on in the tests).  ``workers`` is the density-thread count and
-    ``shards`` the number of column slices its density pass splits into.
+    Each :class:`PairRanking` carries the stats of the call that produced
+    it.  The point of the batch engine is that ``density_passes`` and
+    ``density_bfs_calls`` stay independent of the number of pairs; these
+    counters make that claim checkable (and are asserted on in the tests).
+    ``workers`` is the density-thread count and ``shards`` the number of
+    column slices its density pass splits into.
     """
 
     num_events: int = 0
     num_pairs: int = 0
-    samples_drawn: int = 0
-    sample_cache_hits: int = 0
     density_passes: int = 0
     density_bfs_calls: int = 0
     workers: int = 1
@@ -281,21 +272,12 @@ def ensure_uniform_sample(sample: ReferenceSample, sampler_name: str) -> None:
         )
 
 
-def draw_shared_sample(memo: SampleMemo, graph: AttributedGraph,
-                       universe: np.ndarray, cfg: TescConfig,
-                       stats) -> ReferenceSample:
-    """The memoised full-budget sample over ``universe``, checked uniform.
-
-    Counts the call on ``stats`` (a :class:`BatchStats` or
-    :class:`~repro.core.topk.TopKStats`) as ``samples_drawn`` on a memo
-    miss or ``sample_cache_hits`` on a hit.
-    """
-    misses_before = memo.misses
-    sample = memo.sample(graph, cfg, universe)
-    if memo.misses > misses_before:
-        stats.samples_drawn += 1
-    else:
-        stats.sample_cache_hits += 1
+def draw_shared_sample(graph: AttributedGraph, universe: np.ndarray,
+                       cfg: TescConfig) -> ReferenceSample:
+    """A fresh full-budget sample over ``universe``, checked uniform."""
+    sample = make_config_sampler(graph, cfg).sample(
+        universe, cfg.vicinity_level, cfg.sample_size
+    )
     ensure_uniform_sample(sample, cfg.sampler)
     return sample
 
@@ -414,8 +396,8 @@ class BatchTescEngine:
     attributed:
         The attributed graph to test on.
     config:
-        Default :class:`~repro.core.config.TescConfig`; individual
-        :meth:`rank_pairs` calls may override it.  Only *uniform* samplers
+        The :class:`~repro.core.config.TescConfig` every
+        :meth:`rank_pairs` call runs under.  Only *uniform* samplers
         ("batch_bfs", "exhaustive", "whole_graph", "reject") are supported:
         importance weights are defined relative to the population they were
         drawn from and do not survive the per-pair restriction.
@@ -424,7 +406,8 @@ class BatchTescEngine:
         ``None``/1 (the default) counts every column in the calling thread.
         Rankings are bit-identical for every worker count.
 
-    The engine holds no threads between calls.
+    The engine holds no threads, samples or matrices between calls: each
+    :meth:`rank_pairs` call draws and counts afresh.
 
     Examples
     --------
@@ -455,43 +438,6 @@ class BatchTescEngine:
         self.config = config if config is not None else TescConfig()
         self.workers = resolve_workers(workers)
         self._density_computer = DensityComputer(attributed.csr, workers=self.workers)
-        self._sample_memo = SampleMemo(max_entries=MAX_CACHED_MATRICES)
-        self._matrices: Dict[tuple, Tuple[DensityMatrix, PairEstimateBatcher]] = {}
-        self.stats = BatchStats(workers=self.workers)
-
-    # -- shared-resource caches -----------------------------------------------
-
-    def _shared_sample(self, cfg: TescConfig, universe: np.ndarray,
-                       call_stats: BatchStats) -> Tuple[ReferenceSample, tuple]:
-        ensure_uniform_sampler(cfg)
-        sample = draw_shared_sample(
-            self._sample_memo, self.attributed, universe, cfg, call_stats
-        )
-        matrix_key = sampler_key(cfg) + (
-            event_nodes_fingerprint(universe), cfg.vicinity_level, cfg.sample_size,
-        )
-        return sample, matrix_key
-
-    def _matrix_for(self, cfg: TescConfig, events: Sequence[str],
-                    sample: ReferenceSample, matrix_key: tuple,
-                    call_stats: BatchStats
-                    ) -> Tuple[DensityMatrix, PairEstimateBatcher]:
-        """The shared density matrix and its rank-vector batcher, cached."""
-        key = matrix_key + (tuple(events),)
-        cached = self._matrices.get(key)
-        if cached is None:
-            engine = self._density_computer.engine
-            bfs_before = engine.bfs_calls
-            indicators = self.attributed.indicator_matrix(events)
-            matrix = self._density_computer.density_matrix(
-                sample.nodes, indicators, cfg.vicinity_level
-            )
-            while len(self._matrices) >= MAX_CACHED_MATRICES:
-                del self._matrices[next(iter(self._matrices))]
-            cached = self._matrices[key] = (matrix, PairEstimateBatcher(matrix.densities))
-            call_stats.density_passes += 1
-            call_stats.density_bfs_calls += engine.bfs_calls - bfs_before
-        return cached
 
     # -- the public API --------------------------------------------------------
 
@@ -500,7 +446,6 @@ class BatchTescEngine:
         pairs: PairSpec = "all",
         top_k: Optional[int] = None,
         sort_by: str = "score",
-        config: Optional[TescConfig] = None,
         on_insufficient: str = "keep",
     ) -> PairRanking:
         """Test every pair in ``pairs`` and return them ranked.
@@ -516,8 +461,6 @@ class BatchTescEngine:
             ``"score"`` (default; most attracting first), ``"z_score"``,
             ``"abs_z"`` (most significant in either direction first) or
             ``"p_value"`` (smallest first).
-        config:
-            Per-call :class:`~repro.core.config.TescConfig` override.
         on_insufficient:
             ``"keep"`` (default) records pairs whose restricted population
             has fewer than two reference nodes as independent with
@@ -525,55 +468,48 @@ class BatchTescEngine:
             :class:`~repro.exceptions.InsufficientSampleError` instead.
         """
         check_rank_options(sort_by, on_insufficient)
-        cfg = config if config is not None else self.config
-        call_stats = BatchStats(workers=self.workers)
+        cfg = self.config
 
         pair_list = resolve_pair_spec(self.attributed.event_names(), pairs)
-        # Sorted row layout so pair sets naming the same events (in any
-        # order) share one cached density matrix and rank-vector set.
         events = sorted({event for pair in pair_list for event in pair})
         row_of = {event: row for row, event in enumerate(events)}
-        # Touching every indicator up front surfaces unknown events before
+        # Building every indicator up front surfaces unknown events before
         # any sampling work happens.
-        self.attributed.indicator_matrix(events)
+        indicators = self.attributed.indicator_matrix(events)
+        ensure_uniform_sampler(cfg)
 
         universe = event_universe(self.attributed, events)
         with stage("sampling"):
-            sample, matrix_key = self._shared_sample(cfg, universe, call_stats)
-        call_stats.shards = max(1, min(self.workers, sample.nodes.size))
+            sample = draw_shared_sample(self.attributed, universe, cfg)
+        bfs_engine = self._density_computer.engine
+        bfs_before = bfs_engine.bfs_calls
         with stage("density"):
-            matrix, batcher = self._matrix_for(
-                cfg, events, sample, matrix_key, call_stats
+            matrix = self._density_computer.density_matrix(
+                sample.nodes, indicators, cfg.vicinity_level
             )
+        stats = BatchStats(
+            num_events=len(events),
+            num_pairs=len(pair_list),
+            density_passes=1,
+            density_bfs_calls=bfs_engine.bfs_calls - bfs_before,
+            workers=self.workers,
+            shards=max(1, min(self.workers, sample.nodes.size)),
+        )
 
         with stage("estimate", pairs=len(pair_list)):
             results = estimate_pair_list(
-                pair_list, row_of, matrix, batcher, cfg, on_insufficient
+                pair_list, row_of, matrix, PairEstimateBatcher(matrix.densities),
+                cfg, on_insufficient,
             )
 
-        ranked = finalise_ranking(results, sort_by, top_k)
-
-        call_stats.num_events = len(events)
-        call_stats.num_pairs = len(pair_list)
-        self._accumulate(call_stats)
         return PairRanking(
-            pairs=ranked,
+            pairs=finalise_ranking(results, sort_by, top_k),
             vicinity_level=cfg.vicinity_level,
             sort_by=sort_by,
             alpha=cfg.alpha,
             sample=sample,
-            stats=call_stats,
+            stats=stats,
         )
-
-    def _accumulate(self, call_stats: BatchStats) -> None:
-        """Fold one call's counters into the engine-lifetime :attr:`stats`."""
-        self.stats.num_events = call_stats.num_events
-        self.stats.num_pairs += call_stats.num_pairs
-        self.stats.samples_drawn += call_stats.samples_drawn
-        self.stats.sample_cache_hits += call_stats.sample_cache_hits
-        self.stats.density_passes += call_stats.density_passes
-        self.stats.density_bfs_calls += call_stats.density_bfs_calls
-        self.stats.shards = call_stats.shards
 
 
 def _sort_value(pair: RankedPair, sort_by: str) -> tuple:

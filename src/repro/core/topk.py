@@ -6,12 +6,13 @@ top-k most correlated ones — an all-pairs scan over ``E`` events pays
 ``O(E² · budget)`` estimate work.  :class:`ProgressiveTopKEngine` spends the
 budget only where it can still change the answer:
 
-1. **One shared sample, revealed in geometric prefix rounds.**  The engine
-   draws the full-budget sample once, through the same memoised
-   :meth:`~repro.sampling.cache.SampleMemo.sample` call as
-   :meth:`~repro.core.batch.BatchTescEngine.rank_pairs`, so a fresh engine
-   and one that answered other pair sets first draw the same sample; round
-   ``r``'s reference nodes are the first ``m_r`` entries of its draw order
+1. **One shared sample, revealed in geometric prefix rounds.**  Each
+   :meth:`~ProgressiveTopKEngine.top_k` call draws the full-budget sample
+   once, through the same fresh-sampler call
+   (:func:`~repro.core.batch.draw_shared_sample`) as
+   :meth:`~repro.core.batch.BatchTescEngine.rank_pairs`, and keeps nothing
+   after it returns; round ``r``'s reference nodes are the first ``m_r``
+   entries of its draw order
    (``sample.draw_order``, or
    :func:`~repro.sampling.base.deterministic_draw_order` for samplers that
    record none).  Every prefix of a uniform draw order is itself a uniform
@@ -56,7 +57,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.batch import (
-    MAX_CACHED_MATRICES,
     BatchStats,
     PairRanking,
     PairSpec,
@@ -76,7 +76,6 @@ from repro.exceptions import ConfigurationError
 from repro.obs.registry import NULL_REGISTRY
 from repro.obs.trace import stage
 from repro.sampling.base import deterministic_draw_order
-from repro.sampling.cache import SampleMemo
 from repro.stats.normal import critical_z
 from repro.utils import deadlines
 from repro.utils.validation import resolve_workers
@@ -218,8 +217,6 @@ class TopKStats:
     pairs_survived: int = 0
     screen_estimates: int = 0
     final_estimates: int = 0
-    samples_drawn: int = 0
-    sample_cache_hits: int = 0
     density_bfs_calls: int = 0
     workers: int = 1
     rounds: Tuple[TopKRound, ...] = ()
@@ -248,8 +245,9 @@ class ProgressiveTopKEngine:
     attributed:
         The attributed graph to test on.
     config:
-        Default :class:`~repro.core.config.TescConfig`; the progressive
-        knobs are ``topk_initial_sample_size``, ``topk_growth_factor``,
+        The :class:`~repro.core.config.TescConfig` every :meth:`top_k`
+        call runs under; the progressive knobs are
+        ``topk_initial_sample_size``, ``topk_growth_factor``,
         ``topk_confidence`` and ``topk_bound``.  Same sampler restrictions
         as :class:`~repro.core.batch.BatchTescEngine` (uniform only).
     workers:
@@ -284,11 +282,7 @@ class ProgressiveTopKEngine:
         self.config = config if config is not None else TescConfig()
         self.workers = resolve_workers(workers)
         self._density_computer = DensityComputer(attributed.csr, workers=self.workers)
-        self.stats = TopKStats(workers=self.workers)
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._sample_memo = SampleMemo(
-            max_entries=MAX_CACHED_MATRICES, metrics=self.metrics
-        )
         self._m_rounds = self.metrics.counter(
             "tesc_topk_rounds_total",
             "Progressive rounds executed (screening and final).",
@@ -317,7 +311,6 @@ class ProgressiveTopKEngine:
         k: int,
         pairs: PairSpec = "all",
         sort_by: str = "score",
-        config: Optional[TescConfig] = None,
         on_insufficient: str = "keep",
     ) -> TopKRanking:
         """The ``k`` best pairs of ``pairs``, identical to full-budget ranking.
@@ -333,8 +326,6 @@ class ProgressiveTopKEngine:
             on the Kendall estimate, so pruning against a z-score or p-value
             order would be unsound.  Use ``rank_pairs(top_k=...)`` for other
             sort keys.
-        config:
-            Per-call :class:`~repro.core.config.TescConfig` override.
         on_insufficient:
             ``"keep"`` (default) or ``"raise"`` — same semantics as
             ``rank_pairs``; a pair too sparse to estimate is never pruned,
@@ -351,7 +342,7 @@ class ProgressiveTopKEngine:
         k = int(k)
         if k < 1:
             raise ConfigurationError(f"k must be a positive integer, got {k}")
-        cfg = config if config is not None else self.config
+        cfg = self.config
         ensure_uniform_sampler(cfg, "the progressive top-k engine")
         stats = TopKStats(k=k, workers=self.workers)
 
@@ -362,9 +353,7 @@ class ProgressiveTopKEngine:
         universe = event_universe(self.attributed, events)
 
         with stage("sampling"):
-            sample = draw_shared_sample(
-                self._sample_memo, self.attributed, universe, cfg, stats
-            )
+            sample = draw_shared_sample(self.attributed, universe, cfg)
         # Round r's reference nodes are order[:m_r]: every prefix of a
         # uniform draw order is itself a uniform sample.
         order = (
@@ -484,7 +473,7 @@ class ProgressiveTopKEngine:
             results = estimate_pair_list(
                 active, row_of, matrix, batcher, cfg, on_insufficient
             )
-        stats.final_estimates += len(active)
+        stats.final_estimates = len(active)
 
         ranked = finalise_ranking(results, sort_by, k)
 
@@ -507,7 +496,10 @@ class ProgressiveTopKEngine:
         stats.pairs_survived = len(active)
         stats.density_bfs_calls = bfs_engine.bfs_calls - bfs_before
         stats.rounds = tuple(rounds)
-        self._accumulate(stats)
+        self._m_pruned.inc(stats.pairs_pruned)
+        self._m_survived.inc(stats.pairs_survived)
+        self._m_screens.inc(stats.screen_estimates)
+        self._m_finals.inc(stats.final_estimates)
 
         return TopKRanking(
             pairs=ranked,
@@ -518,8 +510,6 @@ class ProgressiveTopKEngine:
             stats=BatchStats(
                 num_events=len(events),
                 num_pairs=len(pair_list),
-                samples_drawn=stats.samples_drawn,
-                sample_cache_hits=stats.sample_cache_hits,
                 density_passes=len(stats.rounds),
                 density_bfs_calls=stats.density_bfs_calls,
                 workers=self.workers,
@@ -529,22 +519,6 @@ class ProgressiveTopKEngine:
             confidence=cfg.topk_confidence,
             topk_stats=stats,
         )
-
-    def _accumulate(self, call_stats: TopKStats) -> None:
-        """Fold one call's counters into the engine-lifetime :attr:`stats`."""
-        self._m_pruned.inc(call_stats.pairs_pruned)
-        self._m_survived.inc(call_stats.pairs_survived)
-        self._m_screens.inc(call_stats.screen_estimates)
-        self._m_finals.inc(call_stats.final_estimates)
-        self.stats.num_events = call_stats.num_events
-        self.stats.num_pairs += call_stats.num_pairs
-        self.stats.pairs_pruned += call_stats.pairs_pruned
-        self.stats.pairs_survived += call_stats.pairs_survived
-        self.stats.screen_estimates += call_stats.screen_estimates
-        self.stats.final_estimates += call_stats.final_estimates
-        self.stats.samples_drawn += call_stats.samples_drawn
-        self.stats.sample_cache_hits += call_stats.sample_cache_hits
-        self.stats.density_bfs_calls += call_stats.density_bfs_calls
 
 
 def top_k_pairs(

@@ -1,14 +1,16 @@
-"""The sample memo every shared-sample engine draws through.
+"""The correlation service's reference-sample memo.
 
-Testing many event pairs on one graph re-draws a reference sample per pair
-even when consecutive pairs share the same reference population (the same
-``V^h_{a∪b}``, or the whole-universe population the batch engine uses).
-:class:`SampleMemo` memoises samples by their inputs, so shared populations
-pay the sampling cost once.
+A long-running service answers many requests over the same reference
+population (the union of the requested events at one epoch).
+:class:`SampleMemo` memoises samples by their inputs, so repeated requests
+pay the sampling cost once.  The in-process engines
+(:class:`~repro.core.batch.BatchTescEngine`,
+:class:`~repro.core.topk.ProgressiveTopKEngine`) are one-shot and draw
+through a fresh sampler instead; a memo miss draws exactly the same way.
 
-The memo is *content-addressed*: two different callers asking for the same
-node set under the same config get the same :class:`ReferenceSample` object
-back (treat it as read-only).
+The memo is *content-addressed*: two requests asking for the same node set
+under the same config get the same :class:`ReferenceSample` object back
+(treat it as read-only).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class SampleMemo:
     sample_size, epoch)``.  The caller-supplied ``epoch`` names the graph
     state: bump it whenever the graph changes and stale draws can never be
     returned, while commits that leave both the structure and the monitored
-    universe untouched reuse the previous draw for free.  Engines over a
+    universe untouched reuse the previous draw for free.  Callers over a
     graph that does not change pass the default epoch 0.
 
     Parameters

@@ -105,6 +105,17 @@ logger = logging.getLogger(__name__)
 # benchmarks/ledger/traced_serve.py wraps this name at startup; nothing calls it.
 estimate_matrix_pairs_sharded = estimate_pair_list
 
+#: LRU bound of the per-pair result cache and of the content-keyed
+#: pair-estimate memo behind it.
+MAX_CACHED_RESULTS = 65536
+#: LRU bound of the density-matrix cache and of the sample memo feeding it.
+MAX_CACHED_MATRICES = 8
+#: LRU bound of the whole-response top-k cache.
+MAX_CACHED_TOPK = 64
+#: How many recent request span trees :attr:`ServiceEngine.trace_buffer`
+#: retains for introspection.
+TRACE_BUFFER_SIZE = 64
+
 
 def pair_record(pair: RankedPair) -> Dict[str, Any]:
     """One ranked pair as a JSON-safe record (all fields, exact floats)."""
@@ -155,19 +166,12 @@ class ServiceEngine:
         (:func:`~repro.service.pool.pooled_density_matrix`; ``1`` = count in
         the request thread).  Estimates always run in the request thread.
         Answers are bit-identical for every worker count.
-    max_cached_results / max_cached_matrices / max_cached_topk:
-        LRU bounds of the per-pair result cache (and of the content-keyed
-        pair-estimate memo behind it), the density-matrix cache (and of the
-        sample memo that feeds it) and the whole-response top-k cache.
     metrics:
         The :class:`~repro.obs.MetricsRegistry` to instrument into.  The
         default is a fresh enabled registry owned by this engine, so one
         server's counters reconcile exactly with its own request history;
         pass :data:`~repro.obs.NULL_REGISTRY` for a no-op build (the
         overhead benchmark's baseline).
-    trace_buffer_size:
-        How many recent request span trees to retain in
-        :attr:`trace_buffer` for introspection.
     slow_request_seconds:
         Requests slower than this are emitted as JSON lines through the
         ``repro.obs.slowlog`` logger, span tree included (``None``
@@ -197,11 +201,7 @@ class ServiceEngine:
         graph: AttributedGraph,
         config: Optional[TescConfig] = None,
         workers: Optional[int] = None,
-        max_cached_results: int = 65536,
-        max_cached_matrices: int = 8,
-        max_cached_topk: int = 64,
         metrics: Optional[MetricsRegistry] = None,
-        trace_buffer_size: int = 64,
         slow_request_seconds: Optional[float] = None,
         wal: Optional[Any] = None,
         store: Optional[Any] = None,
@@ -212,9 +212,6 @@ class ServiceEngine:
         self.config = config if config is not None else TescConfig()
         ensure_uniform_sampler(self.config, "the correlation service")
         self.workers = resolve_workers(workers)
-        self.max_cached_results = max(1, int(max_cached_results))
-        self.max_cached_matrices = max(1, int(max_cached_matrices))
-        self.max_cached_topk = max(1, int(max_cached_topk))
 
         self._dynamic = isinstance(graph, DynamicAttributedGraph)
         self._commit_lock = threading.Lock()
@@ -273,9 +270,9 @@ class ServiceEngine:
 
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._sample_memo = SampleMemo(
-            max_entries=self.max_cached_matrices, metrics=self.metrics
+            max_entries=MAX_CACHED_MATRICES, metrics=self.metrics
         )
-        self.trace_buffer = TraceBuffer(trace_buffer_size)
+        self.trace_buffer = TraceBuffer(TRACE_BUFFER_SIZE)
         self.slow_log = SlowRequestLog(slow_request_seconds)
         self._instrument()
         if self._store is not None and self.checkpoint_interval:
@@ -658,11 +655,11 @@ class ServiceEngine:
                     pair = pair_result.events
                     computed[pair] = pair_result
                     self._estimates[keys[pair]] = pair_result
-                while len(self._estimates) > self.max_cached_results:
+                while len(self._estimates) > MAX_CACHED_RESULTS:
                     self._estimates.popitem(last=False)
             for pair in still_missing:
                 self._results[(pair, digest, universe_fp, epoch)] = computed[pair]
-            while len(self._results) > self.max_cached_results:
+            while len(self._results) > MAX_CACHED_RESULTS:
                 self._results.popitem(last=False)
             return computed
 
@@ -735,7 +732,7 @@ class ServiceEngine:
             level=int(cfg.vicinity_level),
         )
         batcher = PairEstimateBatcher(matrix.densities)
-        while len(self._matrices) >= self.max_cached_matrices:
+        while len(self._matrices) >= MAX_CACHED_MATRICES:
             self._matrices.popitem(last=False)
         self._matrices[key] = (matrix, batcher)
         self._m_matrices.inc()
@@ -925,7 +922,7 @@ class ServiceEngine:
             "pairs_survived": ranking.topk_stats.pairs_survived,
         }
         self._topk_cache[key] = result
-        while len(self._topk_cache) > self.max_cached_topk:
+        while len(self._topk_cache) > MAX_CACHED_TOPK:
             self._topk_cache.popitem(last=False)
         return result
 

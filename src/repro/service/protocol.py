@@ -55,13 +55,14 @@ from typing import Any, Dict, Optional, Tuple
 PROTO_VERSION = 3
 
 #: Config fields a request may override, and the coercions applied to them.
+#: ``batch_per_vicinity`` is absent: only the importance samplers read it,
+#: and the service rejects those.
 CONFIG_FIELDS: Dict[str, type] = {
     "vicinity_level": int,
     "sample_size": int,
     "sampler": str,
     "alpha": float,
     "alternative": str,
-    "batch_per_vicinity": int,
     "topk_initial_sample_size": int,
     "topk_growth_factor": float,
     "topk_confidence": float,

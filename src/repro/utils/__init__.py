@@ -1,7 +1,7 @@
 """Shared utilities: RNG handling, timing, validation, logging, tables."""
 
 from repro.utils.rng import RandomState, ensure_rng, spawn_rngs
-from repro.utils.timing import Timer, format_seconds
+from repro.utils.timing import format_seconds
 from repro.utils.validation import (
     check_fraction,
     check_non_negative_int,
@@ -14,7 +14,6 @@ __all__ = [
     "RandomState",
     "ensure_rng",
     "spawn_rngs",
-    "Timer",
     "format_seconds",
     "check_fraction",
     "check_non_negative_int",

@@ -1,14 +1,18 @@
-"""Lightweight timing helpers used by experiments and benchmarks."""
+"""Duration formatting for human-readable reports."""
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
 
 def format_seconds(seconds: float) -> str:
-    """Render a duration in a human-friendly unit (ns/us/ms/s)."""
+    """Render a duration in a human-friendly unit (ns/us/ms/s/min).
+
+    Examples
+    --------
+    >>> format_seconds(0.0042)
+    '4.2ms'
+    >>> format_seconds(300.0)
+    '5.0min'
+    """
     if seconds < 0:
         raise ValueError(f"duration must be non-negative, got {seconds}")
     if seconds < 1e-6:
@@ -20,84 +24,3 @@ def format_seconds(seconds: float) -> str:
     if seconds < 120.0:
         return f"{seconds:.2f}s"
     return f"{seconds / 60.0:.1f}min"
-
-
-@dataclass
-class Timer:
-    """A context-manager stopwatch that can accumulate named laps.
-
-    Examples
-    --------
-    >>> with Timer() as timer:
-    ...     _ = sum(range(1000))
-    >>> timer.elapsed >= 0.0
-    True
-    """
-
-    elapsed: float = 0.0
-    laps: Dict[str, List[float]] = field(default_factory=dict)
-    _start: Optional[float] = None
-
-    def __enter__(self) -> "Timer":
-        self.start()
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.stop()
-
-    def start(self) -> None:
-        """Start (or restart) the stopwatch."""
-        self._start = time.perf_counter()
-
-    def stop(self) -> float:
-        """Stop the stopwatch and add the interval to :attr:`elapsed`."""
-        if self._start is None:
-            raise RuntimeError("Timer.stop() called before start()")
-        interval = time.perf_counter() - self._start
-        self.elapsed += interval
-        self._start = None
-        return interval
-
-    def lap(self, name: str) -> "_Lap":
-        """Return a context manager recording a named lap."""
-        return _Lap(self, name)
-
-    def record(self, name: str, interval: float) -> None:
-        """Record an externally measured ``interval`` under ``name``."""
-        self.laps.setdefault(name, []).append(interval)
-
-    def total(self, name: str) -> float:
-        """Total time accumulated in laps called ``name``."""
-        return float(sum(self.laps.get(name, [])))
-
-    def summary(self) -> Dict[str, float]:
-        """Per-lap-name totals, plus overall elapsed time under ``"elapsed"``.
-
-        A lap literally named ``"elapsed"`` would collide with (and used to
-        be silently clobbered by) the overall key; that is now an error —
-        rename the lap.
-        """
-        if "elapsed" in self.laps:
-            raise ValueError(
-                'a lap named "elapsed" collides with Timer.summary()\'s '
-                "overall-elapsed key; rename the lap"
-            )
-        result = {name: self.total(name) for name in self.laps}
-        result["elapsed"] = self.elapsed
-        return result
-
-
-class _Lap:
-    """Context manager created by :meth:`Timer.lap`."""
-
-    def __init__(self, timer: Timer, name: str) -> None:
-        self._timer = timer
-        self._name = name
-        self._start = 0.0
-
-    def __enter__(self) -> "_Lap":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self._timer.record(self._name, time.perf_counter() - self._start)

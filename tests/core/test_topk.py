@@ -291,19 +291,43 @@ class TestEngineBehaviour:
         )
         assert _signature(ranking) == _signature(full)
 
-    def test_sampler_cache_shared_across_calls(self):
-        engine = ProgressiveTopKEngine(DATASET.attributed, _config())
-        engine.top_k(2)
-        first_draws = engine.stats.samples_drawn
-        engine.top_k(3)
-        assert engine.stats.samples_drawn == first_draws
-        assert engine.stats.sample_cache_hits >= 1
+
+class TestCoverageStudy:
+    """The statistical guarantee behind pruning, measured over many seeds.
+
+    Pruning is only safe when the confidence intervals hold; each seed draws
+    a different shared sample, so the fraction of (seed, k) runs whose
+    progressive top-k differs from the full-budget top-k estimates how often
+    they fail.  It must stay within the configured ``1 - topk_confidence``.
+    """
+
+    SEEDS = range(40)
+    KS = (1, 3)
+
+    def test_mismatch_rate_within_confidence(self):
+        attributed = SEPARABLE_DATASET.attributed
+        confidence = _separable_config().topk_confidence
+        mismatches = runs = pruned = 0
+        for seed in self.SEEDS:
+            config = _separable_config(random_state=seed)
+            full = BatchTescEngine(attributed, config).rank_pairs("all")
+            for k in self.KS:
+                ranking = ProgressiveTopKEngine(attributed, config).top_k(k)
+                runs += 1
+                mismatches += _signature(ranking) != _signature(full.top(k))
+                pruned += ranking.topk_stats.pairs_pruned
+        assert pruned > 0, "no pair was pruned, so the study tested nothing"
+        assert mismatches / runs <= 1.0 - confidence, (
+            f"{mismatches}/{runs} progressive top-k answers differ from the "
+            f"full ranking (allowed rate {1.0 - confidence:g})"
+        )
 
 
 class TestCancellation:
     def test_cancelled_top_k_can_be_retried(self, monkeypatch):
-        """A deadline hit mid-schedule leaves no half-drawn sample behind:
-        the retry on the same engine answers like a fresh engine."""
+        """A deadline hit mid-schedule leaves nothing behind: the engine
+        keeps no state between calls, so the retry answers like a fresh
+        engine."""
         config = _config("whole_graph")
         expected = ProgressiveTopKEngine(DATASET.attributed, config).top_k(2)
         engine = ProgressiveTopKEngine(DATASET.attributed, config)

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.service import engine as engine_module
 from repro.service.engine import ServiceEngine, pair_record
 
 
@@ -170,21 +171,23 @@ class TestEpochCacheProperty:
 
 
 class TestSampleMemoBound:
-    def test_per_seed_memos_stay_bounded(self, dynamic_graph, service_dataset):
+    def test_per_seed_memos_stay_bounded(
+        self, dynamic_graph, service_dataset, monkeypatch
+    ):
         """Samples of every request seed share one memo, evicted LRU beyond
-        ``max_cached_matrices``; an evicted seed redraws the identical
+        ``MAX_CACHED_MATRICES``; an evicted seed redraws the identical
         sample."""
         _dataset, config = service_dataset
+        monkeypatch.setattr(engine_module, "MAX_CACHED_MATRICES", 3)
         # One cached result forces every re-rank below back to the sample.
-        engine = ServiceEngine(
-            dynamic_graph, config, max_cached_matrices=3, max_cached_results=1
-        )
+        monkeypatch.setattr(engine_module, "MAX_CACHED_RESULTS", 1)
+        engine = ServiceEngine(dynamic_graph, config)
         names = dynamic_graph.event_names()
         pairs = [(names[0], names[1])]
         first = engine.rank(pairs, config_overrides={"random_state": 0})
         for seed in range(1, 12):
             engine.rank(pairs, config_overrides={"random_state": seed})
-            assert engine._sample_memo.num_cached <= engine.max_cached_matrices
+            assert engine._sample_memo.num_cached <= 3
         misses = engine.metrics.value("tesc_sample_memo_misses_total")
         again = engine.rank(pairs, config_overrides={"random_state": 0})
         assert engine.metrics.value("tesc_sample_memo_misses_total") == misses + 1
@@ -193,5 +196,5 @@ class TestSampleMemoBound:
             pairs, config_overrides={"random_state": 0}
         )
         assert again["pairs"] == [pair_record(pair) for pair in reference]
-        assert engine._sample_memo.num_cached <= engine.max_cached_matrices
+        assert engine._sample_memo.num_cached <= 3
         engine.close()

@@ -80,6 +80,19 @@ class TestProtocolEdges:
             with pytest.raises(BadRequestError):
                 client.request("topk", {})  # k missing entirely
 
+    def test_batch_per_vicinity_override_is_400(self, static_server):
+        """Only the importance samplers read ``batch_per_vicinity`` and the
+        service rejects those, so the field is not a wire override."""
+        payload = json.dumps({
+            "id": 7, "method": "rank",
+            "params": {"pairs": "all", "config": {"batch_per_vicinity": 4}},
+        })
+        response = raw_exchange(static_server.address, payload.encode() + b"\n")
+        assert response["ok"] is False
+        assert response["error"]["code"] == 400
+        assert response["error"]["type"] == "bad_request"
+        assert "batch_per_vicinity" in response["error"]["message"]
+
     def test_oversize_frame_gets_400_and_closes(self, static_server):
         """A frame past the cap with no newline is answered with a 400 and
         its connection closed; other connections keep being served."""

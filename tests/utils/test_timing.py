@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.timing import Timer, format_seconds
+from repro.utils.timing import format_seconds
 
 
 class TestFormatSeconds:
@@ -16,53 +16,3 @@ class TestFormatSeconds:
     def test_negative_raises(self):
         with pytest.raises(ValueError):
             format_seconds(-1.0)
-
-
-class TestTimer:
-    def test_context_manager_accumulates(self):
-        with Timer() as timer:
-            sum(range(100))
-        assert timer.elapsed > 0.0
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
-    def test_laps_accumulate_by_name(self):
-        timer = Timer()
-        with timer.lap("phase"):
-            pass
-        with timer.lap("phase"):
-            pass
-        assert len(timer.laps["phase"]) == 2
-        assert timer.total("phase") >= 0.0
-
-    def test_total_of_unknown_lap_is_zero(self):
-        assert Timer().total("missing") == 0.0
-
-    def test_summary_contains_elapsed(self):
-        timer = Timer()
-        timer.start()
-        timer.stop()
-        timer.record("x", 0.5)
-        summary = timer.summary()
-        assert summary["x"] == 0.5
-        assert "elapsed" in summary
-
-    def test_summary_rejects_lap_named_elapsed(self):
-        # A lap called "elapsed" would silently clobber (or be clobbered
-        # by) the overall-elapsed key; summary() must refuse instead.
-        timer = Timer()
-        timer.start()
-        timer.stop()
-        timer.record("elapsed", 0.25)
-        with pytest.raises(ValueError, match="elapsed"):
-            timer.summary()
-
-    def test_multiple_start_stop_cycles_accumulate(self):
-        timer = Timer()
-        timer.start()
-        first = timer.stop()
-        timer.start()
-        second = timer.stop()
-        assert timer.elapsed == pytest.approx(first + second)
