@@ -23,10 +23,12 @@ from repro.graph.traversal import BFSEngine
 from repro.graph.vicinity import VicinityIndex
 from repro.sampling.registry import create_sampler
 from repro.stats.fast_kendall import (
+    dense_ranks,
     fenwick_weighted_concordance,
     merge_concordance_sum,
     naive_concordance_sum,
     naive_weighted_concordance,
+    table_concordance,
 )
 from repro.streaming import Delta, DeltaBatch, DynamicAttributedGraph
 
@@ -190,6 +192,36 @@ def test_kendall_kernel_fast(benchmark, n):
     benchmark.pedantic(
         lambda: merge_concordance_sum(x, y), rounds=3, iterations=1
     )
+
+
+# Density-like codes for the contingency-table kernel: densities are ratios
+# of small integers (occurrences over vicinity size), so a row holds a few
+# dozen distinct values however large n is.  Dense codes and their count K
+# are what the pair batcher caches per density row.
+_DENSITY_RNG = np.random.default_rng(22)
+
+
+def _density_like_codes(n):
+    sizes = _DENSITY_RNG.integers(1, 12, size=n)
+    values = _DENSITY_RNG.integers(0, sizes + 1) / sizes
+    codes = dense_ranks(values)
+    return codes, int(codes.max()) + 1
+
+
+DENSITY_CODES = {
+    n: (_density_like_codes(n), _density_like_codes(n)) for n in (900, 5_000)
+}
+
+
+@pytest.mark.parametrize("n", [900, 5_000])
+def test_kendall_kernel_table(benchmark, n):
+    """The O(n + Kx·Ky) contingency-table kernel on tie-heavy, density-like
+    codes; it returns the merge kernel's exact ``S``."""
+    (x, kx), (y, ky) = DENSITY_CODES[n]
+    s, _, _ = benchmark.pedantic(
+        lambda: table_concordance(x, y, kx, ky), rounds=3, iterations=1
+    )
+    assert s == merge_concordance_sum(x, y)
 
 
 @pytest.mark.parametrize("n", [900, 5_000])

@@ -28,9 +28,9 @@ across a whole pair set:
 4. **Shared estimator state.**  Each event's density column is rank-encoded
    once by :class:`~repro.core.estimators.PairEstimateBatcher` (an ``O(n)``
    rank vector per event) and gathered per pair; the per-pair concordance
-   runs through the size-dispatched kernels of
-   :mod:`repro.stats.fast_kendall` (``O(n log n)`` merge sort above the
-   crossover, the vectorised naive kernel below it).
+   runs through the contingency-table kernel of
+   :mod:`repro.stats.fast_kendall` while ``Kx·Ky <= c·n``, the
+   ``O(n log n)`` merge sort otherwise.
 
 The entry points are :meth:`BatchTescEngine.rank_pairs` (object API) and
 :func:`rank_pairs` (one-call convenience), both returning a

@@ -9,14 +9,19 @@ tie-corrected null standard deviation and the z-score of Eq. 7.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import EstimationError, InsufficientSampleError
-from repro.stats.fast_kendall import concordance_sum, dense_ranks
+from repro.stats.fast_kendall import dense_ranks, merge_concordance_sum, table_concordance
 from repro.stats.kendall import pair_concordance_sum, weighted_pair_concordance
 from repro.stats.ties import null_variance_numerator_with_ties, tie_group_sizes
+
+#: ``c`` of the batcher's ``Kx·Ky <= c·n`` table-kernel rule.  On 2 cores the
+#: table beats the merge kernel up to 32–64 cells per observation (n =
+#: 200–4000): level-1 density pairs sit near 20, level-2 ones above 100.
+TABLE_CELLS_PER_OBSERVATION = 32
 
 
 @dataclass(frozen=True)
@@ -70,36 +75,27 @@ def _validate_densities(densities_a: Sequence[float],
     return a, b
 
 
-def _null_statistics(a: np.ndarray, b: np.ndarray) -> Tuple[tuple, tuple, Optional[float]]:
-    """Tie groups of both vectors and the Eq. 6 null sigma of ``S``.
-
-    Each vector's tie groups are computed once and feed both the reported
-    ``ties_a``/``ties_b`` and the variance; the sigma is ``None`` when the
-    pair is degenerate (either vector is a single tie group of size ``n``).
-    """
-    n = int(a.size)
-    ties_a = tie_group_sizes(a)
-    ties_b = tie_group_sizes(b)
+def _null_sigma(n: int, ties_a: List[int], ties_b: List[int]) -> Optional[float]:
+    """Eq. 6 null sigma of ``S``; ``None`` when either vector is one tie."""
     if ties_a == [n] or ties_b == [n]:
-        return tuple(ties_a), tuple(ties_b), None
+        return None
     variance = null_variance_numerator_with_ties(n, ties_a, ties_b)
     if variance < 0:
         raise EstimationError(f"negative null variance {variance}; ties are inconsistent")
-    return tuple(ties_a), tuple(ties_b), float(np.sqrt(variance))
+    return float(np.sqrt(variance))
 
 
-def _plain_components(a: np.ndarray, b: np.ndarray, s) -> EstimateComponents:
+def _plain_components(n: int, s, ties_a: List[int], ties_b: List[int]) -> EstimateComponents:
     """:class:`EstimateComponents` of the plain statistic with numerator ``s``."""
-    n = int(a.size)
-    ties_a, ties_b, sigma = _null_statistics(a, b)
+    sigma = _null_sigma(n, ties_a, ties_b)
     return EstimateComponents(
         estimate=s / (0.5 * n * (n - 1)),
         z_score=float(s / sigma) if sigma else 0.0,
         num_reference_nodes=n,
         concordance_sum=s,
         null_sigma=sigma or 0.0,
-        ties_a=ties_a,
-        ties_b=ties_b,
+        ties_a=tuple(ties_a),
+        ties_b=tuple(ties_b),
         degenerate=sigma is None,
     )
 
@@ -114,7 +110,7 @@ def plain_estimate(densities_a: Sequence[float],
     """
     a, b = _validate_densities(densities_a, densities_b)
     s = float(pair_concordance_sum(a, b))
-    return _plain_components(a, b, s)
+    return _plain_components(int(a.size), s, tie_group_sizes(a), tie_group_sizes(b))
 
 
 def importance_weighted_estimate(
@@ -159,7 +155,8 @@ def importance_weighted_estimate(
     estimate = numerator / denominator
 
     n = int(a.size)
-    ties_a, ties_b, sigma_numerator = _null_statistics(a, b)
+    ties_a, ties_b = tie_group_sizes(a), tie_group_sizes(b)
+    sigma_numerator = _null_sigma(n, ties_a, ties_b)
     # Use t~ as a surrogate for t: z = t~ / sigma where sigma is the Eq.5/6
     # standard deviation of the *normalised* statistic over n reference nodes
     # (z = 0 when the pair is degenerate).
@@ -171,8 +168,8 @@ def importance_weighted_estimate(
         num_reference_nodes=n,
         concordance_sum=float(numerator),
         null_sigma=sigma_numerator or 0.0,
-        ties_a=ties_a,
-        ties_b=ties_b,
+        ties_a=tuple(ties_a),
+        ties_b=tuple(ties_b),
         degenerate=sigma_numerator is None,
     )
 
@@ -184,12 +181,16 @@ class PairEstimateBatcher:
     structure* of that event's density column.  When ranking many pairs over
     a shared reference sample (:class:`~repro.core.batch.BatchTescEngine`),
     each event's density row is rank-encoded once (one ``O(n log n)``
-    argsort, ``O(n)`` memory) and the rank vector is reused by every pair
-    the event participates in: restricting ranks to a pair's population is
-    an ``O(n)`` gather, and the concordance kernel runs on the restricted
-    ranks.  This replaces the historical per-event ``O(n²)`` sign-matrix
-    cache — at n=900 that cache cost ~0.8 MB per event; at n=100k it would
-    have cost ~10 GB per event, while a rank vector stays at 8n bytes.
+    argsort, ``O(n)`` memory) into dense codes ``0 .. K-1`` and the code
+    vector is reused by every pair the event participates in: restricting
+    codes to a pair's population is an ``O(n)`` gather.  This replaces the
+    historical per-event ``O(n²)`` sign-matrix cache — at n=900 that cache
+    cost ~0.8 MB per event; at n=100k it would have cost ~10 GB per event,
+    while a code vector stays at 8n bytes.  A pair is scored by the
+    contingency-table kernel while ``Kx·Ky <= c·n`` (``Kx``/``Ky`` the rows'
+    distinct-value counts, ``c`` = :data:`TABLE_CELLS_PER_OBSERVATION`) and
+    by the merge kernel otherwise; the Eq. 6 tie groups are the restricted
+    code counts either way.
 
     Parameters
     ----------
@@ -201,8 +202,8 @@ class PairEstimateBatcher:
     -----
     Results are numerically identical to calling :func:`plain_estimate` on
     the corresponding pair of rows (restricted to ``columns`` when given):
-    rank encoding preserves every ``sign(x_i - x_j)`` exactly, and all
-    kernels return the same integer ``S``.
+    rank encoding preserves every ``sign(x_i - x_j)`` exactly, all kernels
+    return the same integer ``S``, and code order is value order.
     """
 
     def __init__(self, density_matrix: np.ndarray) -> None:
@@ -214,6 +215,7 @@ class PairEstimateBatcher:
             )
         self._matrix = matrix
         self._ranks: Dict[int, np.ndarray] = {}
+        self._num_codes: Dict[int, int] = {}
 
     @property
     def num_reference_nodes(self) -> int:
@@ -246,53 +248,20 @@ class PairEstimateBatcher:
             )
         return PairEstimateBatcher(matrix)
 
-    def _rank_vector(self, row: int) -> np.ndarray:
-        """Dense ranks of one density row, computed once and cached (O(n))."""
-        cached = self._ranks.get(row)
-        if cached is None:
-            cached = dense_ranks(self._matrix[row])
-            self._ranks[row] = cached
-        return cached
+    def _codes(self, row: int) -> Tuple[np.ndarray, int]:
+        """Dense rank codes of one row and their count, cached (O(n))."""
+        codes = self._ranks.get(row)
+        if codes is None:
+            codes = self._ranks[row] = dense_ranks(self._matrix[row])
+            self._num_codes[row] = int(codes.max(initial=-1)) + 1
+        return codes, self._num_codes[row]
 
-    def screen_pair(
-        self, row_a: int, row_b: int, columns: Optional[np.ndarray] = None
-    ) -> Tuple[float, int]:
-        """Just ``(estimate, num_reference_nodes)`` for a pair — no inference.
-
-        The progressive top-k engine's pruning rounds only need each pair's
-        point estimate and restricted sample size to form confidence bounds;
-        the tie statistics, null sigma and z-score of
-        :meth:`estimate_pair` are several extra sorts per pair that the
-        screening loop deliberately skips (they are computed once, on the
-        full-budget sample, for the pairs that survive).  The returned
-        estimate is the exact same number :meth:`estimate_pair` would report.
-        """
-        a = self._rank_vector(row_a)
-        b = self._rank_vector(row_b)
-        if columns is not None:
-            a = a[columns]
-            b = b[columns]
-        n = int(a.size)
-        if n < 2:
-            raise InsufficientSampleError(
-                f"need at least 2 reference nodes to form a pair, got {n}"
-            )
-        s = concordance_sum(a, b)
-        return s / (0.5 * n * (n - 1)), n
-
-    def estimate_pair(
-        self, row_a: int, row_b: int, columns: Optional[np.ndarray] = None
-    ) -> EstimateComponents:
-        """:func:`plain_estimate` for rows ``(row_a, row_b)``.
-
-        ``columns`` optionally restricts the estimate to a subset of the
-        shared reference sample (the pair's own reference population); the
-        cached rank vectors are gathered rather than recomputed (restricted
-        ranks are no longer dense, but order and ties — all the concordance
-        kernels consume — are preserved exactly).
-        """
-        a = self._rank_vector(row_a)
-        b = self._rank_vector(row_b)
+    def _score(
+        self, row_a: int, row_b: int, columns: Optional[np.ndarray]
+    ) -> Tuple[int, int, np.ndarray, np.ndarray]:
+        """``(n, S, code counts of a, code counts of b)`` over ``columns``."""
+        a, kx = self._codes(row_a)
+        b, ky = self._codes(row_b)
         if columns is not None:
             columns = np.asarray(columns, dtype=np.int64)
             a = a[columns]
@@ -302,8 +271,41 @@ class PairEstimateBatcher:
             raise InsufficientSampleError(
                 f"need at least 2 reference nodes to form a pair, got {n}"
             )
-        s = concordance_sum(a, b)
-        return _plain_components(a, b, s)
+        if kx * ky <= TABLE_CELLS_PER_OBSERVATION * n:
+            return (n, *table_concordance(a, b, kx, ky))
+        s = merge_concordance_sum(a, b)
+        return n, s, np.bincount(a, minlength=kx), np.bincount(b, minlength=ky)
+
+    def screen_pair(
+        self, row_a: int, row_b: int, columns: Optional[np.ndarray] = None
+    ) -> Tuple[float, int]:
+        """Just ``(estimate, num_reference_nodes)`` for a pair — no inference.
+
+        The progressive top-k engine's pruning rounds only need each pair's
+        point estimate and restricted sample size to form confidence bounds;
+        the null sigma and z-score of :meth:`estimate_pair` are skipped here
+        (they are computed once, on the full-budget sample, for the pairs
+        that survive).  The returned estimate is the exact same number
+        :meth:`estimate_pair` would report.
+        """
+        n, s, _, _ = self._score(row_a, row_b, columns)
+        return s / (0.5 * n * (n - 1)), n
+
+    def estimate_pair(
+        self, row_a: int, row_b: int, columns: Optional[np.ndarray] = None
+    ) -> EstimateComponents:
+        """:func:`plain_estimate` for rows ``(row_a, row_b)``.
+
+        ``columns`` optionally restricts the estimate to a subset of the
+        shared reference sample (the pair's own reference population); the
+        cached code vectors are gathered rather than recomputed (restricted
+        codes are no longer dense, but order and ties — all the concordance
+        kernels consume — are preserved exactly).
+        """
+        n, s, counts_a, counts_b = self._score(row_a, row_b, columns)
+        return _plain_components(
+            n, s, counts_a[counts_a >= 2].tolist(), counts_b[counts_b >= 2].tolist()
+        )
 
 
 def exact_tau(densities_a: Sequence[float],

@@ -468,7 +468,7 @@ class ProgressiveTopKEngine:
 
         # Final full-budget estimates for the survivors — the exact
         # rank_pairs arithmetic (shared density matrix, rank vectors,
-        # size-dispatched kernels).
+        # batcher kernels).
         with stage("estimate", pairs=len(active)):
             results = estimate_pair_list(
                 active, row_of, matrix, batcher, cfg, on_insufficient

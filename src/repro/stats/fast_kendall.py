@@ -1,4 +1,4 @@
-"""O(n log n) Kendall concordance kernels and the size-dispatched facade.
+"""Exact Kendall concordance kernels and the size-dispatched facade.
 
 Every TESC estimate (Eq. 3/4/8) reduces to a concordance computation over a
 pair of density vectors.  The historical implementation materialised ``n x n``
@@ -12,6 +12,10 @@ paper's n=900.  This module provides exact sub-quadratic kernels:
   with an O(n log n) bottom-up merge, and correct for tie groups in ``x``,
   ``y`` and ``(x, y)`` jointly.  Matches the naive sign-matrix kernel
   **bit for bit** (both produce the same integer).
+* :func:`table_concordance` — the same integer ``S`` from the ``Kx x Ky``
+  contingency table of two rank-code vectors (one ``bincount`` and a 2-D
+  prefix sum); its row and column sums are the Eq. 6 tie groups.  Density
+  vectors are ratios of small integers, so ``Kx·Ky`` is often below ``n``.
 * :func:`fenwick_weighted_concordance` — the Eq. 8 weighted numerator /
   denominator via a Fenwick tree (binary indexed tree): sort by ``x``,
   sweep x-tie groups in order and, for each node, read the total weight of
@@ -21,26 +25,29 @@ paper's n=900.  This module provides exact sub-quadratic kernels:
   tied in ``x`` contribute zero as well.  Agrees with the naive kernel to
   float round-off (different summation order).
 * the ``naive_*`` kernels — the original vectorised O(n²) implementations,
-  kept verbatim as the oracle for property tests and as the faster path
+  kept verbatim as the oracle for property tests and as the facades' path
   below the dispatch crossover (BLAS-style vectorisation beats the merge
   bookkeeping for small ``n``).
 
 :func:`concordance_sum` and :func:`weighted_concordance` are the facades the
-rest of the code base routes through.  They pick the kernel from the input
+general-purpose code routes through.  They pick the kernel from the input
 size alone: the naive kernel below :data:`DEFAULT_CROSSOVER` observations,
-the merge-sort / Fenwick kernel at or above it.  The choice is not a
-setting, because it never changes ``S``; benchmarks and tests that need one
-path call the kernel functions directly.
+the merge-sort / Fenwick kernel at or above it.
+:class:`~repro.core.estimators.PairEstimateBatcher` scores its cached rank
+codes with the table while ``Kx·Ky <= c·n`` (which keeps it O(n)) and with
+the merge kernel otherwise.  No choice is a setting, because none changes
+``S``; benchmarks and tests that need one path call the kernels directly.
 
 Complexity summary (per pair estimate):
 
-============================  ==========  ========
-kernel                        time        memory
-============================  ==========  ========
-naive sign matrices           O(n²)       O(n²)
-merge-sort (Knight)           O(n log n)  O(n)
-Fenwick weighted              O(n log n)  O(n)
-============================  ==========  ========
+============================  ===============  ============
+kernel                        time             memory
+============================  ===============  ============
+naive sign matrices           O(n²)            O(n²)
+merge-sort (Knight)           O(n log n)       O(n)
+contingency table             O(n + Kx·Ky)     O(Kx·Ky)
+Fenwick weighted              O(n log n)       O(n)
+============================  ===============  ============
 """
 
 from __future__ import annotations
@@ -218,6 +225,35 @@ def _concordance_counts(x: np.ndarray, y: np.ndarray) -> Tuple[int, int, int]:
     tied = tied_x + tied_y - tied_both
     concordant = total_pairs - tied - discordant
     return concordant, discordant, tied
+
+
+# -- the contingency-table kernel ---------------------------------------------
+
+
+def table_concordance(
+    x_codes: np.ndarray, y_codes: np.ndarray, kx: int, ky: int
+) -> Tuple[int, np.ndarray, np.ndarray]:
+    """Exact ``S`` and both code counts in O(n + Kx·Ky) time, O(Kx·Ky) memory.
+
+    ``x_codes`` / ``y_codes`` are order-preserving integer codes in
+    ``[0, kx)`` / ``[0, ky)`` (not every code need occur).  With ``t`` the
+    table of code pairs and ``B[i, j]`` the observations in rows ``< i`` and
+    columns ``<= j``, ``S = Σ t[i, j] · (B[i, j-1] − (B[i, ky-1] − B[i, j]))``:
+    each cell against the cells strictly below-left (concordant) and below-
+    right (discordant); pairs sharing a row or column are ties.  Returns
+    ``(S, row sums, column sums)``, the code counts of ``x`` and ``y``.
+    Integer arithmetic, bit-identical to :func:`merge_concordance_sum`.
+
+    >>> s, counts_x, counts_y = table_concordance(
+    ...     np.array([0, 0, 1, 2]), np.array([1, 0, 1, 2]), 3, 3)
+    >>> s, counts_x.tolist(), counts_y.tolist()
+    (4, [2, 1, 1], [1, 2, 1])
+    """
+    table = np.bincount(x_codes * ky + y_codes, minlength=kx * ky).reshape(kx, ky)
+    below = table.cumsum(axis=0)[:-1].cumsum(axis=1)
+    concordant = int((table[1:, 1:] * below[:, :-1]).sum())
+    discordant = int((table[1:, :-1] * (below[:, -1:] - below[:, :-1])).sum())
+    return concordant - discordant, table.sum(axis=1), table.sum(axis=0)
 
 
 # -- the Fenwick-tree weighted kernel -----------------------------------------

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.core import estimators
 from repro.events.attributed_graph import AttributedGraph
 from repro.graph.adjacency import Graph
 from repro.graph.generators import erdos_renyi_graph
@@ -66,20 +67,37 @@ def rng() -> np.random.Generator:
 
 @pytest.fixture
 def force_kernel(monkeypatch):
-    """Pin the concordance facades to one kernel for the rest of a test.
+    """Pin the concordance kernels to one path for the rest of a test.
 
-    ``force_kernel("naive")`` moves the size-dispatch threshold past every
-    input, ``force_kernel("fast")`` below every input, and
-    ``force_kernel("auto")`` restores the library threshold.  The library
+    ``force_kernel("naive")`` moves the facades' size-dispatch threshold past
+    every input and scores the batcher's pairs with the O(n²) sign-matrix
+    kernel; ``force_kernel("fast")`` runs the facades and the batcher on the
+    merge-sort kernel; ``force_kernel("table")`` scores every batcher pair
+    with the contingency-table kernel (facades keep the library threshold);
+    ``force_kernel("auto")`` restores the library dispatch.  The library
     offers no such switch (the kernels return the same ``S``); tests use
     this one to check exactly that.  Density threads share the process, so
-    the threshold holds for every worker count.
+    the choice holds for every worker count.
     """
-    thresholds = {
-        "naive": sys.maxsize, "fast": 2, "auto": fast_kendall.DEFAULT_CROSSOVER,
+    # path: (facade crossover, batcher table cells per observation, batcher
+    # kernel beyond the table)
+    paths = {
+        "naive": (sys.maxsize, 0, fast_kendall.naive_concordance_sum),
+        "fast": (2, 0, fast_kendall.merge_concordance_sum),
+        "table": (
+            fast_kendall.DEFAULT_CROSSOVER, sys.maxsize,
+            fast_kendall.merge_concordance_sum,
+        ),
+        "auto": (
+            fast_kendall.DEFAULT_CROSSOVER, estimators.TABLE_CELLS_PER_OBSERVATION,
+            fast_kendall.merge_concordance_sum,
+        ),
     }
 
     def force(path: str) -> None:
-        monkeypatch.setattr(fast_kendall, "DEFAULT_CROSSOVER", thresholds[path])
+        crossover, table_cells, beyond_table = paths[path]
+        monkeypatch.setattr(fast_kendall, "DEFAULT_CROSSOVER", crossover)
+        monkeypatch.setattr(estimators, "TABLE_CELLS_PER_OBSERVATION", table_cells)
+        monkeypatch.setattr(estimators, "merge_concordance_sum", beyond_table)
 
     return force

@@ -1,11 +1,14 @@
-"""Engine-level agreement tests for the size-dispatched Kendall kernels.
+"""Engine-level agreement tests for the dispatched Kendall kernels.
 
 `BatchTescEngine.rank_pairs` and post-commit session `rank` outputs
 (scores, z-scores, verdicts) must be identical whichever concordance kernel
 computes them, for every sampler × worker-count combination — the kernels
 return the same exact integer ``S``, so this is a bit-identity property,
-not an approximation.  The ``force_kernel`` fixture pins the facades to one
-kernel; the library itself picks the kernel from the input size alone.
+not an approximation.  The ``force_kernel`` fixture pins the facades and
+the pair batcher to one kernel.  The library itself picks the kernel from
+observable input properties: the facades from the input size, the batcher
+from the two rows' distinct-value counts against the pair's size
+(contingency table while ``Kx·Ky <= c·n``, merge sort otherwise).
 """
 
 import numpy as np
@@ -56,45 +59,48 @@ class TestBatchEngineKernelAgreement:
     @pytest.mark.parametrize("sampler", ["batch_bfs", "exhaustive", "whole_graph"])
     def test_rank_pairs_kernel_invariant(self, dblp_workload, sampler,
                                          force_kernel):
-        """Naive, fast and auto kernels produce bit-identical rankings —
-        at n=900-ish sample sizes auto routes to the fast path, so this
-        also pins the default configuration against the pre-kernel output."""
+        """Naive, fast, table and auto kernels produce bit-identical
+        rankings — auto routes these tie-heavy level-1 pairs to the table,
+        so this also pins the default configuration against the pre-kernel
+        output."""
         dataset, pairs = dblp_workload
         config = TescConfig(
             vicinity_level=1, sample_size=400, random_state=5, sampler=sampler,
         )
         rankings = {}
-        for kernel in ("naive", "fast", "auto"):
+        for kernel in ("naive", "fast", "table", "auto"):
             force_kernel(kernel)
             engine = BatchTescEngine(dataset.attributed, config)
             rankings[kernel] = engine.rank_pairs(pairs)
         assert_rankings_identical(rankings["naive"], rankings["fast"])
+        assert_rankings_identical(rankings["naive"], rankings["table"])
         assert_rankings_identical(rankings["naive"], rankings["auto"])
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_worker_sweep_with_fast_kernel(self, dblp_workload, workers,
                                            force_kernel):
         """rank_pairs(workers=1/2/4) is unchanged by the new kernels: every
-        worker count with the forced-fast kernel reproduces the serial
-        naive-kernel ranking bit for bit."""
+        worker count with the forced-fast or forced-table kernel reproduces
+        the serial naive-kernel ranking bit for bit."""
         dataset, pairs = dblp_workload
         config = TescConfig(vicinity_level=1, sample_size=300, random_state=11)
         force_kernel("naive")
         serial = BatchTescEngine(dataset.attributed, config).rank_pairs(pairs)
-        force_kernel("fast")
-        ranking = BatchTescEngine(
-            dataset.attributed, config, workers=workers
-        ).rank_pairs(pairs)
-        assert_rankings_identical(serial, ranking)
+        for kernel in ("fast", "table"):
+            force_kernel(kernel)
+            ranking = BatchTescEngine(
+                dataset.attributed, config, workers=workers
+            ).rank_pairs(pairs)
+            assert_rankings_identical(serial, ranking)
 
 
 class TestSessionKernelAgreement:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_streaming_verdicts_kernel_invariant(self, dblp_workload, workers,
                                                  force_kernel):
-        """Two sessions over identical delta streams — one forced naive, one
-        forced fast — agree on every score, z-score and verdict after every
-        commit, carried-forward density columns included."""
+        """Sessions over identical delta streams — forced naive, forced
+        fast and forced table — agree on every score, z-score and verdict
+        after every commit, carried-forward density columns included."""
         dataset, pairs = dblp_workload
         monitored = pairs[:6]
         rng = np.random.default_rng(31)
@@ -126,7 +132,9 @@ class TestSessionKernelAgreement:
                     answers.append(session.rank(monitored)["pairs"])
                 return answers
 
-        assert run("naive") == run("fast")
+        naive = run("naive")
+        assert naive == run("fast")
+        assert naive == run("table")
 
 
 class TestColumnCarryAcrossEventTuples:
@@ -173,7 +181,7 @@ class TestBatcherRankCache:
             assert ranks.size == n
             assert ranks.nbytes == 8 * n  # int64 rank vector, not n×n signs
 
-    @pytest.mark.parametrize("kernel", ["naive", "fast", "auto"])
+    @pytest.mark.parametrize("kernel", ["naive", "fast", "table", "auto"])
     def test_matches_plain_estimate_on_subsets(self, kernel, force_kernel):
         rng = np.random.default_rng(9)
         matrix = np.round(rng.random((3, 230)), 1)  # heavy ties

@@ -212,7 +212,7 @@ class TestKernelConservatism:
     are identical whichever kernel computed them.
     """
 
-    @pytest.mark.parametrize("kernel", ["naive", "fast"])
+    @pytest.mark.parametrize("kernel", ["naive", "fast", "table"])
     def test_forced_kernels_match_auto(self, kernel, force_kernel):
         auto = ProgressiveTopKEngine(DATASET.attributed, _config()).top_k(3)
         force_kernel(kernel)

@@ -18,6 +18,7 @@ from repro.core.estimators import (
 )
 from repro.graph.csr import CSRGraph
 from repro.graph.traversal import BFSEngine
+from repro.stats.fast_kendall import table_concordance
 from repro.stats.kendall import kendall_tau_a, kendall_tau_b, pair_concordance_sum
 from repro.stats.ties import (
     degenerate_ties,
@@ -186,6 +187,58 @@ class TestSingleTiePass:
         batcher = PairEstimateBatcher(np.vstack([x, y]))
         assert plain_estimate(x, y) == expected
         assert batcher.estimate_pair(0, 1) == expected
+
+    @given(tie_heavy_pairs(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_column_subsets_equal_the_composed_reference(self, pair, data):
+        """Restricted codes are not dense: the contingency table gets empty
+        rows and columns, which must not show in ``S`` or the tie groups."""
+        x, y = pair
+        columns = np.array(sorted(data.draw(st.sets(
+            st.integers(min_value=0, max_value=x.size - 1), min_size=2,
+        ))))
+        batcher = PairEstimateBatcher(np.vstack([x, y]))
+        assert batcher.estimate_pair(0, 1, columns) == _composed_components(
+            x[columns], y[columns]
+        )
+
+    def test_two_observations(self):
+        x, y = np.array([0.25, 0.5]), np.array([1.0, 0.0])
+        expected = _composed_components(x, y)
+        assert expected.concordance_sum == -1 and not expected.degenerate
+        assert PairEstimateBatcher(np.vstack([x, y])).estimate_pair(0, 1) == expected
+
+    def test_single_code_row_is_degenerate(self):
+        """Kx = 1: a one-row table, no ordered pairs, z = 0."""
+        x, y = np.full(9, 0.5), np.array([0.0, 1.0, 0.25, 0.25, 0.5, 1.0, 0.0, 0.5, 1.0])
+        for a, b in ((x, y), (y, x)):
+            components = PairEstimateBatcher(np.vstack([a, b])).estimate_pair(0, 1)
+            assert components == _composed_components(a, b)
+            assert components.degenerate and components.z_score == 0.0
+            assert components.concordance_sum == 0
+
+    def test_table_rule_boundary(self, monkeypatch):
+        """The table serves a pair with exactly ``Kx·Ky == c·n`` cells and
+        the merge kernel one more distinct value; both match the reference."""
+        from repro.core import estimators
+
+        c = estimators.TABLE_CELLS_PER_OBSERVATION
+        n = 2 * c
+        rng = np.random.default_rng(5)
+        y = rng.permutation(n) / n  # Ky = n distinct values
+        tabled = []
+
+        def spy(*args):
+            tabled.append(args[2:])
+            return table_concordance(*args)
+
+        monkeypatch.setattr(estimators, "table_concordance", spy)
+        for kx, uses_table in ((c, True), (c + 1, False)):
+            x = rng.permutation(np.arange(n) % kx) / kx  # Kx = kx distinct values
+            tabled.clear()
+            components = PairEstimateBatcher(np.vstack([x, y])).estimate_pair(0, 1)
+            assert components == _composed_components(x, y)
+            assert tabled == ([(kx, n)] if uses_table else [])
 
     def test_constant_vectors_are_degenerate(self):
         x, y = np.full(6, 0.5), np.array([0.0, 1.0, 1.0, 0.25, 0.0, 0.5])
