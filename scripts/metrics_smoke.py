@@ -13,7 +13,8 @@ verb), scrapes the Prometheus HTTP endpoint, and fails loudly if
   reused pair estimates),
 * the pair-estimate outcomes do not add up to the pair-cache misses,
 * the sample-memo lookups do not add up to the density matrices computed
-  (only a matrix miss consults the memo; top-k draws its own sample), or
+  plus the top-k requests (a matrix miss and a top-k request each consult
+  the memo once), or
 * the protocol snapshot disagrees with the scripted request counts.
 
 The raw scrape is written to ``--out`` (default ``metrics_scrape.txt``)
@@ -233,17 +234,18 @@ def main() -> int:
         print(f"metrics smoke: {misses:g} pair-cache misses reconcile with "
               "their estimate outcomes")
 
-        # Every density-matrix miss looks its sample up in the memo once.
+        # Every density-matrix miss and every top-k request looks its
+        # sample up in the memo once.
         lookups = (
             sample_value(text, "tesc_sample_memo_hits_total", None)
             + sample_value(text, "tesc_sample_memo_misses_total", None)
         )
         matrices = sample_value(text, "tesc_matrices_computed_total", None)
-        if lookups != matrices:
+        if lookups != matrices + num_topk:
             fail(f"sample-memo hits + misses = {lookups}, but {matrices} "
-                 "density matrices computed")
+                 f"density matrices computed and {num_topk} top-k requests")
         print(f"metrics smoke: {lookups:g} sample-memo lookups reconcile with "
-              "the density matrices computed")
+              "the density matrices computed and the top-k requests")
 
         # The protocol snapshot must agree with the scripted counts.
         def verb_count(method):

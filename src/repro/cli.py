@@ -8,12 +8,12 @@ Subcommands
 ``tesc rank``
     Batch-test many event pairs on one graph with the shared-sample
     :class:`~repro.core.batch.BatchTescEngine` and print them ranked
-    (``--top-k`` routes through the progressive engine when sorting by
-    score).
+    (``--top-k`` truncates the exact full ranking).
 ``tesc topk``
     Progressive top-k: grow the shared sample in geometric rounds, prune
     pairs whose confidence interval falls below the k-th lower bound, and
-    print the surviving top-k (identical to a full ``tesc rank`` top-k).
+    print the surviving top-k (the ``tesc rank --top-k`` answer whenever
+    the pruning bounds hold).
 ``tesc stream``
     Replay a JSONL delta file through a session: commit each batch, rank
     the monitored pairs at the commit's epoch, and print what changed
@@ -50,7 +50,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro import __version__
 from repro.core.batch import SORT_KEYS, BatchTescEngine
-from repro.core.config import DEFAULT_TOPK_INITIAL_SAMPLE_SIZE, TescConfig
+from repro.core.config import TescConfig
 from repro.core.tesc import TescTester
 from repro.datasets.registry import available_datasets, load_dataset
 from repro.events.attributed_graph import AttributedGraph
@@ -141,11 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     rank_parser.add_argument("--sort-by", default="score", choices=list(SORT_KEYS))
     rank_parser.add_argument("--markdown", action="store_true",
                              help="render the ranking as markdown")
-    rank_parser.add_argument(
-        "--no-progressive", action="store_true",
-        help="with --top-k and --sort-by score: force the full batch engine "
-             "instead of routing through the progressive top-k engine",
-    )
 
     topk_parser = subparsers.add_parser(
         "topk", parents=[shared],
@@ -170,27 +165,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     topk_parser.add_argument("--alpha", type=float, default=0.05)
     topk_parser.add_argument(
-        "--confidence", type=float, default=None, metavar="C",
-        help="two-sided confidence level of the pruning bounds (default 0.995)",
-    )
-    topk_parser.add_argument(
         "--initial-sample", type=int, default=None, metavar="N0",
         help="first-round prefix size (default 256)",
     )
-    schedule_group = topk_parser.add_mutually_exclusive_group()
-    schedule_group.add_argument(
+    topk_parser.add_argument(
         "--growth", type=float, default=None, metavar="G",
         help="geometric growth factor between rounds (default 2.0)",
-    )
-    schedule_group.add_argument(
-        "--rounds", type=int, default=None, metavar="R",
-        help="alternative to --growth: target number of rounds from the "
-             "initial size to the budget (the growth factor is derived)",
-    )
-    topk_parser.add_argument(
-        "--bound", default=None, choices=["asymptotic", "certified"],
-        help="pruning-bound variance: asymptotic (tight, default) or the "
-             "paper's certified upper bound (conservative, prunes late)",
     )
     topk_parser.add_argument("--markdown", action="store_true",
                              help="render the ranking as markdown")
@@ -405,18 +385,6 @@ def _command_rank(args: argparse.Namespace) -> int:
     )
     pairs = [tuple(pair) for pair in args.pair] if args.pair else "all"
     workers = resolve_workers(args.workers)
-    if (
-        args.top_k is not None
-        and args.sort_by == "score"
-        and not args.no_progressive
-    ):
-        # A top-k-by-score request is exactly the progressive engine's
-        # workload; results are identical to the batch path, only cheaper.
-        from repro.core.topk import ProgressiveTopKEngine
-
-        engine = ProgressiveTopKEngine(attributed, config, workers=workers)
-        _print_topk(engine.top_k(args.top_k, pairs), workers, args)
-        return 0
     ranking = BatchTescEngine(attributed, config, workers=workers).rank_pairs(
         pairs, top_k=args.top_k, sort_by=args.sort_by
     )
@@ -441,8 +409,32 @@ def _command_rank(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_topk(ranking, workers: int, args: argparse.Namespace) -> int:
-    """Render a progressive top-k ranking plus its round/pruning summary."""
+def _command_topk(args: argparse.Namespace) -> int:
+    from repro.core.topk import ProgressiveTopKEngine
+
+    k = args.k if args.k is not None else args.top_k
+    if k is None:
+        print("tesc topk: one of --k / --top-k is required", file=sys.stderr)
+        return 2
+    graph, labels = read_edge_list(args.edges)
+    label_to_id = {label: index for index, label in enumerate(labels)}
+    events = read_event_file(args.events, label_to_id=label_to_id)
+    attributed = AttributedGraph(graph, events, labels=labels)
+    config_kwargs = dict(
+        vicinity_level=args.level,
+        sample_size=args.sample_size,
+        sampler=args.sampler,
+        alpha=args.alpha,
+        random_state=args.seed,
+    )
+    if args.initial_sample is not None:
+        config_kwargs["topk_initial_sample_size"] = args.initial_sample
+    if args.growth is not None:
+        config_kwargs["topk_growth_factor"] = args.growth
+    config = TescConfig(**config_kwargs)
+    pairs = [tuple(pair) for pair in args.pair] if args.pair else "all"
+    workers = resolve_workers(args.workers)
+    ranking = ProgressiveTopKEngine(attributed, config, workers=workers).top_k(k, pairs)
     stats = ranking.topk_stats
     print(ranking.render(markdown=args.markdown))
     print()
@@ -474,7 +466,6 @@ def _print_topk(ranking, workers: int, args: argparse.Namespace) -> int:
                 "pairs pruned": stats.pairs_pruned,
                 "survivors at full budget": stats.pairs_survived,
                 "screening estimates": stats.screen_estimates,
-                "full-budget estimates": stats.final_estimates,
                 "sample budget": stats.budget,
                 "density BFS calls": stats.density_bfs_calls,
                 "confidence": ranking.confidence,
@@ -486,46 +477,6 @@ def _print_topk(ranking, workers: int, args: argparse.Namespace) -> int:
         )
     )
     return 0
-
-
-def _command_topk(args: argparse.Namespace) -> int:
-    from repro.core.topk import ProgressiveTopKEngine, derive_growth_factor
-
-    k = args.k if args.k is not None else args.top_k
-    if k is None:
-        print("tesc topk: one of --k / --top-k is required", file=sys.stderr)
-        return 2
-    graph, labels = read_edge_list(args.edges)
-    label_to_id = {label: index for index, label in enumerate(labels)}
-    events = read_event_file(args.events, label_to_id=label_to_id)
-    attributed = AttributedGraph(graph, events, labels=labels)
-    config_kwargs = dict(
-        vicinity_level=args.level,
-        sample_size=args.sample_size,
-        sampler=args.sampler,
-        alpha=args.alpha,
-        random_state=args.seed,
-    )
-    if args.confidence is not None:
-        config_kwargs["topk_confidence"] = args.confidence
-    if args.initial_sample is not None:
-        config_kwargs["topk_initial_sample_size"] = args.initial_sample
-    if args.bound is not None:
-        config_kwargs["topk_bound"] = args.bound
-    if args.growth is not None:
-        config_kwargs["topk_growth_factor"] = args.growth
-    elif args.rounds is not None:
-        initial = config_kwargs.get(
-            "topk_initial_sample_size", DEFAULT_TOPK_INITIAL_SAMPLE_SIZE
-        )
-        config_kwargs["topk_growth_factor"] = derive_growth_factor(
-            initial, args.sample_size, args.rounds
-        )
-    config = TescConfig(**config_kwargs)
-    pairs = [tuple(pair) for pair in args.pair] if args.pair else "all"
-    workers = resolve_workers(args.workers)
-    ranking = ProgressiveTopKEngine(attributed, config, workers=workers).top_k(k, pairs)
-    return _print_topk(ranking, workers, args)
 
 
 def _render_records(records: List[Dict[str, Any]], markdown: bool) -> str:
@@ -802,7 +753,7 @@ def _render_status(status: Dict[str, Any]) -> str:
         for key in (
             "epoch", "dynamic", "workers", "num_events", "num_nodes",
             "num_edges", "cached_pair_results", "cached_matrices",
-            "cached_topk", "cached_samples",
+            "cached_samples",
         )
     }
     if "retained_epochs" in status:

@@ -23,16 +23,6 @@ DEFAULT_TOPK_INITIAL_SAMPLE_SIZE = 256
 #: Geometric growth factor between progressive top-k rounds.
 DEFAULT_TOPK_GROWTH_FACTOR = 2.0
 
-#: Two-sided confidence level of the progressive pruning bounds.  0.995
-#: keeps a safety margin over the asymptotic variance model: the worst
-#: prefix-vs-full deviation observed while calibrating on tie-heavy DBLP
-#: density columns was ~3.1x the asymptotic sd at the smallest rounds,
-#: inside the ~3.3x half-width this level buys (0.99 would sit at ~3.0x).
-DEFAULT_TOPK_CONFIDENCE = 0.995
-
-#: Valid pruning-bound variance choices for the progressive top-k engine.
-TOPK_BOUNDS = ("asymptotic", "certified")
-
 
 @dataclass(frozen=True)
 class TescConfig:
@@ -78,14 +68,8 @@ class TescConfig:
         geometrically from here to ``sample_size``.
     topk_growth_factor:
         Multiplier between consecutive progressive rounds (must exceed 1).
-    topk_confidence:
-        Two-sided confidence level of the per-round pruning bounds.
-    topk_bound:
-        Which variance the pruning half-widths use: ``"asymptotic"``
-        (default) takes the asymptotic normal variance of the Kendall
-        statistic — tight, prunes aggressively; ``"certified"`` takes the
-        paper's Section 3.1 upper bound ``2(1 - τ²)/n`` — several times
-        wider, prunes late, but holds for every population.
+        The pruning confidence level is fixed
+        (:data:`~repro.core.topk.TOPK_CONFIDENCE`).
     random_state:
         Seed/generator for the sampling step.
     """
@@ -98,8 +82,6 @@ class TescConfig:
     batch_per_vicinity: Optional[int] = None
     topk_initial_sample_size: int = DEFAULT_TOPK_INITIAL_SAMPLE_SIZE
     topk_growth_factor: float = DEFAULT_TOPK_GROWTH_FACTOR
-    topk_confidence: float = DEFAULT_TOPK_CONFIDENCE
-    topk_bound: str = "asymptotic"
     random_state: RandomState = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
@@ -125,14 +107,6 @@ class TescConfig:
         if not self.topk_growth_factor > 1.0:
             raise ConfigurationError(
                 f"topk_growth_factor must exceed 1, got {self.topk_growth_factor}"
-            )
-        if not 0.0 < self.topk_confidence < 1.0:
-            raise ConfigurationError(
-                f"topk_confidence must be in (0, 1), got {self.topk_confidence}"
-            )
-        if self.topk_bound not in TOPK_BOUNDS:
-            raise ConfigurationError(
-                f"topk_bound must be one of {TOPK_BOUNDS}, got {self.topk_bound!r}"
             )
 
     def with_level(self, vicinity_level: int) -> "TescConfig":

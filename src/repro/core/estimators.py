@@ -325,12 +325,9 @@ def variance_upper_bound(tau: float, sample_size: int) -> float:
     """The paper's bound ``Var(t) <= 2 (1 - τ²) / n`` (Section 3.1).
 
     Used to argue that a moderate ``n`` suffices regardless of how large the
-    reference population ``N`` is — and by the progressive top-k engine to
-    derive per-round confidence half-widths.  ``sample_size`` must be at
-    least 2: the statistic ``t`` is undefined on fewer than two reference
-    nodes (no pairs exist), so the formula would return a meaningless value
-    for ``n = 1`` — the progressive engine's tiny first rounds hit exactly
-    this edge, hence the hard validation.
+    reference population ``N`` is.  ``sample_size`` must be at least 2: the
+    statistic ``t`` is undefined on fewer than two reference nodes (no pairs
+    exist), so the formula would return a meaningless value for ``n = 1``.
     """
     if sample_size < 2:
         raise ValueError(

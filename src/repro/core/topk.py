@@ -39,13 +39,10 @@ The half-width of a round-``r`` interval covers the gap between the round
 estimate and the *full-budget* estimate, not just the population value: for
 nested uniform subsamples ``Var(t_r − t_full) = Var(t_r) − Var(t_full)``, so
 ``z* · (sd(n_r) + sd(n_proj))`` — with ``n_proj`` the pair's restricted
-count projected to the full budget — bounds the deviation with slack.  Two
-variance models are available (``TescConfig.topk_bound``): the asymptotic
-normal variance of the Kendall statistic (default; tight) and the paper's
-Section 3.1 upper bound ``2(1 − τ²)/n`` (certified for every population,
-several times wider, prunes late).  Confidence is per pair per round; it is
-not Bonferroni-corrected across the schedule — raise ``topk_confidence``
-when scanning very large pair sets.
+count projected to the full budget — bounds the deviation with slack.  The
+sd is the asymptotic normal one of the Kendall statistic, and the level is
+:data:`TOPK_CONFIDENCE`, per pair per round; it is not Bonferroni-corrected
+across the schedule.
 """
 
 from __future__ import annotations
@@ -62,26 +59,34 @@ from repro.core.batch import (
     PairSpec,
     check_rank_options,
     draw_shared_sample,
+    ensure_uniform_sample,
     ensure_uniform_sampler,
     estimate_pair_list,
     event_universe,
     finalise_ranking,
     resolve_pair_spec,
 )
-from repro.core.config import DEFAULT_TOPK_GROWTH_FACTOR, TescConfig
+from repro.core.config import TescConfig
 from repro.core.density import DensityComputer, DensityMatrix
-from repro.core.estimators import PairEstimateBatcher, variance_upper_bound
+from repro.core.estimators import PairEstimateBatcher
 from repro.events.attributed_graph import AttributedGraph
 from repro.exceptions import ConfigurationError
 from repro.obs.registry import NULL_REGISTRY
 from repro.obs.trace import stage
-from repro.sampling.base import deterministic_draw_order
+from repro.sampling.base import ReferenceSample, deterministic_draw_order
 from repro.stats.normal import critical_z
 from repro.utils import deadlines
 from repro.utils.validation import resolve_workers
 
 # benchmarks/ledger/traced_serve.py wraps this name at startup; nothing calls it.
 estimate_matrix_pairs_sharded = estimate_pair_list
+
+#: Two-sided confidence level of the progressive pruning bounds.  0.995
+#: keeps a safety margin over the asymptotic variance model: the worst
+#: prefix-vs-full deviation observed while calibrating on tie-heavy DBLP
+#: density columns was ~3.1x the asymptotic sd at the smallest rounds,
+#: inside the ~3.3x half-width this level buys (0.99 would sit at ~3.0x).
+TOPK_CONFIDENCE = 0.995
 
 
 def round_schedule(initial: int, budget: int, growth_factor: float) -> List[int]:
@@ -103,32 +108,13 @@ def round_schedule(initial: int, budget: int, growth_factor: float) -> List[int]
     return sizes
 
 
-def derive_growth_factor(initial: int, budget: int, rounds: int) -> float:
-    """The growth factor that spreads ``initial → budget`` over ``rounds``.
-
-    ``rounds`` counts every round including the final full-budget one, so it
-    must be at least 2 (one screening round plus the finish).  When the
-    budget does not exceed the initial size there is nothing to spread and
-    the default factor is returned unchanged.
-    """
-    rounds = int(rounds)
-    if rounds < 2:
-        raise ConfigurationError(
-            f"rounds must be at least 2 (one screening round plus the "
-            f"full-budget finish), got {rounds}"
-        )
-    if budget <= initial:
-        return DEFAULT_TOPK_GROWTH_FACTOR
-    return float((budget / initial) ** (1.0 / (rounds - 1)))
-
-
 def asymptotic_tau_sd(sample_size: int) -> float:
     """Asymptotic standard deviation of the Kendall statistic at size ``n``.
 
     ``Var(t) ≈ 2(2n + 5) / (9 n (n − 1))`` — the classic null variance of
     tau-a, which tie corrections only shrink, so it is conservative with
-    respect to ties.  Shares the ``n >= 2`` validation contract with
-    :func:`~repro.core.estimators.variance_upper_bound`.
+    respect to ties.  The statistic is undefined below ``n = 2``, which the
+    engine's tiny first rounds can reach, so smaller sizes are rejected.
     """
     n = int(sample_size)
     if n < 2:
@@ -139,29 +125,20 @@ def asymptotic_tau_sd(sample_size: int) -> float:
 
 
 def confidence_half_width(
-    estimate: float,
     num_reference_nodes: int,
     projected_full_nodes: int,
     z_star: float,
-    bound: str = "asymptotic",
 ) -> float:
     """Two-sided half-width covering round-vs-full estimate deviation.
 
     ``z* · (sd(n) + sd(n_proj))``: the first term covers the round estimate's
     deviation from the population tau, the second the full-budget estimate's
-    own deviation (small — ``n_proj >= n``).  ``bound`` selects the variance
-    model (see module docstring).
+    own deviation (small — ``n_proj >= n``).  Both sds are
+    :func:`asymptotic_tau_sd`.
     """
     n = int(num_reference_nodes)
     n_proj = max(int(projected_full_nodes), n)
-    if bound == "certified":
-        tau = min(1.0, max(-1.0, float(estimate)))
-        sd_now = math.sqrt(variance_upper_bound(tau, n))
-        sd_full = math.sqrt(variance_upper_bound(tau, n_proj))
-    else:
-        sd_now = asymptotic_tau_sd(n)
-        sd_full = asymptotic_tau_sd(n_proj)
-    return float(z_star) * (sd_now + sd_full)
+    return float(z_star) * (asymptotic_tau_sd(n) + asymptotic_tau_sd(n_proj))
 
 
 @dataclass(frozen=True)
@@ -200,8 +177,8 @@ class TopKStats:
     """Cost accounting for one progressive top-k call.
 
     ``screen_estimates`` counts the cheap per-round screening estimates
-    (point estimate + bound only); ``final_estimates`` the full-inference
-    estimates of the surviving pairs.  ``rank_pairs`` would have paid
+    (point estimate + bound only); each of the ``pairs_survived`` pairs gets
+    one full-inference estimate.  ``rank_pairs`` would have paid
     ``num_pairs`` full estimates at the full budget — the spread between
     these counters is the work the bounds saved, and the benchmark asserts
     on the wall-clock consequence.  ``budget`` is the shared sample's
@@ -216,7 +193,6 @@ class TopKStats:
     pairs_pruned: int = 0
     pairs_survived: int = 0
     screen_estimates: int = 0
-    final_estimates: int = 0
     density_bfs_calls: int = 0
     workers: int = 1
     rounds: Tuple[TopKRound, ...] = ()
@@ -246,10 +222,10 @@ class ProgressiveTopKEngine:
         The attributed graph to test on.
     config:
         The :class:`~repro.core.config.TescConfig` every :meth:`top_k`
-        call runs under; the progressive knobs are
-        ``topk_initial_sample_size``, ``topk_growth_factor``,
-        ``topk_confidence`` and ``topk_bound``.  Same sampler restrictions
-        as :class:`~repro.core.batch.BatchTescEngine` (uniform only).
+        call runs under; the progressive schedule comes from
+        ``topk_initial_sample_size`` and ``topk_growth_factor``.  Same
+        sampler restrictions as :class:`~repro.core.batch.BatchTescEngine`
+        (uniform only).
     workers:
         Density threads per round (``None``/1 = serial); see
         :func:`~repro.utils.validation.resolve_workers`.  Results are identical
@@ -299,10 +275,6 @@ class ProgressiveTopKEngine:
             "tesc_topk_screen_estimates_total",
             "Cheap screening estimates computed across rounds.",
         )
-        self._m_finals = self.metrics.counter(
-            "tesc_topk_final_estimates_total",
-            "Full-budget estimates computed for surviving pairs.",
-        )
 
     # -- the public API ------------------------------------------------------
 
@@ -312,6 +284,7 @@ class ProgressiveTopKEngine:
         pairs: PairSpec = "all",
         sort_by: str = "score",
         on_insufficient: str = "keep",
+        sample: Optional[ReferenceSample] = None,
     ) -> TopKRanking:
         """The ``k`` best pairs of ``pairs``, identical to full-budget ranking.
 
@@ -331,6 +304,10 @@ class ProgressiveTopKEngine:
             ``rank_pairs``; a pair too sparse to estimate is never pruned,
             so ``"raise"`` fires at the final round exactly when a full
             ranking would have raised.
+        sample:
+            Internal: a full-budget draw over the pairs' event universe
+            that the caller already holds (the service passes its memoised
+            draw).  ``None`` draws a fresh one, as ``rank_pairs`` does.
         """
         if sort_by != "score":
             raise ConfigurationError(
@@ -350,10 +327,12 @@ class ProgressiveTopKEngine:
         events = sorted({event for pair in pair_list for event in pair})
         row_of = {event: row for row, event in enumerate(events)}
         indicators = np.asarray(self.attributed.indicator_matrix(events))
-        universe = event_universe(self.attributed, events)
-
-        with stage("sampling"):
-            sample = draw_shared_sample(self.attributed, universe, cfg)
+        if sample is None:
+            universe = event_universe(self.attributed, events)
+            with stage("sampling"):
+                sample = draw_shared_sample(self.attributed, universe, cfg)
+        else:
+            ensure_uniform_sample(sample, cfg.sampler)
         # Round r's reference nodes are order[:m_r]: every prefix of a
         # uniform draw order is itself a uniform sample.
         order = (
@@ -363,7 +342,7 @@ class ProgressiveTopKEngine:
         )
         budget = int(order.size)
 
-        z_star = critical_z(1.0 - cfg.topk_confidence, "two-sided")
+        z_star = critical_z(1.0 - TOPK_CONFIDENCE, "two-sided")
         bfs_engine = self._density_computer.engine
         bfs_before = bfs_engine.bfs_calls
 
@@ -418,11 +397,9 @@ class ProgressiveTopKEngine:
                         row_of[pair[0]], row_of[pair[1]], columns
                     )
                     width = confidence_half_width(
-                        estimate,
                         n_pair,
                         (n_pair * budget) // max(order_nodes.size, 1),
                         z_star,
-                        cfg.topk_bound,
                     )
                     screened.append((pair, estimate, width))
                 stats.screen_estimates += len(screened)
@@ -473,7 +450,6 @@ class ProgressiveTopKEngine:
             results = estimate_pair_list(
                 active, row_of, matrix, batcher, cfg, on_insufficient
             )
-        stats.final_estimates = len(active)
 
         ranked = finalise_ranking(results, sort_by, k)
 
@@ -499,7 +475,6 @@ class ProgressiveTopKEngine:
         self._m_pruned.inc(stats.pairs_pruned)
         self._m_survived.inc(stats.pairs_survived)
         self._m_screens.inc(stats.screen_estimates)
-        self._m_finals.inc(stats.final_estimates)
 
         return TopKRanking(
             pairs=ranked,
@@ -516,7 +491,7 @@ class ProgressiveTopKEngine:
                 shards=max(1, min(self.workers, sample.nodes.size)),
             ),
             k=k,
-            confidence=cfg.topk_confidence,
+            confidence=TOPK_CONFIDENCE,
             topk_stats=stats,
         )
 
@@ -532,7 +507,7 @@ def top_k_pairs(
     """One-call convenience wrapper around :class:`ProgressiveTopKEngine`.
 
     ``config_kwargs`` accepts any :class:`~repro.core.config.TescConfig`
-    field (e.g. ``sample_size=8000``, ``topk_confidence=0.999``,
+    field (e.g. ``sample_size=8000``, ``topk_growth_factor=4.0``,
     ``random_state=17``).
 
     Examples

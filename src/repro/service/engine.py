@@ -14,7 +14,9 @@ Four layers of reuse keep the hot path cheap:
 * **Samples** come from one :class:`~repro.sampling.cache.SampleMemo`
   keyed by the sampler config, population and epoch and drawn against the
   pinned snapshot, so every sample is bit-identical to what a freshly
-  constructed in-process engine would draw at that graph state;
+  constructed in-process engine would draw at that graph state.  ``rank``
+  and ``topk`` share it, and it is the only layer ``topk`` uses: each
+  top-k request runs the progressive engine over the memoised draw;
 * **Density matrices** (with their estimate batchers) are cached per
   ``(config, universe, events, epoch)``.  A miss carries every clean column
   forward from the newest cached matrix at the same level and event tuple —
@@ -110,8 +112,6 @@ estimate_matrix_pairs_sharded = estimate_pair_list
 MAX_CACHED_RESULTS = 65536
 #: LRU bound of the density-matrix cache and of the sample memo feeding it.
 MAX_CACHED_MATRICES = 8
-#: LRU bound of the whole-response top-k cache.
-MAX_CACHED_TOPK = 64
 #: How many recent request span trees :attr:`ServiceEngine.trace_buffer`
 #: retains for introspection.
 TRACE_BUFFER_SIZE = 64
@@ -263,7 +263,6 @@ class ServiceEngine:
         # result-cache miss reuse the answer of any earlier epoch whose
         # restricted density rows were the same.
         self._estimates: "OrderedDict[tuple, RankedPair]" = OrderedDict()
-        self._topk_cache: "OrderedDict[tuple, Dict[str, Any]]" = OrderedDict()
         # What each commit dirtied at the default level, per epoch: lets a
         # matrix miss carry clean columns forward from a cached epoch.
         self._journal = DirtyTracker(self.config.vicinity_level)
@@ -306,10 +305,6 @@ class ServiceEngine:
             "tesc_singleflight_coalesced_total",
             "Pair results adopted from a concurrent identical computation "
             "instead of being recomputed (single-flight re-check hits).",
-        )
-        self._m_topk_hits = m.counter(
-            "tesc_topk_cache_hits_total",
-            "Whole top-k responses served from the epoch-keyed cache.",
         )
         self._m_matrices = m.counter(
             "tesc_matrices_computed_total",
@@ -387,9 +382,6 @@ class ServiceEngine:
         m.gauge(
             "tesc_cached_matrices", "Entries in the density-matrix cache."
         ).set_function(lambda: len(self._matrices))
-        m.gauge(
-            "tesc_cached_topk", "Entries in the whole-response top-k cache."
-        ).set_function(lambda: len(self._topk_cache))
         if self._dynamic:
             m.gauge(
                 "tesc_retained_epochs",
@@ -490,7 +482,10 @@ class ServiceEngine:
         # Fields retired from TescConfig, folded in at the only values they
         # can still take so digests persisted in checkpoint manifests by
         # earlier versions keep matching and their checkpoints stay valid.
-        items.update(kendall_crossover=None, kendall_kernel="auto")
+        items.update(
+            kendall_crossover=None, kendall_kernel="auto",
+            topk_confidence=0.995, topk_bound="asymptotic",
+        )
         # asdict deep-copies field values; the in-process token is the one
         # sample and matrix keys use (sampler_key), whose id() sees the live
         # object on the config, not a throwaway copy whose address the
@@ -850,13 +845,12 @@ class ServiceEngine:
         on_insufficient: str = "keep",
         at_epoch: Optional[int] = None,
     ) -> Dict[str, Any]:
-        """Progressive top-k at a pinned snapshot (whole-response cached).
+        """Progressive top-k at a pinned snapshot over the memoised sample.
 
         A fresh :class:`~repro.core.topk.ProgressiveTopKEngine` over the
-        pinned snapshot per miss reproduces exactly what an in-process run
-        at that epoch would return; the response is cached per
-        ``(k, pairs, config, epoch)``.  Same epoch semantics as
-        :meth:`rank`.
+        pinned snapshot, fed the epoch's memoised draw (the one ``rank``
+        reads), returns exactly what an in-process run at that epoch would.
+        Responses are not cached.  Same epoch semantics as :meth:`rank`.
         """
         from repro.core.topk import ProgressiveTopKEngine
 
@@ -867,64 +861,33 @@ class ServiceEngine:
             try:
                 span.tags["epoch"] = epoch
                 pair_list = resolve_pair_spec(graph.event_names(), pairs)
-                key = (
-                    int(k), tuple(pair_list), sort_by,
-                    self._config_digest(cfg), epoch,
+                events = sorted({event for pair in pair_list for event in pair})
+                universe = event_universe(graph, events)
+                # The memo is shared with rank's misses, which hold this lock.
+                with self._miss_lock, stage("sampling"):
+                    sample = self._sample_memo.sample(
+                        graph, cfg, universe, epoch=epoch
+                    )
+                engine = ProgressiveTopKEngine(
+                    graph, cfg, workers=self.workers, metrics=self.metrics
                 )
-                result = self._topk_cache.get(key)
-                if result is not None:
-                    self._m_topk_hits.inc()
-                else:
-                    with self._miss_lock:
-                        result = self._topk_cache.get(key)
-                        if result is not None:
-                            self._m_topk_hits.inc()
-                        else:
-                            result = self._topk_miss(
-                                graph, cfg, epoch, int(k), pair_list,
-                                sort_by, on_insufficient, key,
-                            )
+                ranking = engine.top_k(
+                    int(k), pair_list, sort_by=sort_by,
+                    on_insufficient=on_insufficient, sample=sample,
+                )
             finally:
                 if lease is not None:
                     lease.release()
                     self._m_active_pins.dec()
         self._m_request_seconds.labels(method="topk").observe(span.duration)
-        return result
-
-    def _topk_miss(
-        self,
-        graph: AttributedGraph,
-        cfg: TescConfig,
-        epoch: int,
-        k: int,
-        pair_list: List[Tuple[str, str]],
-        sort_by: str,
-        on_insufficient: str,
-        key: tuple,
-    ) -> Dict[str, Any]:
-        """Run the progressive engine for one cache-missing top-k request.
-
-        Caller holds ``_miss_lock`` and has re-checked the cache."""
-        from repro.core.topk import ProgressiveTopKEngine
-
-        engine = ProgressiveTopKEngine(
-            graph, cfg, workers=self.workers, metrics=self.metrics
-        )
-        ranking = engine.top_k(
-            k, pair_list, sort_by=sort_by, on_insufficient=on_insufficient,
-        )
-        result = {
+        return {
             "pairs": [pair_record(pair) for pair in ranking],
             "epoch": epoch,
-            "k": k,
+            "k": int(k),
             "sort_by": sort_by,
             "pairs_pruned": ranking.topk_stats.pairs_pruned,
             "pairs_survived": ranking.topk_stats.pairs_survived,
         }
-        self._topk_cache[key] = result
-        while len(self._topk_cache) > MAX_CACHED_TOPK:
-            self._topk_cache.popitem(last=False)
-        return result
 
     # -- stream --------------------------------------------------------------
 
@@ -1167,7 +1130,6 @@ class ServiceEngine:
             "mvcc": self._dynamic,
             "cached_pair_results": len(self._results),
             "cached_matrices": len(self._matrices),
-            "cached_topk": len(self._topk_cache),
             "cached_samples": self._sample_memo.num_cached,
             "metrics": self.metrics.snapshot(),
         }
@@ -1229,7 +1191,6 @@ class ServiceEngine:
             self._results.clear()
             self._estimates.clear()
             self._matrices.clear()
-            self._topk_cache.clear()
             self._sample_memo.clear()
         if self._wal is not None:
             self._wal.close()

@@ -65,8 +65,6 @@ CONFIG_FIELDS: Dict[str, type] = {
     "alternative": str,
     "topk_initial_sample_size": int,
     "topk_growth_factor": float,
-    "topk_confidence": float,
-    "topk_bound": str,
     "random_state": int,
 }
 

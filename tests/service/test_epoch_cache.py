@@ -9,9 +9,14 @@ cache hits within an epoch, invalidation across epochs, no-op commits.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from repro.core.config import TescConfig
+from repro.events.attributed_graph import AttributedGraph
+from repro.exceptions import InsufficientSampleError
+from repro.graph.generators import community_ring_graph
 from repro.service import engine as engine_module
 from repro.service.engine import ServiceEngine, pair_record
 
@@ -148,13 +153,16 @@ class TestEpochCacheProperty:
         engine.close()
 
     def test_topk_cache_respects_epochs(self, dynamic_graph, service_dataset):
+        """Top-k reads the epoch's memoised sample: a repeat at one epoch
+        reuses the draw, and every answer is that epoch's reference."""
         _dataset, config = service_dataset
         engine = ServiceEngine(dynamic_graph, config)
         names = dynamic_graph.event_names()
         first = engine.topk(3)
         again = engine.topk(3)
-        assert again is first or again == first
-        assert engine.metrics.value("tesc_topk_cache_hits_total") == 1
+        assert again == first
+        assert engine.metrics.value("tesc_sample_memo_misses_total") == 1
+        assert engine.metrics.value("tesc_sample_memo_hits_total") == 1
         reference = engine.reference_ranking("all", top_k=3)
         assert first["pairs"] == [pair_record(pair) for pair in reference]
         occupied = set(dynamic_graph.event_nodes(names[0]).tolist())
@@ -165,8 +173,51 @@ class TestEpochCacheProperty:
         )
         fresh = engine.topk(3)
         assert fresh["epoch"] == first["epoch"] + 1
+        assert engine.metrics.value("tesc_sample_memo_misses_total") == 2
         reference = engine.reference_ranking("all", top_k=3)
         assert fresh["pairs"] == [pair_record(pair) for pair in reference]
+        engine.close()
+
+
+class TestTopkDraws:
+    """Service top-k runs the progressive engine over the memoised draw."""
+
+    def test_unseeded_topk_repeats_within_an_epoch(
+        self, dynamic_graph, service_dataset
+    ):
+        _dataset, config = service_dataset
+        engine = ServiceEngine(dynamic_graph, replace(config, random_state=None))
+        first = engine.topk(3)
+        assert engine.topk(3) == first
+        engine.close()
+
+    def test_rank_and_topk_share_one_draw(self, dynamic_graph, service_dataset):
+        _dataset, config = service_dataset
+        engine = ServiceEngine(dynamic_graph, config)
+        misses = engine.metrics.value("tesc_sample_memo_misses_total")
+        hits = engine.metrics.value("tesc_sample_memo_hits_total")
+        engine.rank("all")
+        engine.topk(3, "all")
+        assert engine.metrics.value("tesc_sample_memo_misses_total") == misses + 1
+        assert engine.metrics.value("tesc_sample_memo_hits_total") == hits + 1
+        engine.close()
+
+    def test_raise_after_keep_at_one_epoch(self):
+        """``on_insufficient="raise"`` raises on a second call at the same
+        epoch too, as it does on a fresh engine and for ``rank``."""
+        graph = community_ring_graph(8, 40, 5.0, 10, random_state=3)
+        attributed = AttributedGraph(
+            graph,
+            {"a": range(0, 120), "b": range(10, 130), "c": [200], "d": [300]},
+        )
+        engine = ServiceEngine(
+            attributed, TescConfig(sample_size=30, random_state=1)
+        )
+        pairs = [("c", "d"), ("a", "b")]
+        kept = engine.topk(1, pairs, on_insufficient="keep")
+        assert [(p["event_a"], p["event_b"]) for p in kept["pairs"]] == [("a", "b")]
+        with pytest.raises(InsufficientSampleError):
+            engine.topk(1, pairs, on_insufficient="raise")
         engine.close()
 
 

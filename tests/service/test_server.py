@@ -75,6 +75,14 @@ class TestProtocolEdges:
                 client.rank("all", config={"kendall_kernel": "fast"})
             with pytest.raises(BadRequestError):
                 client.rank("all", config={"kendall_crossover": 2})
+            for retired in ({"topk_bound": "certified"}, {"topk_confidence": 0.999}):
+                with pytest.raises(BadRequestError, match="unknown config field"):
+                    client.rank("all", config=retired)
+                with pytest.raises(BadRequestError, match="unknown config field"):
+                    client.topk(2, config=retired)
+            # The progressive schedule fields stay on the wire.
+            schedule = {"topk_initial_sample_size": 512, "topk_growth_factor": 4.0}
+            assert len(client.topk(2, config=schedule)["pairs"]) == 2
             with pytest.raises(BadRequestError):
                 client.request("topk", {"k": "three"})
             with pytest.raises(BadRequestError):

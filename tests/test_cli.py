@@ -160,58 +160,23 @@ class TestTopkCommand:
         # Exactly k result rows (rank column 1..2).
         assert "1    |" in output and "2    |" in output
 
-    def test_rounds_flag_derives_schedule(self, files, capsys):
-        edges_path, events_path = files
-        exit_code = main(
-            [
-                "topk",
-                "--edges", edges_path,
-                "--events", events_path,
-                "--k", "1",
-                "--sample-size", "150",
-                "--initial-sample", "16",
-                "--rounds", "3",
-                "--bound", "certified",
-                "--seed", "3",
-            ]
-        )
-        output = capsys.readouterr().out
-        assert exit_code == 0
-        # 3 rounds requested: two screening rounds plus the full budget.
-        assert output.count("\n1     |") + output.count("\n2     |") >= 1
-
-    def test_rounds_and_growth_conflict(self, files, capsys):
-        edges_path, events_path = files
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "topk",
-                    "--edges", edges_path,
-                    "--events", events_path,
-                    "--k", "1",
-                    "--rounds", "3",
-                    "--growth", "2.0",
-                ]
-            )
-        assert "not allowed with" in capsys.readouterr().err
-
-    def test_rank_top_k_routes_through_progressive_engine(self, files, capsys):
-        """rank --top-k --sort-by score must print the progressive engine's
-        summary and the identical top-k table the batch engine would."""
+    def test_rank_top_k_runs_the_batch_engine(self, files, capsys):
+        """rank --top-k always runs the exact batch engine; its top-k table
+        is the one tesc topk prints."""
         edges_path, events_path = files
         common = [
             "--edges", edges_path,
             "--events", events_path,
-            "--top-k", "2",
             "--sample-size", "150",
             "--seed", "3",
         ]
-        assert main(["rank"] + common) == 0
-        progressive = capsys.readouterr().out
-        assert "progressive top-k engine" in progressive
-        assert main(["rank"] + common + ["--no-progressive"]) == 0
+        assert main(["rank"] + common + ["--top-k", "2"]) == 0
         batch = capsys.readouterr().out
         assert "batch engine" in batch
+        assert "progressive" not in batch
+        assert main(["topk"] + common + ["--k", "2"]) == 0
+        progressive = capsys.readouterr().out
+        assert "progressive top-k engine" in progressive
         # The ranked tables (first block up to the blank line) are identical.
         assert progressive.split("\n\n")[0] == batch.split("\n\n")[0]
 
