@@ -6,15 +6,23 @@ the measure/z-score computation — so regressions in any phase are visible
 independently of the full experiments.
 """
 
+import functools
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchTescEngine
+from repro.core.batch import (
+    BatchTescEngine,
+    draw_shared_sample,
+    estimate_pair_list,
+    event_universe,
+    resolve_pair_spec,
+)
 from repro.core.config import TescConfig
-from repro.core.estimators import plain_estimate
+from repro.core.density import DensityComputer
+from repro.core.estimators import PairEstimateBatcher, plain_estimate
 from repro.core.tesc import TescTester
 from repro.datasets.synthetic_dblp import make_dblp_like
 from repro.datasets.synthetic_twitter import make_twitter_like
@@ -482,6 +490,32 @@ def test_topk_progressive_engine(benchmark):
     """The same scan through the progressive top-k engine (k=3)."""
     ranking = benchmark.pedantic(_topk_progressive, rounds=3, iterations=1)
     assert len(ranking) == TOPK_K
+
+
+@functools.lru_cache(maxsize=1)
+def _topk_estimate_inputs():
+    """The all-pairs scan's pair list and full-budget density matrix."""
+    attributed = TOPK_DATASET.attributed
+    pair_list = resolve_pair_spec(attributed.event_names(), "all")
+    events = sorted({event for pair in pair_list for event in pair})
+    sample = draw_shared_sample(attributed, event_universe(attributed, events), TOPK_CONFIG)
+    matrix = DensityComputer(attributed.csr).density_matrix(
+        sample.nodes, attributed.indicator_matrix(events), TOPK_CONFIG.vicinity_level
+    )
+    return pair_list, {event: row for row, event in enumerate(events)}, matrix
+
+
+def test_estimate_pair_list_all_pairs(benchmark):
+    """The estimate layer alone: one population pass over the scan's 435
+    pairs on the full 8000-node budget, fresh row state each round (no
+    bar; the timing shows the layer in the CI artifact)."""
+    pair_list, row_of, matrix = _topk_estimate_inputs()
+    results = benchmark(
+        lambda: estimate_pair_list(
+            pair_list, row_of, PairEstimateBatcher(matrix.densities), TOPK_CONFIG, "keep"
+        )
+    )
+    assert len(results) == 435
 
 
 def test_progressive_topk_beats_full_rank():

@@ -48,7 +48,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.config import TescConfig
-from repro.core.density import DensityComputer, DensityMatrix
+from repro.core.density import DensityComputer
 from repro.core.estimators import PairEstimateBatcher
 from repro.events.attributed_graph import AttributedGraph
 from repro.exceptions import ConfigurationError, InsufficientSampleError
@@ -334,55 +334,54 @@ def resolve_pair_spec(event_names: Sequence[str], pairs: PairSpec) -> List[Tuple
 def estimate_pair_list(
     pair_list: Sequence[Tuple[str, str]],
     row_of: Dict[str, int],
-    matrix: DensityMatrix,
     batcher: PairEstimateBatcher,
     cfg: TescConfig,
     on_insufficient: str,
-    columns: Optional[Sequence[np.ndarray]] = None,
 ) -> List[RankedPair]:
     """Per-pair estimates over a shared density matrix (unranked).
 
     This is the per-pair half of :meth:`BatchTescEngine.rank_pairs`, exposed
     at module level so the progressive top-k and service engines run exactly
-    the same arithmetic on their pair lists.
-
-    ``columns`` optionally supplies each pair's
-    :meth:`~repro.core.density.DensityMatrix.pair_rows`, aligned with
-    ``pair_list``, for callers that already computed them.
+    the same arithmetic on their pair lists.  Every pair is scored over its
+    own reference population in one
+    :meth:`~repro.core.estimators.PairEstimateBatcher.estimate_pairs` pass;
+    with ``on_insufficient="raise"`` the first pair (in list order) with
+    fewer than two reference nodes raises.
     """
+    scores = batcher.estimate_pairs(
+        [row_of[event_a] for event_a, _ in pair_list],
+        [row_of[event_b] for _, event_b in pair_list],
+    )
     results: List[RankedPair] = []
-    for index, (event_a, event_b) in enumerate(pair_list):
-        row_a, row_b = row_of[event_a], row_of[event_b]
-        pair_columns = (
-            matrix.pair_rows(row_a, row_b) if columns is None else columns[index]
-        )
-        if pair_columns.size < 2:
+    for (event_a, event_b), n, estimate, z_score, degenerate in zip(
+        pair_list, *(column.tolist() for column in scores)
+    ):
+        if n < 2:
             if on_insufficient == "raise":
                 raise InsufficientSampleError(
                     f"pair ({event_a!r}, {event_b!r}) has only "
-                    f"{pair_columns.size} reference nodes in the shared sample"
+                    f"{n} reference nodes in the shared sample"
                 )
             results.append(
                 RankedPair(
                     rank=0, event_a=event_a, event_b=event_b,
                     score=0.0, z_score=0.0, p_value=1.0,
                     verdict=CorrelationVerdict.INDEPENDENT,
-                    num_reference_nodes=int(pair_columns.size),
+                    num_reference_nodes=n,
                     degenerate=True, insufficient=True,
                 )
             )
             continue
-        components = batcher.estimate_pair(row_a, row_b, pair_columns)
-        significance = decide(components.z_score, cfg.alpha, cfg.alternative)
+        significance = decide(z_score, cfg.alpha, cfg.alternative)
         results.append(
             RankedPair(
                 rank=0, event_a=event_a, event_b=event_b,
-                score=components.estimate,
-                z_score=components.z_score,
+                score=estimate,
+                z_score=z_score,
                 p_value=significance.p_value,
                 verdict=significance.verdict,
-                num_reference_nodes=components.num_reference_nodes,
-                degenerate=components.degenerate,
+                num_reference_nodes=n,
+                degenerate=degenerate,
             )
         )
     return results
@@ -498,7 +497,7 @@ class BatchTescEngine:
 
         with stage("estimate", pairs=len(pair_list)):
             results = estimate_pair_list(
-                pair_list, row_of, matrix, PairEstimateBatcher(matrix.densities),
+                pair_list, row_of, PairEstimateBatcher(matrix.densities),
                 cfg, on_insufficient,
             )
 

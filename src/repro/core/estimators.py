@@ -9,14 +9,26 @@ tie-corrected null standard deviation and the z-score of Eq. 7.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import EstimationError, InsufficientSampleError
-from repro.stats.fast_kendall import dense_ranks, merge_concordance_sum, table_concordance
+from repro.stats.fast_kendall import (
+    dense_ranks,
+    merge_concordance_sum,
+    table_concordance,
+    table_concordance_sum,
+)
 from repro.stats.kendall import pair_concordance_sum, weighted_pair_concordance
-from repro.stats.ties import null_variance_numerator_with_ties, tie_group_sizes
+from repro.stats.ties import (
+    exact_integers,
+    null_variance_numerator_with_ties,
+    tie_group_sizes,
+    tie_polynomials,
+    tie_sums,
+    variance_from_tie_sums,
+)
 
 #: ``c`` of the batcher's ``Kx·Ky <= c·n`` table-kernel rule.  On 2 cores the
 #: table beats the merge kernel up to 32–64 cells per observation (n =
@@ -174,36 +186,68 @@ def importance_weighted_estimate(
     )
 
 
+class _Row(NamedTuple):
+    """Whole-row state of one density row, shared by every pair using it."""
+
+    codes: np.ndarray  # dense rank codes over every column
+    counts: np.ndarray  # code counts; code 0 is density 0 when the row has zeros
+    support: Optional[np.ndarray]  # nonzero columns; None when there is no 0
+    tie_sums: Tuple[int, int, int]  # Eq. 6 sums of ``counts``
+
+
+class PopulationScores(NamedTuple):
+    """Per-pair arrays from :meth:`PairEstimateBatcher.estimate_pairs`.
+
+    Pairs with ``n < 2`` carry estimate and z-score 0 and are not degenerate;
+    the caller decides whether they are kept or raised.
+    """
+
+    n: np.ndarray
+    estimate: np.ndarray
+    z_score: np.ndarray
+    degenerate: np.ndarray
+
+
 class PairEstimateBatcher:
     """Plain estimates for many event pairs sharing density-matrix columns.
 
-    The per-event state worth amortising across pairs is the *order/tie
-    structure* of that event's density column.  When ranking many pairs over
-    a shared reference sample (:class:`~repro.core.batch.BatchTescEngine`),
-    each event's density row is rank-encoded once (one ``O(n log n)``
-    argsort, ``O(n)`` memory) into dense codes ``0 .. K-1`` and the code
-    vector is reused by every pair the event participates in: restricting
-    codes to a pair's population is an ``O(n)`` gather.  This replaces the
-    historical per-event ``O(n²)`` sign-matrix cache — at n=900 that cache
-    cost ~0.8 MB per event; at n=100k it would have cost ~10 GB per event,
-    while a code vector stays at 8n bytes.  A pair is scored by the
-    contingency-table kernel while ``Kx·Ky <= c·n`` (``Kx``/``Ky`` the rows'
-    distinct-value counts, ``c`` = :data:`TABLE_CELLS_PER_OBSERVATION`) and
-    by the merge kernel otherwise; the Eq. 6 tie groups are the restricted
-    code counts either way.
+    Each event row is encoded once, lazily, into whole-row state
+    (:class:`_Row`): dense rank codes ``0 .. K-1`` (8N bytes; only the
+    support is sorted), its code counts and support, and the three Eq. 6 tie
+    sums of those counts in exact integers.  A pair's reference population
+    is every column where either row is nonzero, so the pair's statistics
+    differ from whole-row ones only through ``z``, the columns where *both*
+    rows are 0 (density 0 ⇔ count 0, and 0 is code 0 of any row that has
+    it).  :meth:`estimate_pairs` scores a whole pair list in one pass from
+    that:
+
+    * ``z`` for every pair from one small matmul of the rows' absent masks,
+      and ``n = N − z``;
+    * restricted code counts equal whole-row counts except at code 0
+      (``c0 − z``), so the tie sums, the degeneracy flag and σ come out as
+      arrays through :func:`~repro.stats.ties.variance_from_tie_sums`, the
+      Eq. 6 :func:`~repro.stats.ties.null_variance_numerator_with_ties` uses;
+    * ``S`` from the whole-row contingency table with ``z`` taken out of its
+      (0, 0) cell while ``Kx·Ky <= c·n`` (``c`` =
+      :data:`TABLE_CELLS_PER_OBSERVATION`; see :func:`_support_tables_sum`),
+      and from the merge kernel over the population's columns otherwise.
+
+    :meth:`estimate_pair` and :meth:`screen_pair` score one pair over given
+    columns by gathering its codes instead.
 
     Parameters
     ----------
     density_matrix:
-        ``(num_events, n)`` float matrix of densities over the shared
+        ``(num_events, N)`` float matrix of densities over the shared
         reference sample (``DensityMatrix.densities``).
 
     Notes
     -----
     Results are numerically identical to calling :func:`plain_estimate` on
-    the corresponding pair of rows (restricted to ``columns`` when given):
-    rank encoding preserves every ``sign(x_i - x_j)`` exactly, all kernels
-    return the same integer ``S``, and code order is value order.
+    the corresponding pair of rows restricted to the pair's population (or
+    to ``columns`` when given): rank encoding preserves every
+    ``sign(x_i - x_j)`` exactly, all kernels return the same integer ``S``,
+    and code order is value order.
     """
 
     def __init__(self, density_matrix: np.ndarray) -> None:
@@ -214,8 +258,12 @@ class PairEstimateBatcher:
                 f"{matrix.shape}"
             )
         self._matrix = matrix
-        self._ranks: Dict[int, np.ndarray] = {}
-        self._num_codes: Dict[int, int] = {}
+        self._rows: Dict[int, _Row] = {}
+
+    @property
+    def _ranks(self) -> Dict[int, np.ndarray]:
+        """Rank codes of every row encoded so far (one O(N) vector each)."""
+        return {row: state.codes for row, state in self._rows.items()}
 
     @property
     def num_reference_nodes(self) -> int:
@@ -248,20 +296,36 @@ class PairEstimateBatcher:
             )
         return PairEstimateBatcher(matrix)
 
-    def _codes(self, row: int) -> Tuple[np.ndarray, int]:
-        """Dense rank codes of one row and their count, cached (O(n))."""
-        codes = self._ranks.get(row)
-        if codes is None:
-            codes = self._ranks[row] = dense_ranks(self._matrix[row])
-            self._num_codes[row] = int(codes.max(initial=-1)) + 1
-        return codes, self._num_codes[row]
+    def _row(self, row: int) -> _Row:
+        """Whole-row state of ``row``, built on first use.
+
+        A row with zeros and no negatives ranks only its support: 0 takes
+        code 0 and the nonzero values the codes above it, exactly
+        :func:`~repro.stats.fast_kendall.dense_ranks` of the whole row.
+        """
+        state = self._rows.get(row)
+        if state is None:
+            values = self._matrix[row]
+            support: Optional[np.ndarray] = np.flatnonzero(values)
+            present = values[support]
+            if support.size == values.size or (present < 0).any():
+                codes, support = dense_ranks(values), None
+            else:
+                codes = np.zeros(values.size, dtype=np.int64)
+                codes[support] = dense_ranks(present) + 1
+            counts = np.bincount(codes, minlength=1)
+            state = self._rows[row] = _Row(
+                codes, counts, support, tie_sums(counts, values.size)
+            )
+        return state
 
     def _score(
         self, row_a: int, row_b: int, columns: Optional[np.ndarray]
     ) -> Tuple[int, int, np.ndarray, np.ndarray]:
         """``(n, S, code counts of a, code counts of b)`` over ``columns``."""
-        a, kx = self._codes(row_a)
-        b, ky = self._codes(row_b)
+        a, counts_a = self._row(row_a)[:2]
+        b, counts_b = self._row(row_b)[:2]
+        kx, ky = counts_a.size, counts_b.size
         if columns is not None:
             columns = np.asarray(columns, dtype=np.int64)
             a = a[columns]
@@ -306,6 +370,147 @@ class PairEstimateBatcher:
         return _plain_components(
             n, s, counts_a[counts_a >= 2].tolist(), counts_b[counts_b >= 2].tolist()
         )
+
+    def estimate_pairs(
+        self, rows_a: Sequence[int], rows_b: Sequence[int]
+    ) -> PopulationScores:
+        """Every pair ``(rows_a[i], rows_b[i])`` over its own population.
+
+        Each pair's numbers equal :meth:`estimate_pair` over its population
+        columns (``DensityMatrix.pair_rows``), bit for bit.  Needs
+        nonnegative rows, so that density 0 is each row's code 0.
+        """
+        rows_a = np.asarray(rows_a, dtype=np.int64)
+        rows_b = np.asarray(rows_b, dtype=np.int64)
+        total = self.num_reference_nodes
+        count = rows_a.size
+        rows, local = np.unique(np.concatenate([rows_a, rows_b]), return_inverse=True)
+        ia, ib = local[:count], local[count:]
+        values = self._matrix[rows]
+        if (values < 0).any():
+            raise EstimationError("the population pass needs nonnegative densities")
+        absent = values == 0
+        mask = absent.astype(float)
+        # Integer counts below 2^53: the float matmul is exact.
+        both_absent = (mask @ mask.T).astype(np.int64)
+        z = both_absent[ia, ib]
+        n = total - z
+        sufficient = n >= 2
+
+        states = [self._row(int(row)) for row in rows]
+        num_codes = np.array([state.counts.size for state in states], dtype=np.int64)
+        row_sums = exact_integers([state.tie_sums for state in states], total)
+        row_sums = row_sums.reshape(len(states), 3)
+        zeros = np.diagonal(both_absent)  # c0: each row's count at code 0
+
+        def restricted(side: np.ndarray):
+            """Tie sums and distinct-code count of one side over the populations."""
+            c0 = zeros[side]
+            before, after = (
+                tie_polynomials(exact_integers(c, total)) for c in (c0, c0 - z)
+            )
+            sums = tuple(row_sums[side, k] - before[k] + after[k] for k in range(3))
+            return sums, num_codes[side] - ((c0 > 0) & (c0 == z))
+
+        sums_a, distinct_a = restricted(ia)
+        sums_b, distinct_b = restricted(ib)
+        degenerate = sufficient & ((distinct_a <= 1) | (distinct_b <= 1))
+        scored = np.flatnonzero(sufficient & ~degenerate)
+        variance = variance_from_tie_sums(
+            exact_integers(n[scored], total),
+            tuple(term[scored] for term in sums_a),
+            tuple(term[scored] for term in sums_b),
+        )
+        if np.any(variance < 0):
+            raise EstimationError(
+                f"negative null variance {variance[variance < 0][0]}; ties are inconsistent"
+            )
+        sigma = np.zeros(count)
+        sigma[scored] = np.sqrt(variance)
+
+        s = np.zeros(count, dtype=np.int64)
+        tabled = []
+        sizes, codes_per_row = n.tolist(), num_codes.tolist()
+        for i in np.flatnonzero(sufficient).tolist():
+            x, y = ia[i], ib[i]
+            if codes_per_row[x] * codes_per_row[y] > TABLE_CELLS_PER_OBSERVATION * sizes[i]:
+                population = np.flatnonzero(~(absent[x] & absent[y]))
+                s[i] = merge_concordance_sum(
+                    states[x].codes[population], states[y].codes[population]
+                )
+            else:
+                # S is symmetric: tabulate over the sparser row's support.
+                if zeros[y] > zeros[x]:
+                    x, y = y, x
+                tabled.append((i, states[x], states[y]))
+        for chunk in _table_chunks(tabled):
+            s[[i for i, _, _ in chunk]] = _support_tables_sum(chunk, z)
+
+        estimate = np.zeros(count)
+        z_score = np.zeros(count)
+        estimate[sufficient] = s[sufficient] / (0.5 * n[sufficient] * (n[sufficient] - 1))
+        nonzero = sigma != 0
+        z_score[nonzero] = s[nonzero] / sigma[nonzero]
+        return PopulationScores(n, estimate, z_score, degenerate)
+
+
+#: Bound on a :func:`_support_tables_sum` batch, counted twice: in padded
+#: table cells and in gathered codes (int64 each, so ~512 KB apiece), unless
+#: one pair alone is larger.
+_CHUNK_CELLS = 1 << 16
+
+
+def _table_chunks(tabled):
+    """Split ``(pair index, row x, row y)`` entries into padded batches.
+
+    Sorting by shape puts similar tables together, so little of a batch is
+    padding; a batch grows while both its padded cells and its gathered
+    codes stay within :data:`_CHUNK_CELLS`.
+    """
+    tabled = sorted(tabled, key=lambda item: (item[1].counts.size, item[2].counts.size))
+    chunk, kx, ky, codes = [], 0, 0, 0
+    for item in tabled:
+        x, y = item[1], item[2]
+        gathered = x.codes.size if x.support is None else x.support.size
+        item_kx, item_ky = max(kx, x.counts.size), max(ky, y.counts.size)
+        if chunk and (
+            (len(chunk) + 1) * item_kx * item_ky > _CHUNK_CELLS
+            or codes + gathered > _CHUNK_CELLS
+        ):
+            yield chunk
+            chunk, item_kx, item_ky, codes = [], x.counts.size, y.counts.size, 0
+        chunk.append(item)
+        kx, ky, codes = item_kx, item_ky, codes + gathered
+    if chunk:
+        yield chunk
+
+
+def _support_tables_sum(chunk, z: np.ndarray) -> np.ndarray:
+    """``S`` of each ``(pair index, row x, row y)`` over its population.
+
+    Each table counts ``(x, y)`` codes over ``x``'s support only (every
+    column when ``x`` has no 0); the columns where ``x`` is 0 are ``y``'s
+    whole-row counts minus what the support saw, filled into row 0, and
+    the ``z`` columns where both are 0 leave cell ``(0, 0)``.  The chunk's
+    tables share one zero-padded shape so one bincount and one
+    :func:`~repro.stats.fast_kendall.table_concordance_sum` score them all.
+    """
+    kx = max(x.counts.size for _, x, _ in chunk)
+    ky = max(y.counts.size for _, _, y in chunk)
+    keys, fill = [], np.zeros((len(chunk), ky), dtype=np.int64)
+    for j, (_, x, y) in enumerate(chunk):
+        if x.support is None:
+            keys.append((j * kx + x.codes) * ky + y.codes)
+        else:
+            keys.append((j * kx + x.codes[x.support]) * ky + y.codes[x.support])
+            fill[j, : y.counts.size] = y.counts
+    tables = np.bincount(
+        np.concatenate(keys), minlength=len(chunk) * kx * ky
+    ).reshape(len(chunk), kx, ky)
+    has_zero = np.array([x.support is not None for _, x, _ in chunk])
+    tables[has_zero, 0] = (fill - tables.sum(axis=1))[has_zero]
+    tables[:, 0, 0] -= z[[i for i, _, _ in chunk]]
+    return table_concordance_sum(tables)
 
 
 def exact_tau(densities_a: Sequence[float],

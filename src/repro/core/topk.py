@@ -448,7 +448,7 @@ class ProgressiveTopKEngine:
         # batcher kernels).
         with stage("estimate", pairs=len(active)):
             results = estimate_pair_list(
-                active, row_of, matrix, batcher, cfg, on_insufficient
+                active, row_of, batcher, cfg, on_insufficient
             )
 
         ranked = finalise_ranking(results, sort_by, k)

@@ -30,10 +30,12 @@ Four layers of reuse keep the hot path cheap:
   the key is exact: a cached entry can never be served stale, because any
   commit that could change the answer lands at a different epoch;
 * **Pair estimates** behind that cache are memoised by content: a miss
-  keys each pair by ``(pair, alpha, alternative)`` and a digest of its two
-  density rows restricted to its own reference population — everything
-  the estimate reads — so after a commit only the pairs whose inputs moved
-  are Kendall-estimated again, whichever epoch, view or worker count asks.
+  keys each pair by ``(pair, alpha, alternative)`` and the
+  :func:`row_digest` of each of its two density rows (the row's nonzero
+  reference-node ids and densities) — everything the estimate reads — so
+  after a commit only the pairs whose inputs moved are Kendall-estimated
+  again, in one population pass, whichever epoch, view or worker count
+  asks.
 
 For a dynamic graph the epoch *is* the graph's commit epoch
 (:attr:`~repro.streaming.dynamic_graph.DynamicAttributedGraph.epoch` — one
@@ -133,17 +135,22 @@ def pair_record(pair: RankedPair) -> Dict[str, Any]:
     }
 
 
-def estimate_inputs_digest(
-    densities: np.ndarray, row_a: int, row_b: int, columns: np.ndarray
-) -> bytes:
-    """Content digest of everything a pair's estimate reads from the matrix.
+def row_digest(matrix: DensityMatrix, row: int) -> bytes:
+    """Content digest of one density row: its nonzero reference nodes' ids
+    and densities, in column order.
 
-    That is the pair's two density rows restricted to its reference
-    population ``columns``, in column order.  Both vectors have the same
-    length, so hashing them back to back is unambiguous.
+    A pair's estimate depends only on the multiset
+    ``{(s_a(r), s_b(r)) : r ∈ supp a ∪ supp b}``, which the two rows'
+    digests pin exactly (reference nodes are distinct), whatever columns
+    outside that population the matrix holds.  Ids and densities are both
+    8 bytes, so hashing them back to back is unambiguous.
     """
-    digest = hashlib.blake2b(densities[row_a, columns].tobytes(), digest_size=16)
-    digest.update(densities[row_b, columns].tobytes())
+    densities = matrix.densities[row]
+    present = np.flatnonzero(densities)
+    digest = hashlib.blake2b(
+        matrix.reference_nodes[present].astype(np.int64).tobytes(), digest_size=16
+    )
+    digest.update(densities[present].tobytes())
     return digest.digest()
 
 
@@ -596,8 +603,9 @@ class ServiceEngine:
         under the lock for pairs another thread just filled.  ``graph`` is
         the caller's pinned snapshot (or the live static graph), so a
         commit landing mid-computation changes nothing here.  Pairs whose
-        :func:`estimate_inputs_digest` and decision config match an earlier
-        estimate reuse it; only the rest are estimated.
+        two :func:`row_digest` values and decision config match an earlier
+        estimate reuse it; only the rest are estimated, in one population
+        pass.
         """
         with self._miss_lock:
             computed: Dict[Tuple[str, str], RankedPair] = {}
@@ -617,19 +625,20 @@ class ServiceEngine:
                 graph, cfg, tuple(events), universe, universe_fp, epoch
             )
             row_of = {event: row for row, event in enumerate(events)}
-            # A pair's estimate is a function of its two density rows over
-            # its own population, plus the decision config: key on exactly
-            # that, so any epoch, view or worker count that feeds the same
-            # inputs reuses the answer.
+            # A pair's estimate is a function of its two density rows'
+            # nonzero entries plus the decision config: key on exactly that,
+            # so any epoch, view or worker count that feeds the same inputs
+            # reuses the answer.  Each row is hashed once per miss.
+            digests: Dict[int, bytes] = {}
             keys: Dict[Tuple[str, str], tuple] = {}
             pending: List[Tuple[str, str]] = []
-            pending_columns: List[np.ndarray] = []
             for pair in still_missing:
-                row_a, row_b = row_of[pair[0]], row_of[pair[1]]
-                columns = matrix.pair_rows(row_a, row_b)
+                rows = row_of[pair[0]], row_of[pair[1]]
+                for row in rows:
+                    if row not in digests:
+                        digests[row] = row_digest(matrix, row)
                 key = keys[pair] = (
-                    pair, cfg.alpha, cfg.alternative,
-                    estimate_inputs_digest(matrix.densities, row_a, row_b, columns),
+                    pair, cfg.alpha, cfg.alternative, digests[rows[0]], digests[rows[1]],
                 )
                 reused = self._estimates.get(key)
                 if reused is not None:
@@ -637,15 +646,12 @@ class ServiceEngine:
                     computed[pair] = reused
                 else:
                     pending.append(pair)
-                    pending_columns.append(columns)
             self._m_estimates.labels(outcome="reused").inc(
                 len(still_missing) - len(pending)
             )
             self._m_estimates.labels(outcome="estimated").inc(len(pending))
             if pending:
-                fresh = self._estimate(
-                    matrix, batcher, row_of, pending, pending_columns, cfg
-                )
+                fresh = self._estimate(batcher, row_of, pending, cfg)
                 for pair_result in fresh:
                     pair = pair_result.events
                     computed[pair] = pair_result
@@ -660,14 +666,12 @@ class ServiceEngine:
 
     def _estimate(
         self,
-        matrix: DensityMatrix,
         batcher: PairEstimateBatcher,
         row_of: Dict[str, int],
         pairs: List[Tuple[str, str]],
-        columns: List[np.ndarray],
         cfg: TescConfig,
     ) -> List[RankedPair]:
-        """Estimate ``pairs`` over ``matrix`` in the request thread.
+        """Estimate ``pairs`` over the batcher's matrix in the request thread.
 
         Insufficient pairs come back as insufficient records even for
         "raise" requests; the caller raises after assembly, and "keep"
@@ -675,9 +679,7 @@ class ServiceEngine:
         """
         with stage("estimate", pairs=len(pairs)):
             deadlines.checkpoint()
-            return estimate_pair_list(
-                pairs, row_of, matrix, batcher, cfg, "keep", columns=columns
-            )
+            return estimate_pair_list(pairs, row_of, batcher, cfg, "keep")
 
     def _matrix_for(
         self,

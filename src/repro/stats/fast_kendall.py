@@ -250,10 +250,22 @@ def table_concordance(
     (4, [2, 1, 1], [1, 2, 1])
     """
     table = np.bincount(x_codes * ky + y_codes, minlength=kx * ky).reshape(kx, ky)
-    below = table.cumsum(axis=0)[:-1].cumsum(axis=1)
-    concordant = int((table[1:, 1:] * below[:, :-1]).sum())
-    discordant = int((table[1:, :-1] * (below[:, -1:] - below[:, :-1])).sum())
-    return concordant - discordant, table.sum(axis=1), table.sum(axis=0)
+    return int(table_concordance_sum(table)), table.sum(axis=1), table.sum(axis=0)
+
+
+def table_concordance_sum(tables: np.ndarray) -> np.ndarray:
+    """Exact ``S`` of each ``(..., kx, ky)`` contingency table (int64 array).
+
+    The sum behind :func:`table_concordance`, for callers that already hold
+    a table; leading axes batch several equally shaped tables (all-zero
+    padding rows and columns add nothing to ``S``).
+    """
+    below = tables.cumsum(axis=-2)[..., :-1, :].cumsum(axis=-1)
+    concordant = (tables[..., 1:, 1:] * below[..., :-1]).sum(axis=(-2, -1))
+    discordant = (
+        tables[..., 1:, :-1] * (below[..., -1:] - below[..., :-1])
+    ).sum(axis=(-2, -1))
+    return concordant - discordant
 
 
 # -- the Fenwick-tree weighted kernel -----------------------------------------

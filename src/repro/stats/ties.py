@@ -14,7 +14,7 @@ ties always shrink the variance.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +44,59 @@ def null_variance_no_ties(n: int) -> float:
     return 2.0 * (2 * n + 5) / (9.0 * n * (n - 1))
 
 
+#: Below this many observations Eq. 6's cubic tie sums (at most ``2·n³``)
+#: fit in int64; larger populations sum them in Python integers.
+EXACT_INT64_OBSERVATIONS = 1 << 20
+
+
+def exact_integers(values, bound: int) -> np.ndarray:
+    """``values`` as an array whose Eq. 6 arithmetic is exact.
+
+    ``bound`` caps the observation count the values come from: int64 below
+    :data:`EXACT_INT64_OBSERVATIONS`, Python integers (object) at or above.
+    """
+    return np.asarray(values, dtype=np.int64 if bound < EXACT_INT64_OBSERVATIONS else object)
+
+
+def tie_polynomials(sizes: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eq. 6's per-group terms ``u(u-1)(2u+5)``, ``u(u-1)(u-2)``, ``u(u-1)``.
+
+    Elementwise over an :func:`exact_integers` array; groups of size 0 or 1
+    contribute zero to all three, so whole code-count vectors may be passed.
+    """
+    pairs = sizes * (sizes - 1)
+    return pairs * (2 * sizes + 5), pairs * (sizes - 2), pairs
+
+
+def tie_sums(sizes: Sequence[int], bound: int) -> Tuple[int, int, int]:
+    """The three Eq. 6 tie sums of ``sizes``, exact Python integers.
+
+    >>> tie_sums([2, 3], bound=10)
+    (84, 6, 8)
+    """
+    terms = tie_polynomials(exact_integers(sizes, bound))
+    return tuple(int(term.sum()) for term in terms)
+
+
+def variance_from_tie_sums(n, sums_x, sums_y) -> np.ndarray:
+    """Eq. 6 from exact tie sums, elementwise over arrays of populations.
+
+    ``n`` is an :func:`exact_integers` array of population sizes (all >= 2);
+    ``sums_x`` / ``sums_y`` are :func:`tie_sums`-style triples of exact
+    integers or arrays aligned with ``n``.  Each sum is rounded to float
+    once and the float operations run in one fixed order, so a population
+    scored alone or in a batch gets the same variance bit for bit.
+    """
+    t0x, t1x, t2x = (np.asarray(term).astype(float) for term in sums_x)
+    t0y, t1y, t2y = (np.asarray(term).astype(float) for term in sums_y)
+    variance = (n * (n - 1) * (2 * n + 5) - t0x - t0y) / 18.0
+    # With n = 2 no tie group reaches 3, so both t1 sums are 0 and the
+    # clamped denominator only keeps the zero term finite.
+    variance = variance + t1x * t1y / (9.0 * n * (n - 1) * np.maximum(n - 2, 1))
+    variance = variance + t2x * t2y / (2.0 * n * (n - 1))
+    return np.asarray(variance).astype(float)
+
+
 def null_variance_numerator_with_ties(
     n: int, ties_x: Sequence[int], ties_y: Sequence[int]
 ) -> float:
@@ -61,24 +114,10 @@ def null_variance_numerator_with_ties(
                 raise EstimationError(f"{name} contains a non-positive tie size {size}")
             if size > n:
                 raise EstimationError(f"{name} contains a tie larger than n ({size} > {n})")
-
-    u = np.asarray(list(ties_x), dtype=float)
-    v = np.asarray(list(ties_y), dtype=float)
-
-    def term0(sizes: np.ndarray) -> float:
-        return float(np.sum(sizes * (sizes - 1) * (2 * sizes + 5)))
-
-    def term1(sizes: np.ndarray) -> float:
-        return float(np.sum(sizes * (sizes - 1) * (sizes - 2)))
-
-    def term2(sizes: np.ndarray) -> float:
-        return float(np.sum(sizes * (sizes - 1)))
-
-    variance = (n * (n - 1) * (2 * n + 5) - term0(u) - term0(v)) / 18.0
-    if n > 2:
-        variance += term1(u) * term1(v) / (9.0 * n * (n - 1) * (n - 2))
-    variance += term2(u) * term2(v) / (2.0 * n * (n - 1))
-    return float(variance)
+    bound = max(n, sum(ties_x), sum(ties_y))
+    return float(variance_from_tie_sums(
+        exact_integers(n, bound), tie_sums(ties_x, bound), tie_sums(ties_y, bound)
+    ))
 
 
 def tie_corrected_sigma(x: Sequence[float], y: Sequence[float]) -> float:

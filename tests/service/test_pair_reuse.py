@@ -1,12 +1,12 @@
 """Content-keyed reuse of pair estimates across epochs in the service engine.
 
 A result-cache miss keys each pair by ``(pair, alpha, alternative, digest of
-its two density rows over its own population)`` and reuses the stored
+each of its two density rows' nonzero entries)`` and reuses the stored
 estimate when an earlier request fed exactly the same inputs.  The cases
-here pin which pairs are re-estimated after event-only commits and distant
-rewires, that a decision-config override never borrows another config's
-answer, that density threads change nothing about which pairs are
-re-estimated, and — under
+here pin which pairs are re-estimated after event-only commits, distant
+rewires and universe growth away from a pair, that a decision-config
+override never borrows another config's answer, that density threads
+change nothing about which pairs are re-estimated, and — under
 random commit/rank/``at_epoch`` interleavings — that every answer stays
 field-by-field equal to the from-scratch ``reference_ranking`` at its epoch.
 """
@@ -147,6 +147,38 @@ class TestWhichPairsAreReEstimated:
             assert response["computed_pairs"] == 1
             assert estimates.delta() == (0, 1)
             _assert_matches_reference(session, response, [pair])
+
+    def test_universe_growth_away_from_the_pair_reuses_it(self, dataset):
+        """A third event attached far from (a, b) adds columns to the
+        exhaustive sample; both rows of (a, b) stay zero there, so their
+        row digests, and the pair's estimate, carry over."""
+        a, b = dataset.positive_pairs[0]
+        third = dataset.negative_pairs[0][0]
+        pairs = [(a, b), (a, third), (b, third)]
+        with _session(dataset, sampler="exhaustive") as session:
+            graph = session.graph
+            level = session.config.vicinity_level
+            bfs = BFSEngine(graph.csr)
+            pair_nodes = np.unique(np.concatenate([graph.event_nodes(a), graph.event_nodes(b)]))
+            universe = np.unique(np.concatenate([pair_nodes, graph.event_nodes(third)]))
+            # Past 2h hops from a ∪ b: no new column's vicinity sees a or b.
+            near = set(bfs.multi_source_vicinity(pair_nodes, 2 * level + 1).tolist())
+            before = set(bfs.multi_source_vicinity(universe, level).tolist())
+            far = next(
+                node for node in range(graph.num_nodes)
+                if node not in near
+                and not set(bfs.vicinity(node, level).tolist()) <= before
+            )
+            session.rank(pairs)
+            estimates = _Estimates(session)
+            receipt = session.commit([Delta.event_attach(third, far)])
+            assert receipt["changed"]
+            after = bfs.multi_source_vicinity(np.append(universe, far), level)
+            assert after.size > len(before)
+            response = session.rank(pairs)
+            assert estimates.delta() == (2, 1)
+            assert response["computed_pairs"] == len(pairs)
+            _assert_matches_reference(session, response, pairs)
 
     def test_decision_overrides_never_share_an_estimate(self, dataset):
         pair = dataset.positive_pairs[0]

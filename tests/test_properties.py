@@ -6,19 +6,29 @@ BFS monotonicity, sampler containment, and estimator consistency between the
 weighted and unweighted forms.
 """
 
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import estimators
+from repro.core.batch import RankedPair, estimate_pair_list
+from repro.core.config import TescConfig
+from repro.core.density import DensityMatrix, densities_from_counts
 from repro.core.estimators import (
     EstimateComponents,
     PairEstimateBatcher,
     importance_weighted_estimate,
     plain_estimate,
 )
+from repro.exceptions import EstimationError, InsufficientSampleError
 from repro.graph.csr import CSRGraph
 from repro.graph.traversal import BFSEngine
 from repro.stats.fast_kendall import table_concordance
+from repro.stats import ties
+from repro.stats.hypothesis import CorrelationVerdict, decide
 from repro.stats.kendall import kendall_tau_a, kendall_tau_b, pair_concordance_sum
 from repro.stats.ties import (
     degenerate_ties,
@@ -246,6 +256,163 @@ class TestSingleTiePass:
             components = plain_estimate(a, b)
             assert components == _composed_components(a, b)
             assert components.degenerate and components.z_score == 0.0
+
+
+@st.composite
+def sparse_count_matrices(draw):
+    """A tie-heavy, sparse :class:`DensityMatrix`: tiny counts and vicinity
+    sizes, mostly-zero rows, and now and then an all-zero row or a row
+    with no zero at all."""
+    num_events = draw(st.integers(min_value=2, max_value=6))
+    num_columns = draw(st.integers(min_value=2, max_value=30))
+    sizes = np.asarray(draw(st.lists(
+        st.integers(min_value=1, max_value=4), min_size=num_columns, max_size=num_columns,
+    )))
+    counts = np.zeros((num_events, num_columns), dtype=np.int64)
+    for row in range(num_events):
+        shape = draw(st.sampled_from(["sparse", "sparse", "sparse", "empty", "full"]))
+        if shape == "empty":
+            continue
+        low = 1 if shape == "full" else 0
+        present = draw(st.lists(st.booleans(), min_size=num_columns, max_size=num_columns))
+        for column in range(num_columns):
+            if shape == "full" or present[column]:
+                counts[row, column] = draw(
+                    st.integers(min_value=low, max_value=int(sizes[column]))
+                )
+    return DensityMatrix(
+        reference_nodes=np.arange(num_columns, dtype=np.int64),
+        densities=densities_from_counts(counts, sizes),
+        counts=counts, vicinity_sizes=sizes, level=1,
+    )
+
+
+def _per_pair_oracle(pair_list, row_of, matrix, cfg):
+    """``estimate_pair`` over ``DensityMatrix.pair_rows`` and ``decide``,
+    one pair at a time: the reference the population pass must equal."""
+    batcher = PairEstimateBatcher(matrix.densities)
+    ranked = []
+    for event_a, event_b in pair_list:
+        columns = matrix.pair_rows(row_of[event_a], row_of[event_b])
+        if columns.size < 2:
+            ranked.append(RankedPair(
+                rank=0, event_a=event_a, event_b=event_b, score=0.0, z_score=0.0,
+                p_value=1.0, verdict=CorrelationVerdict.INDEPENDENT,
+                num_reference_nodes=int(columns.size), degenerate=True, insufficient=True,
+            ))
+            continue
+        components = batcher.estimate_pair(row_of[event_a], row_of[event_b], columns)
+        significance = decide(components.z_score, cfg.alpha, cfg.alternative)
+        ranked.append(RankedPair(
+            rank=0, event_a=event_a, event_b=event_b, score=components.estimate,
+            z_score=components.z_score, p_value=significance.p_value,
+            verdict=significance.verdict,
+            num_reference_nodes=components.num_reference_nodes,
+            degenerate=components.degenerate,
+        ))
+    return ranked
+
+
+def _ordered_pairs(matrix):
+    events = [f"e{row}" for row in range(matrix.num_events)]
+    return list(itertools.permutations(events, 2)), {e: i for i, e in enumerate(events)}
+
+
+class TestPopulationPass:
+    """``estimate_pair_list``'s one-pass population scoring against the
+    per-pair oracle, field for field."""
+
+    CONFIG = TescConfig(alpha=0.1)
+
+    def _assert_matches_oracle(self, matrix):
+        pair_list, row_of = _ordered_pairs(matrix)
+        batcher = PairEstimateBatcher(matrix.densities)
+        assert estimate_pair_list(
+            pair_list, row_of, batcher, self.CONFIG, "keep"
+        ) == _per_pair_oracle(pair_list, row_of, matrix, self.CONFIG)
+
+    @given(sparse_count_matrices(), st.sampled_from([0, 1, 32, 10**9]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_per_pair_oracle(self, matrix, cells_per_observation):
+        """Every ``c`` of the ``Kx·Ky <= c·n`` rule: 0 sends every pair to
+        the merge kernel, 10**9 every pair to the table."""
+        with mock.patch.object(
+            estimators, "TABLE_CELLS_PER_OBSERVATION", cells_per_observation
+        ):
+            self._assert_matches_oracle(matrix)
+
+    @given(sparse_count_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_python_integer_tie_sums_match(self, matrix):
+        """Populations too large for int64 tie sums take Python integers;
+        forcing that path on small inputs changes no answer."""
+        with mock.patch.object(ties, "EXACT_INT64_OBSERVATIONS", 0):
+            self._assert_matches_oracle(matrix)
+
+    def _matrix(self, densities):
+        densities = np.asarray(densities, dtype=float)
+        counts = (densities * 4).astype(np.int64)
+        return DensityMatrix(
+            reference_nodes=np.arange(densities.shape[1], dtype=np.int64),
+            densities=densities, counts=counts,
+            vicinity_sizes=np.full(densities.shape[1], 4), level=1,
+        )
+
+    def test_edge_populations(self):
+        matrix = self._matrix([
+            [0.25, 0.5, 0.0, 0.0, 0.0],   # e0: support {0, 1}
+            [0.5, 0.25, 0.0, 0.0, 0.0],   # e1: the same support
+            [0.0, 0.0, 0.0, 0.0, 0.0],    # e2: all zero
+            [0.0, 0.0, 0.0, 0.0, 0.0],    # e3: all zero
+            [0.5, 0.25, 1.0, 0.75, 0.5],  # e4: no absent column
+            [0.0, 0.0, 0.0, 0.0, 0.5],    # e5: one nonzero column
+            [0.5, 0.5, 0.5, 0.5, 0.5],    # e6: constant, no absent column
+            [0.25, 0.25, 0.0, 0.0, 0.0],  # e7: one code over {0, 1}
+        ])
+        pair_list, row_of = _ordered_pairs(matrix)
+        ranked = {pair.events: pair for pair in estimate_pair_list(
+            pair_list, row_of, PairEstimateBatcher(matrix.densities), self.CONFIG, "keep"
+        )}
+        assert ranked == {
+            pair.events: pair
+            for pair in _per_pair_oracle(pair_list, row_of, matrix, self.CONFIG)
+        }
+        # n = 2: a single discordant pair.
+        assert ranked["e0", "e1"].num_reference_nodes == 2
+        assert ranked["e0", "e1"].score == -1.0 and not ranked["e0", "e1"].degenerate
+        # All-zero rows: n = 0 and n = 1 are insufficient.
+        assert ranked["e2", "e3"].insufficient and ranked["e2", "e3"].num_reference_nodes == 0
+        assert ranked["e2", "e5"].insufficient and ranked["e2", "e5"].num_reference_nodes == 1
+        # Single-code populations are degenerate, with and without columns
+        # where both rows are 0.
+        assert ranked["e7", "e0"].degenerate and ranked["e7", "e0"].z_score == 0.0
+        assert ranked["e7", "e0"].num_reference_nodes == 2
+        for pair in (("e6", "e4"), ("e2", "e4"), ("e0", "e6")):
+            assert ranked[pair].degenerate and ranked[pair].z_score == 0.0
+            assert ranked[pair].num_reference_nodes == 5
+        assert not ranked["e0", "e4"].degenerate
+
+    def test_negative_densities_are_refused(self):
+        """Density 0 must be each row's smallest value (code 0)."""
+        batcher = PairEstimateBatcher(np.array([[-0.5, 0.0, 0.5], [0.0, 0.25, 0.5]]))
+        with pytest.raises(EstimationError, match="nonnegative"):
+            batcher.estimate_pairs([0], [1])
+
+    def test_raise_stops_at_the_first_insufficient_pair(self):
+        matrix = self._matrix([
+            [0.25, 0.5, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.5],
+            [0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+        ])
+        row_of = {f"e{row}": row for row in range(4)}
+        pair_list = [("e0", "e1"), ("e1", "e2"), ("e2", "e3")]
+        batcher = PairEstimateBatcher(matrix.densities)
+        with pytest.raises(InsufficientSampleError) as raised:
+            estimate_pair_list(pair_list, row_of, batcher, self.CONFIG, "raise")
+        assert str(raised.value) == (
+            "pair ('e1', 'e2') has only 1 reference nodes in the shared sample"
+        )
 
 
 class TestGraphProperties:
