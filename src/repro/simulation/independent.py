@@ -1,8 +1,10 @@
 """Independent event-pair generation (the null case).
 
 Used to measure the test's Type I error: two events placed uniformly at
-random, with no structural relationship, should be declared independent
-roughly ``1 - α`` of the time.
+random, with no structural relationship.  A calibrated test would declare
+them independent roughly ``1 - α`` of the time; this one reads sparse
+independent events as repulsion, because its reference nodes come from the
+events' own vicinities (``tests/simulation/test_null_bias.py``).
 """
 
 from __future__ import annotations

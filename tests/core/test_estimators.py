@@ -131,58 +131,25 @@ class TestPairEstimateBatcher:
 
         rng = np.random.default_rng(3)
         matrix = np.round(rng.random((4, 60)), 2)  # rounding induces ties
-        batcher = PairEstimateBatcher(matrix)
-        for row_a, row_b in [(0, 1), (0, 2), (2, 3), (1, 3)]:
-            batched = batcher.estimate_pair(row_a, row_b)
-            direct = plain_estimate(matrix[row_a], matrix[row_b])
-            assert batched.estimate == direct.estimate
-            assert batched.z_score == direct.z_score
-            assert batched.null_sigma == direct.null_sigma
-            assert batched.ties_a == direct.ties_a
-
-    def test_matches_plain_estimate_on_column_subset(self):
-        from repro.core.estimators import PairEstimateBatcher
-
-        rng = np.random.default_rng(4)
-        matrix = np.round(rng.random((3, 50)), 1)
-        columns = np.sort(rng.choice(50, size=20, replace=False))
-        batcher = PairEstimateBatcher(matrix)
-        batched = batcher.estimate_pair(0, 2, columns)
-        direct = plain_estimate(matrix[0, columns], matrix[2, columns])
-        assert batched.estimate == direct.estimate
-        assert batched.z_score == direct.z_score
-        assert batched.num_reference_nodes == 20
+        matrix[:, :12] = 0.0  # columns outside every pair's population
+        rows_a, rows_b = [0, 0, 2, 1], [1, 2, 3, 3]
+        scores = PairEstimateBatcher(matrix).estimate_pairs(rows_a, rows_b)
+        for i, (row_a, row_b) in enumerate(zip(rows_a, rows_b)):
+            population = np.flatnonzero((matrix[row_a] != 0) | (matrix[row_b] != 0))
+            direct = plain_estimate(matrix[row_a, population], matrix[row_b, population])
+            assert scores.n[i] == direct.num_reference_nodes <= 48
+            assert scores.estimate[i] == direct.estimate
+            assert scores.z_score[i] == direct.z_score
+            assert scores.degenerate[i] == direct.degenerate
 
     def test_rejects_bad_inputs(self):
         from repro.core.estimators import PairEstimateBatcher
-        from repro.exceptions import EstimationError, InsufficientSampleError
 
         with pytest.raises(EstimationError):
             PairEstimateBatcher(np.zeros(5))
-        batcher = PairEstimateBatcher(np.zeros((2, 5)))
-        with pytest.raises(InsufficientSampleError):
-            batcher.estimate_pair(0, 1, np.array([2]))
-
-
-class TestScreenPair:
-    def test_matches_estimate_pair_exactly(self):
-        from repro.core.estimators import PairEstimateBatcher
-
-        rng = np.random.default_rng(8)
-        matrix = np.round(rng.random((4, 80)), 1)  # tie-heavy
-        batcher = PairEstimateBatcher(matrix)
-        columns = np.sort(rng.choice(80, size=33, replace=False))
-        estimate, count = batcher.screen_pair(0, 3, columns)
-        reference = batcher.estimate_pair(0, 3, columns)
-        assert estimate == reference.estimate
-        assert count == reference.num_reference_nodes
-
-    def test_insufficient_columns_raise(self):
-        from repro.core.estimators import PairEstimateBatcher
-
-        batcher = PairEstimateBatcher(np.zeros((2, 5)))
-        with pytest.raises(InsufficientSampleError):
-            batcher.screen_pair(0, 1, np.array([3]))
+        # An empty population is the caller's to keep or raise.
+        scores = PairEstimateBatcher(np.zeros((2, 5))).estimate_pairs([0], [1])
+        assert (scores.n[0], scores.estimate[0], scores.degenerate[0]) == (0, 0.0, False)
 
 
 class TestBatcherGrown:
@@ -196,8 +163,8 @@ class TestBatcherGrown:
         grown = batcher.grown(wider)
         assert grown.num_reference_nodes == 30
         # Same kernel arithmetic over the grown matrix.
-        direct = PairEstimateBatcher(wider).estimate_pair(0, 2)
-        assert grown.estimate_pair(0, 2).estimate == direct.estimate
+        direct = PairEstimateBatcher(wider).estimate_pairs([0], [2])
+        assert grown.estimate_pairs([0], [2]).estimate[0] == direct.estimate[0]
 
     def test_grown_rejects_non_prefix(self):
         from repro.core.estimators import PairEstimateBatcher

@@ -172,28 +172,31 @@ class TestBatcherRankCache:
         rng = np.random.default_rng(3)
         matrix = np.round(rng.random((4, n)), 2)
         batcher = PairEstimateBatcher(matrix)
-        batcher.estimate_pair(0, 1)
-        batcher.estimate_pair(2, 3)
+        batcher.estimate_pairs([0, 2], [1, 3])
         assert not hasattr(batcher, "_signs")
-        assert set(batcher._ranks) == {0, 1, 2, 3}
-        for ranks in batcher._ranks.values():
-            assert ranks.ndim == 1
-            assert ranks.size == n
-            assert ranks.nbytes == 8 * n  # int64 rank vector, not n×n signs
+        assert set(batcher._rows) == {0, 1, 2, 3}
+        for state in batcher._rows.values():
+            assert state.codes.ndim == 1
+            assert state.codes.size == n
+            assert state.codes.nbytes == 8 * n  # int64 rank vector, not n×n signs
 
     @pytest.mark.parametrize("kernel", ["naive", "fast", "table", "auto"])
     def test_matches_plain_estimate_on_subsets(self, kernel, force_kernel):
+        """The pair's population is a column subset: the 50 columns where
+        both rows are 0 leave it."""
         rng = np.random.default_rng(9)
         matrix = np.round(rng.random((3, 230)), 1)  # heavy ties
-        columns = np.sort(rng.choice(230, size=180, replace=False))
-        direct = plain_estimate(matrix[0, columns], matrix[2, columns])
+        outside = rng.choice(230, size=50, replace=False)
+        matrix[:, outside] = 0.0
+        population = np.flatnonzero((matrix[0] != 0) | (matrix[2] != 0))
+        assert 170 <= population.size <= 180
+        direct = plain_estimate(matrix[0, population], matrix[2, population])
         force_kernel(kernel)
-        batched = PairEstimateBatcher(matrix).estimate_pair(0, 2, columns)
-        assert batched.estimate == direct.estimate
-        assert batched.z_score == direct.z_score
-        assert batched.concordance_sum == direct.concordance_sum
-        assert batched.ties_a == direct.ties_a
-        assert batched.ties_b == direct.ties_b
+        scores = PairEstimateBatcher(matrix).estimate_pairs([0], [2])
+        assert scores.n[0] == direct.num_reference_nodes
+        assert scores.estimate[0] == direct.estimate
+        assert scores.z_score[0] == direct.z_score
+        assert not scores.degenerate[0]
 
 
 class TestConfigValidation:

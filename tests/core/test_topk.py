@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchTescEngine
+from repro.core.batch import BatchTescEngine, resolve_pair_spec
 from repro.core.config import TescConfig
+from repro.core.density import DensityComputer
+from repro.core.estimators import plain_estimate
 from repro.core.topk import (
     TOPK_CONFIDENCE,
     ProgressiveTopKEngine,
@@ -17,6 +19,8 @@ from repro.datasets.synthetic_dblp import make_dblp_like
 from repro.exceptions import ConfigurationError, DeadlineExceededError
 from repro.graph.generators import community_ring_graph
 from repro.events.attributed_graph import AttributedGraph
+from repro.sampling.base import deterministic_draw_order
+from repro.stats.normal import critical_z
 from repro.utils import deadlines
 
 
@@ -257,6 +261,62 @@ class TestEngineBehaviour:
             len(full) + 10
         )
         assert _signature(ranking) == _signature(full)
+
+
+class TestScreeningRoundOracle:
+    """Every screening round rebuilt from scratch: a fresh density matrix
+    over the round's prefix of the draw order, :func:`plain_estimate` over
+    each entering pair's population and :func:`confidence_half_width` for
+    its bound.  The engine's appended columns and population pass must give
+    the same counts and the same k-th lower bound, float for float."""
+
+    def test_rounds_match_a_rebuild_from_scratch(self):
+        attributed = SEPARABLE_DATASET.attributed
+        k = 2
+        ranking = ProgressiveTopKEngine(attributed, _separable_config()).top_k(k)
+        active = resolve_pair_spec(attributed.event_names(), "all")
+        events = sorted({event for pair in active for event in pair})
+        row_of = {event: row for row, event in enumerate(events)}
+        indicators = np.asarray(attributed.indicator_matrix(events))
+        sample = ranking.sample
+        order = (
+            sample.draw_order
+            if sample.draw_order is not None
+            else deterministic_draw_order(sample.nodes)
+        )
+        z_star = critical_z(1.0 - TOPK_CONFIDENCE, "two-sided")
+        screening = ranking.rounds[:-1]
+        assert len(screening) >= 2
+        assert sum(record.pairs_pruned for record in screening) > 0
+
+        for record in screening:
+            matrix = DensityComputer(attributed.csr).density_matrix(
+                order[: record.sample_size], indicators, 1
+            )
+            bounds = {}
+            for pair in active:
+                rows = row_of[pair[0]], row_of[pair[1]]
+                columns = matrix.pair_rows(*rows)
+                if columns.size < 2:
+                    continue
+                estimate = plain_estimate(
+                    *(matrix.densities[row, columns] for row in rows)
+                ).estimate
+                width = confidence_half_width(
+                    columns.size, columns.size * order.size // record.sample_size, z_star
+                )
+                bounds[pair] = (estimate - width, estimate + width)
+            kth_lower = None
+            pruned = set()
+            if len(bounds) >= k:
+                kth_lower = sorted((low for low, _ in bounds.values()), reverse=True)[k - 1]
+                pruned = {pair for pair, (_, high) in bounds.items() if high < kth_lower}
+            assert (
+                record.pairs_entering, record.pairs_estimated,
+                record.pairs_pruned, record.kth_lower_bound,
+            ) == (len(active), len(bounds), len(pruned), kth_lower)
+            active = [pair for pair in active if pair not in pruned]
+        assert ranking.topk_stats.pairs_survived == len(active)
 
 
 class TestCoverageStudy:

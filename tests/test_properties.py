@@ -26,7 +26,6 @@ from repro.core.estimators import (
 from repro.exceptions import EstimationError, InsufficientSampleError
 from repro.graph.csr import CSRGraph
 from repro.graph.traversal import BFSEngine
-from repro.stats.fast_kendall import table_concordance
 from repro.stats import ties
 from repro.stats.hypothesis import CorrelationVerdict, decide
 from repro.stats.kendall import kendall_tau_a, kendall_tau_b, pair_concordance_sum
@@ -188,66 +187,71 @@ def tie_heavy_pairs(draw):
     return tuple(np.asarray(vector, dtype=float) for vector in vectors)
 
 
+def _population_pass(x, y):
+    """``(n, estimate, z_score, degenerate)`` of the population pass for the
+    one pair ``(x, y)``."""
+    scores = PairEstimateBatcher(np.vstack([x, y])).estimate_pairs([0], [1])
+    return tuple(field[0].item() for field in scores)
+
+
+def _population_reference(x, y):
+    """:func:`_population_pass`'s numbers from :func:`_composed_components`
+    over the pair's population, the columns where either vector is nonzero
+    (``DensityMatrix.pair_rows``)."""
+    population = np.flatnonzero((x != 0) | (y != 0))
+    if population.size < 2:
+        return population.size, 0.0, 0.0, False
+    expected = _composed_components(x[population], y[population])
+    return (
+        expected.num_reference_nodes, expected.estimate, expected.z_score,
+        expected.degenerate,
+    )
+
+
 class TestSingleTiePass:
     @given(tie_heavy_pairs())
     @settings(max_examples=150, deadline=None)
     def test_components_equal_the_composed_reference(self, pair):
         x, y = pair
-        expected = _composed_components(x, y)
-        batcher = PairEstimateBatcher(np.vstack([x, y]))
-        assert plain_estimate(x, y) == expected
-        assert batcher.estimate_pair(0, 1) == expected
-
-    @given(tie_heavy_pairs(), st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_column_subsets_equal_the_composed_reference(self, pair, data):
-        """Restricted codes are not dense: the contingency table gets empty
-        rows and columns, which must not show in ``S`` or the tie groups."""
-        x, y = pair
-        columns = np.array(sorted(data.draw(st.sets(
-            st.integers(min_value=0, max_value=x.size - 1), min_size=2,
-        ))))
-        batcher = PairEstimateBatcher(np.vstack([x, y]))
-        assert batcher.estimate_pair(0, 1, columns) == _composed_components(
-            x[columns], y[columns]
-        )
+        assert plain_estimate(x, y) == _composed_components(x, y)
+        assert _population_pass(x, y) == _population_reference(x, y)
 
     def test_two_observations(self):
         x, y = np.array([0.25, 0.5]), np.array([1.0, 0.0])
-        expected = _composed_components(x, y)
-        assert expected.concordance_sum == -1 and not expected.degenerate
-        assert PairEstimateBatcher(np.vstack([x, y])).estimate_pair(0, 1) == expected
+        assert _composed_components(x, y).concordance_sum == -1
+        assert _population_pass(x, y) == _population_reference(x, y) == (
+            2, -1.0, -1.0, False
+        )
 
     def test_single_code_row_is_degenerate(self):
         """Kx = 1: a one-row table, no ordered pairs, z = 0."""
         x, y = np.full(9, 0.5), np.array([0.0, 1.0, 0.25, 0.25, 0.5, 1.0, 0.0, 0.5, 1.0])
         for a, b in ((x, y), (y, x)):
-            components = PairEstimateBatcher(np.vstack([a, b])).estimate_pair(0, 1)
-            assert components == _composed_components(a, b)
-            assert components.degenerate and components.z_score == 0.0
-            assert components.concordance_sum == 0
+            assert _population_pass(a, b) == _population_reference(a, b) == (
+                9, 0.0, 0.0, True
+            )
 
     def test_table_rule_boundary(self, monkeypatch):
-        """The table serves a pair with exactly ``Kx·Ky == c·n`` cells and
-        the merge kernel one more distinct value; both match the reference."""
-        from repro.core import estimators
-
+        """The population pass tables a pair with exactly ``Kx·Ky == c·n``
+        cells and sends one with one more distinct value to the merge
+        kernel; both match the reference."""
         c = estimators.TABLE_CELLS_PER_OBSERVATION
         n = 2 * c
         rng = np.random.default_rng(5)
-        y = rng.permutation(n) / n  # Ky = n distinct values
+        # Ky = n distinct values and no 0, so the population is every column.
+        y = (rng.permutation(n) + 1) / n
         tabled = []
+        support_tables_sum = estimators._support_tables_sum
 
-        def spy(*args):
-            tabled.append(args[2:])
-            return table_concordance(*args)
+        def spy(chunk, z):
+            tabled.extend((a.counts.size, b.counts.size) for _, a, b in chunk)
+            return support_tables_sum(chunk, z)
 
-        monkeypatch.setattr(estimators, "table_concordance", spy)
+        monkeypatch.setattr(estimators, "_support_tables_sum", spy)
         for kx, uses_table in ((c, True), (c + 1, False)):
-            x = rng.permutation(np.arange(n) % kx) / kx  # Kx = kx distinct values
+            x = rng.permutation(np.arange(n) % kx) / kx  # Kx = kx values, 0 among them
             tabled.clear()
-            components = PairEstimateBatcher(np.vstack([x, y])).estimate_pair(0, 1)
-            assert components == _composed_components(x, y)
+            assert _population_pass(x, y) == _population_reference(x, y)
             assert tabled == ([(kx, n)] if uses_table else [])
 
     def test_constant_vectors_are_degenerate(self):
@@ -288,9 +292,8 @@ def sparse_count_matrices(draw):
 
 
 def _per_pair_oracle(pair_list, row_of, matrix, cfg):
-    """``estimate_pair`` over ``DensityMatrix.pair_rows`` and ``decide``,
+    """:func:`plain_estimate` over ``DensityMatrix.pair_rows`` and ``decide``,
     one pair at a time: the reference the population pass must equal."""
-    batcher = PairEstimateBatcher(matrix.densities)
     ranked = []
     for event_a, event_b in pair_list:
         columns = matrix.pair_rows(row_of[event_a], row_of[event_b])
@@ -301,7 +304,10 @@ def _per_pair_oracle(pair_list, row_of, matrix, cfg):
                 num_reference_nodes=int(columns.size), degenerate=True, insufficient=True,
             ))
             continue
-        components = batcher.estimate_pair(row_of[event_a], row_of[event_b], columns)
+        components = plain_estimate(
+            matrix.densities[row_of[event_a], columns],
+            matrix.densities[row_of[event_b], columns],
+        )
         significance = decide(components.z_score, cfg.alpha, cfg.alternative)
         ranked.append(RankedPair(
             rank=0, event_a=event_a, event_b=event_b, score=components.estimate,
