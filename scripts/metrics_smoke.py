@@ -10,7 +10,8 @@ verb), scrapes the Prometheus HTTP endpoint, and fails loudly if
 * the exposition is malformed (unparseable lines, families without TYPE),
 * any instrumented subsystem reports zero samples after the burst
   (requests, latency histograms, pair cache, admission, pins, commits,
-  reused pair estimates),
+  reused pair estimates, the density and estimate stages of rank and
+  top-k),
 * the pair-estimate outcomes do not add up to the pair-cache misses,
 * the sample-memo lookups do not add up to the density matrices computed
   plus the top-k requests (a matrix miss and a top-k request each consult
@@ -60,6 +61,11 @@ REQUIRED_NONZERO = [
     ("tesc_topk_rounds_total", None),
     ("tesc_sample_memo_misses_total", None),
     ("tesc_pair_estimates_total", 'outcome="reused"'),
+    # Per-stage request timings, from the engine's own spans.
+    ("tesc_stage_seconds_count", 'verb="rank",stage="density"'),
+    ("tesc_stage_seconds_count", 'verb="rank",stage="estimate"'),
+    ("tesc_stage_seconds_count", 'verb="topk",stage="density"'),
+    ("tesc_stage_seconds_count", 'verb="topk",stage="estimate"'),
 ]
 
 

@@ -67,6 +67,16 @@ class DensityMatrix:
         """
         return np.flatnonzero((self.counts[row_a] > 0) | (self.counts[row_b] > 0))
 
+    def prefix(self, size: int) -> "DensityMatrix":
+        """The matrix of the first ``size`` columns (views, no copy)."""
+        return DensityMatrix(
+            reference_nodes=self.reference_nodes[:size],
+            densities=self.densities[:, :size],
+            counts=self.counts[:, :size],
+            vicinity_sizes=self.vicinity_sizes[:size],
+            level=self.level,
+        )
+
 
 def densities_from_counts(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Density matrix from integer numerators and vicinity sizes (Eq. 2).

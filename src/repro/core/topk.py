@@ -20,7 +20,9 @@ budget only where it can still change the answer:
 2. **Append-only density evaluation.**  Each round BFS-counts only the
    newly revealed reference nodes
    (:meth:`~repro.core.density.DensityComputer.append_columns`), and only
-   for events that still appear in a surviving pair.
+   for events that still appear in a surviving pair.  The service instead
+   hands in the full-budget matrix gathered from its count table, and each
+   round takes a column prefix of it.
 3. **Confidence-bound pruning.**  After each round every surviving pair's
    Kendall estimate gets a two-sided confidence interval from the variance
    machinery of :mod:`repro.core.estimators`; any pair whose upper bound
@@ -74,7 +76,6 @@ from repro.exceptions import ConfigurationError
 from repro.obs.registry import NULL_REGISTRY
 from repro.obs.trace import stage
 from repro.sampling.base import ReferenceSample, deterministic_draw_order
-from repro.stats.normal import critical_z
 from repro.utils import deadlines
 from repro.utils.validation import resolve_workers
 
@@ -87,6 +88,11 @@ estimate_matrix_pairs_sharded = estimate_pair_list
 #: density columns was ~3.1x the asymptotic sd at the smallest rounds,
 #: inside the ~3.3x half-width this level buys (0.99 would sit at ~3.0x).
 TOPK_CONFIDENCE = 0.995
+#: ``critical_z(1 - TOPK_CONFIDENCE, "two-sided")``, written out so that no
+#: request imports ``scipy.stats`` (over a second on a cold process) for it.
+#: ``statistics.NormalDist`` differs in the last bit, so the literal is the
+#: scipy value, pinned against ``critical_z`` by a test.
+TOPK_Z_STAR = 2.807033768343804
 
 
 def round_schedule(initial: int, budget: int, growth_factor: float) -> List[int]:
@@ -288,6 +294,7 @@ class ProgressiveTopKEngine:
         sort_by: str = "score",
         on_insufficient: str = "keep",
         sample: Optional[ReferenceSample] = None,
+        matrix: Optional[DensityMatrix] = None,
     ) -> TopKRanking:
         """The ``k`` best pairs of ``pairs``, identical to full-budget ranking.
 
@@ -311,6 +318,11 @@ class ProgressiveTopKEngine:
             Internal: a full-budget draw over the pairs' event universe
             that the caller already holds (the service passes its memoised
             draw).  ``None`` draws a fresh one, as ``rank_pairs`` does.
+        matrix:
+            Internal: the full-budget density matrix of ``sample`` over the
+            pairs' events, columns in draw order (the service gathers it
+            from its count table).  Each round then takes a column prefix
+            of it instead of BFS-counting.  ``None`` counts round by round.
         """
         if sort_by != "score":
             raise ConfigurationError(
@@ -338,20 +350,25 @@ class ProgressiveTopKEngine:
             ensure_uniform_sample(sample, cfg.sampler)
         # Round r's reference nodes are order[:m_r]: every prefix of a
         # uniform draw order is itself a uniform sample.
-        order = (
-            sample.draw_order
-            if sample.draw_order is not None
-            else deterministic_draw_order(sample.nodes)
-        )
+        order = draw_order(sample)
         budget = int(order.size)
+        if matrix is not None and not (
+            matrix.num_events == len(events)
+            and np.array_equal(matrix.reference_nodes, order)
+        ):
+            raise ConfigurationError(
+                "matrix= must hold one row per event and one column per "
+                "sampled node, in draw order"
+            )
+        # From here on ``matrix`` is the current round's prefix matrix.
+        full = matrix
 
-        z_star = critical_z(1.0 - TOPK_CONFIDENCE, "two-sided")
         bfs_engine = self._density_computer.engine
         bfs_before = bfs_engine.bfs_calls
 
         active = list(pair_list)
         rounds: List[TopKRound] = []
-        matrix: Optional[DensityMatrix] = None
+        matrix = None
         batcher: Optional[PairEstimateBatcher] = None
         pending = round_schedule(
             cfg.topk_initial_sample_size, budget, cfg.topk_growth_factor
@@ -369,7 +386,12 @@ class ProgressiveTopKEngine:
             self._m_rounds.inc()
             order_nodes = order[:target]
             with stage("density"):
-                if matrix is None:
+                if full is not None:
+                    new_count = order_nodes.size - (
+                        0 if matrix is None else matrix.num_reference_nodes
+                    )
+                    matrix = full.prefix(target)
+                elif matrix is None:
                     new_count = order_nodes.size
                     matrix = self._density_computer.density_matrix(
                         order_nodes, indicators, cfg.vicinity_level
@@ -403,7 +425,7 @@ class ProgressiveTopKEngine:
                     width = confidence_half_width(
                         n_pair,
                         (n_pair * budget) // max(order_nodes.size, 1),
-                        z_star,
+                        TOPK_Z_STAR,
                     )
                     screened.append((pair, estimate, width))
                 stats.screen_estimates += len(screened)
@@ -498,6 +520,15 @@ class ProgressiveTopKEngine:
             confidence=TOPK_CONFIDENCE,
             topk_stats=stats,
         )
+
+
+def draw_order(sample: ReferenceSample) -> np.ndarray:
+    """The order whose prefixes are the progressive rounds' samples:
+    ``sample.draw_order``, or :func:`~repro.sampling.base.deterministic_draw_order`
+    for samplers that record none."""
+    if sample.draw_order is not None:
+        return sample.draw_order
+    return deterministic_draw_order(sample.nodes)
 
 
 def top_k_pairs(

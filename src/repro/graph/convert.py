@@ -7,12 +7,13 @@ lets downstream users bring their own networkx graphs to the TESC API.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Tuple
 
 from repro.graph.adjacency import Graph
 from repro.graph.csr import CSRGraph
+
+if TYPE_CHECKING:  # imported in the functions: networkx is slow to load
+    import networkx as nx
 
 
 def from_networkx(nx_graph: "nx.Graph") -> Tuple[Graph, Dict[Hashable, int]]:
@@ -34,6 +35,8 @@ def from_networkx(nx_graph: "nx.Graph") -> Tuple[Graph, Dict[Hashable, int]]:
 
 def to_networkx(graph, labels: Optional[List[Hashable]] = None) -> "nx.Graph":
     """Convert a :class:`Graph` or :class:`CSRGraph` to networkx."""
+    import networkx as nx
+
     if not isinstance(graph, (Graph, CSRGraph)):
         raise TypeError(f"expected Graph or CSRGraph, got {type(graph).__name__}")
     nx_graph = nx.Graph()

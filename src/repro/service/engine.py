@@ -17,13 +17,16 @@ Four layers of reuse keep the hot path cheap:
   constructed in-process engine would draw at that graph state.  ``rank``
   and ``topk`` share it, and it is the only layer ``topk`` uses: each
   top-k request runs the progressive engine over the memoised draw;
-* **Density matrices** (with their estimate batchers) are cached per
-  ``(config, universe, events, epoch)``.  A miss carries every clean column
-  forward from the newest cached matrix at the same level and event tuple —
-  the commit journal (:class:`~repro.streaming.dirty.DirtyTracker`) says
-  which reference nodes each commit dirtied structurally and which event
-  occurrences it toggled — and BFS-counts only the rest, split across
-  ``workers`` density threads when the engine runs with ``workers > 1``;
+* **Density counts** live in a node-indexed :class:`CountTable` per
+  ``(level, events, epoch)``: the integer numerators and vicinity size of
+  every node any request at that state has counted.  A table for a new
+  epoch is advanced from the newest one the commit journal
+  (:class:`~repro.streaming.dirty.DirtyTracker`) covers — structurally
+  dirtied nodes struck out, event toggles applied by ``± 1`` — so ``rank``
+  and ``topk`` BFS-count only the sampled nodes no table has filled (split
+  across ``workers`` density threads when ``workers > 1``) and gather the
+  rest.  Density matrices (with their estimate batchers) are cached per
+  ``(config, universe, events, epoch)`` on top;
 * **Per-pair results** are cached per ``(pair, config, universe, epoch)`` —
   the pair's estimate depends only on the shared sample (a function of the
   request universe, config and epoch) and the pair's two density rows, so
@@ -52,6 +55,7 @@ cache and HTAP suites assert under random commit/query interleavings.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import logging
 import threading
@@ -114,6 +118,9 @@ estimate_matrix_pairs_sharded = estimate_pair_list
 MAX_CACHED_RESULTS = 65536
 #: LRU bound of the density-matrix cache and of the sample memo feeding it.
 MAX_CACHED_MATRICES = 8
+#: LRU bound of the node-indexed count tables: the newest epoch's plus one
+#: more (a lagging ``at_epoch`` reader's, or the previous epoch's).
+MAX_CACHED_TABLES = 2
 #: How many recent request span trees :attr:`ServiceEngine.trace_buffer`
 #: retains for introspection.
 TRACE_BUFFER_SIZE = 64
@@ -152,6 +159,20 @@ def row_digest(matrix: DensityMatrix, row: int) -> bytes:
     )
     digest.update(densities[present].tobytes())
     return digest.digest()
+
+
+class CountTable:
+    """Density counts of every node counted so far at one graph state.
+
+    ``counts[e, v]`` is ``|V_e ∩ V^h_v|`` and ``sizes[v]`` is ``|V^h_v|``
+    wherever ``filled[v]``; other entries are meaningless.  Values are at
+    most ``|V|``, so int32 halves the table; gathers widen to int64.
+    """
+
+    def __init__(self, num_events: int, num_nodes: int) -> None:
+        self.counts = np.zeros((num_events, num_nodes), dtype=np.int32)
+        self.sizes = np.zeros(num_nodes, dtype=np.int32)
+        self.filled = np.zeros(num_nodes, dtype=bool)
 
 
 class ServiceEngine:
@@ -270,8 +291,11 @@ class ServiceEngine:
         # result-cache miss reuse the answer of any earlier epoch whose
         # restricted density rows were the same.
         self._estimates: "OrderedDict[tuple, RankedPair]" = OrderedDict()
+        # (level, events, epoch) -> CountTable, read and filled under
+        # _miss_lock.
+        self._tables: "OrderedDict[tuple, CountTable]" = OrderedDict()
         # What each commit dirtied at the default level, per epoch: lets a
-        # matrix miss carry clean columns forward from a cached epoch.
+        # new epoch's count table advance from an older one.
         self._journal = DirtyTracker(self.config.vicinity_level)
 
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -319,8 +343,9 @@ class ServiceEngine:
         )
         self._m_columns = m.counter(
             "tesc_density_columns_total",
-            "Density columns of computed matrices, by outcome: BFS-counted "
-            "(computed) or carried forward from a cached epoch (carried).",
+            "Density columns of computed matrices and top-k requests, by "
+            "outcome: BFS-counted (computed) or gathered from the count "
+            "table (carried).",
             labels=("outcome",),
         )
         self._m_estimates = m.counter(
@@ -389,6 +414,15 @@ class ServiceEngine:
         m.gauge(
             "tesc_cached_matrices", "Entries in the density-matrix cache."
         ).set_function(lambda: len(self._matrices))
+        m.gauge(
+            "tesc_cached_density_tables",
+            "Node-indexed density count tables held.",
+        ).set_function(lambda: len(self._tables))
+        self._m_stage_seconds = m.histogram(
+            "tesc_stage_seconds",
+            "Time a request spent in each stage of its span tree, by verb.",
+            labels=("verb", "stage"),
+        )
         if self._dynamic:
             m.gauge(
                 "tesc_retained_epochs",
@@ -407,6 +441,16 @@ class ServiceEngine:
         """Root-span sink: retain the tree, emit the slow-request log."""
         self.trace_buffer.record(span)
         self.slow_log.maybe_log(span)
+
+    def _observe_stages(self, span: Span) -> None:
+        """Feed ``tesc_stage_seconds`` from a verb span's direct stages,
+        summing a stage that ran several times (top-k rounds).  Called
+        inside the open span, once its stages have ended."""
+        totals: Dict[str, float] = {}
+        for child in span.children:
+            totals[child.name] = totals.get(child.name, 0.0) + (child.duration or 0.0)
+        for name, seconds in totals.items():
+            self._m_stage_seconds.labels(verb=span.name, stage=name).observe(seconds)
 
     # -- epoch plumbing ------------------------------------------------------
 
@@ -573,9 +617,11 @@ class ServiceEngine:
                     self._m_active_pins.dec()
             span.tags["pairs"] = len(pair_list)
             span.tags["epoch"] = epoch
+            records = [pair_record(pair) for pair in ranked]
+            self._observe_stages(span)
         self._m_request_seconds.labels(method="rank").observe(span.duration)
         return {
-            "pairs": [pair_record(pair) for pair in ranked],
+            "pairs": records,
             "epoch": epoch,
             "sort_by": sort_by,
             "alpha": cfg.alpha,
@@ -692,11 +738,8 @@ class ServiceEngine:
     ) -> Tuple[DensityMatrix, PairEstimateBatcher]:
         """The epoch's density matrix over the request events, cached.
 
-        A miss carries every column it can from an older cached matrix
-        (:meth:`_carry_columns`) and BFS-counts only the rest; the floats
-        come from :func:`~repro.core.density.densities_from_counts` over the
-        assembled integer counts, so the matrix is bit-identical to a full
-        pass whichever columns carried.
+        A miss draws (or reuses) the epoch's sample and gathers its columns
+        from the count table (:meth:`_gather_columns`).
         """
         key = sampler_key(cfg) + (
             universe_fp, cfg.vicinity_level, cfg.sample_size, events, epoch,
@@ -708,26 +751,10 @@ class ServiceEngine:
         with stage("sampling"):
             sample = self._sample_memo.sample(graph, cfg, universe, epoch=epoch)
         ensure_uniform_sample(sample, cfg.sampler)
-        nodes = np.asarray(sample.nodes, dtype=np.int64)
         with stage("density", workers=self.workers):
-            carried, counts, sizes = self._carry_columns(
-                graph, cfg, events, epoch, nodes
+            matrix = self._gather_columns(
+                graph, cfg, events, epoch, np.asarray(sample.nodes, dtype=np.int64)
             )
-            missing = ~carried
-            if missing.any():
-                fresh = self._count_columns(graph, cfg, events, nodes[missing])
-                counts[:, missing] = fresh.counts
-                sizes[missing] = fresh.vicinity_sizes
-        num_computed = int(np.count_nonzero(missing))
-        self._m_columns.labels(outcome="computed").inc(num_computed)
-        self._m_columns.labels(outcome="carried").inc(nodes.size - num_computed)
-        matrix = DensityMatrix(
-            reference_nodes=nodes,
-            densities=densities_from_counts(counts, sizes),
-            counts=counts,
-            vicinity_sizes=sizes,
-            level=int(cfg.vicinity_level),
-        )
         batcher = PairEstimateBatcher(matrix.densities)
         while len(self._matrices) >= MAX_CACHED_MATRICES:
             self._matrices.popitem(last=False)
@@ -735,47 +762,88 @@ class ServiceEngine:
         self._m_matrices.inc()
         return matrix, batcher
 
-    def _carry_columns(
+    def _gather_columns(
         self,
         graph: AttributedGraph,
         cfg: TescConfig,
         events: Tuple[str, ...],
         epoch: int,
         nodes: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Density columns of ``nodes`` carried forward to ``epoch``.
+    ) -> DensityMatrix:
+        """The density matrix of ``nodes`` (columns in that order) at ``epoch``.
 
-        Returns ``(carried, counts, sizes)``: a mask over ``nodes`` and
-        fresh ``(len(events), len(nodes))`` / ``(len(nodes),)`` integer
-        arrays holding the carried columns (the other columns are left for
-        the caller to fill).  The base is the newest cached matrix at the
-        same vicinity level and event tuple whose epoch is at most
-        ``epoch`` and whose later commits the journal covers.  A node's
-        column carries when the base sampled it and no commit in between
-        dirtied it structurally; each journaled event toggle then shifts
-        the count of every carried column whose node lies in the toggled
-        node's vicinity.  That vicinity is taken on ``graph`` — the
-        reader's own snapshot — which is sound because a clean column's
-        vicinity is the same at every epoch of the span.  The base matrix
-        is only read, never patched, so older epochs stay exact.
-
-        Nothing carries (a full pass) when no cached matrix qualifies: a
-        span with an unjournaled epoch (recovery replay, an out-of-band
-        ``graph.apply``, an aged-out entry), an ``at_epoch`` older than
-        every cached base, or a request ``vicinity_level`` override.
+        Only the nodes the epoch's count table has not filled are
+        BFS-counted (and filled in); every column is then gathered from the
+        table, and the floats come from
+        :func:`~repro.core.density.densities_from_counts`, so the matrix is
+        bit-identical to a full pass whichever columns were counted before.
+        Callers hold ``_miss_lock``.
         """
-        carried = np.zeros(nodes.size, dtype=bool)
-        counts = np.zeros((len(events), nodes.size), dtype=np.int64)
-        sizes = np.zeros(nodes.size, dtype=np.int64)
-        level = int(cfg.vicinity_level)
-        if level != self._journal.level:
-            return carried, counts, sizes
-        bases = sorted(
+        table = self._table(graph, int(cfg.vicinity_level), events, epoch)
+        missing = nodes[~table.filled[nodes]]
+        if missing.size:
+            fresh = self._count_columns(graph, cfg, events, missing)
+            table.counts[:, missing] = fresh.counts
+            table.sizes[missing] = fresh.vicinity_sizes
+            table.filled[missing] = True
+        self._m_columns.labels(outcome="computed").inc(missing.size)
+        self._m_columns.labels(outcome="carried").inc(nodes.size - missing.size)
+        counts = table.counts[:, nodes].astype(np.int64)
+        sizes = table.sizes[nodes].astype(np.int64)
+        return DensityMatrix(
+            reference_nodes=nodes,
+            densities=densities_from_counts(counts, sizes),
+            counts=counts,
+            vicinity_sizes=sizes,
+            level=int(cfg.vicinity_level),
+        )
+
+    def _table(
+        self,
+        graph: AttributedGraph,
+        level: int,
+        events: Tuple[str, ...],
+        epoch: int,
+    ) -> CountTable:
+        """The count table of ``(level, events, epoch)``, made on a miss.
+
+        A new table advances a copy of the newest older table with the same
+        level and events whose later commits the journal covers: nodes any
+        of those commits dirtied structurally are struck out, and each
+        journaled toggle of a table event shifts that event's count on the
+        filled nodes of ``V^h_x``.  That vicinity is taken on ``graph`` —
+        the reader's own snapshot — which is sound because a node still
+        filled has the same vicinity at every epoch of the span.
+
+        The table starts empty when nothing qualifies: a span with an
+        unjournaled epoch (recovery replay, an out-of-band ``graph.apply``,
+        an aged-out entry), an ``at_epoch`` older than every table, or a
+        request ``vicinity_level`` override.
+        """
+        key = (level, events, epoch)
+        table = self._tables.get(key)
+        if table is not None:
+            self._tables.move_to_end(key)
+            return table
+        table = self._advanced_table(graph, level, events, epoch)
+        self._tables[key] = table
+        while len(self._tables) > MAX_CACHED_TABLES:
+            self._tables.popitem(last=False)
+        return table
+
+    def _advanced_table(
+        self,
+        graph: AttributedGraph,
+        level: int,
+        events: Tuple[str, ...],
+        epoch: int,
+    ) -> CountTable:
+        """A fresh table at ``epoch``: advanced from an older one, or empty."""
+        # The journal holds dirty sets at the engine's level only.
+        bases = [] if level != self._journal.level else sorted(
             (
-                (key[-1], matrix)
-                for key, (matrix, _batcher) in self._matrices.items()
-                if key[-2] == events and key[-1] <= epoch
-                and matrix.level == level
+                (key[2], table) for key, table in self._tables.items()
+                if key[:2] == (level, events) and key[2] < epoch
             ),
             key=lambda entry: entry[0],
             reverse=True,
@@ -785,20 +853,12 @@ class ServiceEngine:
             if regions is not None:
                 break
         else:
-            return carried, counts, sizes
+            return CountTable(len(events), graph.num_nodes)
 
-        # Base column of every node, with structurally dirtied nodes
-        # struck out; -1 marks "not carried".
-        source = np.full(graph.num_nodes, -1, dtype=np.int64)
-        source[base.reference_nodes] = np.arange(base.reference_nodes.size)
+        # A copy: the base table stays exact for readers of its epoch.
+        table = copy.deepcopy(base)
         for region in regions:
-            source[region.structure] = -1
-        source = source[nodes]
-        carried = source >= 0
-        source = source[carried]
-        counts[:, carried] = base.counts[:, source]
-        sizes[carried] = base.vicinity_sizes[source]
-
+            table.filled[region.structure] = False
         row_of = {event: row for row, event in enumerate(events)}
         toggles = [
             (row_of[event], node, sign)
@@ -806,14 +866,12 @@ class ServiceEngine:
             for event, node, sign in region.toggles
             if event in row_of
         ]
-        if toggles and source.size:
-            column = np.full(graph.num_nodes, -1, dtype=np.int64)
-            column[nodes[carried]] = np.flatnonzero(carried)
+        if toggles and table.filled.any():
             engine = BFSEngine(graph.csr)
             for row, node, sign in toggles:
-                hit = column[engine.vicinity(node, level)]
-                counts[row, hit[hit >= 0]] += sign
-        return carried, counts, sizes
+                vicinity = engine.vicinity(node, level)
+                table.counts[row, vicinity[table.filled[vicinity]]] += sign
+        return table
 
     def _count_columns(
         self,
@@ -851,10 +909,12 @@ class ServiceEngine:
 
         A fresh :class:`~repro.core.topk.ProgressiveTopKEngine` over the
         pinned snapshot, fed the epoch's memoised draw (the one ``rank``
-        reads), returns exactly what an in-process run at that epoch would.
-        Responses are not cached.  Same epoch semantics as :meth:`rank`.
+        reads) and that draw's full-budget density matrix gathered from the
+        count table, returns exactly what an in-process run at that epoch
+        would.  Responses are not cached.  Same epoch semantics as
+        :meth:`rank`.
         """
-        from repro.core.topk import ProgressiveTopKEngine
+        from repro.core.topk import ProgressiveTopKEngine, draw_order
 
         cfg = self._merge_config(config_overrides or {})
         self._m_requests.labels(method="topk").inc()
@@ -865,25 +925,34 @@ class ServiceEngine:
                 pair_list = resolve_pair_spec(graph.event_names(), pairs)
                 events = sorted({event for pair in pair_list for event in pair})
                 universe = event_universe(graph, events)
-                # The memo is shared with rank's misses, which hold this lock.
-                with self._miss_lock, stage("sampling"):
-                    sample = self._sample_memo.sample(
-                        graph, cfg, universe, epoch=epoch
-                    )
+                # The memo and the count tables are shared with rank's
+                # misses, which hold this lock.
+                with self._miss_lock:
+                    with stage("sampling"):
+                        sample = self._sample_memo.sample(
+                            graph, cfg, universe, epoch=epoch
+                        )
+                    with stage("density", workers=self.workers):
+                        matrix = self._gather_columns(
+                            graph, cfg, tuple(events), epoch, draw_order(sample)
+                        )
                 engine = ProgressiveTopKEngine(
                     graph, cfg, workers=self.workers, metrics=self.metrics
                 )
                 ranking = engine.top_k(
                     int(k), pair_list, sort_by=sort_by,
                     on_insufficient=on_insufficient, sample=sample,
+                    matrix=matrix,
                 )
             finally:
                 if lease is not None:
                     lease.release()
                     self._m_active_pins.dec()
+            records = [pair_record(pair) for pair in ranking]
+            self._observe_stages(span)
         self._m_request_seconds.labels(method="topk").observe(span.duration)
         return {
-            "pairs": [pair_record(pair) for pair in ranking],
+            "pairs": records,
             "epoch": epoch,
             "k": int(k),
             "sort_by": sort_by,
@@ -904,8 +973,8 @@ class ServiceEngine:
         can therefore never be served stale — the commit that might have
         invalidated it lives at a different epoch.  Under the same mutex
         the commit journals its structural dirty set and effective event
-        toggles, which is what lets the next read's density matrix carry
-        the clean columns of the previous epoch forward.
+        toggles, which is what lets the next read's count table advance
+        from the previous epoch's.
 
         ``rid`` makes the commit idempotent: a rid already in the dedup
         table returns the recorded result (marked ``"replayed": true``)
@@ -972,6 +1041,7 @@ class ServiceEngine:
                     self._commit_rids[rid] = dict(result)
                     while len(self._commit_rids) > self._max_commit_rids:
                         self._commit_rids.popitem(last=False)
+            self._observe_stages(span)
         self._m_commit_seconds.observe(span.duration)
         self._m_request_seconds.labels(method="commit").observe(span.duration)
         return result
@@ -1193,6 +1263,7 @@ class ServiceEngine:
             self._results.clear()
             self._estimates.clear()
             self._matrices.clear()
+            self._tables.clear()
             self._sample_memo.clear()
         if self._wal is not None:
             self._wal.close()

@@ -1,4 +1,4 @@
-"""The per-epoch commit journal behind carried-forward density columns.
+"""The per-epoch commit journal behind the service's density count tables.
 
 The density column of a reference node ``r`` — the numerators
 ``|V_e ∩ V^h_r|`` for every requested event ``e`` plus the denominator
@@ -17,8 +17,8 @@ The density column of a reference node ``r`` — the numerators
 :class:`DirtyTracker` journals both per committed epoch — the structural
 dirty set and the effective toggles — and the
 :class:`~repro.service.engine.ServiceEngine` reads the journal between a
-cached matrix's epoch and a request's epoch to carry every clean column
-forward.  Toggle *regions* are deliberately not journaled: the reader
+held count table's epoch and a request's epoch to advance the table's
+clean columns.  Toggle *regions* are deliberately not journaled: the reader
 computes ``V^h_x`` on its own pinned snapshot, which is sound because a
 column no structural commit dirtied has the same vicinity at every epoch of
 the span.

@@ -9,9 +9,11 @@ from repro.core.density import DensityComputer
 from repro.core.estimators import plain_estimate
 from repro.core.topk import (
     TOPK_CONFIDENCE,
+    TOPK_Z_STAR,
     ProgressiveTopKEngine,
     asymptotic_tau_sd,
     confidence_half_width,
+    draw_order,
     round_schedule,
     top_k_pairs,
 )
@@ -106,6 +108,42 @@ class TestConfidenceBounds:
             asymptotic_tau_sd(1)
         with pytest.raises(ValueError):
             confidence_half_width(1, 10, 2.576)
+
+    def test_z_star_is_the_critical_value_of_the_level(self):
+        assert TOPK_Z_STAR == critical_z(1.0 - TOPK_CONFIDENCE, "two-sided")
+
+
+class TestFullBudgetMatrix:
+    """``top_k(matrix=...)``: rounds slice a handed-in full-budget matrix."""
+
+    def _matrix(self, attributed, ranking, pairs="all"):
+        events = sorted(
+            {e for pair in resolve_pair_spec(attributed.event_names(), pairs)
+             for e in pair}
+        )
+        return DensityComputer(attributed.csr).density_matrix(
+            draw_order(ranking.sample), attributed.indicator_matrix(events), 1
+        )
+
+    def test_prefix_rounds_equal_per_round_counting(self):
+        attributed = SEPARABLE_DATASET.attributed
+        engine = ProgressiveTopKEngine(attributed, _separable_config())
+        counted = engine.top_k(2)
+        sliced = engine.top_k(
+            2, sample=counted.sample, matrix=self._matrix(attributed, counted)
+        )
+        assert counted.topk_stats.pairs_pruned > 0
+        assert _signature(sliced) == _signature(counted)
+        assert sliced.rounds == counted.rounds
+        assert sliced.topk_stats.density_bfs_calls == 0
+
+    def test_mismatched_matrix_rejected(self):
+        attributed = SEPARABLE_DATASET.attributed
+        engine = ProgressiveTopKEngine(attributed, _separable_config())
+        ranking = engine.top_k(2)
+        matrix = self._matrix(attributed, ranking)
+        with pytest.raises(ConfigurationError):
+            engine.top_k(2, sample=ranking.sample, matrix=matrix.prefix(10))
 
 
 class TestValidation:

@@ -1,11 +1,12 @@
 """Carried-forward density columns in the service engine.
 
-A density-matrix miss derives the epoch's matrix from the newest cached
-matrix at the same vicinity level and event tuple: columns no commit
-dirtied structurally carry over (patched by ``± 1`` for event toggles) and
-only the rest are BFS-counted.  The cases here pin the fallbacks to a full
-pass (an ``at_epoch`` behind every cached base, a ``vicinity_level``
-override, journal overflow), lagging reads, copy-on-write of older epochs,
+A density-matrix miss gathers its columns from the epoch's count table,
+which is advanced from the newest older table at the same vicinity level
+and event tuple: nodes no commit dirtied structurally stay filled (patched
+by ``± 1`` for event toggles) and only unfilled sampled nodes are
+BFS-counted.  The cases here pin the fallbacks to a full pass (an
+``at_epoch`` behind every held table, a ``vicinity_level`` override,
+journal overflow), lagging reads, copy-on-write of older epochs,
 the ``tesc_density_columns_total`` counters and readers racing commits;
 every answer is compared field by field with the from-scratch
 ``reference_ranking`` at its epoch.  The random-commit equivalence suite

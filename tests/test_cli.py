@@ -1,7 +1,12 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.graph.generators import community_ring_graph
 from repro.graph.io import write_edge_list, write_event_file
@@ -15,6 +20,41 @@ class TestParser:
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 1
         assert "usage" in capsys.readouterr().out.lower()
+
+
+class TestImportCost:
+    def test_cli_import_loads_neither_networkx_nor_scipy_stats(self):
+        """Every ``tesc`` boot imports the CLI; both modules are slow to
+        load and serve no request path."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; "
+             "print(sorted({'networkx', 'scipy.stats'} & set(sys.modules)))"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout.strip()
+        assert loaded == "[]"
+
+    def test_top_k_does_not_import_scipy_stats(self):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        script = (
+            "import sys\n"
+            "from repro import AttributedGraph, TescConfig\n"
+            "from repro.core.topk import ProgressiveTopKEngine\n"
+            "from repro.graph.generators import community_ring_graph\n"
+            "graph = community_ring_graph(8, 40, 5.0, 10, random_state=3)\n"
+            "events = {'a': range(0, 30), 'b': range(10, 40), 'c': range(160, 200)}\n"
+            "config = TescConfig(sample_size=120, topk_initial_sample_size=16,"
+            " random_state=3)\n"
+            "ProgressiveTopKEngine(AttributedGraph(graph, events), config).top_k(1)\n"
+            "print('scipy.stats' in sys.modules)\n"
+        )
+        loaded = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": src},
+        ).stdout.strip()
+        assert loaded == "False"
 
 
 class TestTestCommand:
