@@ -494,13 +494,17 @@ def test_topk_progressive_engine(benchmark):
 
 @functools.lru_cache(maxsize=1)
 def _topk_estimate_inputs():
-    """The all-pairs scan's pair list and full-budget density matrix."""
+    """The all-pairs scan's pair list and full-budget density matrix, its
+    columns in draw order so that its prefixes are the screening rounds'
+    matrices."""
+    from repro.core.topk import draw_order
+
     attributed = TOPK_DATASET.attributed
     pair_list = resolve_pair_spec(attributed.event_names(), "all")
     events = sorted({event for pair in pair_list for event in pair})
     sample = draw_shared_sample(attributed, event_universe(attributed, events), TOPK_CONFIG)
     matrix = DensityComputer(attributed.csr).density_matrix(
-        sample.nodes, attributed.indicator_matrix(events), TOPK_CONFIG.vicinity_level
+        draw_order(sample), attributed.indicator_matrix(events), TOPK_CONFIG.vicinity_level
     )
     return pair_list, {event: row for row, event in enumerate(events)}, matrix
 
@@ -513,6 +517,20 @@ def test_estimate_pair_list_all_pairs(benchmark):
     results = benchmark(
         lambda: estimate_pair_list(
             pair_list, row_of, PairEstimateBatcher(matrix.densities), TOPK_CONFIG, "keep"
+        )
+    )
+    assert len(results) == 435
+
+
+@pytest.mark.parametrize("columns", [512, 2048])
+def test_estimate_pair_list_screening_prefix(benchmark, columns):
+    """One screening round's pass: all 435 pairs over the first 512 or 2048
+    columns of the draw order, as in the scan's rounds (no bar)."""
+    pair_list, row_of, matrix = _topk_estimate_inputs()
+    prefix = matrix.prefix(columns)
+    results = benchmark(
+        lambda: estimate_pair_list(
+            pair_list, row_of, PairEstimateBatcher(prefix.densities), TOPK_CONFIG, "keep"
         )
     )
     assert len(results) == 435

@@ -10,8 +10,8 @@ verb), scrapes the Prometheus HTTP endpoint, and fails loudly if
 * the exposition is malformed (unparseable lines, families without TYPE),
 * any instrumented subsystem reports zero samples after the burst
   (requests, latency histograms, pair cache, admission, pins, commits,
-  reused pair estimates, the density and estimate stages of rank and
-  top-k),
+  reused pair estimates, reference populations enumerated and reused,
+  the density and estimate stages of rank and top-k),
 * the pair-estimate outcomes do not add up to the pair-cache misses,
 * the sample-memo lookups do not add up to the density matrices computed
   plus the top-k requests (a matrix miss and a top-k request each consult
@@ -61,6 +61,10 @@ REQUIRED_NONZERO = [
     ("tesc_topk_rounds_total", None),
     ("tesc_sample_memo_misses_total", None),
     ("tesc_pair_estimates_total", 'outcome="reused"'),
+    # Top-k requests at fresh seeds: the third draws from the population
+    # the second enumerated.
+    ("tesc_population_total", 'outcome="computed"'),
+    ("tesc_population_total", 'outcome="reused"'),
     # Per-stage request timings, from the engine's own spans.
     ("tesc_stage_seconds_count", 'verb="rank",stage="density"'),
     ("tesc_stage_seconds_count", 'verb="rank",stage="estimate"'),
@@ -181,7 +185,7 @@ def main() -> int:
               f"exposition {metrics_host}:{metrics_port}")
 
         # -- the scripted burst ------------------------------------------
-        num_ranks, num_topk, num_commits = 4, 2, 3
+        num_ranks, num_topk, num_commits = 4, 3, 3
         with CorrelationClient(host, int(port), timeout=60.0) as client:
             for index in range(num_ranks):
                 spec = (
@@ -189,8 +193,8 @@ def main() -> int:
                     else [("alpha", "gamma"), ("beta", "delta")]
                 )
                 client.rank(spec)
-            for _ in range(num_topk):
-                client.topk(2)
+            for index in range(num_topk):
+                client.topk(2, config={"random_state": 3 + index})
             # The server relabels file nodes to 0..n-1, so small ids are
             # always valid; re-attaching is an accepted no-op commit.
             for index in range(num_commits - 1):

@@ -57,7 +57,7 @@ from repro.sampling.base import ReferenceSample
 from repro.sampling.registry import make_config_sampler
 from repro.stats.hypothesis import CorrelationVerdict, decide
 from repro.utils.tables import TextTable
-from repro.utils.validation import resolve_workers
+from repro.utils.validation import resolve_workers, sorted_unique
 
 #: Ranking keys accepted by :meth:`BatchTescEngine.rank_pairs`.
 SORT_KEYS = ("score", "z_score", "abs_z", "p_value")
@@ -289,7 +289,7 @@ def event_universe(attributed: AttributedGraph, events: Sequence[str]) -> np.nda
     universe with identical ordering.
     """
     arrays = [attributed.event_nodes(event) for event in events]
-    return np.unique(np.concatenate(arrays)) if arrays else np.empty(0, np.int64)
+    return sorted_unique(np.concatenate(arrays)) if arrays else np.empty(0, np.int64)
 
 
 def resolve_pair_spec(event_names: Sequence[str], pairs: PairSpec) -> List[Tuple[str, str]]:

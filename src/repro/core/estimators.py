@@ -14,11 +14,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import EstimationError, InsufficientSampleError
-from repro.stats.fast_kendall import (
-    dense_ranks,
-    merge_concordance_sum,
-    table_concordance_sum,
-)
+from repro.stats.fast_kendall import merge_concordance_sum, table_concordance_sum
 from repro.stats.kendall import pair_concordance_sum, weighted_pair_concordance
 from repro.stats.ties import (
     exact_integers,
@@ -185,7 +181,7 @@ def importance_weighted_estimate(
 class _Row(NamedTuple):
     """Whole-row state of one density row, shared by every pair using it."""
 
-    codes: np.ndarray  # dense rank codes over every column
+    codes: np.ndarray  # dense rank codes: a row of the batcher's code matrix
     counts: np.ndarray  # code counts; code 0 is density 0 when the row has zeros
     support: Optional[np.ndarray]  # nonzero columns; None when there is no 0
     tie_sums: Tuple[int, int, int]  # Eq. 6 sums of ``counts``
@@ -207,15 +203,15 @@ class PopulationScores(NamedTuple):
 class PairEstimateBatcher:
     """Plain estimates for many event pairs sharing density-matrix columns.
 
-    Each event row is encoded once, lazily, into whole-row state
-    (:class:`_Row`): dense rank codes ``0 .. K-1`` (8N bytes; only the
-    support is sorted), its code counts and support, and the three Eq. 6 tie
-    sums of those counts in exact integers.  A pair's reference population
-    is every column where either row is nonzero, so the pair's statistics
-    differ from whole-row ones only through ``z``, the columns where *both*
-    rows are 0 (density 0 ⇔ count 0, and 0 is code 0 of any row that has
-    it).  :meth:`estimate_pairs` scores a whole pair list in one pass from
-    that:
+    Event rows are encoded lazily, every row a call needs in one pass
+    (:meth:`_encode`), into dense rank codes ``0 .. K-1`` (8N bytes a row)
+    and whole-row state (:class:`_Row`): code counts, support, and the three
+    Eq. 6 tie sums of those counts in exact integers.  A pair's reference
+    population is every column where either row is nonzero, so the pair's
+    statistics differ from whole-row ones only through ``z``, the columns
+    where *both* rows are 0 (density 0 ⇔ count 0, and 0 is code 0 of any
+    row that has it).  :meth:`estimate_pairs` scores a whole pair list in
+    one pass from that:
 
     * ``z`` for every pair from one small matmul of the rows' absent masks,
       and ``n = N − z``;
@@ -225,8 +221,9 @@ class PairEstimateBatcher:
       Eq. 6 :func:`~repro.stats.ties.null_variance_numerator_with_ties` uses;
     * ``S`` from the whole-row contingency table with ``z`` taken out of its
       (0, 0) cell while ``Kx·Ky <= c·n`` (``c`` =
-      :data:`TABLE_CELLS_PER_OBSERVATION`; see :func:`_support_tables_sum`),
-      and from the merge kernel over the population's columns otherwise.
+      :data:`TABLE_CELLS_PER_OBSERVATION`), and from the merge kernel over
+      the population's columns otherwise.  Table pairs are scored in groups
+      that share their sparser row (see :func:`_group_tables_sum`).
 
     Full ranks and top-k screening rounds alike score through this pass.
 
@@ -254,6 +251,8 @@ class PairEstimateBatcher:
             )
         self._matrix = matrix
         self._rows: Dict[int, _Row] = {}
+        # Allocated zeroed on the first encode; only encoded rows are written.
+        self._codes: Optional[np.ndarray] = None
 
     @property
     def num_reference_nodes(self) -> int:
@@ -286,29 +285,54 @@ class PairEstimateBatcher:
             )
         return PairEstimateBatcher(matrix)
 
-    def _row(self, row: int) -> _Row:
-        """Whole-row state of ``row``, built on first use.
+    def _encode(self, rows: np.ndarray, values: np.ndarray, present: np.ndarray) -> None:
+        """Encode ``rows`` (not yet encoded): ``values`` are their densities
+        and ``present`` marks the nonzero ones.
 
-        A row with zeros ranks only its support: 0 takes code 0 and the
-        nonzero values the codes above it, exactly
-        :func:`~repro.stats.fast_kendall.dense_ranks` of the whole
+        One lexsort orders every nonzero entry by (row, value), and a new
+        code starts wherever the row or the value changes.  A row with zeros
+        shifts its codes up by one so that 0 is code 0: per row this is
+        exactly :func:`~repro.stats.fast_kendall.dense_ranks` of the
         (nonnegative) row.
         """
-        state = self._rows.get(row)
-        if state is None:
-            values = self._matrix[row]
-            support: Optional[np.ndarray] = np.flatnonzero(values)
-            present = values[support]
-            if support.size == values.size:
-                codes, support = dense_ranks(values), None
-            else:
-                codes = np.zeros(values.size, dtype=np.int64)
-                codes[support] = dense_ranks(present) + 1
-            counts = np.bincount(codes, minlength=1)
-            state = self._rows[row] = _Row(
-                codes, counts, support, tie_sums(counts, values.size)
+        total = values.shape[1]
+        local, columns = np.divmod(np.flatnonzero(present), total)
+        entries = values[local, columns]
+        order = np.lexsort((entries, local))
+        entry_rows, entry_values = local[order], entries[order]
+        starts = np.ones(order.size, dtype=bool)
+        starts[1:] = (entry_rows[1:] != entry_rows[:-1]) | (
+            entry_values[1:] != entry_values[:-1]
+        )
+        nonzeros = np.bincount(local, minlength=rows.size)
+        has_zero = nonzeros < total
+        groups = np.bincount(entry_rows[starts], minlength=rows.size)
+        codes = (
+            np.cumsum(starts) - 1
+            - (np.cumsum(groups) - groups)[entry_rows]
+            + has_zero[entry_rows]
+        )
+        if self._codes is None:
+            self._codes = np.zeros(self._matrix.shape, dtype=np.int64)
+        self._codes[rows[entry_rows], columns[order]] = codes
+        num_codes = groups + has_zero
+        counts = np.zeros((rows.size, max(int(num_codes.max()), 1)), dtype=np.int64)
+        counts[has_zero, 0] = total - nonzeros[has_zero]
+        counts[entry_rows[starts], codes[starts]] = np.diff(
+            np.append(np.flatnonzero(starts), order.size)
+        )
+        sums = [
+            term.sum(axis=1)
+            for term in tie_polynomials(exact_integers(counts, total))
+        ]
+        supports = np.split(columns, np.cumsum(nonzeros)[:-1])
+        for j, row in enumerate(rows.tolist()):
+            self._rows[row] = _Row(
+                self._codes[row],
+                counts[j, : num_codes[j]],
+                supports[j] if has_zero[j] else None,
+                tuple(int(term[j]) for term in sums),
             )
-        return state
 
     def estimate_pairs(
         self, rows_a: Sequence[int], rows_b: Sequence[int]
@@ -329,6 +353,11 @@ class PairEstimateBatcher:
         if (values < 0).any():
             raise EstimationError("the population pass needs nonnegative densities")
         absent = values == 0
+        fresh = np.array([row not in self._rows for row in rows.tolist()], dtype=bool)
+        if fresh.all():
+            self._encode(rows, values, ~absent)
+        elif fresh.any():
+            self._encode(rows[fresh], values[fresh], ~absent[fresh])
         mask = absent.astype(float)
         # Integer counts below 2^53: the float matmul is exact.
         both_absent = (mask @ mask.T).astype(np.int64)
@@ -336,7 +365,7 @@ class PairEstimateBatcher:
         n = total - z
         sufficient = n >= 2
 
-        states = [self._row(int(row)) for row in rows]
+        states = [self._rows[row] for row in rows.tolist()]
         num_codes = np.array([state.counts.size for state in states], dtype=np.int64)
         row_sums = exact_integers([state.tie_sums for state in states], total)
         row_sums = row_sums.reshape(len(states), 3)
@@ -368,22 +397,19 @@ class PairEstimateBatcher:
         sigma[scored] = np.sqrt(variance)
 
         s = np.zeros(count, dtype=np.int64)
-        tabled = []
-        sizes, codes_per_row = n.tolist(), num_codes.tolist()
-        for i in np.flatnonzero(sufficient).tolist():
-            x, y = ia[i], ib[i]
-            if codes_per_row[x] * codes_per_row[y] > TABLE_CELLS_PER_OBSERVATION * sizes[i]:
-                population = np.flatnonzero(~(absent[x] & absent[y]))
-                s[i] = merge_concordance_sum(
-                    states[x].codes[population], states[y].codes[population]
-                )
-            else:
-                # S is symmetric: tabulate over the sparser row's support.
-                if zeros[y] > zeros[x]:
-                    x, y = y, x
-                tabled.append((i, states[x], states[y]))
-        for chunk in _table_chunks(tabled):
-            s[[i for i, _, _ in chunk]] = _support_tables_sum(chunk, z)
+        tabled = sufficient & (
+            num_codes[ia] * num_codes[ib] <= TABLE_CELLS_PER_OBSERVATION * n
+        )
+        for i in np.flatnonzero(sufficient & ~tabled).tolist():
+            population = np.flatnonzero(~(absent[ia[i]] & absent[ib[i]]))
+            s[i] = merge_concordance_sum(
+                states[ia[i]].codes[population], states[ib[i]].codes[population]
+            )
+        pairs = np.flatnonzero(tabled)
+        if pairs.size:
+            s[pairs] = self._tables_sum(
+                rows, states, num_codes, ia[pairs], ib[pairs], z[pairs], zeros
+            )
 
         estimate = np.zeros(count)
         z_score = np.zeros(count)
@@ -392,66 +418,109 @@ class PairEstimateBatcher:
         z_score[nonzero] = s[nonzero] / sigma[nonzero]
         return PopulationScores(n, estimate, z_score, degenerate)
 
+    def _tables_sum(
+        self,
+        rows: np.ndarray,
+        states: List[_Row],
+        num_codes: np.ndarray,
+        xs: np.ndarray,
+        ys: np.ndarray,
+        z: np.ndarray,
+        zeros: np.ndarray,
+    ) -> np.ndarray:
+        """``S`` of table-kernel pairs ``(xs[i], ys[i])`` (indices into
+        ``rows``, whose states and code counts ``states`` and ``num_codes``
+        hold).
+
+        ``S`` is symmetric, so each pair is tabulated over its sparser row's
+        support.  Pairs sharing that row form a group, sorted by the
+        partner's code count so that little of a table is padding, and a
+        group is scored in chunks of :func:`_group_tables_sum` calls whose
+        padded cells and gathered codes each stay within
+        :data:`_CHUNK_CELLS` (unless one pair alone is larger).
+        """
+        swap = zeros[ys] > zeros[xs]
+        xs, ys = np.where(swap, ys, xs), np.where(swap, xs, ys)
+        order = np.lexsort((num_codes[ys], xs))
+        xs, ys, z = xs[order], ys[order], z[order]
+        fill = np.zeros((len(states), int(num_codes.max())), dtype=np.int64)
+        for j, state in enumerate(states):
+            fill[j, : state.counts.size] = state.counts
+        partner_sizes = num_codes[ys].tolist()
+        s = np.empty(xs.size, dtype=np.int64)
+        bounds = (np.flatnonzero(np.diff(xs)) + 1).tolist()
+        for lo, hi in zip([0, *bounds], [*bounds, xs.size]):
+            x = states[xs[lo]]
+            kx = x.counts.size
+            x_codes = x.codes
+            if x.support is not None:
+                x_codes = x_codes[x.support]
+            begin = lo
+            while begin < hi:
+                # Partners ascend in K, so the chunk's last one sets its width.
+                end = begin + 1
+                while end < hi and (end + 1 - begin) * max(
+                    kx * partner_sizes[end], x_codes.size
+                ) <= _CHUNK_CELLS:
+                    end += 1
+                ky = partner_sizes[end - 1]
+                partners = rows[ys[begin:end]]
+                codes = (
+                    self._codes[partners] if x.support is None
+                    else self._codes[partners[:, None], x.support]
+                )
+                s[begin:end] = _group_tables_sum(
+                    x_codes, codes, (kx, ky),
+                    None if x.support is None else fill[ys[begin:end], :ky],
+                    z[begin:end],
+                )
+                begin = end
+        result = np.empty_like(s)
+        result[order] = s
+        return result
+
     # benchmarks/ledger/traced_serve.py wraps this name at startup; nothing calls it.
     screen_pair = estimate_pairs
 
 
-#: Bound on a :func:`_support_tables_sum` batch, counted twice: in padded
+#: Bound on one :func:`_group_tables_sum` call, counted twice: in padded
 #: table cells and in gathered codes (int64 each, so ~512 KB apiece), unless
 #: one pair alone is larger.
 _CHUNK_CELLS = 1 << 16
 
 
-def _table_chunks(tabled):
-    """Split ``(pair index, row x, row y)`` entries into padded batches.
+def _group_tables_sum(
+    x_codes: np.ndarray,
+    partner_codes: np.ndarray,
+    shape: Tuple[int, int],
+    fill: Optional[np.ndarray],
+    z: np.ndarray,
+) -> np.ndarray:
+    """``S`` of one row ``x`` paired with each of several partners.
 
-    Sorting by shape puts similar tables together, so little of a batch is
-    padding; a batch grows while both its padded cells and its gathered
-    codes stay within :data:`_CHUNK_CELLS`.
+    ``x_codes`` are ``x``'s codes over its support (every column when ``x``
+    has no 0) and ``partner_codes[j]`` partner ``j``'s codes over the same
+    columns.  One bincount builds every partner's ``shape = (Kx, Ky)``
+    table (``Ky`` the widest partner's, zero-padded).  When ``x`` has
+    zeros, ``fill[j]`` is partner ``j``'s whole-row code counts: the
+    columns where ``x`` is 0 are those minus what the support saw, filled
+    into row 0.  The ``z[j]`` columns where both are 0 leave cell
+    ``(0, 0)``, and one
+    :func:`~repro.stats.fast_kendall.table_concordance_sum` scores them all.
     """
-    tabled = sorted(tabled, key=lambda item: (item[1].counts.size, item[2].counts.size))
-    chunk, kx, ky, codes = [], 0, 0, 0
-    for item in tabled:
-        x, y = item[1], item[2]
-        gathered = x.codes.size if x.support is None else x.support.size
-        item_kx, item_ky = max(kx, x.counts.size), max(ky, y.counts.size)
-        if chunk and (
-            (len(chunk) + 1) * item_kx * item_ky > _CHUNK_CELLS
-            or codes + gathered > _CHUNK_CELLS
-        ):
-            yield chunk
-            chunk, item_kx, item_ky, codes = [], x.counts.size, y.counts.size, 0
-        chunk.append(item)
-        kx, ky, codes = item_kx, item_ky, codes + gathered
-    if chunk:
-        yield chunk
-
-
-def _support_tables_sum(chunk, z: np.ndarray) -> np.ndarray:
-    """``S`` of each ``(pair index, row x, row y)`` over its population.
-
-    Each table counts ``(x, y)`` codes over ``x``'s support only (every
-    column when ``x`` has no 0); the columns where ``x`` is 0 are ``y``'s
-    whole-row counts minus what the support saw, filled into row 0, and
-    the ``z`` columns where both are 0 leave cell ``(0, 0)``.  The chunk's
-    tables share one zero-padded shape so one bincount and one
-    :func:`~repro.stats.fast_kendall.table_concordance_sum` score them all.
-    """
-    kx = max(x.counts.size for _, x, _ in chunk)
-    ky = max(y.counts.size for _, _, y in chunk)
-    keys, fill = [], np.zeros((len(chunk), ky), dtype=np.int64)
-    for j, (_, x, y) in enumerate(chunk):
-        if x.support is None:
-            keys.append((j * kx + x.codes) * ky + y.codes)
-        else:
-            keys.append((j * kx + x.codes[x.support]) * ky + y.codes[x.support])
-            fill[j, : y.counts.size] = y.counts
+    kx, ky = shape
+    partners = partner_codes.shape[0]
+    keys = (
+        (np.arange(partners, dtype=np.int64) * (kx * ky))[:, None]
+        + x_codes * ky
+        + partner_codes
+    )
     tables = np.bincount(
-        np.concatenate(keys), minlength=len(chunk) * kx * ky
-    ).reshape(len(chunk), kx, ky)
-    has_zero = np.array([x.support is not None for _, x, _ in chunk])
-    tables[has_zero, 0] = (fill - tables.sum(axis=1))[has_zero]
-    tables[:, 0, 0] -= z[[i for i, _, _ in chunk]]
+        keys.ravel(), minlength=partners * kx * ky
+    ).reshape(partners, kx, ky)
+    if fill is not None:
+        tables[:, 0] = fill - tables.sum(axis=1)
+    tables[:, 0, 0] -= z
     return table_concordance_sum(tables)
 
 

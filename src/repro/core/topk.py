@@ -147,6 +147,26 @@ def confidence_half_width(
     return float(z_star) * (asymptotic_tau_sd(n) + asymptotic_tau_sd(n_proj))
 
 
+def confidence_half_widths(
+    num_reference_nodes: np.ndarray,
+    projected_full_nodes: np.ndarray,
+    z_star: float,
+) -> np.ndarray:
+    """:func:`confidence_half_width` over arrays of sizes, bit for bit.
+
+    The same float operations run in the same order, elementwise; every
+    size must be at least 2.
+    """
+    n = np.asarray(num_reference_nodes, dtype=np.int64)
+    n_proj = np.maximum(np.asarray(projected_full_nodes, dtype=np.int64), n)
+
+    def sd(sizes: np.ndarray) -> np.ndarray:
+        sizes = sizes.astype(float)
+        return np.sqrt(2.0 * (2.0 * sizes + 5.0) / (9.0 * sizes * (sizes - 1.0)))
+
+    return float(z_star) * (sd(n) + sd(n_proj))
+
+
 @dataclass(frozen=True)
 class TopKRound:
     """One progressive round's bookkeeping.
@@ -189,8 +209,9 @@ class TopKStats:
     the spread between these counters is the estimate work the bounds
     saved.  With every estimate in one population pass that saving is
     small on the wall clock: on the 435-pair scan of
-    ``benchmarks/bench_micro.py`` (2 cores, k=3) ``top_k`` takes 80–98 ms
-    against 77–96 ms for ``rank_pairs("all")``.  ``budget`` is the shared
+    ``benchmarks/bench_micro.py`` (2 cores, k=3) ``top_k`` takes 78–81 ms
+    against 95–101 ms for ``rank_pairs("all")`` (medians of two runs).
+    ``budget`` is the shared
     sample's distinct node count: ``sample_size`` unless the sampler found
     fewer eligible nodes.
     """
@@ -416,32 +437,22 @@ class ProgressiveTopKEngine:
                 scores = batcher.estimate_pairs(
                     [row_of[a] for a, _ in active], [row_of[b] for _, b in active]
                 )
-                screened: List[Tuple[Tuple[str, str], float, float]] = []
-                for pair, n_pair, estimate in zip(
-                    active, scores.n.tolist(), scores.estimate.tolist()
-                ):
-                    if n_pair < 2:
-                        continue  # too sparse to bound — never pruned
-                    width = confidence_half_width(
-                        n_pair,
-                        (n_pair * budget) // max(order_nodes.size, 1),
-                        TOPK_Z_STAR,
-                    )
-                    screened.append((pair, estimate, width))
-                stats.screen_estimates += len(screened)
+                # Pairs too sparse to bound are never pruned.
+                screened = np.flatnonzero(scores.n >= 2)
+                sizes = scores.n[screened]
+                estimate = scores.estimate[screened]
+                width = confidence_half_widths(
+                    sizes, (sizes * budget) // max(order_nodes.size, 1), TOPK_Z_STAR
+                )
+                stats.screen_estimates += int(screened.size)
 
                 kth_lower: Optional[float] = None
                 pruned: set = set()
-                if len(screened) >= k:
-                    lower_bounds = sorted(
-                        (estimate - width for _, estimate, width in screened),
-                        reverse=True,
-                    )
-                    kth_lower = lower_bounds[k - 1]
+                if screened.size >= k:
+                    kth_lower = float(np.sort(estimate - width)[-k])
                     pruned = {
-                        pair
-                        for pair, estimate, width in screened
-                        if estimate + width < kth_lower
+                        active[i]
+                        for i in screened[estimate + width < kth_lower].tolist()
                     }
                     if pruned:
                         active = [pair for pair in active if pair not in pruned]
@@ -456,7 +467,7 @@ class ProgressiveTopKEngine:
                     sample_size=int(order_nodes.size),
                     new_reference_nodes=int(new_count),
                     pairs_entering=entering,
-                    pairs_estimated=len(screened),
+                    pairs_estimated=int(screened.size),
                     pairs_pruned=len(pruned),
                     live_events=int(live_rows.size),
                     kth_lower_bound=kth_lower,

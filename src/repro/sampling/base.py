@@ -13,7 +13,11 @@ from repro.exceptions import EmptyReferenceSetError, SamplingError
 from repro.graph.csr import CSRGraph
 from repro.graph.traversal import BFSEngine
 from repro.utils.rng import RandomState, ensure_rng
-from repro.utils.validation import check_positive_int, check_vicinity_level
+from repro.utils.validation import (
+    check_positive_int,
+    check_vicinity_level,
+    sorted_unique,
+)
 
 
 @dataclass
@@ -84,7 +88,7 @@ class ReferenceSample:
             raise SamplingError("nodes must be a 1-D array")
         if self.frequencies.shape != self.nodes.shape:
             raise SamplingError("frequencies must have the same shape as nodes")
-        if np.unique(self.nodes).size != self.nodes.size:
+        if sorted_unique(self.nodes).size != self.nodes.size:
             raise SamplingError("reference nodes must be distinct")
         if self.probabilities is not None:
             self.probabilities = np.asarray(self.probabilities, dtype=float)
@@ -151,7 +155,7 @@ class ReferenceSampler(abc.ABC):
     def _validate(self, event_nodes: np.ndarray, level: int, sample_size: int) -> np.ndarray:
         check_vicinity_level(level)
         check_positive_int(sample_size, "sample_size")
-        nodes = np.unique(np.asarray(event_nodes, dtype=np.int64))
+        nodes = sorted_unique(np.asarray(event_nodes, dtype=np.int64))
         if nodes.size == 0:
             raise EmptyReferenceSetError("the two events have no occurrences")
         if nodes.min() < 0 or nodes.max() >= self.graph.num_nodes:

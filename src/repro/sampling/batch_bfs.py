@@ -9,6 +9,7 @@ the paper's recommendation when ``|V_{a∪b}|`` is small.
 from __future__ import annotations
 
 import time
+from typing import Optional
 
 import numpy as np
 
@@ -31,12 +32,19 @@ class BatchBFSSampler(ReferenceSampler):
         """The full reference population ``V^h_{a∪b}`` (Algorithm 1)."""
         return self._engine.multi_source_vicinity(event_nodes, level)
 
-    def sample(self, event_nodes: np.ndarray, level: int,
-               sample_size: int) -> ReferenceSample:
+    def sample(self, event_nodes: np.ndarray, level: int, sample_size: int,
+               population: Optional[np.ndarray] = None) -> ReferenceSample:
+        """Draw ``sample_size`` nodes uniformly from ``V^h_{event_nodes}``.
+
+        ``population`` is that population as :meth:`population` returns it,
+        when the caller already holds it; the draw is then the same, without
+        the BFS.
+        """
         event_nodes = self._validate(event_nodes, level, sample_size)
         started = time.perf_counter()
         self._engine.reset_counters()
-        population = self.population(event_nodes, level)
+        if population is None:
+            population = self.population(event_nodes, level)
         population_size = int(population.size)
         if sample_size >= population_size:
             chosen = population.copy()
@@ -71,12 +79,13 @@ class ExhaustiveSampler(BatchBFSSampler):
 
     name = "exhaustive"
 
-    def sample(self, event_nodes: np.ndarray, level: int,
-               sample_size: int = 1) -> ReferenceSample:
+    def sample(self, event_nodes: np.ndarray, level: int, sample_size: int = 1,
+               population: Optional[np.ndarray] = None) -> ReferenceSample:
         event_nodes = self._validate(event_nodes, level, max(sample_size, 1))
         started = time.perf_counter()
         self._engine.reset_counters()
-        population = self.population(event_nodes, level)
+        if population is None:
+            population = self.population(event_nodes, level)
         cost = SamplingCost(wall_seconds=time.perf_counter() - started)
         cost.merge_engine(self._engine)
         return ReferenceSample(

@@ -17,12 +17,15 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.obs.registry import NULL_REGISTRY
 from repro.sampling.base import ReferenceSample
+from repro.sampling.batch_bfs import BatchBFSSampler
 from repro.sampling.registry import make_config_sampler, sampler_key
+from repro.utils.validation import sorted_unique
 
 
 def event_nodes_fingerprint(event_nodes: np.ndarray) -> str:
@@ -31,7 +34,7 @@ def event_nodes_fingerprint(event_nodes: np.ndarray) -> str:
     Used as the cache key component identifying a reference population
     ``V^h_S`` by its source set ``S``.
     """
-    canonical = np.unique(np.asarray(event_nodes, dtype=np.int64))
+    canonical = sorted_unique(np.asarray(event_nodes, dtype=np.int64))
     return hashlib.sha1(canonical.tobytes()).hexdigest()
 
 
@@ -76,13 +79,17 @@ class SampleMemo:
             "Reference samples drawn fresh on sample-memo misses.",
         )
 
-    def sample(self, graph, cfg, event_nodes: np.ndarray,
-               epoch: int = 0) -> ReferenceSample:
+    def sample(self, graph, cfg, event_nodes: np.ndarray, epoch: int = 0,
+               population: Optional[Callable[[], np.ndarray]] = None) -> ReferenceSample:
         """The memoised sample of ``V^h_{event_nodes}`` under ``cfg``.
 
         ``graph`` is the graph state a miss draws on (a pinned snapshot or
         a static graph); ``epoch`` must identify that state for the memo to
-        be coherent.
+        be coherent.  ``population`` optionally returns that population as
+        :meth:`~repro.sampling.batch_bfs.BatchBFSSampler.population`
+        enumerates it at that state: a miss whose sampler enumerates
+        populations (Batch BFS, exhaustive) then draws from it with the same
+        freshly seeded call, instead of enumerating again.
         """
         key = sampler_key(cfg) + (
             event_nodes_fingerprint(event_nodes), int(cfg.vicinity_level),
@@ -96,9 +103,14 @@ class SampleMemo:
             return cached
         self.misses += 1
         self._m_misses.inc()
-        sample = make_config_sampler(graph, cfg).sample(
-            event_nodes, cfg.vicinity_level, cfg.sample_size
-        )
+        sampler = make_config_sampler(graph, cfg)
+        if population is not None and isinstance(sampler, BatchBFSSampler):
+            sample = sampler.sample(
+                event_nodes, cfg.vicinity_level, cfg.sample_size,
+                population=population(),
+            )
+        else:
+            sample = sampler.sample(event_nodes, cfg.vicinity_level, cfg.sample_size)
         self._cache[key] = sample
         while len(self._cache) > self.max_entries:
             self._cache.popitem(last=False)

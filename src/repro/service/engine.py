@@ -15,8 +15,11 @@ Four layers of reuse keep the hot path cheap:
   keyed by the sampler config, population and epoch and drawn against the
   pinned snapshot, so every sample is bit-identical to what a freshly
   constructed in-process engine would draw at that graph state.  ``rank``
-  and ``topk`` share it, and it is the only layer ``topk`` uses: each
-  top-k request runs the progressive engine over the memoised draw;
+  and ``topk`` share it: each top-k request runs the progressive engine
+  over the memoised draw.  Beside each count table the engine keeps the
+  :class:`Population` of its ``(level, events, epoch)``, so a fresh seed
+  under Batch BFS draws from an enumerated ``V^h`` instead of running the
+  BFS again;
 * **Density counts** live in a node-indexed :class:`CountTable` per
   ``(level, events, epoch)``: the integer numerators and vicinity size of
   every node any request at that state has counted.  A table for a new
@@ -25,8 +28,8 @@ Four layers of reuse keep the hot path cheap:
   dirtied nodes struck out, event toggles applied by ``± 1`` — so ``rank``
   and ``topk`` BFS-count only the sampled nodes no table has filled (split
   across ``workers`` density threads when ``workers > 1``) and gather the
-  rest.  Density matrices (with their estimate batchers) are cached per
-  ``(config, universe, events, epoch)`` on top;
+  rest.  Density matrices are cached per ``(config, universe, events,
+  epoch)`` on top;
 * **Per-pair results** are cached per ``(pair, config, universe, epoch)`` —
   the pair's estimate depends only on the shared sample (a function of the
   request universe, config and epoch) and the pair's two density rows, so
@@ -95,6 +98,7 @@ from repro.obs import (
     stage,
     trace,
 )
+from repro.sampling.base import ReferenceSample
 from repro.sampling.cache import SampleMemo, event_nodes_fingerprint
 from repro.sampling.registry import sampler_key
 from repro.service import pool
@@ -173,6 +177,22 @@ class CountTable:
         self.counts = np.zeros((num_events, num_nodes), dtype=np.int32)
         self.sizes = np.zeros(num_nodes, dtype=np.int32)
         self.filled = np.zeros(num_nodes, dtype=bool)
+
+
+class Population:
+    """The reference population of one ``(level, events, epoch)``.
+
+    ``universe`` is the events' union node set and ``fingerprint`` its
+    :func:`~repro.sampling.cache.event_nodes_fingerprint`.  ``nodes`` is
+    ``V^h_universe`` as Batch BFS enumerates it (same node order), filled
+    on the first draw that needs it; every later fresh-seed draw at that
+    state samples from it without a BFS.
+    """
+
+    def __init__(self, universe: np.ndarray) -> None:
+        self.universe = universe
+        self.fingerprint = event_nodes_fingerprint(universe)
+        self.nodes: Optional[np.ndarray] = None
 
 
 class ServiceEngine:
@@ -283,9 +303,7 @@ class ServiceEngine:
         self._commit_rids: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._max_commit_rids = 1024
 
-        self._matrices: "OrderedDict[tuple, Tuple[DensityMatrix, PairEstimateBatcher]]" = (
-            OrderedDict()
-        )
+        self._matrices: "OrderedDict[tuple, DensityMatrix]" = OrderedDict()
         self._results: "OrderedDict[tuple, RankedPair]" = OrderedDict()
         # (pair, alpha, alternative, inputs digest) -> estimate: lets a
         # result-cache miss reuse the answer of any earlier epoch whose
@@ -294,6 +312,9 @@ class ServiceEngine:
         # (level, events, epoch) -> CountTable, read and filled under
         # _miss_lock.
         self._tables: "OrderedDict[tuple, CountTable]" = OrderedDict()
+        # (level, events, epoch) -> Population, filled under _miss_lock; a
+        # request's cache-hit path only reads it.
+        self._populations: "OrderedDict[tuple, Population]" = OrderedDict()
         # What each commit dirtied at the default level, per epoch: lets a
         # new epoch's count table advance from an older one.
         self._journal = DirtyTracker(self.config.vicinity_level)
@@ -353,6 +374,13 @@ class ServiceEngine:
             "Pair results computed on result-cache misses, by outcome: "
             "Kendall-estimated (estimated) or reused from an earlier "
             "estimate with identical density inputs (reused).",
+            labels=("outcome",),
+        )
+        self._m_populations = m.counter(
+            "tesc_population_total",
+            "Reference populations a sample draw read, by outcome: "
+            "enumerated by Batch BFS (computed) or held from an earlier draw "
+            "at the same level, events and epoch (reused).",
             labels=("outcome",),
         )
         self._m_pins = m.counter(
@@ -569,19 +597,22 @@ class ServiceEngine:
         (:class:`~repro.exceptions.SnapshotExpiredError` otherwise).
         Commits never block this call and it never blocks commits.
         """
-        check_rank_options(sort_by, on_insufficient)
-        cfg = self._merge_config(config_overrides or {})
-        self._m_requests.labels(method="rank").inc()
         with trace("rank", sink=self._finish_trace) as span:
+            check_rank_options(sort_by, on_insufficient)
+            cfg = self._merge_config(config_overrides or {})
+            self._m_requests.labels(method="rank").inc()
             epoch, graph, lease = self._pin(at_epoch)
             try:
                 deadlines.checkpoint()
                 pair_list = resolve_pair_spec(graph.event_names(), pairs)
-                events = sorted({event for pair in pair_list for event in pair})
+                events = tuple(sorted({event for pair in pair_list for event in pair}))
                 # Surfaces unknown events before any sampling work happens.
                 graph.indicator_matrix(events)
-                universe = event_universe(graph, events)
-                universe_fp = event_nodes_fingerprint(universe)
+                # Read only: a hit neither makes nor evicts a population.
+                population = self._populations.get(
+                    (int(cfg.vicinity_level), events, epoch)
+                ) or Population(event_universe(graph, events))
+                universe_fp = population.fingerprint
                 digest = self._config_digest(cfg)
 
                 by_pair: Dict[Tuple[str, str], RankedPair] = {}
@@ -596,7 +627,7 @@ class ServiceEngine:
                 self._m_pair_hits.inc(hits)
                 if missing:
                     computed = self._compute_pairs(
-                        graph, cfg, events, universe, universe_fp, digest, epoch,
+                        graph, cfg, events, population, digest, epoch,
                         missing, on_insufficient,
                     )
                     by_pair.update(computed)
@@ -617,26 +648,25 @@ class ServiceEngine:
                     self._m_active_pins.dec()
             span.tags["pairs"] = len(pair_list)
             span.tags["epoch"] = epoch
-            records = [pair_record(pair) for pair in ranked]
+            response = {
+                "pairs": [pair_record(pair) for pair in ranked],
+                "epoch": epoch,
+                "sort_by": sort_by,
+                "alpha": cfg.alpha,
+                "vicinity_level": cfg.vicinity_level,
+                "cached_pairs": hits,
+                "computed_pairs": len(missing),
+            }
             self._observe_stages(span)
         self._m_request_seconds.labels(method="rank").observe(span.duration)
-        return {
-            "pairs": records,
-            "epoch": epoch,
-            "sort_by": sort_by,
-            "alpha": cfg.alpha,
-            "vicinity_level": cfg.vicinity_level,
-            "cached_pairs": hits,
-            "computed_pairs": len(missing),
-        }
+        return response
 
     def _compute_pairs(
         self,
         graph: AttributedGraph,
         cfg: TescConfig,
-        events: Sequence[str],
-        universe,
-        universe_fp: str,
+        events: Tuple[str, ...],
+        population: Population,
         digest: tuple,
         epoch: int,
         missing: List[Tuple[str, str]],
@@ -653,6 +683,7 @@ class ServiceEngine:
         estimate reuse it; only the rest are estimated, in one population
         pass.
         """
+        universe_fp = population.fingerprint
         with self._miss_lock:
             computed: Dict[Tuple[str, str], RankedPair] = {}
             still_missing: List[Tuple[str, str]] = []
@@ -667,9 +698,7 @@ class ServiceEngine:
             if not still_missing:
                 return computed
 
-            matrix, batcher = self._matrix_for(
-                graph, cfg, tuple(events), universe, universe_fp, epoch
-            )
+            matrix = self._matrix_for(graph, cfg, events, population, epoch)
             row_of = {event: row for row, event in enumerate(events)}
             # A pair's estimate is a function of its two density rows'
             # nonzero entries plus the decision config: key on exactly that,
@@ -697,7 +726,7 @@ class ServiceEngine:
             )
             self._m_estimates.labels(outcome="estimated").inc(len(pending))
             if pending:
-                fresh = self._estimate(batcher, row_of, pending, cfg)
+                fresh = self._estimate(matrix, row_of, pending, cfg)
                 for pair_result in fresh:
                     pair = pair_result.events
                     computed[pair] = pair_result
@@ -712,55 +741,108 @@ class ServiceEngine:
 
     def _estimate(
         self,
-        batcher: PairEstimateBatcher,
+        matrix: DensityMatrix,
         row_of: Dict[str, int],
         pairs: List[Tuple[str, str]],
         cfg: TescConfig,
     ) -> List[RankedPair]:
-        """Estimate ``pairs`` over the batcher's matrix in the request thread.
+        """Estimate ``pairs`` over ``matrix`` in the request thread.
 
-        Insufficient pairs come back as insufficient records even for
-        "raise" requests; the caller raises after assembly, and "keep"
-        requests for the same pair still hit the caches.
+        The batcher's row encodings live only as long as this call: a cached
+        matrix is rarely asked for pairs it has not scored (every fresh seed
+        makes a new matrix), and held they would cost the matrix's size
+        again per cache entry.  Insufficient pairs come back as insufficient
+        records even for "raise" requests; the caller raises after
+        assembly, and "keep" requests for the same pair still hit the
+        caches.
         """
         with stage("estimate", pairs=len(pairs)):
             deadlines.checkpoint()
-            return estimate_pair_list(pairs, row_of, batcher, cfg, "keep")
+            return estimate_pair_list(
+                pairs, row_of, PairEstimateBatcher(matrix.densities), cfg, "keep"
+            )
 
     def _matrix_for(
         self,
         graph: AttributedGraph,
         cfg: TescConfig,
         events: Tuple[str, ...],
-        universe,
-        universe_fp: str,
+        population: Population,
         epoch: int,
-    ) -> Tuple[DensityMatrix, PairEstimateBatcher]:
+    ) -> DensityMatrix:
         """The epoch's density matrix over the request events, cached.
 
         A miss draws (or reuses) the epoch's sample and gathers its columns
         from the count table (:meth:`_gather_columns`).
         """
         key = sampler_key(cfg) + (
-            universe_fp, cfg.vicinity_level, cfg.sample_size, events, epoch,
+            population.fingerprint, cfg.vicinity_level, cfg.sample_size, events, epoch,
         )
         cached = self._matrices.get(key)
         if cached is not None:
             self._matrices.move_to_end(key)
             return cached
+        population = self._population(graph, cfg, events, epoch, population)
         with stage("sampling"):
-            sample = self._sample_memo.sample(graph, cfg, universe, epoch=epoch)
+            sample = self._draw(graph, cfg, population, epoch)
         ensure_uniform_sample(sample, cfg.sampler)
         with stage("density", workers=self.workers):
             matrix = self._gather_columns(
                 graph, cfg, events, epoch, np.asarray(sample.nodes, dtype=np.int64)
             )
-        batcher = PairEstimateBatcher(matrix.densities)
         while len(self._matrices) >= MAX_CACHED_MATRICES:
             self._matrices.popitem(last=False)
-        self._matrices[key] = (matrix, batcher)
+        self._matrices[key] = matrix
         self._m_matrices.inc()
-        return matrix, batcher
+        return matrix
+
+    def _population(
+        self,
+        graph: AttributedGraph,
+        cfg: TescConfig,
+        events: Tuple[str, ...],
+        epoch: int,
+        made: Optional[Population] = None,
+    ) -> Population:
+        """The population entry of ``(level, events, epoch)``; a miss keeps
+        ``made`` (the caller's fresh entry for this key) or makes one.
+
+        Entries share the count tables' LRU bound.  Callers hold
+        ``_miss_lock``.
+        """
+        key = (int(cfg.vicinity_level), events, epoch)
+        entry = self._populations.get(key)
+        if entry is not None:
+            self._populations.move_to_end(key)
+            return entry
+        entry = self._populations[key] = made or Population(event_universe(graph, events))
+        while len(self._populations) > MAX_CACHED_TABLES:
+            self._populations.popitem(last=False)
+        return entry
+
+    def _draw(
+        self, graph: AttributedGraph, cfg: TescConfig, population: Population, epoch: int
+    ) -> ReferenceSample:
+        """The epoch's memoised sample over ``population``.
+
+        A memo miss under a Batch BFS sampler draws from the entry's
+        enumerated population, enumerating it on the entry's first draw;
+        other samplers draw as they always do.  Callers hold ``_miss_lock``.
+        """
+
+        def nodes() -> np.ndarray:
+            if population.nodes is None:
+                population.nodes = BFSEngine(graph.csr).multi_source_vicinity(
+                    population.universe, int(cfg.vicinity_level)
+                )
+                self._m_populations.labels(outcome="computed").inc()
+            else:
+                self._m_populations.labels(outcome="reused").inc()
+            return population.nodes
+
+        return self._sample_memo.sample(
+            graph, cfg, population.universe, epoch=epoch, population=nodes
+        )
 
     def _gather_columns(
         self,
@@ -916,25 +998,23 @@ class ServiceEngine:
         """
         from repro.core.topk import ProgressiveTopKEngine, draw_order
 
-        cfg = self._merge_config(config_overrides or {})
-        self._m_requests.labels(method="topk").inc()
         with trace("topk", sink=self._finish_trace, k=int(k)) as span:
+            cfg = self._merge_config(config_overrides or {})
+            self._m_requests.labels(method="topk").inc()
             epoch, graph, lease = self._pin(at_epoch)
             try:
                 span.tags["epoch"] = epoch
                 pair_list = resolve_pair_spec(graph.event_names(), pairs)
-                events = sorted({event for pair in pair_list for event in pair})
-                universe = event_universe(graph, events)
-                # The memo and the count tables are shared with rank's
-                # misses, which hold this lock.
+                events = tuple(sorted({event for pair in pair_list for event in pair}))
+                # The memo, the populations and the count tables are shared
+                # with rank's misses, which hold this lock.
                 with self._miss_lock:
+                    population = self._population(graph, cfg, events, epoch)
                     with stage("sampling"):
-                        sample = self._sample_memo.sample(
-                            graph, cfg, universe, epoch=epoch
-                        )
+                        sample = self._draw(graph, cfg, population, epoch)
                     with stage("density", workers=self.workers):
                         matrix = self._gather_columns(
-                            graph, cfg, tuple(events), epoch, draw_order(sample)
+                            graph, cfg, events, epoch, draw_order(sample)
                         )
                 engine = ProgressiveTopKEngine(
                     graph, cfg, workers=self.workers, metrics=self.metrics
@@ -948,17 +1028,17 @@ class ServiceEngine:
                 if lease is not None:
                     lease.release()
                     self._m_active_pins.dec()
-            records = [pair_record(pair) for pair in ranking]
+            response = {
+                "pairs": [pair_record(pair) for pair in ranking],
+                "epoch": epoch,
+                "k": int(k),
+                "sort_by": sort_by,
+                "pairs_pruned": ranking.topk_stats.pairs_pruned,
+                "pairs_survived": ranking.topk_stats.pairs_survived,
+            }
             self._observe_stages(span)
         self._m_request_seconds.labels(method="topk").observe(span.duration)
-        return {
-            "pairs": records,
-            "epoch": epoch,
-            "k": int(k),
-            "sort_by": sort_by,
-            "pairs_pruned": ranking.topk_stats.pairs_pruned,
-            "pairs_survived": ranking.topk_stats.pairs_survived,
-        }
+        return response
 
     # -- stream --------------------------------------------------------------
 
@@ -1264,6 +1344,7 @@ class ServiceEngine:
             self._estimates.clear()
             self._matrices.clear()
             self._tables.clear()
+            self._populations.clear()
             self._sample_memo.clear()
         if self._wal is not None:
             self._wal.close()

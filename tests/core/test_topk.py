@@ -13,6 +13,7 @@ from repro.core.topk import (
     ProgressiveTopKEngine,
     asymptotic_tau_sd,
     confidence_half_width,
+    confidence_half_widths,
     draw_order,
     round_schedule,
     top_k_pairs,
@@ -108,6 +109,22 @@ class TestConfidenceBounds:
             asymptotic_tau_sd(1)
         with pytest.raises(ValueError):
             confidence_half_width(1, 10, 2.576)
+
+    def test_array_widths_equal_the_scalar_reference_bit_for_bit(self):
+        """The screening rounds' array form runs the scalar operations in
+        the same order, so every width is the same float."""
+        rng = np.random.default_rng(0)
+        sizes = np.concatenate([np.arange(2, 400), rng.integers(2, 10**6, size=3000)])
+        # Projections below the size are clamped up to it, as in the scalar.
+        projected = np.concatenate([
+            sizes[:398] * 4, sizes[398:] // rng.integers(1, 3, size=3000) * 3 - 5,
+        ])
+        for z_star in (TOPK_Z_STAR, 2.576):
+            widths = confidence_half_widths(sizes, projected, z_star)
+            assert widths.tolist() == [
+                confidence_half_width(n, n_proj, z_star)
+                for n, n_proj in zip(sizes.tolist(), projected.tolist())
+            ]
 
     def test_z_star_is_the_critical_value_of_the_level(self):
         assert TOPK_Z_STAR == critical_z(1.0 - TOPK_CONFIDENCE, "two-sided")

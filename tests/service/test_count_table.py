@@ -5,8 +5,9 @@ table per ``(level, events, epoch)``, so on a static graph a node is
 BFS-counted once, whatever sample or request first needed it, and a new
 epoch's table is advanced from an older one through the commit journal.
 The cases here pin the column counters across seeds and verbs, top-k
-answers over advanced and lagging tables, the table LRU bound and the
-per-stage request timings.
+answers over advanced and lagging tables, the table LRU bound, the
+per-stage request timings, and the reference population each
+``(level, events, epoch)`` keeps beside its table.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from repro.core.config import TescConfig
 from repro.core.topk import ProgressiveTopKEngine, draw_order
 from repro.datasets.synthetic_dblp import make_dblp_like
+from repro.sampling.batch_bfs import BatchBFSSampler
 from repro.service.engine import MAX_CACHED_TABLES, ServiceEngine, pair_record
 from repro.streaming.dynamic_graph import DynamicAttributedGraph
 
@@ -57,6 +59,8 @@ def _sample_nodes(engine, seed, at_epoch=None):
 def _in_process_topk(engine, k, epoch, **overrides):
     """A fresh in-process progressive run on the epoch's snapshot."""
     cfg = engine._merge_config(dict(SCHEDULE, **overrides))
+    if not isinstance(engine.graph, DynamicAttributedGraph):
+        return ProgressiveTopKEngine(engine.graph, cfg).top_k(k)
     lease = engine.graph.pin(epoch)
     try:
         return ProgressiveTopKEngine(lease.graph, cfg).top_k(k)
@@ -215,4 +219,127 @@ class TestStageSeconds:
             if entry["labels"]["verb"] == verb
         )
         assert 0 < stages <= request
+        engine.close()
+
+
+def _populations(engine):
+    return tuple(
+        int(engine.metrics.value("tesc_population_total", outcome=outcome))
+        for outcome in ("computed", "reused")
+    )
+
+
+def _assert_rank_matches(engine, response, **overrides):
+    reference = engine.reference_ranking(
+        "all", at_epoch=response["epoch"], config_overrides=overrides
+    )
+    assert response["pairs"] == [pair_record(pair) for pair in reference]
+
+
+class TestPopulationEntry:
+    def test_static_graph_enumerates_once(self, service_dataset, monkeypatch):
+        """Three ranks and two top-ks at fresh seeds: one enumeration, four
+        draws from it, and no sampler-side BFS."""
+        dataset, config = service_dataset
+        engine = ServiceEngine(dataset.attributed, config)
+        enumerations = []
+        population = BatchBFSSampler.population
+
+        def spy(self, event_nodes, level):
+            enumerations.append(level)
+            return population(self, event_nodes, level)
+
+        answers = []
+        with monkeypatch.context() as patch:
+            patch.setattr(BatchBFSSampler, "population", spy)
+            for verb, seed in [("rank", 1), ("topk", 2), ("rank", 3),
+                               ("topk", 4), ("rank", 5)]:
+                if verb == "rank":
+                    answer = engine.rank("all", config_overrides={"random_state": seed})
+                else:
+                    answer = engine.topk(
+                        3, "all", config_overrides=dict(SCHEDULE, random_state=seed)
+                    )
+                answers.append((verb, seed, answer))
+        assert enumerations == []
+        assert _populations(engine) == (1, 4)
+        for verb, seed, answer in answers:
+            if verb == "rank":
+                _assert_rank_matches(engine, answer, random_state=seed)
+            else:
+                _assert_topk_matches(engine, answer, 3, random_state=seed)
+        engine.close()
+
+    def test_cache_hits_neither_make_nor_evict_entries(self, service_dataset):
+        dataset, config = service_dataset
+        engine = ServiceEngine(dataset.attributed, config)
+        names = dataset.attributed.event_names()
+        shapes = [[(names[0], names[1])], [(names[2], names[3])], [(names[4], names[5])]]
+        for pairs in shapes:
+            engine.rank(pairs)
+        held = list(engine._populations)
+        assert len(held) == MAX_CACHED_TABLES
+        computed = _populations(engine)
+        for pairs in shapes:  # all pair-cache hits, the first one evicted
+            assert engine.rank(pairs)["cached_pairs"] == 1
+        assert list(engine._populations) == held
+        assert _populations(engine) == computed
+        engine.close()
+
+    def test_commits_and_older_views_match_references(self, dynamic_graph, service_dataset):
+        """A structural commit and a toggle-only commit each make a new
+        epoch's population; an older view reads its own epoch's."""
+        _dataset, config = service_dataset
+        engine = ServiceEngine(dynamic_graph, config)
+        names = dynamic_graph.event_names()
+        csr = dynamic_graph.csr
+        u, v = next(iter(csr.edges()))
+        older = dynamic_graph.pin()
+        try:
+            engine.rank("all")
+            engine.topk(3, config_overrides=SCHEDULE)
+            carriers = dynamic_graph.event_nodes(names[0]).tolist()
+            free = [n for n in range(dynamic_graph.num_nodes) if n not in carriers]
+            commits = [
+                [{"op": "edge_remove", "u": u, "v": v}],
+                [{"op": "event_attach", "event": names[0], "node": n} for n in free[:4]]
+                + [{"op": "event_detach", "event": names[1], "node": n}
+                   for n in dynamic_graph.event_nodes(names[1]).tolist()[:3]],
+            ]
+            for step, deltas in enumerate(commits):
+                before = _populations(engine)
+                receipt = engine.commit(deltas)
+                seed = 30 + step
+                for at_epoch in (None, older.epoch):
+                    ranked = engine.rank(
+                        "all", config_overrides={"random_state": seed}, at_epoch=at_epoch
+                    )
+                    assert ranked["epoch"] == (
+                        receipt["epoch"] if at_epoch is None else older.epoch
+                    )
+                    _assert_rank_matches(engine, ranked, random_state=seed)
+                    top = engine.topk(
+                        3, config_overrides=dict(SCHEDULE, random_state=seed),
+                        at_epoch=at_epoch,
+                    )
+                    _assert_topk_matches(engine, top, 3, random_state=seed)
+                assert _populations(engine)[0] > before[0]
+                assert len(engine._populations) <= MAX_CACHED_TABLES
+        finally:
+            older.release()
+        engine.close()
+
+    @pytest.mark.parametrize("sampler", ["reject", "whole_graph"])
+    def test_other_samplers_draw_as_before(self, service_dataset, sampler):
+        """Samplers that do not enumerate the population never read an
+        entry's, and draw what a fresh sampler draws."""
+        dataset, config = service_dataset
+        engine = ServiceEngine(dataset.attributed, config)
+        for seed in (3, 4):
+            overrides = {"sampler": sampler, "random_state": seed}
+            _assert_rank_matches(engine, engine.rank("all", config_overrides=overrides),
+                                 **overrides)
+            top = engine.topk(3, config_overrides=dict(SCHEDULE, **overrides))
+            _assert_topk_matches(engine, top, 3, **overrides)
+        assert _populations(engine) == (0, 0)
         engine.close()

@@ -241,13 +241,13 @@ class TestSingleTiePass:
         # Ky = n distinct values and no 0, so the population is every column.
         y = (rng.permutation(n) + 1) / n
         tabled = []
-        support_tables_sum = estimators._support_tables_sum
+        group_tables_sum = estimators._group_tables_sum
 
-        def spy(chunk, z):
-            tabled.extend((a.counts.size, b.counts.size) for _, a, b in chunk)
-            return support_tables_sum(chunk, z)
+        def spy(x_codes, partner_codes, shape, fill, z):
+            tabled.extend([shape] * len(z))
+            return group_tables_sum(x_codes, partner_codes, shape, fill, z)
 
-        monkeypatch.setattr(estimators, "_support_tables_sum", spy)
+        monkeypatch.setattr(estimators, "_group_tables_sum", spy)
         for kx, uses_table in ((c, True), (c + 1, False)):
             x = rng.permutation(np.arange(n) % kx) / kx  # Kx = kx values, 0 among them
             tabled.clear()
@@ -354,6 +354,75 @@ class TestPopulationPass:
         forcing that path on small inputs changes no answer."""
         with mock.patch.object(ties, "EXACT_INT64_OBSERVATIONS", 0):
             self._assert_matches_oracle(matrix)
+
+    @given(sparse_count_matrices(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_column_prefixes_match_the_oracle(self, matrix, data):
+        """Top-k screening rounds score column prefixes of one matrix, each
+        through a batcher grown from the last."""
+        widths = sorted(set(data.draw(st.lists(
+            st.integers(min_value=1, max_value=matrix.num_reference_nodes),
+            min_size=1, max_size=4,
+        ))))
+        pair_list, row_of = _ordered_pairs(matrix)
+        batcher = None
+        for width in widths + [matrix.num_reference_nodes]:
+            prefix = matrix.prefix(width)
+            batcher = (
+                PairEstimateBatcher(prefix.densities) if batcher is None
+                else batcher.grown(prefix.densities)
+            )
+            assert estimate_pair_list(
+                pair_list, row_of, batcher, self.CONFIG, "keep"
+            ) == _per_pair_oracle(pair_list, row_of, prefix, self.CONFIG)
+
+    @pytest.mark.parametrize("chunk_cells", [1, 64, 400, 1 << 16])
+    def test_split_groups_match_the_oracle(self, chunk_cells):
+        """Many pairs share one sparse row and their partners' ``K`` range
+        from 2 to ~60; a low cell bound splits the group into chunks."""
+        rng = np.random.default_rng(11)
+        columns = 120
+        sizes = np.full(columns, 60)
+        counts = np.zeros((14, columns), dtype=np.int64)
+        counts[0, rng.choice(columns, size=12, replace=False)] = rng.integers(1, 4, size=12)
+        for row, distinct in enumerate(
+            [1, 2, 3, 5, 8, 13, 21, 34, 55, 60, 2, 30, 59], start=1
+        ):
+            # A quarter of the partners have no zero at all.
+            low = 1 if row % 4 == 0 else 0
+            values = rng.integers(low, low + distinct, size=columns)
+            present = rng.random(columns) < (1.0 if low else 0.7)
+            counts[row] = np.where(present, values, 0).clip(max=60)
+        matrix = DensityMatrix(
+            reference_nodes=np.arange(columns, dtype=np.int64),
+            densities=densities_from_counts(counts, sizes),
+            counts=counts, vicinity_sizes=sizes, level=1,
+        )
+        row_of = {f"e{row}": row for row in range(matrix.num_events)}
+        pair_list = [(f"e{row}", "e0") for row in range(1, 14)]
+        pair_list += [("e0", f"e{row}") for row in range(1, 14)]
+        pair_list += [("e1", "e12"), ("e12", "e4")]
+        calls = []
+        group_tables_sum = estimators._group_tables_sum
+
+        def spy(x_codes, partner_codes, shape, fill, z):
+            calls.append((len(z), shape, x_codes.size))
+            return group_tables_sum(x_codes, partner_codes, shape, fill, z)
+
+        with mock.patch.object(estimators, "TABLE_CELLS_PER_OBSERVATION", 10**9), \
+                mock.patch.object(estimators, "_CHUNK_CELLS", chunk_cells), \
+                mock.patch.object(estimators, "_group_tables_sum", spy):
+            ranked = estimate_pair_list(
+                pair_list, row_of, PairEstimateBatcher(matrix.densities),
+                self.CONFIG, "keep",
+            )
+        assert ranked == _per_pair_oracle(pair_list, row_of, matrix, self.CONFIG)
+        assert sum(pairs for pairs, _, _ in calls) == len(pair_list)
+        for pairs, (kx, ky), gathered in calls:
+            assert pairs == 1 or pairs * max(kx * ky, gathered) <= chunk_cells
+        if chunk_cells < 1 << 16:
+            # Row 0's 26 pairs do not fit one call.
+            assert len(calls) > 2
 
     def _matrix(self, densities):
         densities = np.asarray(densities, dtype=float)

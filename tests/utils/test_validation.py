@@ -1,5 +1,6 @@
 """Tests for repro.utils.validation."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -9,6 +10,7 @@ from repro.utils.validation import (
     check_positive_int,
     check_probability_vector,
     check_vicinity_level,
+    sorted_unique,
 )
 
 
@@ -79,3 +81,18 @@ class TestCheckProbabilityVector:
     def test_empty(self):
         with pytest.raises(ConfigurationError):
             check_probability_vector([], "p")
+
+
+class TestSortedUnique:
+    @pytest.mark.parametrize("size", [0, 1, 2, 50, 5000])
+    def test_equals_np_unique(self, size):
+        rng = np.random.default_rng(size)
+        for values in (
+            rng.integers(0, max(size // 3, 1), size=size),
+            np.arange(size, dtype=np.int64),
+            rng.integers(0, 4, size=(2, size)),
+        ):
+            expected = np.unique(values)
+            result = sorted_unique(values)
+            assert result.dtype == expected.dtype
+            assert np.array_equal(result, expected)
