@@ -11,11 +11,14 @@ verb), scrapes the Prometheus HTTP endpoint, and fails loudly if
 * any instrumented subsystem reports zero samples after the burst
   (requests, latency histograms, pair cache, admission, pins, commits,
   reused pair estimates, reference populations enumerated and reused,
-  the density and estimate stages of rank and top-k),
+  the density and estimate stages of rank and top-k, the sizes of the
+  pair cache and of the row-digest index in front of it),
+* a repeated identical rank adds no pair-cache hits or computes a density
+  matrix,
 * the pair-estimate outcomes do not add up to the pair-cache misses,
 * the sample-memo lookups do not add up to the density matrices computed
-  plus the top-k requests (a matrix miss and a top-k request each consult
-  the memo once), or
+  plus the top-k requests (every rank that misses the pair cache gathers
+  one matrix, and it and every top-k request consult the memo once), or
 * the protocol snapshot disagrees with the scripted request counts.
 
 The raw scrape is written to ``--out`` (default ``metrics_scrape.txt``)
@@ -70,6 +73,9 @@ REQUIRED_NONZERO = [
     ("tesc_stage_seconds_count", 'verb="rank",stage="estimate"'),
     ("tesc_stage_seconds_count", 'verb="topk",stage="density"'),
     ("tesc_stage_seconds_count", 'verb="topk",stage="estimate"'),
+    # Gauges: the one per-pair cache and the row digests that find it.
+    ("tesc_cached_pair_results", None),
+    ("tesc_cached_row_digests", None),
 ]
 
 
@@ -104,6 +110,11 @@ def sample_value(text: str, name: str, label_fragment) -> float:
             continue
         return float(line.rsplit(" ", 1)[1])
     fail(f"no sample for {name} {label_fragment or ''}".strip())
+
+
+def snapshot_value(snapshot, name: str) -> float:
+    """A counter's total over its label sets in a ``metrics`` verb snapshot."""
+    return sum(entry["value"] for entry in snapshot[name]["values"])
 
 
 def validate_exposition(text: str) -> int:
@@ -192,7 +203,24 @@ def main() -> int:
                     [("alpha", "beta")] if index % 2 == 0
                     else [("alpha", "gamma"), ("beta", "delta")]
                 )
+                before = client.metrics()["metrics"]
                 client.rank(spec)
+                after = client.metrics()["metrics"]
+                if index < 2:
+                    continue
+                # A repeat of the rank two steps back: every pair is a
+                # pair-cache hit, found with no density matrix.
+                hits = (snapshot_value(after, "tesc_pair_cache_hits_total")
+                        - snapshot_value(before, "tesc_pair_cache_hits_total"))
+                if hits != len(spec):
+                    fail(f"repeated rank {spec} added {hits:g} pair-cache "
+                         f"hits, expected {len(spec)}")
+                for name in ("tesc_matrices_computed_total",
+                             "tesc_pair_cache_misses_total"):
+                    if snapshot_value(after, name) != snapshot_value(before, name):
+                        fail(f"repeated rank {spec} moved {name}")
+            print("metrics smoke: repeated ranks were pair-cache hits with no "
+                  "density matrix")
             for index in range(num_topk):
                 client.topk(2, config={"random_state": 3 + index})
             # The server relabels file nodes to 0..n-1, so small ids are
@@ -244,8 +272,8 @@ def main() -> int:
         print(f"metrics smoke: {misses:g} pair-cache misses reconcile with "
               "their estimate outcomes")
 
-        # Every density-matrix miss and every top-k request looks its
-        # sample up in the memo once.
+        # Every rank that misses the pair cache gathers one density matrix;
+        # it and every top-k request look their sample up in the memo once.
         lookups = (
             sample_value(text, "tesc_sample_memo_hits_total", None)
             + sample_value(text, "tesc_sample_memo_misses_total", None)

@@ -752,7 +752,7 @@ def _render_status(status: Dict[str, Any]) -> str:
         key: status.get(key)
         for key in (
             "epoch", "dynamic", "workers", "num_events", "num_nodes",
-            "num_edges", "cached_pair_results", "cached_matrices",
+            "num_edges", "cached_pair_results", "cached_row_digests",
             "cached_samples",
         )
     }

@@ -27,7 +27,7 @@ import numpy as np
 from repro.exceptions import NodeNotFoundError
 from repro.graph.csr import CSRGraph
 from repro.utils import deadlines
-from repro.utils.validation import check_non_negative_int
+from repro.utils.validation import check_non_negative_int, sorted_unique
 
 
 def _expand_frontier(
@@ -139,7 +139,7 @@ class BFSEngine:
             bad = source_array[(source_array < 0) | (source_array >= graph.num_nodes)][0]
             raise NodeNotFoundError(int(bad))
 
-        frontier = np.unique(source_array)
+        frontier = sorted_unique(source_array)
         visited[frontier] = stamp
         collected: List[np.ndarray] = [frontier]
 
@@ -155,7 +155,7 @@ class BFSEngine:
             if fresh.size == 0:
                 frontier = fresh
                 continue
-            frontier = np.unique(fresh)
+            frontier = sorted_unique(fresh)
             visited[frontier] = stamp
             collected.append(frontier)
 
@@ -267,7 +267,7 @@ class BFSEngine:
             if rows.size * 512 < block_flat.size:
                 # Sparse level: sorting the (few) fresh candidates beats
                 # scanning the whole stamp matrix.
-                keys = np.unique(rows * num_nodes + cols)
+                keys = sorted_unique(rows * num_nodes + cols)
                 rows = keys // num_nodes
                 cols = keys - rows * num_nodes
                 visited[rows, cols] = stamp
@@ -485,7 +485,7 @@ def shortest_path_lengths_from(
         fresh = neighbours[distances[neighbours] < 0]
         if fresh.size == 0:
             break
-        frontier = np.unique(fresh)
+        frontier = sorted_unique(fresh)
         distances[frontier] = depth
     return distances
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.graph.traversal import BFSEngine
-from repro.utils.validation import check_vicinity_level
+from repro.utils.validation import check_vicinity_level, sorted_unique
 
 
 class VicinityIndex:
@@ -95,7 +95,7 @@ class VicinityIndex:
         node_array = np.fromiter(
             (int(node) for node in nodes), dtype=np.int64
         )
-        self._fill_missing(np.unique(node_array), level)
+        self._fill_missing(sorted_unique(node_array), level)
         return self._sizes[level][node_array].copy()
 
     def total_size(self, nodes: Iterable[int], level: int) -> int:

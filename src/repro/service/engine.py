@@ -9,7 +9,7 @@ state — so commits never block readers and readers never block commits.
 Every response carries the epoch it was computed at, and ``at_epoch``
 requests re-read any epoch still retained by a lease.
 
-Four layers of reuse keep the hot path cheap:
+Three layers of reuse keep the hot path cheap:
 
 * **Samples** come from one :class:`~repro.sampling.cache.SampleMemo`
   keyed by the sampler config, population and epoch and drawn against the
@@ -28,20 +28,18 @@ Four layers of reuse keep the hot path cheap:
   dirtied nodes struck out, event toggles applied by ``± 1`` — so ``rank``
   and ``topk`` BFS-count only the sampled nodes no table has filled (split
   across ``workers`` density threads when ``workers > 1``) and gather the
-  rest.  Density matrices are cached per ``(config, universe, events,
-  epoch)`` on top;
-* **Per-pair results** are cached per ``(pair, config, universe, epoch)`` —
-  the pair's estimate depends only on the shared sample (a function of the
-  request universe, config and epoch) and the pair's two density rows, so
-  the key is exact: a cached entry can never be served stale, because any
-  commit that could change the answer lands at a different epoch;
-* **Pair estimates** behind that cache are memoised by content: a miss
-  keys each pair by ``(pair, alpha, alternative)`` and the
+  rest.  A density matrix lives for one request;
+* **Pair estimates** are the one per-pair cache, memoised by content: each
+  pair is keyed by ``(pair, alpha, alternative)`` and the
   :func:`row_digest` of each of its two density rows (the row's nonzero
   reference-node ids and densities) — everything the estimate reads — so
   after a commit only the pairs whose inputs moved are Kendall-estimated
   again, in one population pass, whichever epoch, view or worker count
-  asks.
+  asks.  A small row-digest index remembers each row's digest under the
+  request's config digest, universe fingerprint and epoch, so a repeated
+  ``rank`` finds its estimates with no sample or matrix: that key pins the
+  draw and the graph state, hence the row, and any commit that could
+  change a row lands at a different epoch.
 
 For a dynamic graph the epoch *is* the graph's commit epoch
 (:attr:`~repro.streaming.dynamic_graph.DynamicAttributedGraph.epoch` — one
@@ -117,11 +115,11 @@ logger = logging.getLogger(__name__)
 # benchmarks/ledger/traced_serve.py wraps this name at startup; nothing calls it.
 estimate_matrix_pairs_sharded = estimate_pair_list
 
-#: LRU bound of the per-pair result cache and of the content-keyed
-#: pair-estimate memo behind it.
+#: LRU bound of the content-keyed pair-estimate cache and, in rows, of the
+#: row-digest index in front of it.
 MAX_CACHED_RESULTS = 65536
-#: LRU bound of the density-matrix cache and of the sample memo feeding it.
-MAX_CACHED_MATRICES = 8
+#: LRU bound of the sample memo.
+MAX_CACHED_SAMPLES = 8
 #: LRU bound of the node-indexed count tables: the newest epoch's plus one
 #: more (a lagging ``at_epoch`` reader's, or the previous epoch's).
 MAX_CACHED_TABLES = 2
@@ -303,12 +301,14 @@ class ServiceEngine:
         self._commit_rids: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._max_commit_rids = 1024
 
-        self._matrices: "OrderedDict[tuple, DensityMatrix]" = OrderedDict()
-        self._results: "OrderedDict[tuple, RankedPair]" = OrderedDict()
-        # (pair, alpha, alternative, inputs digest) -> estimate: lets a
-        # result-cache miss reuse the answer of any earlier epoch whose
-        # restricted density rows were the same.
+        # (pair, alpha, alternative, row_digest(a), row_digest(b)) ->
+        # estimate: the one per-pair cache.  Any epoch, view or seed whose
+        # two density rows were the same reuses the answer.
         self._estimates: "OrderedDict[tuple, RankedPair]" = OrderedDict()
+        # (config digest, universe fingerprint, epoch, event) -> row_digest
+        # of that event's density row, filled under _miss_lock; a rank's
+        # hit path only reads it.
+        self._digests: "OrderedDict[tuple, bytes]" = OrderedDict()
         # (level, events, epoch) -> CountTable, read and filled under
         # _miss_lock.
         self._tables: "OrderedDict[tuple, CountTable]" = OrderedDict()
@@ -321,7 +321,7 @@ class ServiceEngine:
 
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._sample_memo = SampleMemo(
-            max_entries=MAX_CACHED_MATRICES, metrics=self.metrics
+            max_entries=MAX_CACHED_SAMPLES, metrics=self.metrics
         )
         self.trace_buffer = TraceBuffer(TRACE_BUFFER_SIZE)
         self.slow_log = SlowRequestLog(slow_request_seconds)
@@ -347,11 +347,12 @@ class ServiceEngine:
         )
         self._m_pair_hits = m.counter(
             "tesc_pair_cache_hits_total",
-            "Per-pair results served from the epoch-keyed cache.",
+            "Ranked pairs answered from the pair cache, with no sample or "
+            "density matrix.",
         )
         self._m_pair_misses = m.counter(
             "tesc_pair_cache_misses_total",
-            "Per-pair results computed on epoch-keyed cache misses.",
+            "Ranked pairs computed over a density matrix on pair-cache misses.",
         )
         self._m_coalesced = m.counter(
             "tesc_singleflight_coalesced_total",
@@ -360,7 +361,8 @@ class ServiceEngine:
         )
         self._m_matrices = m.counter(
             "tesc_matrices_computed_total",
-            "Shared density matrices computed (cache misses).",
+            "Density matrices gathered for rank pair-cache misses (one per "
+            "rank that misses).",
         )
         self._m_columns = m.counter(
             "tesc_density_columns_total",
@@ -371,7 +373,7 @@ class ServiceEngine:
         )
         self._m_estimates = m.counter(
             "tesc_pair_estimates_total",
-            "Pair results computed on result-cache misses, by outcome: "
+            "Pair results computed on pair-cache misses, by outcome: "
             "Kendall-estimated (estimated) or reused from an earlier "
             "estimate with identical density inputs (reused).",
             labels=("outcome",),
@@ -437,11 +439,13 @@ class ServiceEngine:
             labels=("path",),
         )
         m.gauge(
-            "tesc_cached_pair_results", "Entries in the per-pair result cache."
-        ).set_function(lambda: len(self._results))
+            "tesc_cached_pair_results",
+            "Pair estimates held in the content-keyed pair cache.",
+        ).set_function(lambda: len(self._estimates))
         m.gauge(
-            "tesc_cached_matrices", "Entries in the density-matrix cache."
-        ).set_function(lambda: len(self._matrices))
+            "tesc_cached_row_digests",
+            "Density-row digests held in the row-digest index.",
+        ).set_function(lambda: len(self._digests))
         m.gauge(
             "tesc_cached_density_tables",
             "Node-indexed density count tables held.",
@@ -547,7 +551,7 @@ class ServiceEngine:
 
     @staticmethod
     def _config_digest(cfg: TescConfig, persistent: bool = False) -> tuple:
-        """The config identity tuple cache keys and checkpoints key on.
+        """The config identity tuple checkpoints key on.
 
         Non-int seeds (e.g. a ``Generator``) are tokenised by ``id()`` for
         in-process keys — distinct objects draw distinct streams, so they
@@ -612,23 +616,18 @@ class ServiceEngine:
                 population = self._populations.get(
                     (int(cfg.vicinity_level), events, epoch)
                 ) or Population(event_universe(graph, events))
-                universe_fp = population.fingerprint
-                digest = self._config_digest(cfg)
+                # What decides every row of the request's matrix: the
+                # config (sampler, seed, level, size, decision), the
+                # universe and the graph state.
+                draw_key = (self._config_digest(cfg), population.fingerprint, epoch)
 
-                by_pair: Dict[Tuple[str, str], RankedPair] = {}
-                missing: List[Tuple[str, str]] = []
-                for pair in pair_list:
-                    cached = self._results.get((pair, digest, universe_fp, epoch))
-                    if cached is not None:
-                        by_pair[pair] = cached
-                    else:
-                        missing.append(pair)
+                by_pair = self._cached_pairs(draw_key, events, pair_list, cfg)
+                missing = [pair for pair in pair_list if pair not in by_pair]
                 hits = len(pair_list) - len(missing)
                 self._m_pair_hits.inc(hits)
                 if missing:
                     computed = self._compute_pairs(
-                        graph, cfg, events, population, digest, epoch,
-                        missing, on_insufficient,
+                        graph, cfg, events, population, draw_key, epoch, missing,
                     )
                     by_pair.update(computed)
                     self._m_pair_misses.inc(len(missing))
@@ -661,40 +660,61 @@ class ServiceEngine:
         self._m_request_seconds.labels(method="rank").observe(span.duration)
         return response
 
+    def _cached_pairs(
+        self,
+        draw_key: tuple,
+        events: Tuple[str, ...],
+        pairs: Sequence[Tuple[str, str]],
+        cfg: TescConfig,
+    ) -> Dict[Tuple[str, str], RankedPair]:
+        """The pairs whose estimate under ``draw_key`` is cached: both rows'
+        digests are in the index and the pair cache holds their content key.
+
+        Exactly what the miss path would return, since the matrix it would
+        gather has the same rows.  One digest lookup per event, then one
+        content lookup per pair; reads only, so it needs no lock.
+        """
+        known = {event: self._digests.get(draw_key + (event,)) for event in events}
+        found: Dict[Tuple[str, str], RankedPair] = {}
+        for pair in pairs:
+            digest_a, digest_b = known[pair[0]], known[pair[1]]
+            if digest_a is None or digest_b is None:
+                continue
+            cached = self._estimates.get(
+                (pair, cfg.alpha, cfg.alternative, digest_a, digest_b)
+            )
+            if cached is not None:
+                found[pair] = cached
+        return found
+
     def _compute_pairs(
         self,
         graph: AttributedGraph,
         cfg: TescConfig,
         events: Tuple[str, ...],
         population: Population,
-        digest: tuple,
+        draw_key: tuple,
         epoch: int,
         missing: List[Tuple[str, str]],
-        on_insufficient: str,
     ) -> Dict[Tuple[str, str], RankedPair]:
         """Estimate the cache-missing pairs against ``graph`` and record them.
 
         Serialised by ``_miss_lock`` so concurrent identical requests
-        compute the shared sample/matrix once; the cache is re-checked
-        under the lock for pairs another thread just filled.  ``graph`` is
-        the caller's pinned snapshot (or the live static graph), so a
-        commit landing mid-computation changes nothing here.  Pairs whose
-        two :func:`row_digest` values and decision config match an earlier
-        estimate reuse it; only the rest are estimated, in one population
-        pass.
+        compute the shared sample and matrix once; the caches are
+        re-checked under the lock for pairs another thread just filled.
+        ``graph`` is the caller's pinned snapshot (or the live static
+        graph), so a commit landing mid-computation changes nothing here.
+        The matrix is gathered for this call only: each row a pair reads is
+        hashed once and its :func:`row_digest` recorded in the index under
+        ``draw_key``, pairs whose two digests and decision config match an
+        earlier estimate reuse it, and only the rest are estimated, in one
+        population pass.
         """
-        universe_fp = population.fingerprint
         with self._miss_lock:
-            computed: Dict[Tuple[str, str], RankedPair] = {}
-            still_missing: List[Tuple[str, str]] = []
-            for pair in missing:
-                cached = self._results.get((pair, digest, universe_fp, epoch))
-                if cached is not None:
-                    computed[pair] = cached
-                else:
-                    still_missing.append(pair)
+            computed = self._cached_pairs(draw_key, events, missing, cfg)
             if computed:
                 self._m_coalesced.inc(len(computed))
+            still_missing = [pair for pair in missing if pair not in computed]
             if not still_missing:
                 return computed
 
@@ -702,18 +722,21 @@ class ServiceEngine:
             row_of = {event: row for row, event in enumerate(events)}
             # A pair's estimate is a function of its two density rows'
             # nonzero entries plus the decision config: key on exactly that,
-            # so any epoch, view or worker count that feeds the same inputs
-            # reuses the answer.  Each row is hashed once per miss.
-            digests: Dict[int, bytes] = {}
+            # so any epoch, view, seed or worker count that feeds the same
+            # inputs reuses the answer.
+            digests: Dict[str, bytes] = {}
+            for event in dict.fromkeys(event for pair in still_missing for event in pair):
+                digest = digests[event] = row_digest(matrix, row_of[event])
+                row_key = draw_key + (event,)
+                self._digests[row_key] = digest
+                self._digests.move_to_end(row_key)
+            while len(self._digests) > MAX_CACHED_RESULTS:
+                self._digests.popitem(last=False)
             keys: Dict[Tuple[str, str], tuple] = {}
             pending: List[Tuple[str, str]] = []
             for pair in still_missing:
-                rows = row_of[pair[0]], row_of[pair[1]]
-                for row in rows:
-                    if row not in digests:
-                        digests[row] = row_digest(matrix, row)
                 key = keys[pair] = (
-                    pair, cfg.alpha, cfg.alternative, digests[rows[0]], digests[rows[1]],
+                    pair, cfg.alpha, cfg.alternative, digests[pair[0]], digests[pair[1]],
                 )
                 reused = self._estimates.get(key)
                 if reused is not None:
@@ -733,10 +756,6 @@ class ServiceEngine:
                     self._estimates[keys[pair]] = pair_result
                 while len(self._estimates) > MAX_CACHED_RESULTS:
                     self._estimates.popitem(last=False)
-            for pair in still_missing:
-                self._results[(pair, digest, universe_fp, epoch)] = computed[pair]
-            while len(self._results) > MAX_CACHED_RESULTS:
-                self._results.popitem(last=False)
             return computed
 
     def _estimate(
@@ -748,13 +767,10 @@ class ServiceEngine:
     ) -> List[RankedPair]:
         """Estimate ``pairs`` over ``matrix`` in the request thread.
 
-        The batcher's row encodings live only as long as this call: a cached
-        matrix is rarely asked for pairs it has not scored (every fresh seed
-        makes a new matrix), and held they would cost the matrix's size
-        again per cache entry.  Insufficient pairs come back as insufficient
-        records even for "raise" requests; the caller raises after
-        assembly, and "keep" requests for the same pair still hit the
-        caches.
+        The batcher's row encodings, like the matrix, live only as long as
+        the request.  Insufficient pairs come back as insufficient records
+        even for "raise" requests; the caller raises after assembly, and
+        "keep" requests for the same pair still hit the cache.
         """
         with stage("estimate", pairs=len(pairs)):
             deadlines.checkpoint()
@@ -770,18 +786,12 @@ class ServiceEngine:
         population: Population,
         epoch: int,
     ) -> DensityMatrix:
-        """The epoch's density matrix over the request events, cached.
+        """The epoch's density matrix over the request events: the memoised
+        draw's columns gathered from the count table (:meth:`_gather_columns`).
 
-        A miss draws (or reuses) the epoch's sample and gathers its columns
-        from the count table (:meth:`_gather_columns`).
+        Not cached: a fresh seed never asks for the same matrix again, and
+        a repeated rank is answered from the pair cache without one.
         """
-        key = sampler_key(cfg) + (
-            population.fingerprint, cfg.vicinity_level, cfg.sample_size, events, epoch,
-        )
-        cached = self._matrices.get(key)
-        if cached is not None:
-            self._matrices.move_to_end(key)
-            return cached
         population = self._population(graph, cfg, events, epoch, population)
         with stage("sampling"):
             sample = self._draw(graph, cfg, population, epoch)
@@ -790,9 +800,6 @@ class ServiceEngine:
             matrix = self._gather_columns(
                 graph, cfg, events, epoch, np.asarray(sample.nodes, dtype=np.int64)
             )
-        while len(self._matrices) >= MAX_CACHED_MATRICES:
-            self._matrices.popitem(last=False)
-        self._matrices[key] = matrix
         self._m_matrices.inc()
         return matrix
 
@@ -1280,8 +1287,8 @@ class ServiceEngine:
             "workers": self.workers,
             "dynamic": self._dynamic,
             "mvcc": self._dynamic,
-            "cached_pair_results": len(self._results),
-            "cached_matrices": len(self._matrices),
+            "cached_pair_results": len(self._estimates),
+            "cached_row_digests": len(self._digests),
             "cached_samples": self._sample_memo.num_cached,
             "metrics": self.metrics.snapshot(),
         }
@@ -1340,9 +1347,8 @@ class ServiceEngine:
             self._ckpt_thread.join(timeout=5.0)
             self._ckpt_thread = None
         with self._miss_lock:
-            self._results.clear()
             self._estimates.clear()
-            self._matrices.clear()
+            self._digests.clear()
             self._tables.clear()
             self._populations.clear()
             self._sample_memo.clear()

@@ -1,7 +1,7 @@
 """Epoch-keyed result caching: no interleaving may ever serve stale data.
 
-The service caches per-``(pair, config, universe, epoch)`` results, so the
-property that matters is: after ANY sequence of stream commits and rank
+The service finds a rank's cached pair estimates through row digests keyed
+per ``(config, universe, epoch)``, so the property that matters is: after ANY sequence of stream commits and rank
 queries, every answer is bit-identical to a fresh from-scratch static
 ranking of the graph *as it stands at that moment*.  The suites below drive
 randomised interleavings (seeded, reproducible) plus the targeted cases —
@@ -9,6 +9,9 @@ cache hits within an epoch, invalidation across epochs, no-op commits.
 """
 
 import random
+import sys
+import threading
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -226,11 +229,12 @@ class TestSampleMemoBound:
         self, dynamic_graph, service_dataset, monkeypatch
     ):
         """Samples of every request seed share one memo, evicted LRU beyond
-        ``MAX_CACHED_MATRICES``; an evicted seed redraws the identical
+        ``MAX_CACHED_SAMPLES``; an evicted seed redraws the identical
         sample."""
         _dataset, config = service_dataset
-        monkeypatch.setattr(engine_module, "MAX_CACHED_MATRICES", 3)
-        # One cached result forces every re-rank below back to the sample.
+        monkeypatch.setattr(engine_module, "MAX_CACHED_SAMPLES", 3)
+        # A one-row digest index never knows both rows of a pair, so every
+        # re-rank below goes back to the sample.
         monkeypatch.setattr(engine_module, "MAX_CACHED_RESULTS", 1)
         engine = ServiceEngine(dynamic_graph, config)
         names = dynamic_graph.event_names()
@@ -248,4 +252,143 @@ class TestSampleMemoBound:
         )
         assert again["pairs"] == [pair_record(pair) for pair in reference]
         assert engine._sample_memo.num_cached <= 3
+        engine.close()
+
+
+class TestOnePairCache:
+    """A repeated rank is answered from the content-keyed pair cache through
+    the row-digest index; a density matrix lives for one request."""
+
+    @staticmethod
+    def _counters(engine):
+        return tuple(
+            engine.metrics.value(name)
+            for name in (
+                "tesc_matrices_computed_total",
+                "tesc_sample_memo_hits_total",
+                "tesc_sample_memo_misses_total",
+            )
+        )
+
+    def test_rereads_need_no_sample_or_matrix(self, dynamic_graph, service_dataset):
+        """Hot-read's traffic: more event sets than the sample memo holds,
+        each re-ranked after all were ranked once."""
+        _dataset, config = service_dataset
+        engine = ServiceEngine(dynamic_graph, config)
+        names = dynamic_graph.event_names()
+        shapes = [[(names[i], names[i + 1])] for i in range(12)]
+        assert len(shapes) > engine_module.MAX_CACHED_SAMPLES
+        first = [engine.rank(pairs) for pairs in shapes]
+        assert all(response["computed_pairs"] == 1 for response in first)
+        counters = self._counters(engine)
+        for pairs, before in zip(shapes, first):
+            again = engine.rank(pairs)
+            assert again["computed_pairs"] == 0 and again["cached_pairs"] == 1
+            assert again["pairs"] == before["pairs"]
+            assert self._counters(engine) == counters
+        engine.close()
+
+    def test_fresh_seeds_cache_each_pair_once(self, dynamic_graph, service_dataset):
+        _dataset, config = service_dataset
+        engine = ServiceEngine(dynamic_graph, config)
+        names = dynamic_graph.event_names()
+        pairs = [(names[0], names[1]), (names[2], names[3]), (names[0], names[3])]
+        seeds = range(5)
+        for seed in seeds:
+            overrides = {"random_state": seed}
+            response = engine.rank(pairs, config_overrides=overrides)
+            assert response["computed_pairs"] == len(pairs)
+            reference = engine.reference_ranking(pairs, config_overrides=overrides)
+            assert response["pairs"] == [pair_record(pair) for pair in reference]
+        assert engine.describe()["cached_pair_results"] == len(seeds) * len(pairs)
+        assert engine.metrics.value("tesc_cached_pair_results") == len(seeds) * len(pairs)
+        assert engine.metrics.value("tesc_matrices_computed_total") == len(seeds)
+        engine.close()
+
+    def test_request_matrices_are_not_held(self, dynamic_graph, service_dataset):
+        _dataset, config = service_dataset
+        engine = ServiceEngine(dynamic_graph, config)
+        gather = engine._gather_columns
+        made = []
+
+        def recording_gather(*args, **kwargs):
+            matrix = gather(*args, **kwargs)
+            made.append(weakref.ref(matrix))
+            return matrix
+
+        engine._gather_columns = recording_gather
+        names = dynamic_graph.event_names()
+        engine.rank([(names[0], names[1])])
+        engine.topk(2)
+        assert len(made) == 2
+        assert [ref() for ref in made] == [None, None]
+        engine.close()
+
+    def test_row_digest_index_stays_bounded(
+        self, dynamic_graph, service_dataset, monkeypatch
+    ):
+        _dataset, config = service_dataset
+        monkeypatch.setattr(engine_module, "MAX_CACHED_RESULTS", 5)
+        engine = ServiceEngine(dynamic_graph, config)
+        names = dynamic_graph.event_names()
+        pairs = [(names[0], names[1]), (names[2], names[3])]
+        for seed in range(6):
+            overrides = {"random_state": seed}
+            response = engine.rank(pairs, config_overrides=overrides)
+            reference = engine.reference_ranking(pairs, config_overrides=overrides)
+            assert response["pairs"] == [pair_record(pair) for pair in reference]
+            assert engine.describe()["cached_row_digests"] <= 5
+            assert engine.metrics.value("tesc_cached_row_digests") <= 5
+            assert engine.describe()["cached_pair_results"] <= 5
+        engine.close()
+
+    def test_racing_readers_under_eviction(
+        self, dynamic_graph, service_dataset, monkeypatch
+    ):
+        """Readers race on the lock-free hit path while misses fill and
+        evict a tiny pair cache and digest index: every answer stays the
+        reference, and every pair is counted once as a hit or a miss."""
+        _dataset, config = service_dataset
+        monkeypatch.setattr(engine_module, "MAX_CACHED_RESULTS", 6)
+        engine = ServiceEngine(dynamic_graph, config)
+        names = dynamic_graph.event_names()
+        shapes = [
+            [(names[i], names[i + 1]), (names[i + 2], names[i + 3])] for i in range(4)
+        ]
+        references = {
+            index: reference_records(engine, pairs) for index, pairs in enumerate(shapes)
+        }
+        errors = []
+        rounds = 6
+
+        def reader(offset):
+            try:
+                for step in range(rounds):
+                    index = (offset + step) % len(shapes)
+                    response = engine.rank(shapes[index])
+                    assert response["pairs"] == references[index], index
+            except Exception as exc:  # pragma: no cover - failure detail
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(4)]
+        try:
+            for thread in threads:
+                thread.start()
+        finally:
+            for thread in threads:
+                thread.join(timeout=120)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        value = engine.metrics.value
+        misses = value("tesc_pair_cache_misses_total")
+        assert value("tesc_pair_cache_hits_total") + misses == 4 * rounds * 2
+        assert misses == (
+            value("tesc_pair_estimates_total", outcome="estimated")
+            + value("tesc_pair_estimates_total", outcome="reused")
+            + value("tesc_singleflight_coalesced_total")
+        )
+        assert len(engine._digests) <= 6 and len(engine._estimates) <= 6
         engine.close()
