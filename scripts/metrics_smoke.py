@@ -13,8 +13,8 @@ verb), scrapes the Prometheus HTTP endpoint, and fails loudly if
   reused pair estimates, reference populations enumerated and reused,
   the density and estimate stages of rank and top-k, the sizes of the
   pair cache and of the row-digest index in front of it),
-* a repeated identical rank adds no pair-cache hits or computes a density
-  matrix,
+* a repeated identical rank adds no pair-cache hits, or computes a density
+  matrix, looks up a sample or reads a reference population,
 * the pair-estimate outcomes do not add up to the pair-cache misses,
 * the sample-memo lookups do not add up to the density matrices computed
   plus the top-k requests (every rank that misses the pair cache gathers
@@ -112,9 +112,13 @@ def sample_value(text: str, name: str, label_fragment) -> float:
     fail(f"no sample for {name} {label_fragment or ''}".strip())
 
 
-def snapshot_value(snapshot, name: str) -> float:
-    """A counter's total over its label sets in a ``metrics`` verb snapshot."""
-    return sum(entry["value"] for entry in snapshot[name]["values"])
+def snapshot_value(snapshot, name: str, outcome=None) -> float:
+    """A counter's total over its label sets in a ``metrics`` verb snapshot,
+    or over those labelled ``outcome`` when one is given."""
+    return sum(
+        entry["value"] for entry in snapshot[name]["values"]
+        if outcome is None or entry["labels"].get("outcome") == outcome
+    )
 
 
 def validate_exposition(text: str) -> int:
@@ -215,12 +219,17 @@ def main() -> int:
                 if hits != len(spec):
                     fail(f"repeated rank {spec} added {hits:g} pair-cache "
                          f"hits, expected {len(spec)}")
-                for name in ("tesc_matrices_computed_total",
-                             "tesc_pair_cache_misses_total"):
-                    if snapshot_value(after, name) != snapshot_value(before, name):
-                        fail(f"repeated rank {spec} moved {name}")
+                for name, outcome in (("tesc_matrices_computed_total", None),
+                                      ("tesc_pair_cache_misses_total", None),
+                                      ("tesc_sample_memo_hits_total", None),
+                                      ("tesc_sample_memo_misses_total", None),
+                                      ("tesc_population_total", "computed"),
+                                      ("tesc_population_total", "reused")):
+                    if (snapshot_value(after, name, outcome)
+                            != snapshot_value(before, name, outcome)):
+                        fail(f"repeated rank {spec} moved {name} {outcome or ''}")
             print("metrics smoke: repeated ranks were pair-cache hits with no "
-                  "density matrix")
+                  "sample, population or density matrix")
             for index in range(num_topk):
                 client.topk(2, config={"random_state": 3 + index})
             # The server relabels file nodes to 0..n-1, so small ids are

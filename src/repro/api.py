@@ -100,7 +100,8 @@ class EpochView:
             self.epoch = self._lease.epoch
         else:
             # Static graphs cannot travel; the engine validates the epoch.
-            self.epoch = session.engine._pin(epoch)[0]
+            with session.engine._pinned(epoch) as (pinned, _graph):
+                self.epoch = pinned
 
     @property
     def graph(self) -> AttributedGraph:

@@ -16,17 +16,16 @@ Three layers of reuse keep the hot path cheap:
   pinned snapshot, so every sample is bit-identical to what a freshly
   constructed in-process engine would draw at that graph state.  ``rank``
   and ``topk`` share it: each top-k request runs the progressive engine
-  over the memoised draw.  Beside each count table the engine keeps the
-  :class:`Population` of its ``(level, events, epoch)``, so a fresh seed
-  under Batch BFS draws from an enumerated ``V^h`` instead of running the
-  BFS again;
-* **Density counts** live in a node-indexed :class:`CountTable` per
-  ``(level, events, epoch)``: the integer numerators and vicinity size of
-  every node any request at that state has counted.  A table for a new
-  epoch is advanced from the newest one the commit journal
+  over the memoised draw;
+* **Epoch states** hold what depends only on ``(level, events, epoch)``:
+  one :class:`EpochState` per key with the events' universe, its ``V^h``
+  as Batch BFS enumerates it (so a fresh seed under Batch BFS draws
+  without running the BFS again), and the node-indexed density counts of
+  every node any request at that state has counted.  A new epoch's counts
+  are advanced from the newest state the commit journal
   (:class:`~repro.streaming.dirty.DirtyTracker`) covers — structurally
   dirtied nodes struck out, event toggles applied by ``± 1`` — so ``rank``
-  and ``topk`` BFS-count only the sampled nodes no table has filled (split
+  and ``topk`` BFS-count only the sampled nodes no state has filled (split
   across ``workers`` density threads when ``workers > 1``) and gather the
   rest.  A density matrix lives for one request;
 * **Pair estimates** are the one per-pair cache, memoised by content: each
@@ -36,10 +35,11 @@ Three layers of reuse keep the hot path cheap:
   after a commit only the pairs whose inputs moved are Kendall-estimated
   again, in one population pass, whichever epoch, view or worker count
   asks.  A small row-digest index remembers each row's digest under the
-  request's config digest, universe fingerprint and epoch, so a repeated
-  ``rank`` finds its estimates with no sample or matrix: that key pins the
-  draw and the graph state, hence the row, and any commit that could
-  change a row lands at a different epoch.
+  request's config digest, events and epoch, so a repeated ``rank`` finds
+  its estimates with no universe, sample or matrix: the events and the
+  epoch fix the universe, that key pins the draw and the graph state,
+  hence the row, and any commit that could change a row lands at a
+  different epoch.
 
 For a dynamic graph the epoch *is* the graph's commit epoch
 (:attr:`~repro.streaming.dynamic_graph.DynamicAttributedGraph.epoch` — one
@@ -56,14 +56,14 @@ cache and HTAP suites assert under random commit/query interleavings.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import logging
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import asdict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from dataclasses import asdict, fields
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,7 +97,7 @@ from repro.obs import (
     trace,
 )
 from repro.sampling.base import ReferenceSample
-from repro.sampling.cache import SampleMemo, event_nodes_fingerprint
+from repro.sampling.cache import SampleMemo
 from repro.sampling.registry import sampler_key
 from repro.service import pool
 from repro.service.protocol import BadRequestError, UnavailableError
@@ -106,7 +106,6 @@ from repro.storage.recovery import RecoveryReport
 from repro.streaming.delta import DeltaBatch, WriteAheadLog
 from repro.streaming.dirty import DirtyTracker
 from repro.streaming.dynamic_graph import DynamicAttributedGraph
-from repro.streaming.snapshots import SnapshotLease
 from repro.utils import deadlines
 from repro.utils.validation import resolve_workers
 
@@ -120,8 +119,8 @@ estimate_matrix_pairs_sharded = estimate_pair_list
 MAX_CACHED_RESULTS = 65536
 #: LRU bound of the sample memo.
 MAX_CACHED_SAMPLES = 8
-#: LRU bound of the node-indexed count tables: the newest epoch's plus one
-#: more (a lagging ``at_epoch`` reader's, or the previous epoch's).
+#: LRU bound of the epoch states: the newest epoch's plus one more (a
+#: lagging ``at_epoch`` reader's, or the previous epoch's).
 MAX_CACHED_TABLES = 2
 #: How many recent request span trees :attr:`ServiceEngine.trace_buffer`
 #: retains for introspection.
@@ -163,34 +162,30 @@ def row_digest(matrix: DensityMatrix, row: int) -> bytes:
     return digest.digest()
 
 
-class CountTable:
-    """Density counts of every node counted so far at one graph state.
+class EpochState:
+    """What every draw and gather at one ``(level, events, epoch)`` reads.
 
-    ``counts[e, v]`` is ``|V_e ∩ V^h_v|`` and ``sizes[v]`` is ``|V^h_v|``
-    wherever ``filled[v]``; other entries are meaningless.  Values are at
-    most ``|V|``, so int32 halves the table; gathers widen to int64.
-    """
-
-    def __init__(self, num_events: int, num_nodes: int) -> None:
-        self.counts = np.zeros((num_events, num_nodes), dtype=np.int32)
-        self.sizes = np.zeros(num_nodes, dtype=np.int32)
-        self.filled = np.zeros(num_nodes, dtype=bool)
-
-
-class Population:
-    """The reference population of one ``(level, events, epoch)``.
-
-    ``universe`` is the events' union node set and ``fingerprint`` its
-    :func:`~repro.sampling.cache.event_nodes_fingerprint`.  ``nodes`` is
+    ``universe`` is the events' union node set.  ``nodes`` is
     ``V^h_universe`` as Batch BFS enumerates it (same node order), filled
     on the first draw that needs it; every later fresh-seed draw at that
-    state samples from it without a BFS.
+    state samples from it without a BFS.  ``counts[e, v]`` is
+    ``|V_e ∩ V^h_v|`` and ``sizes[v]`` is ``|V^h_v|`` wherever
+    ``filled[v]``; other entries are meaningless.  Values are at most
+    ``|V|``, so int32 halves the table; gathers widen to int64.
     """
 
-    def __init__(self, universe: np.ndarray) -> None:
+    def __init__(
+        self,
+        universe: np.ndarray,
+        counts: np.ndarray,
+        sizes: np.ndarray,
+        filled: np.ndarray,
+    ) -> None:
         self.universe = universe
-        self.fingerprint = event_nodes_fingerprint(universe)
         self.nodes: Optional[np.ndarray] = None
+        self.counts = counts
+        self.sizes = sizes
+        self.filled = filled
 
 
 class ServiceEngine:
@@ -305,18 +300,15 @@ class ServiceEngine:
         # estimate: the one per-pair cache.  Any epoch, view or seed whose
         # two density rows were the same reuses the answer.
         self._estimates: "OrderedDict[tuple, RankedPair]" = OrderedDict()
-        # (config digest, universe fingerprint, epoch, event) -> row_digest
-        # of that event's density row, filled under _miss_lock; a rank's
-        # hit path only reads it.
+        # (config digest, events, epoch, event) -> row_digest of that
+        # event's density row, filled under _miss_lock; a rank's hit path
+        # only reads it.
         self._digests: "OrderedDict[tuple, bytes]" = OrderedDict()
-        # (level, events, epoch) -> CountTable, read and filled under
-        # _miss_lock.
-        self._tables: "OrderedDict[tuple, CountTable]" = OrderedDict()
-        # (level, events, epoch) -> Population, filled under _miss_lock; a
-        # request's cache-hit path only reads it.
-        self._populations: "OrderedDict[tuple, Population]" = OrderedDict()
+        # (level, events, epoch) -> EpochState, read and filled under
+        # _miss_lock; a rank's hit path never touches it.
+        self._states: "OrderedDict[tuple, EpochState]" = OrderedDict()
         # What each commit dirtied at the default level, per epoch: lets a
-        # new epoch's count table advance from an older one.
+        # new epoch's counts advance from an older state's.
         self._journal = DirtyTracker(self.config.vicinity_level)
 
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -378,7 +370,7 @@ class ServiceEngine:
             "estimate with identical density inputs (reused).",
             labels=("outcome",),
         )
-        self._m_populations = m.counter(
+        self._m_population_reads = m.counter(
             "tesc_population_total",
             "Reference populations a sample draw read, by outcome: "
             "enumerated by Batch BFS (computed) or held from an earlier draw "
@@ -448,8 +440,8 @@ class ServiceEngine:
         ).set_function(lambda: len(self._digests))
         m.gauge(
             "tesc_cached_density_tables",
-            "Node-indexed density count tables held.",
-        ).set_function(lambda: len(self._tables))
+            "Epoch states (node-indexed density count tables) held.",
+        ).set_function(lambda: len(self._states))
         self._m_stage_seconds = m.histogram(
             "tesc_stage_seconds",
             "Time a request spent in each stage of its span tree, by verb.",
@@ -511,29 +503,34 @@ class ServiceEngine:
                 self._epoch += 1
             return self._epoch
 
-    def _pin(
+    @contextmanager
+    def _pinned(
         self, at_epoch: Optional[int]
-    ) -> Tuple[int, AttributedGraph, Optional[SnapshotLease]]:
-        """Pin-at-admission: resolve the epoch and the graph state to read.
+    ) -> Iterator[Tuple[int, AttributedGraph]]:
+        """Pin-at-admission: the epoch and the graph state one read sees.
 
-        Dynamic graphs hand back a leased
-        :class:`~repro.streaming.snapshots.GraphSnapshot` (the caller must
-        release the lease when the read completes); static graphs hand back
-        the live object.  ``at_epoch`` on a static graph is accepted only
-        for the current epoch.
+        Dynamic graphs yield a leased
+        :class:`~repro.streaming.snapshots.GraphSnapshot`, released when
+        the block exits; static graphs yield the live object.  ``at_epoch``
+        on a static graph is accepted only for the current epoch.
         """
-        if self._dynamic:
-            lease = self.graph.pin(at_epoch)
-            self._m_pins.inc()
-            self._m_active_pins.inc()
-            return lease.epoch, lease.graph, lease
-        epoch = self.current_epoch()
-        if at_epoch is not None and int(at_epoch) != epoch:
-            raise SnapshotExpiredError(
-                f"epoch {int(at_epoch)} is not available on a static graph "
-                f"(current epoch is {epoch})"
-            )
-        return epoch, self.graph, None
+        if not self._dynamic:
+            epoch = self.current_epoch()
+            if at_epoch is not None and int(at_epoch) != epoch:
+                raise SnapshotExpiredError(
+                    f"epoch {int(at_epoch)} is not available on a static graph "
+                    f"(current epoch is {epoch})"
+                )
+            yield epoch, self.graph
+            return
+        lease = self.graph.pin(at_epoch)
+        self._m_pins.inc()
+        self._m_active_pins.inc()
+        try:
+            yield lease.epoch, lease.graph
+        finally:
+            lease.release()
+            self._m_active_pins.dec()
 
     # -- config plumbing -----------------------------------------------------
 
@@ -560,8 +557,10 @@ class ServiceEngine:
         into a checkpoint manifest must still match the same config after a
         restart or every checkpoint would be rejected at boot.
         """
-        items = asdict(cfg)
-        items.pop("random_state")
+        items = {
+            field.name: getattr(cfg, field.name)
+            for field in fields(cfg) if field.name != "random_state"
+        }
         # Fields retired from TescConfig, folded in at the only values they
         # can still take so digests persisted in checkpoint manifests by
         # earlier versions keep matching and their checkpoints stay valid.
@@ -569,10 +568,8 @@ class ServiceEngine:
             kendall_crossover=None, kendall_kernel="auto",
             topk_confidence=0.995, topk_bound="asymptotic",
         )
-        # asdict deep-copies field values; the in-process token is the one
-        # sample and matrix keys use (sampler_key), whose id() sees the live
-        # object on the config, not a throwaway copy whose address the
-        # allocator may hand to the next caller.
+        # The in-process token is the one sample keys use (sampler_key):
+        # the id() of the live seed object on the config.
         seed = cfg.random_state
         if persistent and not (seed is None or isinstance(seed, int)):
             seed_token: object = "unseeded-object"
@@ -605,30 +602,23 @@ class ServiceEngine:
             check_rank_options(sort_by, on_insufficient)
             cfg = self._merge_config(config_overrides or {})
             self._m_requests.labels(method="rank").inc()
-            epoch, graph, lease = self._pin(at_epoch)
-            try:
+            with self._pinned(at_epoch) as (epoch, graph):
                 deadlines.checkpoint()
                 pair_list = resolve_pair_spec(graph.event_names(), pairs)
                 events = tuple(sorted({event for pair in pair_list for event in pair}))
                 # Surfaces unknown events before any sampling work happens.
                 graph.indicator_matrix(events)
-                # Read only: a hit neither makes nor evicts a population.
-                population = self._populations.get(
-                    (int(cfg.vicinity_level), events, epoch)
-                ) or Population(event_universe(graph, events))
                 # What decides every row of the request's matrix: the
-                # config (sampler, seed, level, size, decision), the
-                # universe and the graph state.
-                draw_key = (self._config_digest(cfg), population.fingerprint, epoch)
+                # config (sampler, seed, level, size, decision), the events
+                # and the graph state, which together fix the universe.
+                draw_key = (self._config_digest(cfg), events, epoch)
 
-                by_pair = self._cached_pairs(draw_key, events, pair_list, cfg)
+                by_pair = self._cached_pairs(draw_key, pair_list, cfg)
                 missing = [pair for pair in pair_list if pair not in by_pair]
                 hits = len(pair_list) - len(missing)
                 self._m_pair_hits.inc(hits)
                 if missing:
-                    computed = self._compute_pairs(
-                        graph, cfg, events, population, draw_key, epoch, missing,
-                    )
+                    computed = self._compute_pairs(graph, cfg, draw_key, missing)
                     by_pair.update(computed)
                     self._m_pair_misses.inc(len(missing))
                 results = [by_pair[pair] for pair in pair_list]
@@ -641,10 +631,6 @@ class ServiceEngine:
                                 "shared sample"
                             )
                 ranked = finalise_ranking(results, sort_by, top_k)
-            finally:
-                if lease is not None:
-                    lease.release()
-                    self._m_active_pins.dec()
             span.tags["pairs"] = len(pair_list)
             span.tags["epoch"] = epoch
             response = {
@@ -663,7 +649,6 @@ class ServiceEngine:
     def _cached_pairs(
         self,
         draw_key: tuple,
-        events: Tuple[str, ...],
         pairs: Sequence[Tuple[str, str]],
         cfg: TescConfig,
     ) -> Dict[Tuple[str, str], RankedPair]:
@@ -671,9 +656,11 @@ class ServiceEngine:
         digests are in the index and the pair cache holds their content key.
 
         Exactly what the miss path would return, since the matrix it would
-        gather has the same rows.  One digest lookup per event, then one
-        content lookup per pair; reads only, so it needs no lock.
+        gather has the same rows.  One digest lookup per event of
+        ``draw_key``, then one content lookup per pair; reads only, so it
+        needs no lock.
         """
+        _config, events, _epoch = draw_key
         known = {event: self._digests.get(draw_key + (event,)) for event in events}
         found: Dict[Tuple[str, str], RankedPair] = {}
         for pair in pairs:
@@ -691,10 +678,7 @@ class ServiceEngine:
         self,
         graph: AttributedGraph,
         cfg: TescConfig,
-        events: Tuple[str, ...],
-        population: Population,
         draw_key: tuple,
-        epoch: int,
         missing: List[Tuple[str, str]],
     ) -> Dict[Tuple[str, str], RankedPair]:
         """Estimate the cache-missing pairs against ``graph`` and record them.
@@ -710,15 +694,20 @@ class ServiceEngine:
         earlier estimate reuse it, and only the rest are estimated, in one
         population pass.
         """
+        _config, events, epoch = draw_key
         with self._miss_lock:
-            computed = self._cached_pairs(draw_key, events, missing, cfg)
+            computed = self._cached_pairs(draw_key, missing, cfg)
             if computed:
                 self._m_coalesced.inc(len(computed))
             still_missing = [pair for pair in missing if pair not in computed]
             if not still_missing:
                 return computed
 
-            matrix = self._matrix_for(graph, cfg, events, population, epoch)
+            state, sample = self._sample(graph, cfg, events, epoch)
+            matrix = self._gather_columns(
+                graph, cfg, events, state, np.asarray(sample.nodes, dtype=np.int64)
+            )
+            self._m_matrices.inc()
             row_of = {event: row for row, event in enumerate(events)}
             # A pair's estimate is a function of its two density rows'
             # nonzero entries plus the decision config: key on exactly that,
@@ -778,160 +767,126 @@ class ServiceEngine:
                 pairs, row_of, PairEstimateBatcher(matrix.densities), cfg, "keep"
             )
 
-    def _matrix_for(
-        self,
-        graph: AttributedGraph,
-        cfg: TescConfig,
-        events: Tuple[str, ...],
-        population: Population,
-        epoch: int,
-    ) -> DensityMatrix:
-        """The epoch's density matrix over the request events: the memoised
-        draw's columns gathered from the count table (:meth:`_gather_columns`).
-
-        Not cached: a fresh seed never asks for the same matrix again, and
-        a repeated rank is answered from the pair cache without one.
-        """
-        population = self._population(graph, cfg, events, epoch, population)
-        with stage("sampling"):
-            sample = self._draw(graph, cfg, population, epoch)
-        ensure_uniform_sample(sample, cfg.sampler)
-        with stage("density", workers=self.workers):
-            matrix = self._gather_columns(
-                graph, cfg, events, epoch, np.asarray(sample.nodes, dtype=np.int64)
-            )
-        self._m_matrices.inc()
-        return matrix
-
-    def _population(
+    def _sample(
         self,
         graph: AttributedGraph,
         cfg: TescConfig,
         events: Tuple[str, ...],
         epoch: int,
-        made: Optional[Population] = None,
-    ) -> Population:
-        """The population entry of ``(level, events, epoch)``; a miss keeps
-        ``made`` (the caller's fresh entry for this key) or makes one.
+    ) -> Tuple[EpochState, ReferenceSample]:
+        """The state of ``(level, events, epoch)`` and the epoch's memoised
+        sample over its universe, checked uniform.
 
-        Entries share the count tables' LRU bound.  Callers hold
-        ``_miss_lock``.
+        A memo miss under a Batch BFS sampler draws from the state's
+        enumerated population, enumerating it on the state's first draw;
+        other samplers draw as they always do.  ``rank`` gathers a matrix
+        for this draw only on a pair-cache miss, and ``topk`` on every
+        request.  Callers hold ``_miss_lock``.
         """
-        key = (int(cfg.vicinity_level), events, epoch)
-        entry = self._populations.get(key)
-        if entry is not None:
-            self._populations.move_to_end(key)
-            return entry
-        entry = self._populations[key] = made or Population(event_universe(graph, events))
-        while len(self._populations) > MAX_CACHED_TABLES:
-            self._populations.popitem(last=False)
-        return entry
+        state = self._state(graph, int(cfg.vicinity_level), events, epoch)
 
-    def _draw(
-        self, graph: AttributedGraph, cfg: TescConfig, population: Population, epoch: int
-    ) -> ReferenceSample:
-        """The epoch's memoised sample over ``population``.
-
-        A memo miss under a Batch BFS sampler draws from the entry's
-        enumerated population, enumerating it on the entry's first draw;
-        other samplers draw as they always do.  Callers hold ``_miss_lock``.
-        """
-
-        def nodes() -> np.ndarray:
-            if population.nodes is None:
-                population.nodes = BFSEngine(graph.csr).multi_source_vicinity(
-                    population.universe, int(cfg.vicinity_level)
+        def population() -> np.ndarray:
+            if state.nodes is None:
+                state.nodes = BFSEngine(graph.csr).multi_source_vicinity(
+                    state.universe, int(cfg.vicinity_level)
                 )
-                self._m_populations.labels(outcome="computed").inc()
+                self._m_population_reads.labels(outcome="computed").inc()
             else:
-                self._m_populations.labels(outcome="reused").inc()
-            return population.nodes
+                self._m_population_reads.labels(outcome="reused").inc()
+            return state.nodes
 
-        return self._sample_memo.sample(
-            graph, cfg, population.universe, epoch=epoch, population=nodes
-        )
+        with stage("sampling"):
+            sample = self._sample_memo.sample(
+                graph, cfg, state.universe, epoch=epoch, population=population
+            )
+        ensure_uniform_sample(sample, cfg.sampler)
+        return state, sample
 
     def _gather_columns(
         self,
         graph: AttributedGraph,
         cfg: TescConfig,
         events: Tuple[str, ...],
-        epoch: int,
+        state: EpochState,
         nodes: np.ndarray,
     ) -> DensityMatrix:
-        """The density matrix of ``nodes`` (columns in that order) at ``epoch``.
+        """The density matrix of ``nodes`` (columns in that order) at the
+        state's epoch.
 
-        Only the nodes the epoch's count table has not filled are
-        BFS-counted (and filled in); every column is then gathered from the
-        table, and the floats come from
-        :func:`~repro.core.density.densities_from_counts`, so the matrix is
-        bit-identical to a full pass whichever columns were counted before.
-        Callers hold ``_miss_lock``.
+        Only the nodes the state has not filled are BFS-counted (and filled
+        in); every column is then gathered from the state's table, and the
+        floats come from :func:`~repro.core.density.densities_from_counts`,
+        so the matrix is bit-identical to a full pass whichever columns
+        were counted before.  Callers hold ``_miss_lock``.
         """
-        table = self._table(graph, int(cfg.vicinity_level), events, epoch)
-        missing = nodes[~table.filled[nodes]]
-        if missing.size:
-            fresh = self._count_columns(graph, cfg, events, missing)
-            table.counts[:, missing] = fresh.counts
-            table.sizes[missing] = fresh.vicinity_sizes
-            table.filled[missing] = True
-        self._m_columns.labels(outcome="computed").inc(missing.size)
-        self._m_columns.labels(outcome="carried").inc(nodes.size - missing.size)
-        counts = table.counts[:, nodes].astype(np.int64)
-        sizes = table.sizes[nodes].astype(np.int64)
-        return DensityMatrix(
-            reference_nodes=nodes,
-            densities=densities_from_counts(counts, sizes),
-            counts=counts,
-            vicinity_sizes=sizes,
-            level=int(cfg.vicinity_level),
-        )
+        with stage("density", workers=self.workers):
+            missing = nodes[~state.filled[nodes]]
+            if missing.size:
+                fresh = self._count_columns(graph, cfg, events, missing)
+                state.counts[:, missing] = fresh.counts
+                state.sizes[missing] = fresh.vicinity_sizes
+                state.filled[missing] = True
+            self._m_columns.labels(outcome="computed").inc(missing.size)
+            self._m_columns.labels(outcome="carried").inc(nodes.size - missing.size)
+            counts = state.counts[:, nodes].astype(np.int64)
+            sizes = state.sizes[nodes].astype(np.int64)
+            return DensityMatrix(
+                reference_nodes=nodes,
+                densities=densities_from_counts(counts, sizes),
+                counts=counts,
+                vicinity_sizes=sizes,
+                level=int(cfg.vicinity_level),
+            )
 
-    def _table(
+    def _state(
         self,
         graph: AttributedGraph,
         level: int,
         events: Tuple[str, ...],
         epoch: int,
-    ) -> CountTable:
-        """The count table of ``(level, events, epoch)``, made on a miss.
+    ) -> EpochState:
+        """The state of ``(level, events, epoch)``, made on a miss.
 
-        A new table advances a copy of the newest older table with the same
-        level and events whose later commits the journal covers: nodes any
-        of those commits dirtied structurally are struck out, and each
-        journaled toggle of a table event shifts that event's count on the
-        filled nodes of ``V^h_x``.  That vicinity is taken on ``graph`` —
-        the reader's own snapshot — which is sound because a node still
-        filled has the same vicinity at every epoch of the span.
+        A new state's counts advance a copy of the newest older state's
+        with the same level and events whose later commits the journal
+        covers: nodes any of those commits dirtied structurally are struck
+        out, and each journaled toggle of a state event shifts that event's
+        count on the filled nodes of ``V^h_x``.  That vicinity is taken on
+        ``graph`` — the reader's own snapshot — which is sound because a
+        node still filled has the same vicinity at every epoch of the span.
+        The universe and population are the new epoch's own.
 
-        The table starts empty when nothing qualifies: a span with an
+        The counts start empty when nothing qualifies: a span with an
         unjournaled epoch (recovery replay, an out-of-band ``graph.apply``,
-        an aged-out entry), an ``at_epoch`` older than every table, or a
-        request ``vicinity_level`` override.
+        an aged-out entry), an ``at_epoch`` older than every state, or a
+        request ``vicinity_level`` override.  Callers hold ``_miss_lock``.
         """
         key = (level, events, epoch)
-        table = self._tables.get(key)
-        if table is not None:
-            self._tables.move_to_end(key)
-            return table
-        table = self._advanced_table(graph, level, events, epoch)
-        self._tables[key] = table
-        while len(self._tables) > MAX_CACHED_TABLES:
-            self._tables.popitem(last=False)
-        return table
+        state = self._states.get(key)
+        if state is not None:
+            self._states.move_to_end(key)
+            return state
+        state = self._states[key] = EpochState(
+            event_universe(graph, events),
+            *self._advanced_counts(graph, level, events, epoch),
+        )
+        while len(self._states) > MAX_CACHED_TABLES:
+            self._states.popitem(last=False)
+        return state
 
-    def _advanced_table(
+    def _advanced_counts(
         self,
         graph: AttributedGraph,
         level: int,
         events: Tuple[str, ...],
         epoch: int,
-    ) -> CountTable:
-        """A fresh table at ``epoch``: advanced from an older one, or empty."""
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fresh ``(counts, sizes, filled)`` at ``epoch``: advanced from an
+        older state's, or empty."""
         # The journal holds dirty sets at the engine's level only.
         bases = [] if level != self._journal.level else sorted(
             (
-                (key[2], table) for key, table in self._tables.items()
+                (key[2], state) for key, state in self._states.items()
                 if key[:2] == (level, events) and key[2] < epoch
             ),
             key=lambda entry: entry[0],
@@ -942,12 +897,16 @@ class ServiceEngine:
             if regions is not None:
                 break
         else:
-            return CountTable(len(events), graph.num_nodes)
+            return (
+                np.zeros((len(events), graph.num_nodes), dtype=np.int32),
+                np.zeros(graph.num_nodes, dtype=np.int32),
+                np.zeros(graph.num_nodes, dtype=bool),
+            )
 
-        # A copy: the base table stays exact for readers of its epoch.
-        table = copy.deepcopy(base)
+        # Copies: the base state stays exact for readers of its epoch.
+        counts, sizes, filled = base.counts.copy(), base.sizes.copy(), base.filled.copy()
         for region in regions:
-            table.filled[region.structure] = False
+            filled[region.structure] = False
         row_of = {event: row for row, event in enumerate(events)}
         toggles = [
             (row_of[event], node, sign)
@@ -955,12 +914,12 @@ class ServiceEngine:
             for event, node, sign in region.toggles
             if event in row_of
         ]
-        if toggles and table.filled.any():
+        if toggles and filled.any():
             engine = BFSEngine(graph.csr)
             for row, node, sign in toggles:
                 vicinity = engine.vicinity(node, level)
-                table.counts[row, vicinity[table.filled[vicinity]]] += sign
-        return table
+                counts[row, vicinity[filled[vicinity]]] += sign
+        return counts, sizes, filled
 
     def _count_columns(
         self,
@@ -999,30 +958,26 @@ class ServiceEngine:
         A fresh :class:`~repro.core.topk.ProgressiveTopKEngine` over the
         pinned snapshot, fed the epoch's memoised draw (the one ``rank``
         reads) and that draw's full-budget density matrix gathered from the
-        count table, returns exactly what an in-process run at that epoch
-        would.  Responses are not cached.  Same epoch semantics as
-        :meth:`rank`.
+        epoch state in draw order, returns exactly what an in-process run
+        at that epoch would.  Responses are not cached.  Same epoch
+        semantics as :meth:`rank`.
         """
         from repro.core.topk import ProgressiveTopKEngine, draw_order
 
         with trace("topk", sink=self._finish_trace, k=int(k)) as span:
             cfg = self._merge_config(config_overrides or {})
             self._m_requests.labels(method="topk").inc()
-            epoch, graph, lease = self._pin(at_epoch)
-            try:
+            with self._pinned(at_epoch) as (epoch, graph):
                 span.tags["epoch"] = epoch
                 pair_list = resolve_pair_spec(graph.event_names(), pairs)
                 events = tuple(sorted({event for pair in pair_list for event in pair}))
-                # The memo, the populations and the count tables are shared
-                # with rank's misses, which hold this lock.
+                # The memo and the epoch states are shared with rank's
+                # misses, which hold this lock.
                 with self._miss_lock:
-                    population = self._population(graph, cfg, events, epoch)
-                    with stage("sampling"):
-                        sample = self._draw(graph, cfg, population, epoch)
-                    with stage("density", workers=self.workers):
-                        matrix = self._gather_columns(
-                            graph, cfg, events, epoch, draw_order(sample)
-                        )
+                    state, sample = self._sample(graph, cfg, events, epoch)
+                    matrix = self._gather_columns(
+                        graph, cfg, events, state, draw_order(sample)
+                    )
                 engine = ProgressiveTopKEngine(
                     graph, cfg, workers=self.workers, metrics=self.metrics
                 )
@@ -1031,10 +986,6 @@ class ServiceEngine:
                     on_insufficient=on_insufficient, sample=sample,
                     matrix=matrix,
                 )
-            finally:
-                if lease is not None:
-                    lease.release()
-                    self._m_active_pins.dec()
             response = {
                 "pairs": [pair_record(pair) for pair in ranking],
                 "epoch": epoch,
@@ -1330,15 +1281,10 @@ class ServiceEngine:
         epoch.
         """
         cfg = self._merge_config(config_overrides or {})
-        epoch, graph, lease = self._pin(at_epoch)
-        try:
+        with self._pinned(at_epoch) as (_epoch, graph):
             return BatchTescEngine(graph, cfg).rank_pairs(
                 pairs, top_k=top_k, sort_by=sort_by
             )
-        finally:
-            if lease is not None:
-                lease.release()
-                self._m_active_pins.dec()
 
     def close(self) -> None:
         """Stop the checkpoint thread, drop caches and close the WAL."""
@@ -1349,8 +1295,7 @@ class ServiceEngine:
         with self._miss_lock:
             self._estimates.clear()
             self._digests.clear()
-            self._tables.clear()
-            self._populations.clear()
+            self._states.clear()
             self._sample_memo.clear()
         if self._wal is not None:
             self._wal.close()

@@ -404,6 +404,50 @@ class TestEngineCheckpointing:
             TescConfig(vicinity_level=2, sample_size=8000, random_state=7)
         ) == "140f05ffa69e05c5"
 
+    def test_config_digest_matches_the_asdict_tuple(self):
+        """The digest reads fields without deep-copying them and equals the
+        tuple the asdict-based digest built, in process and persisted."""
+        from dataclasses import asdict, fields
+
+        import numpy as np
+
+        from repro.core.config import TescConfig
+        from repro.sampling.registry import sampler_key
+
+        def asdict_digest(config, persistent):
+            items = asdict(config)
+            items.pop("random_state")
+            items.update(
+                kendall_crossover=None, kendall_kernel="auto",
+                topk_confidence=0.995, topk_bound="asymptotic",
+            )
+            seed = config.random_state
+            if persistent and not (seed is None or isinstance(seed, int)):
+                token = "unseeded-object"
+            else:
+                token = sampler_key(config)[-1]
+            return tuple(sorted(items.items())) + (("random_state", token),)
+
+        configs = [
+            TescConfig(),
+            TescConfig(
+                vicinity_level=2, sample_size=123, sampler="exhaustive",
+                alpha=0.01, alternative="greater", batch_per_vicinity=3,
+                topk_initial_sample_size=17, topk_growth_factor=3.5,
+                random_state=9,
+            ),
+            TescConfig(random_state=np.random.default_rng(4)),
+        ]
+        assert all(
+            getattr(configs[1], field.name) != field.default
+            for field in fields(TescConfig)
+        )
+        for config in configs:
+            for persistent in (False, True):
+                assert ServiceEngine._config_digest(
+                    config, persistent=persistent
+                ) == asdict_digest(config, persistent)
+
     def test_recovery_at_checkpoint_skips_the_duplicate(
         self, make_dynamic_graph, chaos_dataset, tmp_path
     ):

@@ -277,12 +277,12 @@ class TestPopulationEntry:
         shapes = [[(names[0], names[1])], [(names[2], names[3])], [(names[4], names[5])]]
         for pairs in shapes:
             engine.rank(pairs)
-        held = list(engine._populations)
+        held = list(engine._states)
         assert len(held) == MAX_CACHED_TABLES
         computed = _populations(engine)
         for pairs in shapes:  # all pair-cache hits, the first one evicted
             assert engine.rank(pairs)["cached_pairs"] == 1
-        assert list(engine._populations) == held
+        assert list(engine._states) == held
         assert _populations(engine) == computed
         engine.close()
 
@@ -324,7 +324,7 @@ class TestPopulationEntry:
                     )
                     _assert_topk_matches(engine, top, 3, random_state=seed)
                 assert _populations(engine)[0] > before[0]
-                assert len(engine._populations) <= MAX_CACHED_TABLES
+                assert len(engine._states) <= MAX_CACHED_TABLES
         finally:
             older.release()
         engine.close()

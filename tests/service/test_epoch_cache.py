@@ -1,8 +1,8 @@
 """Epoch-keyed result caching: no interleaving may ever serve stale data.
 
 The service finds a rank's cached pair estimates through row digests keyed
-per ``(config, universe, epoch)``, so the property that matters is: after ANY sequence of stream commits and rank
-queries, every answer is bit-identical to a fresh from-scratch static
+per ``(config, events, epoch)``, so the property that matters is: after ANY
+sequence of stream commits and rank queries, every answer is bit-identical to a fresh from-scratch static
 ranking of the graph *as it stands at that moment*.  The suites below drive
 randomised interleavings (seeded, reproducible) plus the targeted cases —
 cache hits within an epoch, invalidation across epochs, no-op commits.
@@ -20,6 +20,7 @@ from repro.core.config import TescConfig
 from repro.events.attributed_graph import AttributedGraph
 from repro.exceptions import InsufficientSampleError
 from repro.graph.generators import community_ring_graph
+from repro.sampling import cache as cache_module
 from repro.service import engine as engine_module
 from repro.service.engine import ServiceEngine, pair_record
 
@@ -286,6 +287,41 @@ class TestOnePairCache:
             assert again["computed_pairs"] == 0 and again["cached_pairs"] == 1
             assert again["pairs"] == before["pairs"]
             assert self._counters(engine) == counters
+        engine.close()
+
+    def test_rereads_build_no_universe_or_fingerprint(
+        self, dynamic_graph, service_dataset, monkeypatch
+    ):
+        """More event sets than the engine holds epoch states for: a
+        re-rank finds its rows by its events and epoch, so it neither
+        builds the events' universe nor hashes it."""
+        _dataset, config = service_dataset
+        engine = ServiceEngine(dynamic_graph, config)
+        names = dynamic_graph.event_names()
+        shapes = [[(names[i], names[i + 1])] for i in range(12)]
+        assert len(shapes) > engine_module.MAX_CACHED_TABLES
+        for pairs in shapes:
+            engine.rank(pairs)
+        calls = []
+
+        def spy(name, original):
+            def recorded(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return recorded
+
+        monkeypatch.setattr(
+            engine_module, "event_universe",
+            spy("event_universe", engine_module.event_universe),
+        )
+        fingerprint = spy("event_nodes_fingerprint", cache_module.event_nodes_fingerprint)
+        monkeypatch.setattr(cache_module, "event_nodes_fingerprint", fingerprint)
+        monkeypatch.setattr(
+            engine_module, "event_nodes_fingerprint", fingerprint, raising=False
+        )
+        for pairs in shapes:
+            assert engine.rank(pairs)["computed_pairs"] == 0
+        assert calls == []
         engine.close()
 
     def test_fresh_seeds_cache_each_pair_once(self, dynamic_graph, service_dataset):
