@@ -340,19 +340,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _command_test(args: argparse.Namespace) -> int:
+def _load_graph(args: argparse.Namespace, graph_cls=AttributedGraph):
+    """The ``--edges`` graph with the ``--events`` file's occurrences, as
+    ``graph_cls`` (event nodes are named by the edge list's labels)."""
     graph, labels = read_edge_list(args.edges)
     label_to_id = {label: index for index, label in enumerate(labels)}
     events = read_event_file(args.events, label_to_id=label_to_id)
-    attributed = AttributedGraph(graph, events, labels=labels)
-    config = TescConfig(
+    return graph_cls(graph, events, labels=labels)
+
+
+def _config(args: argparse.Namespace, **fields: Any) -> TescConfig:
+    """The config of the flags every file-backed subcommand takes
+    (``--level``, ``--sample-size``, ``--sampler``, ``--alpha``, ``--seed``)
+    plus ``fields``."""
+    return TescConfig(
         vicinity_level=args.level,
         sample_size=args.sample_size,
         sampler=args.sampler,
         alpha=args.alpha,
-        alternative=args.alternative,
         random_state=args.seed,
+        **fields,
     )
+
+
+def _command_test(args: argparse.Namespace) -> int:
+    attributed = _load_graph(args)
+    config = _config(args, alternative=args.alternative)
     result = TescTester(attributed, config).test(args.event_a, args.event_b)
     print(result)
     print(
@@ -372,17 +385,8 @@ def _command_test(args: argparse.Namespace) -> int:
 
 
 def _command_rank(args: argparse.Namespace) -> int:
-    graph, labels = read_edge_list(args.edges)
-    label_to_id = {label: index for index, label in enumerate(labels)}
-    events = read_event_file(args.events, label_to_id=label_to_id)
-    attributed = AttributedGraph(graph, events, labels=labels)
-    config = TescConfig(
-        vicinity_level=args.level,
-        sample_size=args.sample_size,
-        sampler=args.sampler,
-        alpha=args.alpha,
-        random_state=args.seed,
-    )
+    attributed = _load_graph(args)
+    config = _config(args)
     pairs = [tuple(pair) for pair in args.pair] if args.pair else "all"
     workers = resolve_workers(args.workers)
     ranking = BatchTescEngine(attributed, config, workers=workers).rank_pairs(
@@ -416,22 +420,13 @@ def _command_topk(args: argparse.Namespace) -> int:
     if k is None:
         print("tesc topk: one of --k / --top-k is required", file=sys.stderr)
         return 2
-    graph, labels = read_edge_list(args.edges)
-    label_to_id = {label: index for index, label in enumerate(labels)}
-    events = read_event_file(args.events, label_to_id=label_to_id)
-    attributed = AttributedGraph(graph, events, labels=labels)
-    config_kwargs = dict(
-        vicinity_level=args.level,
-        sample_size=args.sample_size,
-        sampler=args.sampler,
-        alpha=args.alpha,
-        random_state=args.seed,
-    )
+    attributed = _load_graph(args)
+    schedule = {}
     if args.initial_sample is not None:
-        config_kwargs["topk_initial_sample_size"] = args.initial_sample
+        schedule["topk_initial_sample_size"] = args.initial_sample
     if args.growth is not None:
-        config_kwargs["topk_growth_factor"] = args.growth
-    config = TescConfig(**config_kwargs)
+        schedule["topk_growth_factor"] = args.growth
+    config = _config(args, **schedule)
     pairs = [tuple(pair) for pair in args.pair] if args.pair else "all"
     workers = resolve_workers(args.workers)
     ranking = ProgressiveTopKEngine(attributed, config, workers=workers).top_k(k, pairs)
@@ -533,17 +528,8 @@ def _command_stream(args: argparse.Namespace) -> int:
     from repro.api import Session
     from repro.streaming import DeltaLog, DynamicAttributedGraph
 
-    graph, labels = read_edge_list(args.edges)
-    label_to_id = {label: index for index, label in enumerate(labels)}
-    events = read_event_file(args.events, label_to_id=label_to_id)
-    dynamic = DynamicAttributedGraph(graph, events, labels=labels)
-    config = TescConfig(
-        vicinity_level=args.level,
-        sample_size=args.sample_size,
-        sampler=args.sampler,
-        alpha=args.alpha,
-        random_state=args.seed,
-    )
+    dynamic = _load_graph(args, DynamicAttributedGraph)
+    config = _config(args)
     pairs = [tuple(pair) for pair in args.pair] if args.pair else "all"
     log = DeltaLog.load(args.deltas)
     session = Session(dynamic, config=config, workers=resolve_workers(args.workers))
@@ -680,18 +666,10 @@ def _command_serve(args: argparse.Namespace) -> int:
         # one --store flag gives a fully durable server.
         args.wal = os.path.join(args.store, "wal.log")
         os.makedirs(args.store, exist_ok=True)
-    graph, labels = read_edge_list(args.edges)
-    label_to_id = {label: index for index, label in enumerate(labels)}
-    events = read_event_file(args.events, label_to_id=label_to_id)
-    graph_cls = AttributedGraph if args.static else DynamicAttributedGraph
-    attributed = graph_cls(graph, events, labels=labels)
-    config = TescConfig(
-        vicinity_level=args.level,
-        sample_size=args.sample_size,
-        sampler=args.sampler,
-        alpha=args.alpha,
-        random_state=args.seed,
+    attributed = _load_graph(
+        args, AttributedGraph if args.static else DynamicAttributedGraph
     )
+    config = _config(args)
     if args.slow_request_seconds is not None:
         # Route the slow-request JSON lines to stderr so they interleave
         # cleanly with the startup banner on stdout.

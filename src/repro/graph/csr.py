@@ -12,7 +12,7 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.exceptions import EdgeError, GraphError, NodeNotFoundError
+from repro.exceptions import GraphError, NodeNotFoundError
 
 
 class CSRGraph:
@@ -28,9 +28,9 @@ class CSRGraph:
         undirected edge stored once per endpoint.
     epoch:
         Copy-on-write generation tag.  A freshly built graph sits at epoch
-        ``0``; every :meth:`replace_rows` / :meth:`apply_edge_deltas` splice
-        returns a *new* CSR stamped ``epoch + 1`` while this object — and
-        every row buffer it owns — stays untouched, which is what lets
+        ``0``; every :meth:`replace_rows` splice returns a *new* CSR
+        stamped ``epoch + 1`` while this object — and every row buffer it
+        owns — stays untouched, which is what lets
         snapshot readers keep traversing retired row arrays until their
         lease drops (see :mod:`repro.streaming.snapshots`).
     """
@@ -144,77 +144,17 @@ class CSRGraph:
         graph.add_edges(self.edges())
         return graph
 
-    def apply_edge_deltas(
-        self,
-        added: Iterable[Tuple[int, int]] = (),
-        removed: Iterable[Tuple[int, int]] = (),
-    ) -> "CSRGraph":
-        """A new CSR with the given edges added and removed.
-
-        One-shot convenience over :meth:`replace_rows`: the touched
-        endpoints' rows are rebuilt (a sorted merge per endpoint), every
-        untouched row is block-copied, so the cost is one ``O(|E|)`` memcpy
-        plus work proportional to the delta — no adjacency-set round-trip
-        and no per-node Python rebuild of the whole graph.
-
-        ``added`` must not contain existing edges or self-loops and
-        ``removed`` must name existing edges — each delta list is applied
-        against *this* graph, so net out no-ops and cancelling operations
-        first.  The streaming subsystem does that netting itself against a
-        per-node overlay and then calls :meth:`replace_rows` directly with
-        the final rows (:meth:`repro.streaming.DynamicAttributedGraph.apply`);
-        this method is the standalone API for callers that hold a clean
-        delta list rather than an overlay.
-        """
-        patches: Dict[int, Tuple[List[int], List[int]]] = {}
-
-        def _patch(node: int) -> Tuple[List[int], List[int]]:
-            entry = patches.get(node)
-            if entry is None:
-                entry = ([], [])
-                patches[node] = entry
-            return entry
-
-        for u, v in added:
-            u, v = int(u), int(v)
-            self._check_node(u)
-            self._check_node(v)
-            if u == v:
-                raise GraphError(f"self-loop ({u}, {v}) is not allowed")
-            if self.has_edge(u, v):
-                raise EdgeError(f"edge ({u}, {v}) already exists")
-            _patch(u)[0].append(v)
-            _patch(v)[0].append(u)
-        for u, v in removed:
-            u, v = int(u), int(v)
-            self._check_node(u)
-            self._check_node(v)
-            if not self.has_edge(u, v):
-                raise EdgeError(f"edge ({u}, {v}) does not exist")
-            _patch(u)[1].append(v)
-            _patch(v)[1].append(u)
-        if not patches:
-            return self
-
-        new_rows: Dict[int, List[int]] = {}
-        for node, (add_list, remove_list) in patches.items():
-            row = set(self.neighbors(node).tolist())
-            row.difference_update(remove_list)
-            row.update(add_list)
-            new_rows[node] = sorted(row)
-        return self.replace_rows(new_rows)
-
     def replace_rows(self, rows: Dict[int, Sequence[int]]) -> "CSRGraph":
         """A new CSR with the given adjacency rows swapped in wholesale.
 
         ``rows`` maps node ids to their complete new (sorted, ascending)
-        neighbour lists; every other row is block-copied from this graph.
-        This is the splice primitive under :meth:`apply_edge_deltas` —
-        callers that already hold the final neighbour sets (the streaming
-        graph's delta overlay) use it directly to skip the per-row set
-        algebra.  The caller is responsible for symmetry: if ``v`` appears in
-        ``rows[u]`` but the ``(u, v)`` edge is new, ``rows`` must also patch
-        ``v``'s list.
+        neighbour lists; every other row is block-copied from this graph,
+        so the cost is one ``O(|E|)`` memcpy plus work proportional to the
+        touched rows.  The streaming graph nets its deltas through a
+        per-node overlay and splices the final rows in here
+        (:meth:`repro.streaming.DynamicAttributedGraph.apply`).  The caller
+        is responsible for symmetry: if ``v`` appears in ``rows[u]`` but the
+        ``(u, v)`` edge is new, ``rows`` must also patch ``v``'s list.
         """
         if not rows:
             return self

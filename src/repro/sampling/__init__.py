@@ -8,7 +8,6 @@ factories.
 
 from repro.sampling.base import ReferenceSample, ReferenceSampler, SamplingCost
 from repro.sampling.batch_bfs import BatchBFSSampler, ExhaustiveSampler
-from repro.sampling.cache import event_nodes_fingerprint
 from repro.sampling.reject import RejectionSampler
 from repro.sampling.importance import ImportanceSampler
 from repro.sampling.whole_graph import WholeGraphSampler
@@ -25,5 +24,4 @@ __all__ = [
     "WholeGraphSampler",
     "available_samplers",
     "create_sampler",
-    "event_nodes_fingerprint",
 ]

@@ -9,8 +9,9 @@ long-lived *service*:
   sample's columns are split across density threads and reassembled into
   one bit-identical matrix;
 * :mod:`repro.service.engine` — :class:`~repro.service.engine.ServiceEngine`,
-  the epoch-aware request executor with per-``(pair, epoch)`` result caching
-  layered on :class:`~repro.sampling.cache.SampleMemo`;
+  the epoch-aware request executor: one state per ``(level, events,
+  epoch)`` holding that population's draws and density counts, and a
+  content-keyed pair-estimate cache;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — a local socket
   server speaking newline-delimited JSON and its retrying, reconnecting
   client;

@@ -9,19 +9,19 @@ state — so commits never block readers and readers never block commits.
 Every response carries the epoch it was computed at, and ``at_epoch``
 requests re-read any epoch still retained by a lease.
 
-Three layers of reuse keep the hot path cheap:
+Two layers of reuse keep the hot path cheap:
 
-* **Samples** come from one :class:`~repro.sampling.cache.SampleMemo`
-  keyed by the sampler config, population and epoch and drawn against the
-  pinned snapshot, so every sample is bit-identical to what a freshly
-  constructed in-process engine would draw at that graph state.  ``rank``
-  and ``topk`` share it: each top-k request runs the progressive engine
-  over the memoised draw;
 * **Epoch states** hold what depends only on ``(level, events, epoch)``:
   one :class:`EpochState` per key with the events' universe, its ``V^h``
   as Batch BFS enumerates it (so a fresh seed under Batch BFS draws
-  without running the BFS again), and the node-indexed density counts of
-  every node any request at that state has counted.  A new epoch's counts
+  without running the BFS again), the draws from that population, and
+  the node-indexed density counts of every node any request at that state
+  has counted.  Each state's :class:`~repro.sampling.cache.SampleMemo`
+  keys its draws by the sampler config and sample size only and draws
+  against the pinned snapshot, so every sample is bit-identical to what a
+  freshly constructed in-process engine would draw at that graph state;
+  ``rank`` and ``topk`` share it, and each top-k request runs the
+  progressive engine over the memoised draw.  A new epoch's counts
   are advanced from the newest state the commit journal
   (:class:`~repro.streaming.dirty.DirtyTracker`) covers — structurally
   dirtied nodes struck out, event toggles applied by ``± 1`` — so ``rank``
@@ -117,7 +117,7 @@ estimate_matrix_pairs_sharded = estimate_pair_list
 #: LRU bound of the content-keyed pair-estimate cache and, in rows, of the
 #: row-digest index in front of it.
 MAX_CACHED_RESULTS = 65536
-#: LRU bound of the sample memo.
+#: LRU bound of each epoch state's sample memo.
 MAX_CACHED_SAMPLES = 8
 #: LRU bound of the epoch states: the newest epoch's plus one more (a
 #: lagging ``at_epoch`` reader's, or the previous epoch's).
@@ -168,7 +168,8 @@ class EpochState:
     ``universe`` is the events' union node set.  ``nodes`` is
     ``V^h_universe`` as Batch BFS enumerates it (same node order), filled
     on the first draw that needs it; every later fresh-seed draw at that
-    state samples from it without a BFS.  ``counts[e, v]`` is
+    state samples from it without a BFS.  ``draws`` memoises the samples
+    drawn from that population.  ``counts[e, v]`` is
     ``|V_e ∩ V^h_v|`` and ``sizes[v]`` is ``|V^h_v|`` wherever
     ``filled[v]``; other entries are meaningless.  Values are at most
     ``|V|``, so int32 halves the table; gathers widen to int64.
@@ -180,9 +181,11 @@ class EpochState:
         counts: np.ndarray,
         sizes: np.ndarray,
         filled: np.ndarray,
+        draws: SampleMemo,
     ) -> None:
         self.universe = universe
         self.nodes: Optional[np.ndarray] = None
+        self.draws = draws
         self.counts = counts
         self.sizes = sizes
         self.filled = filled
@@ -312,9 +315,6 @@ class ServiceEngine:
         self._journal = DirtyTracker(self.config.vicinity_level)
 
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._sample_memo = SampleMemo(
-            max_entries=MAX_CACHED_SAMPLES, metrics=self.metrics
-        )
         self.trace_buffer = TraceBuffer(TRACE_BUFFER_SIZE)
         self.slow_log = SlowRequestLog(slow_request_seconds)
         self._instrument()
@@ -430,6 +430,9 @@ class ServiceEngine:
             "full_replay, fresh).",
             labels=("path",),
         )
+        # Each epoch state's memo counts into these; registered here so
+        # they read 0 before the first draw.
+        SampleMemo.register_metrics(m)
         m.gauge(
             "tesc_cached_pair_results",
             "Pair estimates held in the content-keyed pair cache.",
@@ -774,8 +777,8 @@ class ServiceEngine:
         events: Tuple[str, ...],
         epoch: int,
     ) -> Tuple[EpochState, ReferenceSample]:
-        """The state of ``(level, events, epoch)`` and the epoch's memoised
-        sample over its universe, checked uniform.
+        """The state of ``(level, events, epoch)`` and its memoised sample,
+        checked uniform.
 
         A memo miss under a Batch BFS sampler draws from the state's
         enumerated population, enumerating it on the state's first draw;
@@ -796,8 +799,8 @@ class ServiceEngine:
             return state.nodes
 
         with stage("sampling"):
-            sample = self._sample_memo.sample(
-                graph, cfg, state.universe, epoch=epoch, population=population
+            sample = state.draws.sample(
+                graph, cfg, state.universe, population=population
             )
         ensure_uniform_sample(sample, cfg.sampler)
         return state, sample
@@ -854,7 +857,7 @@ class ServiceEngine:
         count on the filled nodes of ``V^h_x``.  That vicinity is taken on
         ``graph`` — the reader's own snapshot — which is sound because a
         node still filled has the same vicinity at every epoch of the span.
-        The universe and population are the new epoch's own.
+        The universe, population and draws are the new epoch's own.
 
         The counts start empty when nothing qualifies: a span with an
         unjournaled epoch (recovery replay, an out-of-band ``graph.apply``,
@@ -869,6 +872,7 @@ class ServiceEngine:
         state = self._states[key] = EpochState(
             event_universe(graph, events),
             *self._advanced_counts(graph, level, events, epoch),
+            draws=SampleMemo(MAX_CACHED_SAMPLES, metrics=self.metrics),
         )
         while len(self._states) > MAX_CACHED_TABLES:
             self._states.popitem(last=False)
@@ -971,8 +975,8 @@ class ServiceEngine:
                 span.tags["epoch"] = epoch
                 pair_list = resolve_pair_spec(graph.event_names(), pairs)
                 events = tuple(sorted({event for pair in pair_list for event in pair}))
-                # The memo and the epoch states are shared with rank's
-                # misses, which hold this lock.
+                # The epoch states are shared with rank's misses, which
+                # hold this lock.
                 with self._miss_lock:
                     state, sample = self._sample(graph, cfg, events, epoch)
                     matrix = self._gather_columns(
@@ -1240,7 +1244,11 @@ class ServiceEngine:
             "mvcc": self._dynamic,
             "cached_pair_results": len(self._estimates),
             "cached_row_digests": len(self._digests),
-            "cached_samples": self._sample_memo.num_cached,
+            # Unlocked: list() copies the states in one step, so a miss
+            # evicting one cannot break the iteration.
+            "cached_samples": sum(
+                state.draws.num_cached for state in list(self._states.values())
+            ),
             "metrics": self.metrics.snapshot(),
         }
         if self._wal is not None:
@@ -1296,6 +1304,5 @@ class ServiceEngine:
             self._estimates.clear()
             self._digests.clear()
             self._states.clear()
-            self._sample_memo.clear()
         if self._wal is not None:
             self._wal.close()

@@ -30,7 +30,6 @@ directory is discarded and the previous checkpoint stays authoritative.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
 import re
@@ -42,6 +41,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import ReproError
+from repro.streaming.delta import frame_record, unframe_record
 
 logger = logging.getLogger(__name__)
 
@@ -94,24 +94,6 @@ class LoadedCheckpoint:
     events: Dict[str, List[int]]
     labels: Optional[List[str]]
     vicinity_sizes: Dict[int, np.ndarray]
-
-
-def _frame(record: dict) -> bytes:
-    payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
-    return b"%08x %s\n" % (zlib.crc32(payload), payload)
-
-
-def _unframe(line: bytes) -> Optional[dict]:
-    if len(line) < 10 or line[8:9] != b" ":
-        return None
-    payload = line[9:]
-    try:
-        if int(line[:8], 16) != zlib.crc32(payload):
-            return None
-        record = json.loads(payload.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
-        return None
-    return record if isinstance(record, dict) else None
 
 
 class CheckpointStore:
@@ -223,7 +205,7 @@ class CheckpointStore:
                 "segments": segments,
             }
             self._write_file(
-                os.path.join(temp, MANIFEST_NAME), _frame(manifest), name
+                os.path.join(temp, MANIFEST_NAME), frame_record(manifest), name
             )
             self._fsync_dir(temp, name)
             os.rename(temp, final)
@@ -308,7 +290,7 @@ class CheckpointStore:
         manifest_path = os.path.join(path, MANIFEST_NAME)
         try:
             with open(manifest_path, "rb") as handle:
-                manifest = _unframe(handle.read().rstrip(b"\n"))
+                manifest = unframe_record(handle.read().rstrip(b"\n"))
         except OSError as error:
             raise CheckpointCorruptError(f"{name}: manifest unreadable: {error}")
         if manifest is None:
@@ -491,7 +473,7 @@ class CheckpointStore:
             try:
                 path = os.path.join(self.root, name, MANIFEST_NAME)
                 with open(path, "rb") as handle:
-                    manifest = _unframe(handle.read().rstrip(b"\n"))
+                    manifest = unframe_record(handle.read().rstrip(b"\n"))
             except OSError:
                 continue
             if manifest is None:

@@ -324,6 +324,31 @@ class DeltaLog:
         return f"DeltaLog(batches={len(self.batches)}, pending={len(self.pending)})"
 
 
+def frame_record(record: dict) -> bytes:
+    """``record`` as one CRC-prefixed JSON line: the CRC32 of the compact
+    JSON payload in 8 hex digits, a space, the payload and a newline.
+
+    The framing of write-ahead log records and checkpoint manifests.
+    """
+    payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
+    return b"%08x %s\n" % (zlib.crc32(payload), payload)
+
+
+def unframe_record(line: bytes) -> Optional[dict]:
+    """The record of one :func:`frame_record` line (newline stripped), or
+    ``None`` if it is torn or corrupt."""
+    if len(line) < 10 or line[8:9] != b" ":
+        return None
+    payload = line[9:]
+    try:
+        if int(line[:8], 16) != zlib.crc32(payload):
+            return None
+        record = json.loads(payload.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError):
+        return None
+    return record if isinstance(record, dict) else None
+
+
 class WriteAheadLog(DeltaLog):
     """A :class:`DeltaLog` whose commits are durable *before* they apply.
 
@@ -379,24 +404,8 @@ class WriteAheadLog(DeltaLog):
 
     # -- wire format ---------------------------------------------------------
 
-    @staticmethod
-    def _format_record(record: dict) -> bytes:
-        payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
-        return b"%08x %s\n" % (zlib.crc32(payload), payload)
-
-    @staticmethod
-    def _parse_line(line: bytes) -> Optional[dict]:
-        """One CRC-prefixed record, or ``None`` if torn/corrupt."""
-        if len(line) < 10 or line[8:9] != b" ":
-            return None
-        payload = line[9:]
-        try:
-            if int(line[:8], 16) != zlib.crc32(payload):
-                return None
-            record = json.loads(payload.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            return None
-        return record if isinstance(record, dict) else None
+    _format_record = staticmethod(frame_record)
+    _parse_line = staticmethod(unframe_record)
 
     def _recover(self) -> None:
         if not os.path.exists(self.path):

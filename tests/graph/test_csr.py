@@ -93,24 +93,9 @@ class TestConsistencyWithAdjacency:
             assert set(int(x) for x in csr.neighbors(node)) == random_graph.neighbors(node)
 
 
-class TestApplyEdgeDeltas:
-    @pytest.fixture
-    def csr(self, two_triangles_graph):
-        return two_triangles_graph.to_csr()
-
-    def test_add_and_remove(self, csr):
-        patched = csr.apply_edge_deltas(added=[(0, 5)], removed=[(2, 3)])
-        assert patched.has_edge(0, 5)
-        assert not patched.has_edge(2, 3)
-        assert patched.num_edges == csr.num_edges
-        # Original is untouched (CSR is immutable).
-        assert not csr.has_edge(0, 5)
-        assert csr.has_edge(2, 3)
-
-    def test_empty_delta_returns_self(self, csr):
-        assert csr.apply_edge_deltas() is csr
-
+class TestReplaceRows:
     def test_matches_full_rebuild(self, random_graph):
+        """Splicing the edited rows in equals rebuilding the edited graph."""
         csr = random_graph.to_csr()
         edges = list(random_graph.edges())
         removed = edges[::7][:10]
@@ -120,32 +105,16 @@ class TestApplyEdgeDeltas:
             for v in range(u + 1, 60, 5)
             if not csr.has_edge(u, v)
         ][:10]
-        patched = csr.apply_edge_deltas(added=candidates, removed=removed)
         reference = random_graph.copy()
         for u, v in removed:
             reference.remove_edge(u, v)
         for u, v in candidates:
             reference.add_edge(u, v)
+        touched = {node for edge in removed + candidates for node in edge}
+        patched = csr.replace_rows(
+            {node: sorted(reference.neighbors(node)) for node in touched}
+        )
         expected = reference.to_csr()
         np.testing.assert_array_equal(patched.indptr, expected.indptr)
         np.testing.assert_array_equal(patched.indices, expected.indices)
-
-    def test_rejects_duplicate_add(self, csr):
-        from repro.exceptions import EdgeError
-
-        with pytest.raises(EdgeError):
-            csr.apply_edge_deltas(added=[(2, 3)])
-
-    def test_rejects_missing_remove(self, csr):
-        from repro.exceptions import EdgeError
-
-        with pytest.raises(EdgeError):
-            csr.apply_edge_deltas(removed=[(0, 5)])
-
-    def test_rejects_self_loop_and_unknown_node(self, csr):
-        from repro.exceptions import GraphError
-
-        with pytest.raises(GraphError):
-            csr.apply_edge_deltas(added=[(1, 1)])
-        with pytest.raises(NodeNotFoundError):
-            csr.apply_edge_deltas(added=[(0, 99)])
+        assert patched.epoch == csr.epoch + 1

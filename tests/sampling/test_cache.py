@@ -1,4 +1,5 @@
-"""Tests for the sample memo: reuse, epochs, fresh draws and LRU eviction."""
+"""Tests for the sample memo of one population: reuse, fresh draws and LRU
+eviction."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from repro.core.config import TescConfig
 from repro.events.attributed_graph import AttributedGraph
 from repro.sampling import cache
-from repro.sampling.cache import SampleMemo, event_nodes_fingerprint
+from repro.sampling.cache import SampleMemo
 from repro.sampling.registry import make_config_sampler
 
 
@@ -21,18 +22,6 @@ def _config(**kwargs):
     return TescConfig(**kwargs)
 
 
-class TestFingerprint:
-    def test_order_insensitive(self):
-        assert event_nodes_fingerprint(np.array([3, 1, 2])) == event_nodes_fingerprint(
-            np.array([1, 2, 3])
-        )
-
-    def test_distinguishes_sets(self):
-        assert event_nodes_fingerprint(np.array([1, 2])) != event_nodes_fingerprint(
-            np.array([1, 3])
-        )
-
-
 class TestSampleMemo:
     def test_hit_returns_same_object(self, attributed):
         memo = SampleMemo()
@@ -45,6 +34,7 @@ class TestSampleMemo:
         assert memo.misses == 1
 
     def test_memoises_per_population_and_epoch(self, attributed, monkeypatch):
+        """One memo per population at one graph state: each draws once."""
         calls = {"n": 0}
 
         def counting(graph, cfg):
@@ -52,28 +42,29 @@ class TestSampleMemo:
             return make_config_sampler(graph, cfg)
 
         monkeypatch.setattr(cache, "make_config_sampler", counting)
-        memo = SampleMemo()
         config = _config()
-        nodes = np.arange(25)
-        first = memo.sample(attributed, config, nodes, epoch=0)
-        assert memo.sample(attributed, config, nodes, epoch=0) is first
-        assert calls["n"] == 1
-        memo.sample(attributed, config, nodes, epoch=1)
+        memos = {size: SampleMemo() for size in (25, 40)}
+        first = {
+            n: memo.sample(attributed, config, np.arange(n)) for n, memo in memos.items()
+        }
+        for n, memo in memos.items():
+            assert memo.sample(attributed, config, np.arange(n)) is first[n]
+            assert (memo.hits, memo.misses) == (1, 1)
         assert calls["n"] == 2
-        assert memo.hits == 1
-        assert memo.misses == 2
+        assert first[25] is not first[40]
 
     def test_fresh_factory_draw_matches_from_scratch_sampler(self, attributed):
         """Every miss reproduces a brand-new seeded sampler's draw, whatever
         the memo drew before."""
         config = _config(random_state=9)
-        memo = SampleMemo()
         nodes = np.arange(30)
-        # Draw another population first, then the same population at two
-        # epochs: each draw must equal a from-scratch sampler's.
-        memo.sample(attributed, config, np.arange(50, 90))
-        first = memo.sample(attributed, config, nodes, epoch=0)
-        second = memo.sample(attributed, config, nodes, epoch=1)
+        # Draw under other seeds first, then under this one in two memos:
+        # each draw must equal a from-scratch sampler's.
+        memo = SampleMemo()
+        for seed in (1, 2):
+            memo.sample(attributed, _config(random_state=seed), nodes)
+        first = memo.sample(attributed, config, nodes)
+        second = SampleMemo().sample(attributed, config, nodes)
         reference = make_config_sampler(attributed, config).sample(
             nodes, config.vicinity_level, config.sample_size
         )
@@ -85,27 +76,28 @@ class TestSampleMemo:
         nodes = np.arange(25)
         for config in (
             _config(), _config(random_state=4), _config(sampler="exhaustive"),
-            _config(sample_size=41), _config(vicinity_level=2),
+            _config(sample_size=41),
         ):
             memo.sample(attributed, config, nodes)
-        assert memo.misses == memo.num_cached == 5
+        assert memo.misses == memo.num_cached == 4
 
     def test_eviction_respects_max_entries(self, attributed):
         memo = SampleMemo(max_entries=2)
-        config = _config(sample_size=15)
-        for offset in range(4):
-            memo.sample(attributed, config, np.arange(10 + offset))
+        nodes = np.arange(10)
+        for seed in range(4):
+            memo.sample(attributed, _config(sample_size=15, random_state=seed), nodes)
         assert memo.num_cached == 2
 
     def test_hit_refreshes_recency(self, attributed):
         """A sample re-hit between misses is never the one evicted."""
         memo = SampleMemo(max_entries=3)
-        config = _config(sample_size=15)
-        hot = np.arange(10)
-        first = memo.sample(attributed, config, hot)
-        for offset in range(2 * memo.max_entries):
-            memo.sample(attributed, config, np.arange(11 + offset))
-            assert memo.sample(attributed, config, hot) is first
+        nodes = np.arange(10)
+        hot = _config(sample_size=15)
+        first = memo.sample(attributed, hot, nodes)
+        for seed in range(2 * memo.max_entries):
+            cold = _config(sample_size=15, random_state=10 + seed)
+            memo.sample(attributed, cold, nodes)
+            assert memo.sample(attributed, hot, nodes) is first
         assert memo.misses == 1 + 2 * memo.max_entries
         assert memo.num_cached == memo.max_entries
 

@@ -1,5 +1,7 @@
 """Tests for the concrete reference-node samplers (Section 4 algorithms)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -195,8 +197,8 @@ class TestSampleMemo:
         memo = SampleMemo()
         config = TescConfig(sample_size=50, random_state=4)
         memo.sample(attributed, config, event_nodes)
-        memo.sample(attributed, config.with_level(2), event_nodes)
-        memo.sample(attributed, config, event_nodes[:10])
+        memo.sample(attributed, replace(config, random_state=5), event_nodes)
+        memo.sample(attributed, replace(config, sample_size=60), event_nodes)
         assert memo.misses == 3
         assert memo.num_cached == 3
         memo.clear()

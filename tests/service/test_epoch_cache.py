@@ -20,7 +20,6 @@ from repro.core.config import TescConfig
 from repro.events.attributed_graph import AttributedGraph
 from repro.exceptions import InsufficientSampleError
 from repro.graph.generators import community_ring_graph
-from repro.sampling import cache as cache_module
 from repro.service import engine as engine_module
 from repro.service.engine import ServiceEngine, pair_record
 
@@ -229,9 +228,9 @@ class TestSampleMemoBound:
     def test_per_seed_memos_stay_bounded(
         self, dynamic_graph, service_dataset, monkeypatch
     ):
-        """Samples of every request seed share one memo, evicted LRU beyond
-        ``MAX_CACHED_SAMPLES``; an evicted seed redraws the identical
-        sample."""
+        """Samples of every request seed share their epoch state's memo,
+        evicted LRU beyond ``MAX_CACHED_SAMPLES``; an evicted seed redraws
+        the identical sample."""
         _dataset, config = service_dataset
         monkeypatch.setattr(engine_module, "MAX_CACHED_SAMPLES", 3)
         # A one-row digest index never knows both rows of a pair, so every
@@ -243,7 +242,8 @@ class TestSampleMemoBound:
         first = engine.rank(pairs, config_overrides={"random_state": 0})
         for seed in range(1, 12):
             engine.rank(pairs, config_overrides={"random_state": seed})
-            assert engine._sample_memo.num_cached <= 3
+            [state] = engine._states.values()
+            assert state.draws.num_cached <= 3
         misses = engine.metrics.value("tesc_sample_memo_misses_total")
         again = engine.rank(pairs, config_overrides={"random_state": 0})
         assert engine.metrics.value("tesc_sample_memo_misses_total") == misses + 1
@@ -252,7 +252,55 @@ class TestSampleMemoBound:
             pairs, config_overrides={"random_state": 0}
         )
         assert again["pairs"] == [pair_record(pair) for pair in reference]
-        assert engine._sample_memo.num_cached <= 3
+        [state] = engine._states.values()
+        assert state.draws.num_cached <= 3
+        engine.close()
+
+    def test_draws_leave_with_their_state(
+        self, dynamic_graph, service_dataset, monkeypatch
+    ):
+        """Ranking more event sets than the engine holds epoch states for
+        evicts the first set's state and its draws: returning to it at the
+        same seed draws once more, identically."""
+        _dataset, config = service_dataset
+        # A one-row digest index never knows both rows of a pair, so every
+        # rank below goes back to the sample.
+        monkeypatch.setattr(engine_module, "MAX_CACHED_RESULTS", 1)
+        engine = ServiceEngine(dynamic_graph, config)
+        names = dynamic_graph.event_names()
+        shapes = [[(names[i], names[i + 1])] for i in range(4)]
+        assert len(shapes) > engine_module.MAX_CACHED_TABLES
+        first = engine.rank(shapes[0])
+        for pairs in shapes[1:]:
+            engine.rank(pairs)
+        misses = engine.metrics.value("tesc_sample_memo_misses_total")
+        hits = engine.metrics.value("tesc_sample_memo_hits_total")
+        again = engine.rank(shapes[0])
+        assert engine.metrics.value("tesc_sample_memo_misses_total") == misses + 1
+        assert engine.metrics.value("tesc_sample_memo_hits_total") == hits
+        assert again["pairs"] == first["pairs"]
+        assert again["pairs"] == reference_records(engine, shapes[0])
+        engine.close()
+
+    def test_cached_samples_sum_over_the_states(
+        self, dynamic_graph, service_dataset
+    ):
+        """``describe()["cached_samples"]`` counts every held state's draws,
+        so it is bounded by both LRUs together."""
+        _dataset, config = service_dataset
+        engine = ServiceEngine(dynamic_graph, config)
+        names = dynamic_graph.event_names()
+        shapes = [[(names[i], names[i + 1])] for i in range(3)]
+        bound = engine_module.MAX_CACHED_SAMPLES * engine_module.MAX_CACHED_TABLES
+        for pairs in shapes:
+            for seed in range(engine_module.MAX_CACHED_SAMPLES + 2):
+                engine.rank(pairs, config_overrides={"random_state": seed})
+                cached = engine.describe()["cached_samples"]
+                assert cached == sum(
+                    state.draws.num_cached for state in engine._states.values()
+                )
+                assert cached <= bound
+        assert cached == bound
         engine.close()
 
 
@@ -313,11 +361,6 @@ class TestOnePairCache:
         monkeypatch.setattr(
             engine_module, "event_universe",
             spy("event_universe", engine_module.event_universe),
-        )
-        fingerprint = spy("event_nodes_fingerprint", cache_module.event_nodes_fingerprint)
-        monkeypatch.setattr(cache_module, "event_nodes_fingerprint", fingerprint)
-        monkeypatch.setattr(
-            engine_module, "event_nodes_fingerprint", fingerprint, raising=False
         )
         for pairs in shapes:
             assert engine.rank(pairs)["computed_pairs"] == 0

@@ -12,11 +12,10 @@ from repro.storage.checkpoint import (
     CheckpointStore,
     MANIFEST_NAME,
     QUARANTINE_DIR,
-    _frame,
-    _unframe,
 )
 from repro.storage.recovery import recover
 from repro.streaming.delta import Delta, DeltaBatch, WriteAheadLog
+from repro.streaming.delta import frame_record as _frame, unframe_record as _unframe
 from repro.streaming.dynamic_graph import DynamicAttributedGraph
 
 
