@@ -22,8 +22,9 @@ Subcommands
 ``tesc serve``
     Start the correlation service: a persistent server answering
     ``rank``/``topk``/``stream`` requests over a local socket, with
-    thread-sharded density passes and epoch-keyed result caching
-    (``--metrics-port`` adds a Prometheus HTTP endpoint,
+    thread-sharded density passes, one state of draws and density counts
+    per (level, events, epoch), and a pair cache keyed by the content of
+    each pair's density rows (``--metrics-port`` adds a Prometheus HTTP endpoint,
     ``--slow-request-seconds`` a JSON-lines slow-request log).
 ``tesc status``
     Summarise a running server's status and metrics once, or as a live
@@ -49,7 +50,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import __version__
-from repro.core.batch import SORT_KEYS, BatchTescEngine
+from repro.core.batch import SORT_KEYS, WEIGHTED_SAMPLERS, BatchTescEngine
 from repro.core.config import TescConfig
 from repro.core.tesc import TescTester
 from repro.datasets.registry import available_datasets, load_dataset
@@ -70,8 +71,7 @@ def _shared_engine_parent(top_k: bool = True) -> argparse.ArgumentParser:
     ``rank``, ``topk``, ``stream``, ``serve`` and ``experiment`` all take
     ``--workers`` and ``--seed`` with the same spelling and semantics, and
     all but ``experiment`` (whose configs fix their own pair counts) take
-    ``--top-k``; defining them once on a parent parser keeps the
-    subcommands from drifting apart.
+    ``--top-k``.
     """
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("shared engine options")
@@ -95,8 +95,44 @@ def _shared_engine_parent(top_k: bool = True) -> argparse.ArgumentParser:
     return parent
 
 
+def _graph_parent(samplers: List[str]) -> argparse.ArgumentParser:
+    """The graph files and the test's h, n, sampler and α.  ``samplers`` are
+    the ``--sampler`` choices: importance weights cannot be shared across
+    pairs, so only ``test``, which scores one pair, offers them."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--edges", required=True, help="edge-list file (u v per line)")
+    parent.add_argument("--events", required=True, help="event file (event<TAB>node)")
+    parent.add_argument("--level", type=int, default=1, help="vicinity level h")
+    parent.add_argument("--sample-size", type=int, default=900, help="sample size n")
+    parent.add_argument("--sampler", default="batch_bfs", choices=samplers,
+                        help="importance samplers score one pair, so only test takes them")
+    parent.add_argument("--alpha", type=float, default=0.05, help="significance level")
+    return parent
+
+
+def _output_parent(sort_by: bool = True) -> argparse.ArgumentParser:
+    """The flags of the subcommands that print a ranking."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--pair", nargs=2, action="append", metavar=("EVENT_A", "EVENT_B"),
+        help="one pair to rank (repeatable); default: all pairs of events in the file",
+    )
+    parent.add_argument("--markdown", action="store_true", help="render tables as markdown")
+    if sort_by:
+        parent.add_argument("--sort-by", default="score", choices=list(SORT_KEYS))
+    return parent
+
+
+def _address_parent(port_help: str, **port: Any) -> argparse.ArgumentParser:
+    """Where ``serve`` listens, or where ``status`` and ``checkpoint`` reach it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--host", default="127.0.0.1")
+    parent.add_argument("--port", type=int, help=port_help, **port)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """Build the CLI argument parser."""
+    """Build the CLI argument parser; each subcommand's ``handler`` runs it."""
     parser = argparse.ArgumentParser(
         prog="tesc",
         description="Two-Event Structural Correlation (TESC) testing framework",
@@ -104,66 +140,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tesc {__version__}")
     parser.add_argument("--verbose", action="store_true", help="enable INFO logging")
     subparsers = parser.add_subparsers(dest="command")
-    shared = _shared_engine_parent()
 
-    test_parser = subparsers.add_parser("test", help="test one event pair from files")
-    test_parser.add_argument("--edges", required=True, help="edge-list file (u v per line)")
-    test_parser.add_argument("--events", required=True, help="event file (event<TAB>node)")
+    def command(name, handler, summary, *parents):
+        subparser = subparsers.add_parser(name, parents=list(parents), help=summary)
+        subparser.set_defaults(handler=handler)
+        return subparser
+
+    engine = _shared_engine_parent()
+    uniform = _graph_parent(
+        [name for name in available_samplers() if name not in WEIGHTED_SAMPLERS]
+    )
+    ranked = _output_parent()
+    client = _address_parent("port of the running tesc serve instance", required=True)
+
+    test_parser = command("test", _command_test, "test one event pair from files",
+                          _graph_parent(available_samplers()))
     test_parser.add_argument("--event-a", required=True)
     test_parser.add_argument("--event-b", required=True)
-    test_parser.add_argument("--level", type=int, default=1, help="vicinity level h")
-    test_parser.add_argument("--sample-size", type=int, default=900)
-    test_parser.add_argument("--sampler", default="batch_bfs", choices=available_samplers())
-    test_parser.add_argument("--alpha", type=float, default=0.05)
     test_parser.add_argument(
         "--alternative", default="two-sided", choices=["two-sided", "greater", "less"]
     )
     test_parser.add_argument("--seed", type=int, default=None)
 
-    rank_parser = subparsers.add_parser(
-        "rank", parents=[shared],
-        help="batch-test many event pairs and print them ranked",
-    )
-    rank_parser.add_argument("--edges", required=True, help="edge-list file (u v per line)")
-    rank_parser.add_argument("--events", required=True, help="event file (event<TAB>node)")
-    rank_parser.add_argument(
-        "--pair", nargs=2, action="append", metavar=("EVENT_A", "EVENT_B"),
-        help="one pair to test (repeatable); default: all pairs of events in the file",
-    )
-    rank_parser.add_argument("--level", type=int, default=1, help="vicinity level h")
-    rank_parser.add_argument("--sample-size", type=int, default=900)
-    rank_parser.add_argument(
-        "--sampler", default="batch_bfs",
-        choices=["batch_bfs", "exhaustive", "whole_graph", "reject"],
-        help="uniform samplers only (importance weights cannot be shared across pairs)",
-    )
-    rank_parser.add_argument("--alpha", type=float, default=0.05)
-    rank_parser.add_argument("--sort-by", default="score", choices=list(SORT_KEYS))
-    rank_parser.add_argument("--markdown", action="store_true",
-                             help="render the ranking as markdown")
+    command("rank", _command_rank, "batch-test many event pairs and print them ranked",
+            uniform, engine, ranked)
 
-    topk_parser = subparsers.add_parser(
-        "topk", parents=[shared],
-        help="progressive top-k pair ranking with confidence-bound pruning",
-    )
-    topk_parser.add_argument("--edges", required=True, help="edge-list file (u v per line)")
-    topk_parser.add_argument("--events", required=True, help="event file (event<TAB>node)")
+    topk_parser = command("topk", _command_topk,
+                          "progressive top-k pair ranking with confidence-bound pruning",
+                          uniform, engine, _output_parent(sort_by=False))
     topk_parser.add_argument("--k", type=int, default=None,
                              help="how many top pairs to return "
                                   "(--top-k is accepted as an alias)")
-    topk_parser.add_argument(
-        "--pair", nargs=2, action="append", metavar=("EVENT_A", "EVENT_B"),
-        help="one candidate pair (repeatable); default: all pairs of events in the file",
-    )
-    topk_parser.add_argument("--level", type=int, default=1, help="vicinity level h")
-    topk_parser.add_argument("--sample-size", type=int, default=900,
-                             help="full reference-sample budget (the last round's size)")
-    topk_parser.add_argument(
-        "--sampler", default="batch_bfs",
-        choices=["batch_bfs", "exhaustive", "whole_graph", "reject"],
-        help="uniform samplers only (importance weights cannot be shared across pairs)",
-    )
-    topk_parser.add_argument("--alpha", type=float, default=0.05)
     topk_parser.add_argument(
         "--initial-sample", type=int, default=None, metavar="N0",
         help="first-round prefix size (default 256)",
@@ -172,35 +179,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--growth", type=float, default=None, metavar="G",
         help="geometric growth factor between rounds (default 2.0)",
     )
-    topk_parser.add_argument("--markdown", action="store_true",
-                             help="render the ranking as markdown")
 
-    stream_parser = subparsers.add_parser(
-        "stream", parents=[shared],
-        help="replay a delta file, incrementally re-ranking monitored pairs",
-    )
-    stream_parser.add_argument("--edges", required=True, help="edge-list file (u v per line)")
-    stream_parser.add_argument("--events", required=True, help="event file (event<TAB>node)")
+    stream_parser = command("stream", _command_stream,
+                            "replay a delta file, re-ranking monitored pairs incrementally",
+                            uniform, engine, ranked)
     stream_parser.add_argument(
         "--deltas", required=True,
         help="JSONL delta file (edge_add/edge_remove/event_attach/event_detach "
              'records with {"op": "commit"} batch separators)',
     )
-    stream_parser.add_argument(
-        "--pair", nargs=2, action="append", metavar=("EVENT_A", "EVENT_B"),
-        help="one pair to monitor (repeatable); default: all pairs of events in the file",
-    )
-    stream_parser.add_argument("--level", type=int, default=1, help="vicinity level h")
-    stream_parser.add_argument("--sample-size", type=int, default=900)
-    stream_parser.add_argument(
-        "--sampler", default="batch_bfs",
-        choices=["batch_bfs", "exhaustive", "whole_graph", "reject"],
-        help="uniform samplers only (importance weights cannot be shared across pairs)",
-    )
-    stream_parser.add_argument("--alpha", type=float, default=0.05)
-    stream_parser.add_argument("--sort-by", default="score", choices=list(SORT_KEYS))
-    stream_parser.add_argument("--markdown", action="store_true",
-                               help="render tables as markdown")
     stream_parser.add_argument(
         "--concurrent-queries", type=int, default=0, metavar="N",
         help="while the replay commits, run N threads of snapshot-isolated "
@@ -209,23 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
              "never block commits and each answer carries its epoch",
     )
 
-    serve_parser = subparsers.add_parser(
-        "serve", parents=[shared],
-        help="start the correlation service over a local socket",
-    )
-    serve_parser.add_argument("--edges", required=True, help="edge-list file (u v per line)")
-    serve_parser.add_argument("--events", required=True, help="event file (event<TAB>node)")
-    serve_parser.add_argument("--host", default="127.0.0.1")
-    serve_parser.add_argument("--port", type=int, default=0,
-                              help="TCP port (0 picks a free one, printed at startup)")
-    serve_parser.add_argument("--level", type=int, default=1, help="vicinity level h")
-    serve_parser.add_argument("--sample-size", type=int, default=900)
-    serve_parser.add_argument(
-        "--sampler", default="batch_bfs",
-        choices=["batch_bfs", "exhaustive", "whole_graph", "reject"],
-        help="uniform samplers only (importance weights cannot be shared across pairs)",
-    )
-    serve_parser.add_argument("--alpha", type=float, default=0.05)
+    listen = _address_parent("TCP port (0 picks a free one, printed at startup)", default=0)
+    serve_parser = command("serve", _command_serve,
+                           "start the correlation service over a local socket",
+                           uniform, engine, listen)
     serve_parser.add_argument(
         "--static", action="store_true",
         help="serve a read-only graph: reject stream commits with 400",
@@ -278,25 +252,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="valid checkpoints kept after each new one (default 2)",
     )
 
-    checkpoint_parser = subparsers.add_parser(
-        "checkpoint",
-        help="force a checkpoint on a running tesc serve --store instance",
-    )
-    checkpoint_parser.add_argument("--host", default="127.0.0.1")
-    checkpoint_parser.add_argument("--port", type=int, required=True,
-                                   help="port of the running tesc serve instance")
+    checkpoint_parser = command("checkpoint", _command_checkpoint,
+                                "force a checkpoint on a running tesc serve --store instance",
+                                client)
     checkpoint_parser.add_argument(
         "--force", action="store_true",
         help="checkpoint even if the epoch is unchanged since the last one",
     )
 
-    status_parser = subparsers.add_parser(
-        "status",
-        help="summarise a running server's status and metrics",
-    )
-    status_parser.add_argument("--host", default="127.0.0.1")
-    status_parser.add_argument("--port", type=int, required=True,
-                               help="port of the running tesc serve instance")
+    status_parser = command("status", _command_status,
+                            "summarise a running server's status and metrics", client)
     status_parser.add_argument(
         "--watch", action="store_true",
         help="refresh the summary every --interval seconds until Ctrl-C",
@@ -310,10 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop --watch after this many refreshes (mainly for tests)",
     )
 
-    experiment_parser = subparsers.add_parser(
-        "experiment", parents=[_shared_engine_parent(top_k=False)],
-        help="reproduce one or more of the paper's tables/figures",
-    )
+    experiment_parser = command("experiment", _command_experiment,
+                                "reproduce one or more of the paper's tables/figures",
+                                _shared_engine_parent(top_k=False))
     experiment_parser.add_argument(
         "experiment_ids", nargs="+", choices=available_experiments(),
         metavar="experiment_id",
@@ -322,12 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
     experiment_parser.add_argument("--markdown", action="store_true",
                                    help="render tables as markdown")
 
-    dataset_parser = subparsers.add_parser("dataset", help="generate a synthetic dataset")
+    dataset_parser = command("dataset", _command_dataset, "generate a synthetic dataset")
     dataset_parser.add_argument("name", choices=available_datasets())
     dataset_parser.add_argument("--scale", default="default")
     dataset_parser.add_argument("--seed", type=int, default=None)
 
-    simulate_parser = subparsers.add_parser("simulate", help="run a small recall study")
+    simulate_parser = command("simulate", _command_simulate, "run a small recall study")
     simulate_parser.add_argument("--correlation", choices=["positive", "negative"],
                                  default="positive")
     simulate_parser.add_argument("--level", type=int, default=1)
@@ -347,6 +311,11 @@ def _load_graph(args: argparse.Namespace, graph_cls=AttributedGraph):
     label_to_id = {label: index for index, label in enumerate(labels)}
     events = read_event_file(args.events, label_to_id=label_to_id)
     return graph_cls(graph, events, labels=labels)
+
+
+def _pairs(args: argparse.Namespace):
+    """The ``--pair`` pairs as tuples, or ``"all"`` when none is given."""
+    return [tuple(pair) for pair in args.pair] if args.pair else "all"
 
 
 def _config(args: argparse.Namespace, **fields: Any) -> TescConfig:
@@ -387,10 +356,9 @@ def _command_test(args: argparse.Namespace) -> int:
 def _command_rank(args: argparse.Namespace) -> int:
     attributed = _load_graph(args)
     config = _config(args)
-    pairs = [tuple(pair) for pair in args.pair] if args.pair else "all"
     workers = resolve_workers(args.workers)
     ranking = BatchTescEngine(attributed, config, workers=workers).rank_pairs(
-        pairs, top_k=args.top_k, sort_by=args.sort_by
+        _pairs(args), top_k=args.top_k, sort_by=args.sort_by
     )
     stats = ranking.stats
     print(ranking.render(markdown=args.markdown))
@@ -427,9 +395,9 @@ def _command_topk(args: argparse.Namespace) -> int:
     if args.growth is not None:
         schedule["topk_growth_factor"] = args.growth
     config = _config(args, **schedule)
-    pairs = [tuple(pair) for pair in args.pair] if args.pair else "all"
     workers = resolve_workers(args.workers)
-    ranking = ProgressiveTopKEngine(attributed, config, workers=workers).top_k(k, pairs)
+    engine = ProgressiveTopKEngine(attributed, config, workers=workers)
+    ranking = engine.top_k(k, _pairs(args))
     stats = ranking.topk_stats
     print(ranking.render(markdown=args.markdown))
     print()
@@ -530,7 +498,7 @@ def _command_stream(args: argparse.Namespace) -> int:
 
     dynamic = _load_graph(args, DynamicAttributedGraph)
     config = _config(args)
-    pairs = [tuple(pair) for pair in args.pair] if args.pair else "all"
+    pairs = _pairs(args)
     log = DeltaLog.load(args.deltas)
     session = Session(dynamic, config=config, workers=resolve_workers(args.workers))
 
@@ -916,28 +884,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.verbose:
         configure_logging()
-    if args.command == "test":
-        return _command_test(args)
-    if args.command == "rank":
-        return _command_rank(args)
-    if args.command == "topk":
-        return _command_topk(args)
-    if args.command == "stream":
-        return _command_stream(args)
-    if args.command == "serve":
-        return _command_serve(args)
-    if args.command == "status":
-        return _command_status(args)
-    if args.command == "checkpoint":
-        return _command_checkpoint(args)
-    if args.command == "experiment":
-        return _command_experiment(args)
-    if args.command == "dataset":
-        return _command_dataset(args)
-    if args.command == "simulate":
-        return _command_simulate(args)
-    parser.print_help()
-    return 1
+    if args.command is None:
+        parser.print_help()
+        return 1
+    return args.handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -6,6 +6,7 @@ no lost increments, no phantom counts — and the recorded span trees must
 cover the measured wall time of the requests they describe.
 """
 
+import gc
 import threading
 import time
 
@@ -207,10 +208,16 @@ class TestSpanCoverage:
                 [(names[1], names[2])],
             ]
             walls = []
-            for spec in workloads:
-                t0 = time.perf_counter()
-                engine.rank(spec)
-                walls.append(time.perf_counter() - t0)
+            # A collection between the span's end and the call's return
+            # would count against the span; keep it out of the timed calls.
+            gc.disable()
+            try:
+                for spec in workloads:
+                    t0 = time.perf_counter()
+                    engine.rank(spec)
+                    walls.append(time.perf_counter() - t0)
+            finally:
+                gc.enable()
             roots = engine.trace_buffer.spans()
             assert len(roots) == len(workloads)
             for root, wall in zip(roots, walls):
