@@ -55,12 +55,12 @@ REQUIRED_NONZERO = [
     ("tesc_requests_total", 'method="topk"'),
     ("tesc_requests_total", 'method="commit"'),
     ("tesc_request_seconds_count", 'method="rank"'),
+    ("tesc_request_seconds_count", 'method="commit"'),
     ("tesc_pair_cache_hits_total", None),
     ("tesc_pair_cache_misses_total", None),
     ("tesc_admission_admitted_total", None),
     ("tesc_snapshots_pinned_total", None),
     ("tesc_commits_total", None),
-    ("tesc_commit_seconds_count", None),
     ("tesc_topk_rounds_total", None),
     ("tesc_sample_memo_misses_total", None),
     ("tesc_pair_estimates_total", 'outcome="reused"'),

@@ -65,15 +65,28 @@ from repro.utils.tables import TextTable, render_mapping
 from repro.utils.validation import resolve_workers
 
 
-def _shared_engine_parent(top_k: bool = True) -> argparse.ArgumentParser:
+def _seed_parent() -> argparse.ArgumentParser:
+    """``--seed`` for every subcommand but ``simulate``, whose seed defaults
+    to 7 rather than to an unseeded run."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--seed", type=int, default=None,
+        help="random seed (TescConfig.random_state; experiment: reseeds "
+             "each experiment's config; dataset: seeds the generator)",
+    )
+    return parent
+
+
+def _shared_engine_parent(seed: argparse.ArgumentParser,
+                          top_k: bool = True) -> argparse.ArgumentParser:
     """The flags every engine-backed subcommand accepts identically.
 
     ``rank``, ``topk``, ``stream``, ``serve`` and ``experiment`` all take
-    ``--workers`` and ``--seed`` with the same spelling and semantics, and
-    all but ``experiment`` (whose configs fix their own pair counts) take
-    ``--top-k``.
+    ``--workers`` and the ``seed`` parent's ``--seed`` with the same
+    spelling and semantics, and all but ``experiment`` (whose configs fix
+    their own pair counts) take ``--top-k``.
     """
-    parent = argparse.ArgumentParser(add_help=False)
+    parent = argparse.ArgumentParser(add_help=False, parents=[seed])
     group = parent.add_argument_group("shared engine options")
     group.add_argument(
         "--workers", type=int, default=None, metavar="N",
@@ -87,11 +100,6 @@ def _shared_engine_parent(top_k: bool = True) -> argparse.ArgumentParser:
             help="cap output at the K best-ranked pairs (serve: server-side "
                  "default for rank/topk requests; topk: alias for --k)",
         )
-    group.add_argument(
-        "--seed", type=int, default=None,
-        help="random seed (TescConfig.random_state; experiment: reseeds "
-             "each experiment's config)",
-    )
     return parent
 
 
@@ -146,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
         subparser.set_defaults(handler=handler)
         return subparser
 
-    engine = _shared_engine_parent()
+    seed = _seed_parent()
+    engine = _shared_engine_parent(seed)
     uniform = _graph_parent(
         [name for name in available_samplers() if name not in WEIGHTED_SAMPLERS]
     )
@@ -154,13 +163,12 @@ def build_parser() -> argparse.ArgumentParser:
     client = _address_parent("port of the running tesc serve instance", required=True)
 
     test_parser = command("test", _command_test, "test one event pair from files",
-                          _graph_parent(available_samplers()))
+                          _graph_parent(available_samplers()), seed)
     test_parser.add_argument("--event-a", required=True)
     test_parser.add_argument("--event-b", required=True)
     test_parser.add_argument(
         "--alternative", default="two-sided", choices=["two-sided", "greater", "less"]
     )
-    test_parser.add_argument("--seed", type=int, default=None)
 
     command("rank", _command_rank, "batch-test many event pairs and print them ranked",
             uniform, engine, ranked)
@@ -277,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     experiment_parser = command("experiment", _command_experiment,
                                 "reproduce one or more of the paper's tables/figures",
-                                _shared_engine_parent(top_k=False))
+                                _shared_engine_parent(seed, top_k=False))
     experiment_parser.add_argument(
         "experiment_ids", nargs="+", choices=available_experiments(),
         metavar="experiment_id",
@@ -286,10 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     experiment_parser.add_argument("--markdown", action="store_true",
                                    help="render tables as markdown")
 
-    dataset_parser = command("dataset", _command_dataset, "generate a synthetic dataset")
+    dataset_parser = command("dataset", _command_dataset, "generate a synthetic dataset",
+                             seed)
     dataset_parser.add_argument("name", choices=available_datasets())
     dataset_parser.add_argument("--scale", default="default")
-    dataset_parser.add_argument("--seed", type=int, default=None)
 
     simulate_parser = command("simulate", _command_simulate, "run a small recall study")
     simulate_parser.add_argument("--correlation", choices=["positive", "negative"],

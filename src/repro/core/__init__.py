@@ -18,7 +18,7 @@ through a fresh sampler and keeps nothing after it returns.
 from repro.core.batch import BatchTescEngine, PairRanking, RankedPair, rank_pairs
 from repro.core.topk import ProgressiveTopKEngine, TopKRanking, top_k_pairs
 from repro.core.config import TescConfig
-from repro.core.density import DensityComputer, DensityMatrix, density_vectors
+from repro.core.density import DensityComputer, DensityMatrix
 from repro.core.concordance import concordance, concordance_counts
 from repro.core.estimators import (
     EstimateComponents,
@@ -37,7 +37,6 @@ __all__ = [
     "TescConfig",
     "DensityComputer",
     "DensityMatrix",
-    "density_vectors",
     "concordance",
     "concordance_counts",
     "EstimateComponents",

@@ -13,7 +13,6 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from repro.events.attributed_graph import AttributedGraph
 from repro.graph.csr import CSRGraph
 from repro.graph.traversal import BFSEngine
 from repro.utils import deadlines
@@ -97,9 +96,10 @@ def densities_from_counts(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 class DensityComputer:
     """Computes per-reference-node event densities with a shared BFS engine.
 
-    One h-hop BFS per reference node yields the vicinity once and both
-    events' densities are read off the same vicinity, exactly as the paper's
-    event-density phase does.  With ``workers > 1`` the many-node passes
+    Each reference node's h-vicinity is expanded once and every event's
+    density is read off that same vicinity, as the paper's event-density
+    phase does; grouped multi-source BFS passes do this for many reference
+    nodes at a time.  With ``workers > 1`` the many-node passes
     (:meth:`density_matrix`, :meth:`append_columns`) split their columns
     across that many threads
     (:func:`~repro.service.pool.pooled_density_matrix`); the counts are
@@ -127,46 +127,6 @@ class DensityComputer:
         self.engine.bfs_calls += bfs_calls
         return matrix.counts, matrix.vicinity_sizes
 
-    def density(self, reference_node: int, indicator: np.ndarray, level: int) -> float:
-        """``s^h_event(reference_node)`` for the event given by ``indicator``."""
-        check_vicinity_level(level)
-        count, size = self.engine.count_marked_in_vicinity(reference_node, level, indicator)
-        return count / size if size else 0.0
-
-    def density_pair(
-        self,
-        reference_node: int,
-        indicator_a: np.ndarray,
-        indicator_b: np.ndarray,
-        level: int,
-    ) -> Tuple[float, float]:
-        """Densities of both events around one reference node (one BFS)."""
-        check_vicinity_level(level)
-        vicinity = self.engine.vicinity(reference_node, level)
-        size = vicinity.size
-        if size == 0:
-            return 0.0, 0.0
-        density_a = float(indicator_a[vicinity].sum()) / size
-        density_b = float(indicator_b[vicinity].sum()) / size
-        return density_a, density_b
-
-    def density_vectors(
-        self,
-        reference_nodes: Iterable[int],
-        indicator_a: np.ndarray,
-        indicator_b: np.ndarray,
-        level: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Density vectors ``s^h_a`` and ``s^h_b`` over the reference nodes."""
-        nodes = list(int(node) for node in reference_nodes)
-        densities_a = np.empty(len(nodes), dtype=float)
-        densities_b = np.empty(len(nodes), dtype=float)
-        for index, node in enumerate(nodes):
-            densities_a[index], densities_b[index] = self.density_pair(
-                node, indicator_a, indicator_b, level
-            )
-        return densities_a, densities_b
-
     def density_matrix(
         self,
         reference_nodes: Iterable[int],
@@ -175,11 +135,11 @@ class DensityComputer:
     ) -> "DensityMatrix":
         """Densities of *many* events around many reference nodes.
 
-        One h-hop BFS per reference node yields its vicinity once, and the
-        occurrence counts of every event are gathered from the vicinity in a
-        single vectorised reduction — the multi-event generalisation of
-        :meth:`density_pair` that :class:`~repro.core.batch.BatchTescEngine`
-        shares across all pairs it ranks.
+        Each reference node's vicinity is expanded once, and the occurrence
+        counts of every event are gathered from it in a single vectorised
+        reduction.  :class:`~repro.core.tesc.TescTester` counts its two
+        events this way; :class:`~repro.core.batch.BatchTescEngine` shares
+        one pass across all pairs it ranks.
 
         Parameters
         ----------
@@ -291,20 +251,3 @@ class DensityComputer:
             vicinity_sizes=np.concatenate([matrix.vicinity_sizes, new_sizes]),
             level=matrix.level,
         )
-
-
-def density_vectors(
-    attributed: AttributedGraph,
-    event_a: str,
-    event_b: str,
-    reference_nodes: Iterable[int],
-    level: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Convenience wrapper computing both density vectors for two events."""
-    computer = DensityComputer(attributed.csr)
-    return computer.density_vectors(
-        reference_nodes,
-        attributed.event_indicator(event_a),
-        attributed.event_indicator(event_b),
-        level,
-    )

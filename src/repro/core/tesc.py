@@ -3,11 +3,14 @@
 :class:`TescTester` wires together the three phases of the framework
 (Section 4.4): reference-node sampling, event-density computation and
 measure/significance computation, and returns a :class:`TescResult`.
+It draws through the same config → sampler factory and counts through the
+same grouped density pass as the batch engine, and it times its phases the
+same way: ``sampling``, ``density`` and ``estimate`` stage spans, recorded
+when a request span is open (see :mod:`repro.obs.trace`).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,8 +23,9 @@ from repro.core.estimators import (
 )
 from repro.events.attributed_graph import AttributedGraph
 from repro.exceptions import InsufficientSampleError
+from repro.obs.trace import stage
 from repro.sampling.base import ReferenceSample
-from repro.sampling.registry import create_sampler
+from repro.sampling.registry import make_config_sampler
 from repro.stats.hypothesis import CorrelationVerdict, SignificanceResult, decide
 
 
@@ -45,8 +49,6 @@ class TescResult:
         The reference sample used (nodes, weights, sampling cost).
     components:
         The raw estimator output (ties, null sigma, ...).
-    timings:
-        Seconds spent in each phase: ``sampling``, ``densities``, ``measure``.
     """
 
     event_a: str
@@ -59,7 +61,6 @@ class TescResult:
     significance: SignificanceResult
     sample: ReferenceSample
     components: EstimateComponents
-    timings: dict
 
     @property
     def significant(self) -> bool:
@@ -110,45 +111,31 @@ class TescTester:
         cfg = config if config is not None else self.config
 
         event_nodes = self.attributed.event_union(event_a, event_b)
-        needs_index = cfg.sampler in ("importance", "batch_importance", "reject")
-        vicinity_index = (
-            self.attributed.vicinity_index(levels=(cfg.vicinity_level,))
-            if needs_index
-            else None
-        )
-        sampler = create_sampler(
-            cfg.sampler,
-            self.attributed.csr,
-            vicinity_index=vicinity_index,
-            random_state=cfg.random_state,
-            batch_per_vicinity=cfg.batch_per_vicinity,
-        )
-
-        started = time.perf_counter()
-        sample = sampler.sample(event_nodes, cfg.vicinity_level, cfg.sample_size)
-        sampled = time.perf_counter()
+        with stage("sampling"):
+            sample = make_config_sampler(self.attributed, cfg).sample(
+                event_nodes, cfg.vicinity_level, cfg.sample_size
+            )
         if sample.num_distinct < 2:
             raise InsufficientSampleError(
                 f"sampler {cfg.sampler!r} produced {sample.num_distinct} reference "
                 "nodes; at least two are required"
             )
 
-        densities_a, densities_b = self._density_computer.density_vectors(
-            sample.nodes,
-            self.attributed.event_indicator(event_a),
-            self.attributed.event_indicator(event_b),
-            cfg.vicinity_level,
-        )
-        measure_start = time.perf_counter()
-        if sample.weighted:
-            components = importance_weighted_estimate(
-                densities_a, densities_b,
-                sample.frequencies, sample.probabilities,
-            )
-        else:
-            components = plain_estimate(densities_a, densities_b)
-        significance = decide(components.z_score, cfg.alpha, cfg.alternative)
-        finished = time.perf_counter()
+        with stage("density"):
+            densities_a, densities_b = self._density_computer.density_matrix(
+                sample.nodes,
+                self.attributed.indicator_matrix([event_a, event_b]),
+                cfg.vicinity_level,
+            ).densities
+        with stage("estimate"):
+            if sample.weighted:
+                components = importance_weighted_estimate(
+                    densities_a, densities_b,
+                    sample.frequencies, sample.probabilities,
+                )
+            else:
+                components = plain_estimate(densities_a, densities_b)
+            significance = decide(components.z_score, cfg.alpha, cfg.alternative)
 
         return TescResult(
             event_a=event_a,
@@ -161,11 +148,6 @@ class TescTester:
             significance=significance,
             sample=sample,
             components=components,
-            timings={
-                "sampling": sampled - started,
-                "densities": measure_start - sampled,
-                "measure": finished - measure_start,
-            },
         )
 
     def test_levels(self, event_a: str, event_b: str, levels=(1, 2, 3)) -> dict:

@@ -7,7 +7,7 @@ Three small, dependency-free pieces:
   a plain dict (the ``metrics`` protocol verb) and to the Prometheus text
   exposition format;
 * :mod:`repro.obs.trace` — the :func:`trace`/:func:`stage` span API that
-  stamps every rank/topk/commit request with per-stage timings (density
+  stamps every rank/topk/commit request with per-stage durations (density
   threads run in a copy of the request's context, so their spans nest
   under the stage that started them);
 * :mod:`repro.obs.exposition` / :mod:`repro.obs.slowlog` — the HTTP

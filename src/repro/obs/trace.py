@@ -1,4 +1,4 @@
-"""Per-request span trees: stage timings of one request.
+"""Per-request span trees: stage durations of one request.
 
 A *span* is one timed region of a request — ``rank`` → ``sampling`` →
 ``density`` → ``estimate`` — held in a tree rooted at the request span.

@@ -34,7 +34,6 @@ class SamplingCost:
     edges_scanned: int = 0
     rejections: int = 0
     out_of_sight_draws: int = 0
-    wall_seconds: float = 0.0
 
     def merge_engine(self, engine: BFSEngine) -> None:
         """Fold a BFS engine's counters into this cost record."""

@@ -8,7 +8,6 @@ the paper's recommendation when ``|V_{a∪b}|`` is small.
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 import numpy as np
@@ -41,7 +40,6 @@ class BatchBFSSampler(ReferenceSampler):
         the BFS.
         """
         event_nodes = self._validate(event_nodes, level, sample_size)
-        started = time.perf_counter()
         self._engine.reset_counters()
         if population is None:
             population = self.population(event_nodes, level)
@@ -56,7 +54,7 @@ class BatchBFSSampler(ReferenceSampler):
             # it (pre-sort) is what lets top-k rounds slice prefixes of it.
             chosen = self.rng.choice(population, size=sample_size, replace=False)
             draw_order = chosen.copy()
-        cost = SamplingCost(wall_seconds=time.perf_counter() - started)
+        cost = SamplingCost()
         cost.merge_engine(self._engine)
         return ReferenceSample(
             nodes=np.sort(chosen),
@@ -82,11 +80,10 @@ class ExhaustiveSampler(BatchBFSSampler):
     def sample(self, event_nodes: np.ndarray, level: int, sample_size: int = 1,
                population: Optional[np.ndarray] = None) -> ReferenceSample:
         event_nodes = self._validate(event_nodes, level, max(sample_size, 1))
-        started = time.perf_counter()
         self._engine.reset_counters()
         if population is None:
             population = self.population(event_nodes, level)
-        cost = SamplingCost(wall_seconds=time.perf_counter() - started)
+        cost = SamplingCost()
         cost.merge_engine(self._engine)
         return ReferenceSample(
             nodes=np.sort(population),

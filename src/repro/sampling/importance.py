@@ -13,7 +13,6 @@ estimator quality (local-correlation trapping) for fewer BFS calls.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Optional
 
 import numpy as np
@@ -74,7 +73,6 @@ class ImportanceSampler(ReferenceSampler):
     def sample(self, event_nodes: np.ndarray, level: int,
                sample_size: int) -> ReferenceSample:
         event_nodes = self._validate(event_nodes, level, sample_size)
-        started = time.perf_counter()
         self._engine.reset_counters()
         index = self._vicinity_index(level)
 
@@ -128,7 +126,7 @@ class ImportanceSampler(ReferenceSampler):
         if np.any(probabilities <= 0):
             raise SamplingError("a sampled reference node has zero selection probability")
 
-        cost = SamplingCost(wall_seconds=time.perf_counter() - started)
+        cost = SamplingCost()
         cost.merge_engine(self._engine)
         return ReferenceSample(
             nodes=nodes,

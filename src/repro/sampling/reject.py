@@ -15,7 +15,6 @@ not enumerate the population.
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 import numpy as np
@@ -71,7 +70,6 @@ class RejectionSampler(ReferenceSampler):
     def sample(self, event_nodes: np.ndarray, level: int,
                sample_size: int) -> ReferenceSample:
         event_nodes = self._validate(event_nodes, level, sample_size)
-        started = time.perf_counter()
         self._engine.reset_counters()
         index = self._vicinity_index(level)
 
@@ -125,9 +123,7 @@ class RejectionSampler(ReferenceSampler):
         # the rejection loop — an exchangeable order whose prefixes are
         # themselves uniform samples (the progressive top-k rounds).
         draw_order = np.fromiter(accepted, count=len(accepted), dtype=np.int64)
-        cost = SamplingCost(
-            rejections=rejections, wall_seconds=time.perf_counter() - started
-        )
+        cost = SamplingCost(rejections=rejections)
         cost.merge_engine(self._engine)
         return ReferenceSample(
             nodes=np.sort(draw_order),

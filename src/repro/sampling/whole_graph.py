@@ -15,7 +15,6 @@ exactly what one :meth:`WholeGraphSampler.sample` call draws.
 
 from __future__ import annotations
 
-import time
 
 import numpy as np
 
@@ -50,7 +49,6 @@ class WholeGraphSampler(ReferenceSampler):
     def sample(self, event_nodes: np.ndarray, level: int,
                sample_size: int) -> ReferenceSample:
         event_nodes = self._validate(event_nodes, level, sample_size)
-        started = time.perf_counter()
         self._engine.reset_counters()
         event_marker = np.zeros(self.graph.num_nodes, dtype=bool)
         event_marker[event_nodes] = True
@@ -84,10 +82,7 @@ class WholeGraphSampler(ReferenceSampler):
             )
 
         draw_order = np.fromiter(accepted, count=len(accepted), dtype=np.int64)
-        cost = SamplingCost(
-            out_of_sight_draws=out_of_sight,
-            wall_seconds=time.perf_counter() - started,
-        )
+        cost = SamplingCost(out_of_sight_draws=out_of_sight)
         cost.merge_engine(self._engine)
         return ReferenceSample(
             nodes=np.sort(draw_order),

@@ -388,10 +388,6 @@ class ServiceEngine:
         self._m_commits = m.counter(
             "tesc_commits_total", "Delta batches committed."
         )
-        self._m_commit_seconds = m.histogram(
-            "tesc_commit_seconds",
-            "Commit latency in seconds (apply + epoch publication).",
-        )
         self._m_commit_replays = m.counter(
             "tesc_commit_replays_total",
             "Stream commits answered from the rid dedup table (idempotent "
@@ -1084,7 +1080,6 @@ class ServiceEngine:
                     while len(self._commit_rids) > self._max_commit_rids:
                         self._commit_rids.popitem(last=False)
             self._observe_stages(span)
-        self._m_commit_seconds.observe(span.duration)
         self._m_request_seconds.labels(method="commit").observe(span.duration)
         return result
 

@@ -11,6 +11,7 @@ from repro.core import estimators
 from repro.events.attributed_graph import AttributedGraph
 from repro.graph.adjacency import Graph
 from repro.graph.generators import erdos_renyi_graph
+from repro.graph.traversal import BFSEngine
 from repro.stats import fast_kendall
 
 
@@ -57,6 +58,27 @@ def attributed_random(random_graph) -> AttributedGraph:
     nodes_a = rng.choice(200, size=30, replace=False)
     nodes_b = rng.choice(200, size=30, replace=False)
     return AttributedGraph(random_graph, {"a": nodes_a, "b": nodes_b, "c": [0, 1, 2]})
+
+
+@pytest.fixture
+def per_node_densities():
+    """The per-node density oracle of Eq. 2: one BFS per reference node.
+
+    ``per_node_densities(csr, nodes, indicator, level)`` returns
+    ``|V_e ∩ V^h_r| / |V^h_r|`` for each ``r`` in ``nodes`` from
+    :meth:`BFSEngine.count_marked_in_vicinity`, independently of the grouped
+    pass that :meth:`DensityComputer.density_matrix` runs.
+    """
+
+    def densities(csr, nodes, indicator, level) -> np.ndarray:
+        engine = BFSEngine(csr)
+        values = []
+        for node in nodes:
+            count, size = engine.count_marked_in_vicinity(int(node), level, indicator)
+            values.append(count / size)
+        return np.array(values, dtype=float)
+
+    return densities
 
 
 @pytest.fixture

@@ -3,53 +3,63 @@
 import numpy as np
 import pytest
 
-from repro.core.density import DensityComputer, density_vectors
+from repro.core.density import DensityComputer
+
+
+def rows(*indicators):
+    """Stack event indicators into a ``density_matrix`` indicator matrix."""
+    return np.stack(indicators)
 
 
 class TestDensityComputer:
-    def test_density_on_path_graph(self, path_graph):
+    def test_density_on_path_graph(self, path_graph, per_node_densities):
         # Path 0-1-2-3-4-5, event a on {0, 1}.
-        computer = DensityComputer(path_graph.to_csr())
+        csr = path_graph.to_csr()
+        computer = DensityComputer(csr)
         indicator = np.zeros(6, dtype=bool)
         indicator[[0, 1]] = True
+        level_1 = computer.density_matrix([2, 5], rows(indicator), 1).densities[0]
         # 1-vicinity of node 2 is {1, 2, 3}: one occurrence out of three nodes.
-        assert computer.density(2, indicator, 1) == pytest.approx(1 / 3)
+        assert level_1[0] == pytest.approx(1 / 3)
         # 1-vicinity of node 5 is {4, 5}: no occurrences.
-        assert computer.density(5, indicator, 1) == 0.0
+        assert level_1[1] == 0.0
         # 2-vicinity of node 2 is {0..4}: two occurrences out of five nodes.
-        assert computer.density(2, indicator, 2) == pytest.approx(2 / 5)
+        level_2 = computer.density_matrix([2], rows(indicator), 2).densities[0]
+        assert level_2[0] == pytest.approx(2 / 5)
+        assert np.array_equal(level_1, per_node_densities(csr, [2, 5], indicator, 1))
+        assert np.array_equal(level_2, per_node_densities(csr, [2], indicator, 2))
 
     def test_density_includes_reference_node_itself(self, path_graph):
         computer = DensityComputer(path_graph.to_csr())
         indicator = np.zeros(6, dtype=bool)
         indicator[0] = True
-        assert computer.density(0, indicator, 1) == pytest.approx(1 / 2)
+        matrix = computer.density_matrix([0], rows(indicator), 1)
+        assert matrix.densities[0, 0] == pytest.approx(1 / 2)
 
     def test_density_pair_single_bfs(self, path_graph):
+        # Both events' densities around node 2 come out of one pass.
         computer = DensityComputer(path_graph.to_csr())
         indicator_a = np.zeros(6, dtype=bool)
         indicator_a[[0, 1]] = True
         indicator_b = np.zeros(6, dtype=bool)
         indicator_b[[3]] = True
-        density_a, density_b = computer.density_pair(2, indicator_a, indicator_b, 1)
+        matrix = computer.density_matrix([2], rows(indicator_a, indicator_b), 1)
+        density_a, density_b = matrix.densities[:, 0]
         assert density_a == pytest.approx(1 / 3)
         assert density_b == pytest.approx(1 / 3)
 
     def test_density_pair_uses_one_bfs_per_reference(self, path_graph):
         computer = DensityComputer(path_graph.to_csr())
         indicator = np.zeros(6, dtype=bool)
-        computer.density_pair(2, indicator, indicator, 1)
+        computer.density_matrix([2], rows(indicator, indicator), 1)
         assert computer.engine.bfs_calls == 1
 
     def test_density_vectors_shape_and_range(self, attributed_random):
         computer = DensityComputer(attributed_random.csr)
         references = [0, 10, 20, 30]
-        densities_a, densities_b = computer.density_vectors(
-            references,
-            attributed_random.event_indicator("a"),
-            attributed_random.event_indicator("b"),
-            2,
-        )
+        densities_a, densities_b = computer.density_matrix(
+            references, attributed_random.indicator_matrix(["a", "b"]), 2
+        ).densities
         assert densities_a.shape == (4,)
         assert np.all((densities_a >= 0) & (densities_a <= 1))
         assert np.all((densities_b >= 0) & (densities_b <= 1))
@@ -59,12 +69,15 @@ class TestDensityComputer:
 
         computer = DensityComputer(path_graph.to_csr())
         with pytest.raises(ConfigurationError):
-            computer.density(0, np.zeros(6, dtype=bool), 0)
+            computer.density_matrix([0], np.zeros((1, 6), dtype=bool), 0)
 
 
-class TestDensityVectorsWrapper:
+class TestDensityMatrix:
     def test_matches_direct_computation(self, attributed_path):
-        densities_a, densities_b = density_vectors(attributed_path, "a", "b", [1, 2, 4], 1)
+        computer = DensityComputer(attributed_path.csr)
+        densities_a, densities_b = computer.density_matrix(
+            [1, 2, 4], attributed_path.indicator_matrix(["a", "b"]), 1
+        ).densities
         # node 1: vicinity {0,1,2}; a on {0,1} -> 2/3, b on {4,5} -> 0
         assert densities_a[0] == pytest.approx(2 / 3)
         assert densities_b[0] == 0.0
@@ -72,25 +85,22 @@ class TestDensityVectorsWrapper:
         assert densities_a[2] == 0.0
         assert densities_b[2] == pytest.approx(2 / 3)
 
-
-class TestDensityMatrix:
-    def test_matches_density_vectors(self, attributed_random):
+    def test_matches_density_vectors(self, attributed_random, per_node_densities):
         computer = DensityComputer(attributed_random.csr)
         reference_nodes = [3, 17, 40, 99]
-        matrix = computer.density_matrix(
-            reference_nodes, attributed_random.indicator_matrix(["a", "b"]), 1
-        )
-        densities_a, densities_b = computer.density_vectors(
-            reference_nodes,
-            attributed_random.event_indicator("a"),
-            attributed_random.event_indicator("b"),
-            1,
-        )
-        assert np.array_equal(matrix.densities[0], densities_a)
-        assert np.array_equal(matrix.densities[1], densities_b)
-        assert matrix.num_events == 2
-        assert matrix.num_reference_nodes == 4
-        assert matrix.level == 1
+        for level in (1, 2):
+            matrix = computer.density_matrix(
+                reference_nodes, attributed_random.indicator_matrix(["a", "b"]), level
+            )
+            for row, event in enumerate(("a", "b")):
+                expected = per_node_densities(
+                    attributed_random.csr, reference_nodes,
+                    attributed_random.event_indicator(event), level,
+                )
+                assert np.array_equal(matrix.densities[row], expected)
+            assert matrix.num_events == 2
+            assert matrix.num_reference_nodes == 4
+            assert matrix.level == level
 
     def test_counts_and_sizes_consistent(self, attributed_random):
         computer = DensityComputer(attributed_random.csr)

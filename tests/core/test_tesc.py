@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.config import TescConfig
+from repro.core.density import DensityComputer
+from repro.core.estimators import importance_weighted_estimate, plain_estimate
 from repro.core.tesc import TescTester, measure_tesc
 from repro.events.attributed_graph import AttributedGraph
 from repro.graph.generators import community_ring_graph, erdos_renyi_graph
+from repro.obs.trace import trace
+from repro.sampling.registry import available_samplers
 from repro.stats.hypothesis import CorrelationVerdict
 
 
@@ -68,8 +72,17 @@ class TestTescTester:
         assert -1.0 <= result.score <= 1.0
         assert 0.0 <= result.p_value <= 1.0
         assert result.num_reference_nodes == result.sample.num_distinct
-        assert set(result.timings) == {"sampling", "densities", "measure"}
         assert "TESC" in str(result)
+
+    def test_phases_record_stage_spans(self, clustered_attributed):
+        config = TescConfig(vicinity_level=1, sample_size=150, random_state=2)
+        tester = TescTester(clustered_attributed, config)
+        with trace("request") as root:
+            tester.test("x", "y")
+        assert [child.name for child in root.children] == [
+            "sampling", "density", "estimate",
+        ]
+        assert all(child.duration is not None for child in root.children)
 
     def test_all_samplers_agree_on_strong_signal(self, clustered_attributed):
         for sampler in ("batch_bfs", "importance", "whole_graph", "exhaustive"):
@@ -92,6 +105,48 @@ class TestTescTester:
         result = TescTester(clustered_attributed, config).test("x", "y")
         # Strong positive correlation is *not* significant under the "less" test.
         assert result.verdict is CorrelationVerdict.INDEPENDENT
+
+
+class TestPerNodeOracle:
+    """The grouped density pass against one BFS per reference node."""
+
+    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize("sampler", available_samplers())
+    def test_matches_per_node_oracle(self, clustered_attributed, per_node_densities,
+                                     monkeypatch, sampler, level):
+        matrices = []
+        grouped_pass = DensityComputer.density_matrix
+
+        def recording_pass(computer, *args, **kwargs):
+            matrices.append(grouped_pass(computer, *args, **kwargs))
+            return matrices[-1]
+
+        monkeypatch.setattr(DensityComputer, "density_matrix", recording_pass)
+        config = TescConfig(
+            vicinity_level=level, sample_size=150, sampler=sampler, random_state=3
+        )
+        result = TescTester(clustered_attributed, config).test("x", "far")
+
+        sample = result.sample
+        expected = [
+            per_node_densities(
+                clustered_attributed.csr, sample.nodes,
+                clustered_attributed.event_indicator(event), level,
+            )
+            for event in ("x", "far")
+        ]
+        (matrix,) = matrices
+        assert np.array_equal(matrix.reference_nodes, sample.nodes)
+        assert np.array_equal(matrix.densities[0], expected[0])
+        assert np.array_equal(matrix.densities[1], expected[1])
+        if sample.weighted:
+            oracle = importance_weighted_estimate(
+                *expected, sample.frequencies, sample.probabilities
+            )
+        else:
+            oracle = plain_estimate(*expected)
+        assert result.score == oracle.estimate
+        assert result.z_score == oracle.z_score
 
 
 class TestMeasureTesc:

@@ -21,10 +21,10 @@ class TestDistanceWeightedDensities:
 
         attributed = AttributedGraph(path_graph, {"a": [0, 1]})
         weighted = distance_weighted_densities(attributed, "a", [2], decay=1.0, max_hops=1)
-        plain = DensityComputer(attributed.csr).density(
-            2, attributed.event_indicator("a"), 1
+        plain = DensityComputer(attributed.csr).density_matrix(
+            [2], attributed.indicator_matrix(["a"]), 1
         )
-        assert weighted[0] == pytest.approx(plain)
+        assert weighted[0] == pytest.approx(plain.densities[0, 0])
 
     def test_values_in_unit_interval(self, attributed_random):
         densities = distance_weighted_densities(

@@ -45,4 +45,4 @@ class TestSamplingCost:
         cost = SamplingCost()
         assert cost.bfs_calls == 0
         assert cost.rejections == 0
-        assert cost.wall_seconds == 0.0
+        assert cost.out_of_sight_draws == 0

@@ -143,8 +143,10 @@ class TestScriptedSessionReconciliation:
             assert metric(
                 snap, "tesc_request_seconds", method="topk"
             ) == num_topk
+            assert metric(
+                snap, "tesc_request_seconds", method="commit"
+            ) == num_commits
             assert metric(snap, "tesc_commits_total") == num_commits
-            assert metric(snap, "tesc_commit_seconds") == num_commits
 
             # -- every requested pair is a hit or a miss, nothing lost -------
             pairs_requested = sum(len(spec) for spec in rank_specs) + ok

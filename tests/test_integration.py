@@ -10,7 +10,6 @@ import pytest
 from repro import AttributedGraph, CorrelationVerdict, TescConfig, TescTester, measure_tesc
 from repro.baselines import ProximityPatternMiner, transaction_correlation
 from repro.core.estimators import exact_tau
-from repro.core.density import DensityComputer
 from repro.datasets import make_dblp_like, make_intrusion_like
 from repro.graph.io import read_edge_list, read_event_file, write_edge_list, write_event_file
 from repro.sampling.batch_bfs import ExhaustiveSampler
@@ -80,17 +79,16 @@ class TestEndToEndOnDblpLike:
                                  sample_size=200, random_state=7)
         assert recovered.verdict is original.verdict
 
-    def test_exhaustive_sampler_matches_manual_tau(self, dblp):
+    def test_exhaustive_sampler_matches_manual_tau(self, dblp, per_node_densities):
         event_a, event_b = dblp.positive_pairs[1]
         attributed = dblp.attributed
         sampler = ExhaustiveSampler(attributed.csr, random_state=1)
         sample = sampler.sample(attributed.event_union(event_a, event_b), 1)
-        computer = DensityComputer(attributed.csr)
-        densities_a, densities_b = computer.density_vectors(
-            sample.nodes,
-            attributed.event_indicator(event_a),
-            attributed.event_indicator(event_b),
-            1,
+        densities_a, densities_b = (
+            per_node_densities(
+                attributed.csr, sample.nodes, attributed.event_indicator(event), 1
+            )
+            for event in (event_a, event_b)
         )
         manual_tau = exact_tau(densities_a, densities_b)
         result = measure_tesc(attributed, event_a, event_b, vicinity_level=1,
