@@ -410,15 +410,14 @@ def _command_topk(args: argparse.Namespace) -> int:
     print(ranking.render(markdown=args.markdown))
     print()
     rounds = TextTable(
-        ["round", "prefix n", "new nodes", "pairs in", "estimated", "pruned",
-         "live events", "k-th lower bound"]
+        ["round", "prefix n", "pairs in", "estimated", "pruned", "live events",
+         "k-th lower bound"]
     )
     for entry in stats.rounds:
         rounds.add_row(
             [
                 entry.index + 1,
                 entry.sample_size,
-                entry.new_reference_nodes,
                 entry.pairs_entering,
                 entry.pairs_estimated,
                 entry.pairs_pruned,

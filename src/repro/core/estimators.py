@@ -259,32 +259,6 @@ class PairEstimateBatcher:
         """Number of shared reference-sample columns the batcher ranks over."""
         return int(self._matrix.shape[1])
 
-    def grown(self, density_matrix: np.ndarray) -> "PairEstimateBatcher":
-        """A fresh batcher over a column-grown version of this matrix.
-
-        The progressive top-k engine appends reference-node columns between
-        rounds; rank vectors encode the order structure of *all* columns, so
-        they cannot be patched in place — every cached vector goes stale the
-        moment a column arrives.  This constructor makes the round hand-off
-        explicit: it validates that the old matrix is a column prefix of the
-        new one (same event rows, old columns bit-identical), then returns a
-        new batcher whose rank vectors will be re-encoded lazily for exactly
-        the rows the surviving pairs still touch.
-        """
-        matrix = np.asarray(density_matrix, dtype=float)
-        old = self._matrix
-        if (
-            matrix.ndim != 2
-            or matrix.shape[0] != old.shape[0]
-            or matrix.shape[1] < old.shape[1]
-            or not np.array_equal(matrix[:, : old.shape[1]], old)
-        ):
-            raise EstimationError(
-                "grown() needs a matrix whose column prefix is this batcher's "
-                f"matrix; got shape {matrix.shape} over {old.shape}"
-            )
-        return PairEstimateBatcher(matrix)
-
     def _encode(self, rows: np.ndarray, values: np.ndarray, present: np.ndarray) -> None:
         """Encode ``rows`` (not yet encoded): ``values`` are their densities
         and ``present`` marks the nonzero ones.

@@ -17,12 +17,14 @@ budget only where it can still change the answer:
    :func:`~repro.sampling.base.deterministic_draw_order` for samplers that
    record none).  Every prefix of a uniform draw order is itself a uniform
    sample, and the last round is the whole sample.
-2. **Append-only density evaluation.**  Each round BFS-counts only the
-   newly revealed reference nodes
-   (:meth:`~repro.core.density.DensityComputer.append_columns`), and only
-   for events that still appear in a surviving pair.  The service instead
-   hands in the full-budget matrix gathered from its count table, and each
-   round takes a column prefix of it.
+2. **One density pass, read in column prefixes.**  An event's density at a
+   reference node depends on that node's vicinity alone (Eq. 2), so a
+   round over the first ``m_r`` draws is exactly the first ``m_r`` columns
+   of the full-budget matrix.  Each call counts that matrix once, columns
+   in draw order (:meth:`~repro.core.density.DensityComputer.density_matrix`),
+   and every round scores :meth:`~repro.core.density.DensityMatrix.prefix`
+   of it; the service hands in the same matrix, gathered from its count
+   table.
 3. **Confidence-bound pruning.**  After each round every surviving pair's
    Kendall estimate gets a two-sided confidence interval from the variance
    machinery of :mod:`repro.core.estimators`; any pair whose upper bound
@@ -34,7 +36,7 @@ budget only where it can still change the answer:
    kernel arithmetic as ``rank_pairs``, so whenever the confidence intervals
    hold, the returned top-k — keys, scores, z-scores, verdicts and ranks — is
    *identical* to ``rank_pairs().top(k)`` (property-tested across samplers
-   and worker counts).  ``workers > 1`` splits each round's density columns
+   and worker counts).  ``workers > 1`` splits the density pass's columns
    across that many threads, which changes no count.
 
 The half-width of a round-``r`` interval covers the gap between the round
@@ -177,8 +179,6 @@ class TopKRound:
         0-based round number.
     sample_size:
         Prefix size (number of reference nodes revealed) this round.
-    new_reference_nodes:
-        How many of those were newly BFS-counted this round.
     pairs_entering / pairs_estimated / pairs_pruned:
         Active pairs at round start, how many had enough restricted
         reference nodes to screen, and how many the bounds eliminated.
@@ -190,7 +190,6 @@ class TopKRound:
 
     index: int
     sample_size: int
-    new_reference_nodes: int
     pairs_entering: int
     pairs_estimated: int
     pairs_pruned: int
@@ -209,8 +208,9 @@ class TopKStats:
     the spread between these counters is the estimate work the bounds
     saved.  With every estimate in one population pass that saving is
     small on the wall clock: on the 435-pair scan of
-    ``benchmarks/bench_micro.py`` (2 cores, k=3) ``top_k`` takes 78–81 ms
-    against 95–101 ms for ``rank_pairs("all")`` (medians of two runs).
+    ``benchmarks/bench_micro.py`` (2-core Xeon, k=3, sample 8000) ``top_k``
+    takes 36.9 ms against 41.0 ms for ``rank_pairs("all")`` (medians of
+    nine runs), as both pay the same full-budget density pass.
     ``budget`` is the shared
     sample's distinct node count: ``sample_size`` unless the sampler found
     fewer eligible nodes.
@@ -257,7 +257,7 @@ class ProgressiveTopKEngine:
         sampler restrictions as :class:`~repro.core.batch.BatchTescEngine`
         (uniform only).
     workers:
-        Density threads per round (``None``/1 = serial); see
+        Threads for the call's one density pass (``None``/1 = serial); see
         :func:`~repro.utils.validation.resolve_workers`.  Results are identical
         for every worker count.
 
@@ -342,8 +342,8 @@ class ProgressiveTopKEngine:
         matrix:
             Internal: the full-budget density matrix of ``sample`` over the
             pairs' events, columns in draw order (the service gathers it
-            from its count table).  Each round then takes a column prefix
-            of it instead of BFS-counting.  ``None`` counts round by round.
+            from its count table).  ``None`` counts it here, in one pass;
+            either way each round takes a column prefix of it.
         """
         if sort_by != "score":
             raise ConfigurationError(
@@ -362,7 +362,6 @@ class ProgressiveTopKEngine:
         pair_list = resolve_pair_spec(self.attributed.event_names(), pairs)
         events = sorted({event for pair in pair_list for event in pair})
         row_of = {event: row for row, event in enumerate(events)}
-        indicators = np.asarray(self.attributed.indicator_matrix(events))
         if sample is None:
             universe = event_universe(self.attributed, events)
             with stage("sampling"):
@@ -373,7 +372,16 @@ class ProgressiveTopKEngine:
         # uniform draw order is itself a uniform sample.
         order = draw_order(sample)
         budget = int(order.size)
-        if matrix is not None and not (
+        bfs_engine = self._density_computer.engine
+        bfs_before = bfs_engine.bfs_calls
+        if matrix is None:
+            with stage("density"):
+                matrix = self._density_computer.density_matrix(
+                    order,
+                    np.asarray(self.attributed.indicator_matrix(events)),
+                    cfg.vicinity_level,
+                )
+        elif not (
             matrix.num_events == len(events)
             and np.array_equal(matrix.reference_nodes, order)
         ):
@@ -381,55 +389,22 @@ class ProgressiveTopKEngine:
                 "matrix= must hold one row per event and one column per "
                 "sampled node, in draw order"
             )
-        # From here on ``matrix`` is the current round's prefix matrix.
-        full = matrix
-
-        bfs_engine = self._density_computer.engine
-        bfs_before = bfs_engine.bfs_calls
 
         active = list(pair_list)
         rounds: List[TopKRound] = []
-        matrix = None
-        batcher: Optional[PairEstimateBatcher] = None
         pending = round_schedule(
             cfg.topk_initial_sample_size, budget, cfg.topk_growth_factor
         )
-        live_rows = np.arange(len(events), dtype=np.int64)
         stalled_rounds = 0
-        final_new_count = 0
 
-        while pending:
+        while True:
             # Cooperative cancellation between rounds: a request whose
             # deadline expired stops before paying for another round.
             deadlines.checkpoint()
             target = pending.pop(0)
-            final_round = not pending
             self._m_rounds.inc()
-            order_nodes = order[:target]
-            with stage("density"):
-                if full is not None:
-                    new_count = order_nodes.size - (
-                        0 if matrix is None else matrix.num_reference_nodes
-                    )
-                    matrix = full.prefix(target)
-                elif matrix is None:
-                    new_count = order_nodes.size
-                    matrix = self._density_computer.density_matrix(
-                        order_nodes, indicators, cfg.vicinity_level
-                    )
-                else:
-                    suffix = order_nodes[matrix.num_reference_nodes:]
-                    new_count = suffix.size
-                    matrix = self._density_computer.append_columns(
-                        matrix, suffix, indicators[live_rows], rows=live_rows
-                    )
-            batcher = (
-                PairEstimateBatcher(matrix.densities)
-                if batcher is None
-                else batcher.grown(matrix.densities)
-            )
-            if final_round:
-                final_new_count = int(new_count)
+            batcher = PairEstimateBatcher(matrix.prefix(target).densities)
+            if not pending:
                 break
 
             entering = len(active)
@@ -442,7 +417,7 @@ class ProgressiveTopKEngine:
                 sizes = scores.n[screened]
                 estimate = scores.estimate[screened]
                 width = confidence_half_widths(
-                    sizes, (sizes * budget) // max(order_nodes.size, 1), TOPK_Z_STAR
+                    sizes, (sizes * budget) // target, TOPK_Z_STAR
                 )
                 stats.screen_estimates += int(screened.size)
 
@@ -454,22 +429,15 @@ class ProgressiveTopKEngine:
                         active[i]
                         for i in screened[estimate + width < kth_lower].tolist()
                     }
-                    if pruned:
-                        active = [pair for pair in active if pair not in pruned]
-                        live_events = {event for pair in active for event in pair}
-                        live_rows = np.array(
-                            sorted(row_of[event] for event in live_events),
-                            dtype=np.int64,
-                        )
+                    active = [pair for pair in active if pair not in pruned]
             rounds.append(
                 TopKRound(
                     index=len(rounds),
-                    sample_size=int(order_nodes.size),
-                    new_reference_nodes=int(new_count),
+                    sample_size=target,
                     pairs_entering=entering,
                     pairs_estimated=int(screened.size),
                     pairs_pruned=len(pruned),
-                    live_events=int(live_rows.size),
+                    live_events=_live_events(active),
                     kth_lower_bound=kth_lower,
                 )
             )
@@ -493,12 +461,11 @@ class ProgressiveTopKEngine:
         rounds.append(
             TopKRound(
                 index=len(rounds),
-                sample_size=int(matrix.num_reference_nodes),
-                new_reference_nodes=final_new_count,
+                sample_size=budget,
                 pairs_entering=len(active),
                 pairs_estimated=len(active),
                 pairs_pruned=0,
-                live_events=int(live_rows.size),
+                live_events=_live_events(active),
                 kth_lower_bound=None,
             )
         )
@@ -522,7 +489,7 @@ class ProgressiveTopKEngine:
             stats=BatchStats(
                 num_events=len(events),
                 num_pairs=len(pair_list),
-                density_passes=len(stats.rounds),
+                density_passes=1,
                 density_bfs_calls=stats.density_bfs_calls,
                 workers=self.workers,
                 shards=max(1, min(self.workers, sample.nodes.size)),
@@ -531,6 +498,11 @@ class ProgressiveTopKEngine:
             confidence=TOPK_CONFIDENCE,
             topk_stats=stats,
         )
+
+
+def _live_events(active: List[Tuple[str, str]]) -> int:
+    """How many events appear in at least one of the ``active`` pairs."""
+    return len({event for pair in active for event in pair})
 
 
 def draw_order(sample: ReferenceSample) -> np.ndarray:

@@ -38,9 +38,11 @@ class RejectionSampler(ReferenceSampler):
         Pre-computed ``|V^h_v|`` index; created lazily when not supplied.
     max_attempts_per_node:
         Safety valve: the expected number of attempts per accepted node is
-        ``N_sum / N``; if the sampler exceeds this many attempts per
-        requested node it raises :class:`SamplingError` instead of looping
-        forever on pathological inputs.
+        ``N_sum / N``; once the sampler has made this many attempts per
+        requested node it stops.  If the population ``V^h_{a∪b}`` then has
+        at most ``sample_size`` nodes, the whole population is the sample
+        (as with ``batch_bfs``); otherwise it raises :class:`SamplingError`
+        instead of looping forever on pathological inputs.
     """
 
     name = "reject"
@@ -112,25 +114,34 @@ class RejectionSampler(ReferenceSampler):
             else:
                 rejections += 1
 
-        if len(accepted) < sample_size and attempts >= max_attempts:
-            raise SamplingError(
-                f"rejection sampling exceeded {max_attempts} attempts while "
-                f"collecting {sample_size} reference nodes (got {len(accepted)}); "
-                "use importance or batch_bfs sampling for this input"
-            )
-
-        # ``accepted`` is insertion-ordered, i.e. the acceptance sequence of
-        # the rejection loop — an exchangeable order whose prefixes are
-        # themselves uniform samples (the progressive top-k rounds).
-        draw_order = np.fromiter(accepted, count=len(accepted), dtype=np.int64)
         cost = SamplingCost(rejections=rejections)
+        population_size = None
+        if len(accepted) < sample_size:
+            # A sample no smaller than the population is the whole of it, as
+            # batch_bfs returns it; only then is the population enumerated.
+            population = self._engine.multi_source_vicinity(event_nodes, level)
+            if population.size > sample_size:
+                raise SamplingError(
+                    f"rejection sampling exceeded {max_attempts} attempts while "
+                    f"collecting {sample_size} reference nodes (got "
+                    f"{len(accepted)}); use importance or batch_bfs sampling "
+                    "for this input"
+                )
+            nodes, draw_order = np.sort(population), None
+            population_size = int(population.size)
+        else:
+            # ``accepted`` is insertion-ordered, i.e. the acceptance sequence
+            # of the rejection loop — an exchangeable order whose prefixes
+            # are themselves uniform samples (the progressive top-k rounds).
+            draw_order = np.fromiter(accepted, count=len(accepted), dtype=np.int64)
+            nodes = np.sort(draw_order)
         cost.merge_engine(self._engine)
         return ReferenceSample(
-            nodes=np.sort(draw_order),
-            frequencies=np.ones(draw_order.size, dtype=np.int64),
+            nodes=nodes,
+            frequencies=np.ones(nodes.size, dtype=np.int64),
             probabilities=None,
             weighted=False,
-            population_size=None,
+            population_size=population_size,
             cost=cost,
             draw_order=draw_order,
         )

@@ -125,61 +125,35 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             computer.density_matrix([0], np.zeros((2, 3), dtype=bool), 1)
 
-
-class TestAppendColumns:
-    def test_bit_identical_to_one_shot_pass(self, attributed_random):
+    def test_prefix_equals_a_pass_over_the_prefix_nodes(self, attributed_random):
+        """A column depends on its own reference node only, so top-k's
+        screening rounds may read column prefixes of one full pass."""
         computer = DensityComputer(attributed_random.csr)
         indicators = attributed_random.indicator_matrix(["a", "b", "c"])
-        nodes = np.arange(0, 60)
+        nodes = np.random.default_rng(4).permutation(60)
         full = computer.density_matrix(nodes, indicators, 2)
-        grown = computer.density_matrix(nodes[:25], indicators, 2)
-        for stop in (40, 60):
-            grown = computer.append_columns(
-                grown, nodes[grown.num_reference_nodes:stop], indicators
-            )
-        assert np.array_equal(grown.densities, full.densities)
-        assert np.array_equal(grown.counts, full.counts)
-        assert np.array_equal(grown.vicinity_sizes, full.vicinity_sizes)
-        assert np.array_equal(grown.reference_nodes, full.reference_nodes)
+        for size in (1, 25, 40, 60):
+            prefix = full.prefix(size)
+            counted = computer.density_matrix(nodes[:size], indicators, 2)
+            assert np.array_equal(prefix.reference_nodes, counted.reference_nodes)
+            assert np.array_equal(prefix.densities, counted.densities)
+            assert np.array_equal(prefix.counts, counted.counts)
+            assert np.array_equal(prefix.vicinity_sizes, counted.vicinity_sizes)
 
-    def test_row_restricted_append_fills_only_live_rows(self, attributed_random):
+
+class TestReferenceNodeConversion:
+    def test_every_node_container_gives_the_same_matrix(self, attributed_random):
         computer = DensityComputer(attributed_random.csr)
         indicators = attributed_random.indicator_matrix(["a", "b", "c"])
-        nodes = np.arange(0, 40)
-        full = computer.density_matrix(nodes, indicators, 1)
-        base = computer.density_matrix(nodes[:15], indicators, 1)
-        live = np.array([0, 2])
-        grown = computer.append_columns(
-            base, nodes[15:], indicators[live], rows=live
-        )
-        assert np.array_equal(grown.densities[live], full.densities[live])
-        # Dead rows keep zero counts in the appended columns (never read).
-        assert (grown.counts[1, 15:] == 0).all()
-        # Shared per-column quantities are exact regardless of row subset.
-        assert np.array_equal(grown.vicinity_sizes, full.vicinity_sizes)
-
-    def test_only_new_nodes_are_traversed(self, attributed_random):
-        computer = DensityComputer(attributed_random.csr)
-        indicators = attributed_random.indicator_matrix(["a", "b"])
-        base = computer.density_matrix(np.arange(30), indicators, 1)
-        before = computer.engine.bfs_calls
-        computer.append_columns(base, np.arange(30, 40), indicators)
-        assert computer.engine.bfs_calls - before == 10
-
-    def test_empty_append_is_identity(self, attributed_random):
-        computer = DensityComputer(attributed_random.csr)
-        indicators = attributed_random.indicator_matrix(["a", "b"])
-        base = computer.density_matrix(np.arange(20), indicators, 1)
-        grown = computer.append_columns(base, [], indicators)
-        assert np.array_equal(grown.densities, base.densities)
-
-    def test_validates_row_mapping(self, attributed_random):
-        computer = DensityComputer(attributed_random.csr)
-        indicators = attributed_random.indicator_matrix(["a", "b", "c"])
-        base = computer.density_matrix(np.arange(10), indicators, 1)
-        with pytest.raises(ValueError, match="rows"):
-            computer.append_columns(
-                base, [11], indicators[:2], rows=np.array([0])
-            )
-        with pytest.raises(ValueError, match="pass rows="):
-            computer.append_columns(base, [11], indicators[:2])
+        expected = computer.density_matrix(list(range(5, 45)), indicators, 2)
+        for nodes in (
+            range(5, 45),
+            np.arange(5, 45, dtype=np.int32),
+            np.arange(5, 45, dtype=np.int64),
+        ):
+            matrix = computer.density_matrix(nodes, indicators, 2)
+            assert matrix.reference_nodes.dtype == np.int64
+            assert np.array_equal(matrix.reference_nodes, expected.reference_nodes)
+            assert np.array_equal(matrix.densities, expected.densities)
+            assert np.array_equal(matrix.counts, expected.counts)
+            assert np.array_equal(matrix.vicinity_sizes, expected.vicinity_sizes)

@@ -150,31 +150,3 @@ class TestPairEstimateBatcher:
         # An empty population is the caller's to keep or raise.
         scores = PairEstimateBatcher(np.zeros((2, 5))).estimate_pairs([0], [1])
         assert (scores.n[0], scores.estimate[0], scores.degenerate[0]) == (0, 0.0, False)
-
-
-class TestBatcherGrown:
-    def test_grown_requires_column_prefix(self):
-        from repro.core.estimators import PairEstimateBatcher
-
-        rng = np.random.default_rng(9)
-        matrix = rng.random((3, 20))
-        batcher = PairEstimateBatcher(matrix)
-        wider = np.hstack([matrix, rng.random((3, 10))])
-        grown = batcher.grown(wider)
-        assert grown.num_reference_nodes == 30
-        # Same kernel arithmetic over the grown matrix.
-        direct = PairEstimateBatcher(wider).estimate_pairs([0], [2])
-        assert grown.estimate_pairs([0], [2]).estimate[0] == direct.estimate[0]
-
-    def test_grown_rejects_non_prefix(self):
-        from repro.core.estimators import PairEstimateBatcher
-
-        rng = np.random.default_rng(10)
-        matrix = rng.random((3, 20))
-        batcher = PairEstimateBatcher(matrix)
-        with pytest.raises(EstimationError, match="prefix"):
-            batcher.grown(rng.random((3, 25)))
-        with pytest.raises(EstimationError, match="prefix"):
-            batcher.grown(matrix[:, :10])
-        with pytest.raises(EstimationError, match="prefix"):
-            batcher.grown(rng.random((4, 25)))

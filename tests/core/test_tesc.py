@@ -187,3 +187,39 @@ class TestMeasureTesc:
 
         with pytest.raises(UnknownEventError):
             measure_tesc(clustered_attributed, "x", "missing", sample_size=50)
+
+
+class TestRejectionSamplerWholePopulation:
+    """A request at least as large as ``V^h_{x∪y}`` (143 nodes at h = 1)
+    returns the whole population once the attempt budget runs out, as
+    ``batch_bfs`` does; a budget too small for a smaller request raises."""
+
+    def _samplers(self, attributed, attempts):
+        from repro.sampling.batch_bfs import BatchBFSSampler
+        from repro.sampling.reject import RejectionSampler
+
+        return (
+            RejectionSampler(
+                attributed.csr, random_state=1, max_attempts_per_node=attempts
+            ),
+            BatchBFSSampler(attributed.csr, random_state=1),
+        )
+
+    def test_oversized_request_returns_the_population(self, clustered_attributed):
+        union = clustered_attributed.event_union("x", "y")
+        reject, batch = self._samplers(clustered_attributed, attempts=3)
+        expected = batch.sample(union, 1, 144)
+        sample = reject.sample(union, 1, 144)
+        assert expected.population_size == 143
+        assert np.array_equal(sample.nodes, expected.nodes)
+        assert sample.population_size == 143
+        assert sample.draw_order is None
+        assert not sample.weighted
+        assert (sample.frequencies == 1).all()
+
+    def test_small_budget_still_raises(self, clustered_attributed):
+        from repro.exceptions import SamplingError
+
+        reject, _ = self._samplers(clustered_attributed, attempts=1)
+        with pytest.raises(SamplingError, match="exceeded 100 attempts"):
+            reject.sample(clustered_attributed.event_union("x", "y"), 1, 100)

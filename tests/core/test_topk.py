@@ -154,6 +154,24 @@ class TestFullBudgetMatrix:
         assert sliced.rounds == counted.rounds
         assert sliced.topk_stats.density_bfs_calls == 0
 
+    def test_in_process_call_counts_one_pass_in_draw_order(self, monkeypatch):
+        seen = []
+        original = DensityComputer.density_matrix
+
+        def recording(self, nodes, *args, **kwargs):
+            matrix = original(self, nodes, *args, **kwargs)
+            seen.append(matrix.reference_nodes.copy())
+            return matrix
+
+        monkeypatch.setattr(DensityComputer, "density_matrix", recording)
+        ranking = ProgressiveTopKEngine(
+            SEPARABLE_DATASET.attributed, _separable_config()
+        ).top_k(2)
+        assert len(ranking.rounds) >= 3
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], draw_order(ranking.sample))
+        assert ranking.topk_stats.density_bfs_calls == ranking.topk_stats.budget
+
     def test_mismatched_matrix_rejected(self):
         attributed = SEPARABLE_DATASET.attributed
         engine = ProgressiveTopKEngine(attributed, _separable_config())
@@ -322,7 +340,7 @@ class TestScreeningRoundOracle:
     """Every screening round rebuilt from scratch: a fresh density matrix
     over the round's prefix of the draw order, :func:`plain_estimate` over
     each entering pair's population and :func:`confidence_half_width` for
-    its bound.  The engine's appended columns and population pass must give
+    its bound.  The engine's column prefixes and population pass must give
     the same counts and the same k-th lower bound, float for float."""
 
     def test_rounds_match_a_rebuild_from_scratch(self):

@@ -195,7 +195,7 @@ class TestStageSeconds:
 
         for stage in ("sampling", "density", "estimate"):
             assert count("rank", stage) == 1
-        # Top-k's density rounds are summed into one observation a request.
+        # Top-k reads its rounds off one density pass: one observation a request.
         for stage in ("sampling", "density", "screening", "estimate"):
             assert count("topk", stage) == 1
         engine.close()

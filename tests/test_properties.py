@@ -359,21 +359,17 @@ class TestPopulationPass:
     @settings(max_examples=60, deadline=None)
     def test_column_prefixes_match_the_oracle(self, matrix, data):
         """Top-k screening rounds score column prefixes of one matrix, each
-        through a batcher grown from the last."""
+        through a fresh batcher."""
         widths = sorted(set(data.draw(st.lists(
             st.integers(min_value=1, max_value=matrix.num_reference_nodes),
             min_size=1, max_size=4,
         ))))
         pair_list, row_of = _ordered_pairs(matrix)
-        batcher = None
         for width in widths + [matrix.num_reference_nodes]:
             prefix = matrix.prefix(width)
-            batcher = (
-                PairEstimateBatcher(prefix.densities) if batcher is None
-                else batcher.grown(prefix.densities)
-            )
             assert estimate_pair_list(
-                pair_list, row_of, batcher, self.CONFIG, "keep"
+                pair_list, row_of, PairEstimateBatcher(prefix.densities),
+                self.CONFIG, "keep",
             ) == _per_pair_oracle(pair_list, row_of, prefix, self.CONFIG)
 
     @pytest.mark.parametrize("chunk_cells", [1, 64, 400, 1 << 16])
