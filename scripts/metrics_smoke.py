@@ -12,7 +12,8 @@ verb), scrapes the Prometheus HTTP endpoint, and fails loudly if
   (requests, latency histograms, pair cache, admission, pins, commits,
   reused pair estimates, reference populations enumerated and reused,
   the density and estimate stages of rank and top-k, the sizes of the
-  pair cache and of the row-digest index in front of it),
+  pair cache and of the row-digest index in front of it, the boot
+  stages that read the edge list and the event file),
 * a repeated identical rank adds no pair-cache hits, or computes a density
   matrix, looks up a sample or reads a reference population,
 * the pair-estimate outcomes do not add up to the pair-cache misses,
@@ -76,6 +77,10 @@ REQUIRED_NONZERO = [
     # Gauges: the one per-pair cache and the row digests that find it.
     ("tesc_cached_pair_results", None),
     ("tesc_cached_row_digests", None),
+    # Boot stages the CLI timed (the smoke server has no --store, so no
+    # recover stage).
+    ("tesc_boot_seconds", 'stage="read_edges"'),
+    ("tesc_boot_seconds", 'stage="read_events"'),
 ]
 
 

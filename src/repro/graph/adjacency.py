@@ -4,13 +4,22 @@ This is the construction-time representation: nodes are dense integer ids
 ``0..num_nodes-1`` and edges are undirected and unweighted, matching the
 paper's setting ("for the sake of simplicity, we assume G is undirected and
 unweighted").  The hot traversal paths convert to :class:`repro.graph.csr.CSRGraph`.
+
+A graph made from a CSR (:meth:`Graph.from_csr`, which the edge-list reader
+and :meth:`CSRGraph.to_graph` return) keeps that CSR and builds its sets on
+first use, so loading a file for traversal never builds a set.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Set, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.exceptions import EdgeError, NodeNotFoundError
+
+if TYPE_CHECKING:
+    from repro.graph.csr import CSRGraph
 
 
 class Graph:
@@ -34,12 +43,49 @@ class Graph:
             raise ValueError(f"num_nodes must be non-negative, got {num_nodes}")
         self._adjacency: List[Set[int]] = [set() for _ in range(num_nodes)]
         self._num_edges = 0
+        self._csr: Optional["CSRGraph"] = None
+
+    @classmethod
+    def from_csr(cls, csr: "CSRGraph",
+                 edge_order: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> "Graph":
+        """A graph equal to ``csr`` that keeps it and builds its sets lazily.
+
+        The adjacency sets are built on the first read or mutation, by
+        adding the edges ``zip(*edge_order)`` in order (duplicates allowed),
+        or ``csr``'s edges ``u < v`` in row order when ``edge_order`` is
+        ``None``, so they iterate exactly like sets built by :meth:`add_edge`
+        calls in that order.  :meth:`to_csr` returns ``csr`` until the graph
+        is mutated.
+        """
+        graph = cls.__new__(cls)
+        graph._num_edges = csr.num_edges
+        graph._csr = csr
+        graph._edge_order = edge_order
+        return graph
+
+    def __getattr__(self, name: str):
+        # Reached only for ``_adjacency`` of a from_csr graph not built yet.
+        if name != "_adjacency" or "_csr" not in self.__dict__:
+            raise AttributeError(name)
+        csr, edge_order = self._csr, self.__dict__.get("_edge_order")
+        if edge_order is None:
+            rows = np.repeat(np.arange(csr.num_nodes), np.diff(csr.indptr))
+            upper = rows < csr.indices
+            edge_order = rows[upper], csr.indices[upper]
+        adjacency: List[Set[int]] = [set() for _ in range(csr.num_nodes)]
+        for u, v in zip(edge_order[0].tolist(), edge_order[1].tolist()):
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+        self._adjacency = adjacency
+        self.__dict__.pop("_edge_order", None)
+        return adjacency
 
     # -- construction -----------------------------------------------------
 
     def add_node(self) -> int:
         """Append a new isolated node and return its id."""
         self._adjacency.append(set())
+        self._csr = None
         return len(self._adjacency) - 1
 
     def add_nodes(self, count: int) -> List[int]:
@@ -48,6 +94,7 @@ class Graph:
             raise ValueError(f"count must be non-negative, got {count}")
         first = len(self._adjacency)
         self._adjacency.extend(set() for _ in range(count))
+        self._csr = None
         return list(range(first, first + count))
 
     def add_edge(self, u: int, v: int) -> bool:
@@ -66,6 +113,7 @@ class Graph:
         self._adjacency[u].add(v)
         self._adjacency[v].add(u)
         self._num_edges += 1
+        self._csr = None
         return True
 
     def add_edges(self, edges: Iterable[Tuple[int, int]]) -> int:
@@ -85,6 +133,7 @@ class Graph:
         self._adjacency[u].discard(v)
         self._adjacency[v].discard(u)
         self._num_edges -= 1
+        self._csr = None
         return True
 
     # -- queries ----------------------------------------------------------
@@ -146,7 +195,10 @@ class Graph:
     # -- conversion --------------------------------------------------------
 
     def to_csr(self) -> "CSRGraph":
-        """Convert to the immutable CSR representation used by traversal."""
+        """Convert to the immutable CSR representation used by traversal
+        (the kept CSR of an unmodified :meth:`from_csr` graph)."""
+        if self._csr is not None:
+            return self._csr
         from repro.graph.csr import CSRGraph
 
         return CSRGraph.from_adjacency(self._adjacency)

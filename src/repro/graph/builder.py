@@ -2,8 +2,9 @@
 
 `GraphBuilder` accepts arbitrary hashable node labels (author names, IP
 addresses, user handles), assigns dense integer ids, and produces both the
-CSR graph and the label mapping.  The synthetic dataset generators and the
-edge-list reader are built on top of it.
+CSR graph and the label mapping.  The synthetic dataset generators are built
+on top of it; the edge-list reader assigns ids in the same first-seen order
+without it.
 """
 
 from __future__ import annotations

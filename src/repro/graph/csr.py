@@ -8,11 +8,13 @@ sequentially and neighbour iteration needs no Python-level set machinery.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+import itertools
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import GraphError, NodeNotFoundError
+from repro.utils.validation import sorted_unique
 
 
 class CSRGraph:
@@ -76,15 +78,38 @@ class CSRGraph:
 
         Self-loops are rejected; duplicate edges are collapsed.
         """
-        adjacency: List[Set[int]] = [set() for _ in range(num_nodes)]
-        for u, v in edges:
-            if not (0 <= u < num_nodes) or not (0 <= v < num_nodes):
-                raise NodeNotFoundError(u if not (0 <= u < num_nodes) else v)
-            if u == v:
+        pairs = np.fromiter(
+            itertools.chain.from_iterable(edges), dtype=np.int64
+        ).reshape(-1, 2)
+        sources, targets = pairs[:, 0], pairs[:, 1]
+        outside = (sources < 0) | (sources >= num_nodes)
+        bad = outside | (targets < 0) | (targets >= num_nodes) | (sources == targets)
+        if bad.any():
+            first = int(np.argmax(bad))
+            u, v = int(sources[first]), int(targets[first])
+            if u == v and not outside[first]:
                 raise GraphError(f"self-loop ({u}, {v}) is not allowed")
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-        return cls.from_adjacency(adjacency)
+            raise NodeNotFoundError(u if outside[first] else v)
+        return cls.from_edge_arrays(num_nodes, sources, targets)
+
+    @classmethod
+    def from_edge_arrays(cls, num_nodes: int, sources: np.ndarray,
+                         targets: np.ndarray) -> "CSRGraph":
+        """Build from parallel endpoint arrays of self-loop-free edges.
+
+        Each edge is stored in both rows; duplicates in either orientation
+        collapse and every row comes out sorted.  One sort of the
+        ``row * num_nodes + column`` keys does all of it.
+        """
+        sources = np.asarray(sources, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
+        keys = sorted_unique(np.concatenate(
+            (sources * num_nodes + targets, targets * num_nodes + sources)
+        ))
+        rows, columns = np.divmod(keys, max(num_nodes, 1))
+        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
+        return cls(indptr, columns)
 
     # -- queries ------------------------------------------------------------
 
@@ -137,12 +162,16 @@ class CSRGraph:
                     yield (u, int(v))
 
     def to_graph(self) -> "Graph":
-        """Convert back to the mutable adjacency-set representation."""
+        """The mutable adjacency-set view of this graph.
+
+        The returned :class:`~repro.graph.adjacency.Graph` keeps this CSR
+        and builds its adjacency sets only when first read or mutated;
+        until it is mutated, its :meth:`~repro.graph.adjacency.Graph.to_csr`
+        returns this object.
+        """
         from repro.graph.adjacency import Graph
 
-        graph = Graph(self.num_nodes)
-        graph.add_edges(self.edges())
-        return graph
+        return Graph.from_csr(self)
 
     def replace_rows(self, rows: Dict[int, Sequence[int]]) -> "CSRGraph":
         """A new CSR with the given adjacency rows swapped in wholesale.

@@ -14,10 +14,12 @@ HTTP server (scrapes may overlap), and is torn down with :meth:`close`.
 from __future__ import annotations
 
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.obs.registry import MetricsRegistry
+
+if TYPE_CHECKING:
+    from http.server import ThreadingHTTPServer
 
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -51,6 +53,10 @@ class MetricsHTTPServer:
     def start(self) -> "MetricsHTTPServer":
         if self._httpd is not None:
             return self
+        # Imported here so that a server without an HTTP endpoint never
+        # loads http.server (and the email/html packages it pulls in).
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         registry = self.registry
 
         class _Handler(BaseHTTPRequestHandler):

@@ -43,6 +43,15 @@ class RejectionSampler(ReferenceSampler):
         at most ``sample_size`` nodes, the whole population is the sample
         (as with ``batch_bfs``); otherwise it raises :class:`SamplingError`
         instead of looping forever on pathological inputs.
+
+    Notes
+    -----
+    A draw stalls when ``sample_size`` acceptances in a row add no new
+    node.  The sampler then enumerates the population once (no random
+    draws); if it holds fewer than ``sample_size`` nodes, no draw can
+    finish and the population is returned at once, as it would be once the
+    budget ran out.  Otherwise the loop goes on with the same random stream,
+    so every draw the loop finishes is the one it would have made anyway.
     """
 
     name = "reject"
@@ -88,6 +97,8 @@ class RejectionSampler(ReferenceSampler):
         accepted: dict = {}
         rejections = 0
         attempts = 0
+        repeats = 0  # acceptances in a row that added no new node
+        population: Optional[np.ndarray] = None
         max_attempts = self._max_attempts_per_node * sample_size
         while len(accepted) < sample_size and attempts < max_attempts:
             attempts += 1
@@ -111,6 +122,15 @@ class RejectionSampler(ReferenceSampler):
             if self.rng.random() < 1.0 / overlap:
                 if candidate not in accepted:
                     accepted[candidate] = 1
+                    repeats = 0
+                    continue
+                repeats += 1
+                if repeats == sample_size and population is None:
+                    population = self._engine.multi_source_vicinity(
+                        event_nodes, level
+                    )
+                    if population.size < sample_size:
+                        break
             else:
                 rejections += 1
 
@@ -118,8 +138,9 @@ class RejectionSampler(ReferenceSampler):
         population_size = None
         if len(accepted) < sample_size:
             # A sample no smaller than the population is the whole of it, as
-            # batch_bfs returns it; only then is the population enumerated.
-            population = self._engine.multi_source_vicinity(event_nodes, level)
+            # batch_bfs returns it.
+            if population is None:
+                population = self._engine.multi_source_vicinity(event_nodes, level)
             if population.size > sample_size:
                 raise SamplingError(
                     f"rejection sampling exceeded {max_attempts} attempts while "

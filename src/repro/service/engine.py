@@ -86,6 +86,7 @@ from repro.exceptions import (
     ConfigurationError,
     InsufficientSampleError,
     SnapshotExpiredError,
+    UnknownEventError,
 )
 from repro.graph.traversal import BFSEngine
 from repro.obs import (
@@ -426,6 +427,13 @@ class ServiceEngine:
             "full_replay, fresh).",
             labels=("path",),
         )
+        self._m_boot_seconds = m.gauge(
+            "tesc_boot_seconds",
+            "Seconds each boot stage took: reading the edge list "
+            "(read_edges) and the event file (read_events), and restoring "
+            "the durable store (recover).",
+            labels=("stage",),
+        )
         # Each epoch state's memo counts into these; registered here so
         # they read 0 before the first draw.
         SampleMemo.register_metrics(m)
@@ -606,7 +614,9 @@ class ServiceEngine:
                 pair_list = resolve_pair_spec(graph.event_names(), pairs)
                 events = tuple(sorted({event for pair in pair_list for event in pair}))
                 # Surfaces unknown events before any sampling work happens.
-                graph.indicator_matrix(events)
+                for event in events:
+                    if event not in graph.events:
+                        raise UnknownEventError(event)
                 # What decides every row of the request's matrix: the
                 # config (sampler, seed, level, size, decision), the events
                 # and the graph state, which together fix the universe.
@@ -1221,6 +1231,10 @@ class ServiceEngine:
             # The restored epoch IS the checkpointed epoch; skip the next
             # background checkpoint until a commit moves the graph.
             self._last_checkpoint_epoch = report.restored_epoch
+
+    def record_boot(self, stage: str, seconds: float) -> None:
+        """Register how long one boot stage took (``tesc_boot_seconds``)."""
+        self._m_boot_seconds.labels(stage=stage).set(seconds)
 
     # -- introspection / lifecycle -------------------------------------------
 

@@ -175,9 +175,11 @@ class CorrelationServer:
             digest = digest_string(
                 ServiceEngine._config_digest(resolved_config, persistent=True)
             )
+            started = time.perf_counter()
             self.recovery = recover(
                 graph, wal, store=store, config_digest=digest
             )
+            recover_seconds = time.perf_counter() - started
             self.replayed_batches = self.recovery.replayed_batches
         self.engine = ServiceEngine(
             graph, config, workers=workers,
@@ -189,6 +191,7 @@ class CorrelationServer:
         )
         if self.recovery is not None:
             self.engine.record_recovery(self.recovery)
+            self.engine.record_boot("recover", recover_seconds)
         self.default_top_k = None if default_top_k is None else int(default_top_k)
         self.admission = AdmissionController(
             max_concurrency=max_concurrency,

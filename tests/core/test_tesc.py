@@ -191,8 +191,9 @@ class TestMeasureTesc:
 
 class TestRejectionSamplerWholePopulation:
     """A request at least as large as ``V^h_{x∪y}`` (143 nodes at h = 1)
-    returns the whole population once the attempt budget runs out, as
-    ``batch_bfs`` does; a budget too small for a smaller request raises."""
+    returns the whole population once the draw stalls or the attempt
+    budget runs out, as ``batch_bfs`` does; a budget too small for a
+    smaller request raises."""
 
     def _samplers(self, attributed, attempts):
         from repro.sampling.batch_bfs import BatchBFSSampler
@@ -216,6 +217,43 @@ class TestRejectionSamplerWholePopulation:
         assert sample.draw_order is None
         assert not sample.weighted
         assert (sample.frequencies == 1).all()
+
+    def test_stalled_draw_returns_the_population_within_a_bounded_budget(
+        self, clustered_attributed
+    ):
+        union = clustered_attributed.event_union("x", "y")
+        reject, batch = self._samplers(clustered_attributed, attempts=1000)
+        sample = reject.sample(union, 1, 144)
+        assert sample.population_size == 143
+        assert np.array_equal(sample.nodes, batch.sample(union, 1, 144).nodes)
+        # Each attempt costs two BFS calls; the budget would allow 2 * 144 *
+        # 1000 of them before the fallback, the stall check ends it early.
+        assert sample.cost.bfs_calls < 2 * 144 * 1000 // 20
+
+    def test_stall_enumeration_leaves_a_finishable_draw_unchanged(
+        self, clustered_attributed, monkeypatch
+    ):
+        """n = 143 is the whole population: the loop stalls on repeats before
+        it accepts the last nodes, enumerates once, and goes on to finish
+        the draw with the random stream it had."""
+        union = clustered_attributed.event_union("x", "y")
+        reject, batch = self._samplers(clustered_attributed, attempts=1000)
+        calls = []
+        enumerate_population = reject._engine.multi_source_vicinity
+
+        def counted(sources, *args, **kwargs):
+            # Single-source vicinities of the attempts come through here too.
+            if np.size(sources) > 1:
+                calls.append(sources)
+            return enumerate_population(sources, *args, **kwargs)
+
+        monkeypatch.setattr(reject._engine, "multi_source_vicinity", counted)
+        sample = reject.sample(union, 1, 143)
+        assert len(calls) == 1
+        assert sample.population_size is None
+        assert sample.draw_order is not None
+        population = batch.sample(union, 1, 144).nodes
+        assert np.array_equal(np.sort(sample.draw_order), population)
 
     def test_small_budget_still_raises(self, clustered_attributed):
         from repro.exceptions import SamplingError

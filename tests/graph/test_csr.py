@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import GraphError, NodeNotFoundError
+from repro.graph.adjacency import Graph
 from repro.graph.csr import CSRGraph
 
 
@@ -24,6 +25,21 @@ class TestConstruction:
     def test_from_edges_rejects_unknown_node(self):
         with pytest.raises(NodeNotFoundError):
             CSRGraph.from_edges(2, [(0, 5)])
+
+    def test_from_edges_reports_the_first_bad_edge(self):
+        with pytest.raises(NodeNotFoundError) as excinfo:
+            CSRGraph.from_edges(3, [(0, 1), (-1, 2), (1, 1)])
+        assert excinfo.value.node == -1
+        with pytest.raises(GraphError, match="self-loop"):
+            CSRGraph.from_edges(3, [(0, 1), (2, 2), (0, 7)])
+
+    def test_from_edges_matches_the_adjacency_build(self, random_graph):
+        edges = list(random_graph.edges())
+        edges += [(v, u) for u, v in edges[::3]]
+        csr = CSRGraph.from_edges(random_graph.num_nodes, edges)
+        expected = random_graph.to_csr()
+        assert np.array_equal(csr.indptr, expected.indptr)
+        assert np.array_equal(csr.indices, expected.indices)
 
     def test_from_adjacency(self):
         csr = CSRGraph.from_adjacency([{1}, {0, 2}, {1}])
@@ -80,6 +96,19 @@ class TestQueries:
 
     def test_to_graph_round_trip(self, csr, two_triangles_graph):
         assert csr.to_graph() == two_triangles_graph
+
+    def test_to_graph_keeps_the_csr_and_builds_sets_in_edge_order(self, csr):
+        graph = csr.to_graph()
+        assert graph.to_csr() is csr
+        reference = Graph(csr.num_nodes)
+        reference.add_edges(csr.edges())
+        assert [list(graph.neighbors(v)) for v in graph.nodes()] == [
+            list(reference.neighbors(v)) for v in reference.nodes()
+        ]
+        assert graph.to_csr() is csr
+        graph.remove_edge(2, 3)
+        assert graph.to_csr() is not csr
+        assert graph.to_csr().num_edges == csr.num_edges - 1
 
     def test_repr(self, csr):
         assert "CSRGraph" in repr(csr)

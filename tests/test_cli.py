@@ -36,6 +36,29 @@ class TestImportCost:
         ).stdout.strip()
         assert loaded == "[]"
 
+    def test_cli_import_leaves_unused_subcommands_unloaded(self):
+        """The experiment, dataset and simulation packages and http.server
+        load only when a subcommand (or the metrics endpoint) uses them."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        script = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "scripts", "check_cli_imports.py",
+        )
+        result = subprocess.run(
+            [sys.executable, script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, result.stderr
+        assert repro.__file__ in result.stdout
+
+    def test_unused_subcommand_choices_match_their_registries(self):
+        from repro.cli import DATASET_NAMES, EXPERIMENT_IDS
+        from repro.datasets.registry import available_datasets
+        from repro.experiments.runner import available_experiments
+
+        assert list(EXPERIMENT_IDS) == available_experiments()
+        assert list(DATASET_NAMES) == available_datasets()
+
     def test_top_k_does_not_import_scipy_stats(self):
         src = os.path.dirname(os.path.dirname(repro.__file__))
         script = (
@@ -55,6 +78,54 @@ class TestImportCost:
             check=True, env={**os.environ, "PYTHONPATH": src},
         ).stdout.strip()
         assert loaded == "False"
+
+
+class TestServeBootStages:
+    def test_boot_stages_are_exported_and_shown_by_status(self, tmp_path):
+        """``tesc serve --store`` reports how long reading the edge list, the
+        event file and recovering the store took, as tesc_boot_seconds and
+        in ``tesc status``."""
+        import re
+
+        from repro.cli import _render_status
+        from repro.service import CorrelationClient
+
+        graph = community_ring_graph(6, 30, 5.0, 8, random_state=2)
+        write_edge_list(graph, str(tmp_path / "graph.txt"))
+        write_event_file({"a": range(0, 30), "b": range(10, 40)},
+                         str(tmp_path / "events.txt"))
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve",
+             "--edges", str(tmp_path / "graph.txt"),
+             "--events", str(tmp_path / "events.txt"),
+             "--store", str(tmp_path / "store"), "--port", "0",
+             "--sample-size", "60", "--seed", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        try:
+            banner = process.stdout.readline()
+            match = re.search(r"listening on ([\d.]+):(\d+)", banner)
+            assert match, banner
+            with CorrelationClient(match.group(1), int(match.group(2))) as client:
+                status = client.status()
+                client.shutdown()
+            assert process.wait(timeout=30) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+        stages = {
+            entry["labels"]["stage"]: entry["value"]
+            for entry in status["metrics"]["tesc_boot_seconds"]["values"]
+        }
+        assert sorted(stages) == ["read_edges", "read_events", "recover"]
+        assert all(seconds > 0 for seconds in stages.values())
+        boot = _render_status(status).split("\n\n")[2]
+        assert boot.splitlines()[0].startswith("boot")
+        for stage, seconds in stages.items():
+            assert stage in boot and f"{seconds:.3f}s" in boot
 
 
 class TestTestCommand:
